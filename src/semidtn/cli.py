@@ -36,6 +36,12 @@ SCENARIOS = ("forward_convergence", "linearization_check", "identity_check",
 
 OUTPUT_DIR_ENV = "SEMIDTN_OUTPUT_DIR"
 
+# Upper bounds of the reconstruction knobs, so that no config value makes a
+# run allocate or measure without limit (the shipped configs use 12, 6, 3).
+MAX_FAMILY_SIZE = 32
+MAX_BASIS_PER_SIDE = 12
+MAX_ROWS_FACTOR = 10
+
 
 class ConfigError(ValueError):
     """Config file failed to parse or validate."""
@@ -128,8 +134,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
 
     family_size = get("reconstruction", "family_size", 12, int)
+    if not 1 <= family_size <= MAX_FAMILY_SIZE:
+        raise ConfigError(f"family_size must be in [1, {MAX_FAMILY_SIZE}], got {family_size}")
     basis_per_side = get("reconstruction", "basis_per_side", 6, int)
+    if not 2 <= basis_per_side <= MAX_BASIS_PER_SIDE:
+        raise ConfigError(f"basis_per_side must be in [2, {MAX_BASIS_PER_SIDE}], "
+                          f"got {basis_per_side}")
     rows_factor = get("reconstruction", "rows_factor", 3, int)
+    if not 1 <= rows_factor <= MAX_ROWS_FACTOR:
+        raise ConfigError(f"rows_factor must be in [1, {MAX_ROWS_FACTOR}], got {rows_factor}")
     lam_raw = get("reconstruction", "lambda", "auto")
     try:
         lam = None if lam_raw in ("auto", "") else float(lam_raw)

@@ -1,6 +1,14 @@
 """Dirichlet solvers: linear problems -Lap v + c v = g and the semilinear
 problem -Lap u + V(x,u) = 0 via Newton iteration.
 
+One direct kernel carries every solve: the orthonormal sine basis
+diagonalizes the five-point Laplacian on interior nodes (Buzbee, Golub &
+Nielsen 1970), so c = 0 problems (harmonic extensions, zero-boundary Poisson
+solves) are exact to rounding. Problems with a reaction term, the Newton
+step among them, run conjugate gradients preconditioned by the same Poisson
+solve (Concus & Golub 1973); under the smallness gate the reaction term is a
+small perturbation of -Lap and CG converges in a few iterations.
+
 The nonlinear solve enforces a smallness gate on the boundary data
 (default max-norm radius 0.1) under which Newton, started from the harmonic
 extension of the data, stays in its quadratic basin for unit-size
@@ -10,17 +18,18 @@ coefficient fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .geometry import Grid2D, check_field, check_trace, trace_to_field
 from .potential import PotentialSeries
-from .sparse_linalg import SolverError, SparseOperator, assemble, solve_spd
+from .sparse_linalg import SolverError, assemble, solve_spd
 
 DEFAULT_SMALLNESS_RADIUS = 0.1
 DEFAULT_NEWTON_TOL = 1e-11
 DEFAULT_MAX_NEWTON = 25
-LINEAR_TOL = 1e-12  # relative CG tolerance for the inner solves
+LINEAR_TOL = 1e-12  # relative residual tolerance of the preconditioned CG solves
 
 
 class SmallnessError(ValueError):
@@ -39,18 +48,6 @@ class SolveReport:
     solution_norm: float    # max-norm of the computed solution
     converged: bool
     residual_history: tuple[float, ...] = ()  # per-iterate residual norms, initial first
-
-
-_poisson_cache: dict[int, SparseOperator] = {}
-
-
-def poisson_operator(grid: Grid2D) -> SparseOperator:
-    """The c = 0 stencil operator, cached per grid size (it is reused heavily)."""
-    op = _poisson_cache.get(grid.n)
-    if op is None:
-        op = assemble(np.zeros(grid.num_nodes), grid)
-        _poisson_cache[grid.n] = op
-    return op
 
 
 def _interior(a: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -85,34 +82,6 @@ def _l2(r: np.ndarray, grid: Grid2D) -> float:
     return float(grid.h * np.linalg.norm(r))
 
 
-def solve_linear(c: np.ndarray | None, g: np.ndarray | None, f: np.ndarray,
-                 grid: Grid2D, tol: float = LINEAR_TOL,
-                 _allow_negative: bool = False) -> np.ndarray:
-    """Solve -Lap v + c v = g with v = f on the boundary.
-
-    ``c`` and ``g`` may be None for zero. c must be >= 0 (SPD gate) unless
-    the Newton path explicitly relaxes it. Returns the full nodal field;
-    boundary nodes carry f exactly.
-    """
-    f = check_trace(f, grid)
-    if c is None and not _allow_negative:
-        A = poisson_operator(grid)
-    else:
-        A = assemble(np.zeros(grid.num_nodes) if c is None else check_field(c, grid),
-                     grid, allow_negative=_allow_negative)
-    lift = trace_to_field(f, grid)
-    b = _neighbor_sum(lift, grid) / (grid.h * grid.h)
-    if g is not None:
-        b = b + _interior(check_field(g, grid), grid)
-    x = solve_spd(A, b, tol=tol)
-    return _with_interior(lift, x, grid)
-
-
-def harmonic_extension(f: np.ndarray, grid: Grid2D, tol: float = LINEAR_TOL) -> np.ndarray:
-    """Discrete harmonic field with boundary trace f."""
-    return solve_linear(None, None, f, grid, tol=tol)
-
-
 _sine_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -130,16 +99,47 @@ def _sine_modes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     return modes
 
 
+def _inverse_laplacian(b: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """(-Lap_h)^-1 b for flat interior values b, zero boundary values: the
+    direct kernel of every solve, and the CG preconditioner."""
+    sine, inverse = _sine_modes(grid)
+    m = grid.n - 1
+    return (sine @ (inverse * (sine @ b.reshape(m, m) @ sine)) @ sine).ravel()
+
+
+def solve_linear(c: np.ndarray | None, g: np.ndarray | None, f: np.ndarray,
+                 grid: Grid2D, tol: float = LINEAR_TOL) -> np.ndarray:
+    """Solve -Lap v + c v = g with v = f on the boundary.
+
+    ``c`` and ``g`` may be None for zero. With c None the solve is direct;
+    otherwise c must be >= 0 (SPD gate) and CG, preconditioned by the Poisson
+    solve, runs to relative residual ``tol``. Returns the full nodal field;
+    boundary nodes carry f exactly.
+    """
+    f = check_trace(f, grid)
+    lift = trace_to_field(f, grid)
+    b = _neighbor_sum(lift, grid) / (grid.h * grid.h)
+    if g is not None:
+        b = b + _interior(check_field(g, grid), grid)
+    if c is None:
+        x = _inverse_laplacian(b, grid)
+    else:
+        A = assemble(check_field(c, grid), grid)
+        x = solve_spd(A, b, partial(_inverse_laplacian, grid=grid), tol=tol)
+    return _with_interior(lift, x, grid)
+
+
+def harmonic_extension(f: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Discrete harmonic field with boundary trace f."""
+    return solve_linear(None, None, f, grid)
+
+
 def solve_poisson(g: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Solve -Lap_h v = g with v = 0 on the boundary; only interior values of
     g count. The sine basis diagonalizes the five-point operator on interior
     nodes, so the solve is direct and exact to rounding."""
-    sine, inverse = _sine_modes(grid)
-    n = grid.n
-    src = check_field(g, grid).reshape(n + 1, n + 1)[1:-1, 1:-1]
-    out = np.zeros((n + 1, n + 1))
-    out[1:-1, 1:-1] = sine @ (inverse * (sine @ src @ sine)) @ sine
-    return out.ravel()
+    source = _interior(check_field(g, grid), grid)
+    return _with_interior(np.zeros(grid.num_nodes), _inverse_laplacian(source, grid), grid)
 
 
 def solve_semilinear(P: PotentialSeries, f: np.ndarray, grid: Grid2D,
@@ -173,7 +173,7 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray, grid: Grid2D,
                                   tuple(history))
         slope = P.slope_field(u)
         A = assemble(slope, grid, allow_negative=True)
-        delta = solve_spd(A, -res, tol=LINEAR_TOL)
+        delta = solve_spd(A, -res, partial(_inverse_laplacian, grid=grid), tol=LINEAR_TOL)
         u = _with_interior(u, _interior(u, grid) + delta, grid)
         new_res = semilinear_residual(P, u, grid)
         new_norm = _l2(new_res, grid)

@@ -255,7 +255,7 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
     blocks: list[np.ndarray] = []
     factor = np.zeros((0, p + 1))
     rng = np.random.default_rng(seed)
-    for head in _choose_heads(len(family), m, heads or 3 * p, rng):
+    for head in _choose_heads(len(family), m, 3 * p if heads is None else heads, rng):
         if rows is not None and count >= rows:
             break
         first = head[-1] if tests is None else 0

@@ -1,8 +1,11 @@
-"""CSR storage and Jacobi-preconditioned CG for the discrete -Lap + c operator.
+"""CSR storage and preconditioned CG for the discrete -Lap + c operator.
 
 Unknowns are the (n-1)^2 interior nodes only; Dirichlet boundary values are
 eliminated into the right-hand side by the caller (see forward_solver), which
-keeps the operator symmetric positive definite for c >= 0.
+keeps the operator symmetric positive definite for c >= 0. The five-point
+pattern is built once per grid size; each assembly writes only the diagonal.
+The caller supplies the CG preconditioner (forward_solver passes the direct
+sine-basis Poisson solve).
 """
 
 from __future__ import annotations
@@ -52,6 +55,36 @@ class SparseOperator:
         return bool(abs(d).max() <= tol) if d.nnz else True
 
 
+_pattern_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _stencil_pattern(grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR indptr, indices and data of the c = 0 five-point operator, and the
+    positions of its diagonal in data; built once per grid size, read-only."""
+    pattern = _pattern_cache.get(grid.n)
+    if pattern is None:
+        m = grid.n - 1
+        inv_h2 = 1.0 / (grid.h * grid.h)
+        iy, ix = np.divmod(np.arange(m * m), m)
+        rows = [np.arange(m * m)]
+        cols = [np.arange(m * m)]
+        vals = [np.full(m * m, 4.0 * inv_h2)]
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            keep = (0 <= ix + dx) & (ix + dx < m) & (0 <= iy + dy) & (iy + dy < m)
+            rows.append(np.arange(m * m)[keep])
+            cols.append((iy[keep] + dy) * m + (ix[keep] + dx))
+            vals.append(np.full(keep.sum(), -inv_h2))
+        csr = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(m * m, m * m)).tocsr()
+        csr.sort_indices()
+        row_of = np.repeat(np.arange(m * m), np.diff(csr.indptr))
+        pattern = (csr.indptr, csr.indices, csr.data, np.flatnonzero(csr.indices == row_of))
+        for arr in pattern:
+            arr.flags.writeable = False
+        _pattern_cache[grid.n] = pattern
+    return pattern
+
+
 def assemble(c: np.ndarray, grid: Grid2D, allow_negative: bool = False) -> SparseOperator:
     """Five-point stencil for -Lap + c on interior nodes.
 
@@ -72,33 +105,24 @@ def assemble(c: np.ndarray, grid: Grid2D, allow_negative: bool = False) -> Spars
     if not np.all(np.isfinite(c_int)):
         raise ValueError("reaction coefficient contains non-finite values")
 
-    inv_h2 = 1.0 / (h * h)
-    diag = 4.0 * inv_h2 + c_int
+    diag = 4.0 / (h * h) + c_int
     if allow_negative:
         if np.any(diag <= 0.0):
             raise SolverError("reaction term too negative: stencil diagonal not positive")
     elif np.any(c_int < 0.0):
         raise ValueError("reaction coefficient must be >= 0 (use allow_negative for Newton steps)")
 
-    iy, ix = np.divmod(np.arange(m * m), m)
-    rows = [np.arange(m * m)]
-    cols = [np.arange(m * m)]
-    vals = [diag]
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        keep = (0 <= ix + dx) & (ix + dx < m) & (0 <= iy + dy) & (iy + dy < m)
-        rows.append(np.arange(m * m)[keep])
-        cols.append((iy[keep] + dy) * m + (ix[keep] + dx))
-        vals.append(np.full(keep.sum(), -inv_h2))
-    coo = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(m * m, m * m)).tocsr()
-    coo.sort_indices()
-    return SparseOperator(m * m, coo.indptr, coo.indices, coo.data)
+    indptr, indices, stencil, diag_pos = _stencil_pattern(grid)
+    data = stencil.copy()
+    data[diag_pos] = diag
+    return SparseOperator(m * m, indptr, indices, data)
 
 
-def solve_spd(A: SparseOperator, b: np.ndarray, tol: float = 1e-10,
+def solve_spd(A: SparseOperator, b: np.ndarray, precondition, tol: float = 1e-10,
               callback=None) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradient.
+    """Preconditioned conjugate gradient.
 
+    ``precondition(r)`` applies M^-1 for a symmetric positive definite M.
     Returns x with relative residual ||Ax - b|| / ||b|| <= tol; b = 0 short
     circuits to x = 0. Deterministic for fixed inputs (fixed reduction order).
     ``callback(x_k)`` is invoked once per accepted iterate when given.
@@ -112,10 +136,9 @@ def solve_spd(A: SparseOperator, b: np.ndarray, tol: float = 1e-10,
     if norm_b == 0.0:
         return np.zeros(A.dim)
 
-    inv_diag = 1.0 / A.diagonal()
     x = np.zeros(A.dim)
     r = b.copy()
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = r @ z
     max_iter = 10 * A.dim
@@ -130,7 +153,7 @@ def solve_spd(A: SparseOperator, b: np.ndarray, tol: float = 1e-10,
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        z = inv_diag * r
+        z = precondition(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -69,6 +69,22 @@ def test_validate_ranges(tmp_path):
                                                    "basis_per_side = 3\nlambda = -1")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, bad))
+    # reconstruction knobs: below the useful range, and above the caps
+    for old_line, new_line in (("family_size = 6", "family_size = 0"),
+                               ("family_size = 6", "family_size = 33"),
+                               ("basis_per_side = 3", "basis_per_side = 1"),
+                               ("basis_per_side = 3", "basis_per_side = 13"),
+                               ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = 0"),
+                               ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = -2"),
+                               ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = 11")):
+        bad = GOOD_CONFIG.format(out=tmp_path).replace(old_line, new_line)
+        with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path, bad))
+    for old_line, new_line in (("family_size = 6", "family_size = 12"),
+                               ("basis_per_side = 3", "basis_per_side = 6\nrows_factor = 1"),
+                               ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = 3")):
+        load_config(write_config(tmp_path, GOOD_CONFIG.format(out=tmp_path)
+                                 .replace(old_line, new_line)))
 
 
 def test_missing_file_rejected(tmp_path):
@@ -79,6 +95,16 @@ def test_missing_file_rejected(tmp_path):
 def test_malformed_config_exits_2_without_outputs(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, GOOD_CONFIG.format(out=out).replace("n = 16", "n = 999"))
+    assert run(path) == 2
+    assert not out.exists()
+
+
+def test_bad_reconstruction_knob_exits_2_without_outputs(tmp_path):
+    out = tmp_path / "out"
+    text = GOOD_CONFIG.format(out=out).replace("scenario = identity_check",
+                                               "scenario = reconstruction")
+    path = write_config(tmp_path, text.replace("basis_per_side = 3",
+                                               "basis_per_side = 3\nrows_factor = 0"))
     assert run(path) == 2
     assert not out.exists()
 

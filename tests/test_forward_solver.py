@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from semidtn.dtn import bump_trace
-from semidtn.forward_solver import (NewtonError, SmallnessError, harmonic_extension,
+from semidtn import forward_solver
+from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
                                     newton_jacobian_check, semilinear_residual,
                                     solve_linear, solve_poisson, solve_semilinear,
                                     stencil_laplacian)
 from semidtn.geometry import field_to_trace, make_grid
-from semidtn.potential import PotentialSeries
+from semidtn.potential import PotentialSeries, sample_expression
+from semidtn.sparse_linalg import assemble, solve_spd
 
 
 def const_series(grid, **fields):
@@ -73,16 +75,44 @@ def test_zero_potential_is_harmonic_extension():
 
 
 def test_poisson_direct_solve_matches_iterative():
-    # the sine-basis solve and CG agree on a zero-boundary problem; the direct
-    # one leaves a stencil residual at rounding level
+    # the sine-basis solve and Jacobi-preconditioned CG on the assembled
+    # stencil agree on a zero-boundary problem; the direct one leaves a
+    # stencil residual at rounding level
     g = make_grid(16)
     source = np.random.default_rng(2).normal(size=g.num_nodes)
     v = solve_poisson(source, g)
     assert not v[g.boundary_nodes].any()
-    reference = solve_linear(None, source, np.zeros(g.num_boundary), g)
-    assert np.max(np.abs(v - reference)) <= 1e-10 * np.max(np.abs(reference))
+    A = assemble(np.zeros(g.num_nodes), g)
     interior = source.reshape(17, 17)[1:-1, 1:-1].ravel()
+    reference = solve_spd(A, interior, lambda r: r / A.diagonal(), tol=LINEAR_TOL)
+    v_int = v.reshape(17, 17)[1:-1, 1:-1].ravel()
+    assert np.max(np.abs(v_int - reference)) <= 1e-10 * np.max(np.abs(reference))
     assert np.max(np.abs(stencil_laplacian(v, g) - interior)) <= 1e-10 * np.max(np.abs(interior))
+
+
+def test_newton_step_cg_converges_in_few_iterations(monkeypatch):
+    # under the smallness gate the Newton Jacobian -Lap + V'(u) is a small
+    # perturbation of -Lap, so CG preconditioned by the Poisson solve needs a
+    # handful of iterations per step (Jacobi needed ~250 at this size)
+    g = make_grid(64)
+    P = PotentialSeries.from_coefficients(g, {
+        2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", g),
+        3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g)})
+    counts = []
+
+    def counting_solve(A, b, precondition, tol, callback=None):
+        steps = []
+        x = solve_spd(A, b, precondition, tol=tol, callback=steps.append)
+        counts.append(len(steps))
+        return x
+
+    monkeypatch.setattr(forward_solver, "solve_spd", counting_solve)
+    for f in (np.full(g.num_boundary, 0.1), np.full(g.num_boundary, -0.1),
+              bump_trace(g, 0.5, 0.3, 0.1), bump_trace(g, 1.5, 0.5, -0.1)):
+        _, report = solve_semilinear(P, f, g)
+        assert report.converged
+    assert len(counts) >= 4
+    assert max(counts) <= 5
 
 
 def test_smallness_gate():
