@@ -4,33 +4,32 @@ problems and reconstruct the nonlinearity's coefficient fields from them."""
 from .geometry import (ArcMask, Grid2D, arc_mask, boundary_integral, full_mask,
                        interior_integral, make_grid)
 from .potential import PotentialSeries, sample_expression
-from .sparse_linalg import SolverError, SparseOperator, assemble, solve_spd
+from .sparse_linalg import SolverError, assemble, solve_spd
 from .forward_solver import (NewtonError, SmallnessError, SolveReport,
                              harmonic_extension, newton_jacobian_check,
                              solve_linear, solve_semilinear)
 from .dtn import DtnSample, bump_trace, dtn_apply, normal_derivative
-from .linearization import (CascadeState, PartitionTable, measured_linearized_flux,
+from .linearization import (CascadeState, measured_linearized_flux,
                             mixed_divided_difference, nonlinearity_derivative,
                             partitions, run_cascade)
-from .harmonic import HarmonicFamily, arc_supported_family, polynomial_family
+from .harmonic import HarmonicFamily, arc_supported_family
 from .reconstruction import (CoeffBasis, MomentSystem, ReconstructionConfig,
                              ReconstructionResult, assemble_system, make_basis,
-                             measured_moment, reconstruct_all, rel_l2_error,
-                             solve_system)
+                             measured_moment, reconstruct_all, rel_l2_error)
 
 __all__ = [
     "ArcMask", "Grid2D", "arc_mask", "boundary_integral", "full_mask",
     "interior_integral", "make_grid",
     "PotentialSeries", "sample_expression",
-    "SolverError", "SparseOperator", "assemble", "solve_spd",
+    "SolverError", "assemble", "solve_spd",
     "NewtonError", "SmallnessError", "SolveReport", "harmonic_extension",
     "newton_jacobian_check", "solve_linear", "solve_semilinear",
     "DtnSample", "bump_trace", "dtn_apply", "normal_derivative",
-    "CascadeState", "PartitionTable", "measured_linearized_flux",
+    "CascadeState", "measured_linearized_flux",
     "mixed_divided_difference", "nonlinearity_derivative", "partitions",
     "run_cascade",
-    "HarmonicFamily", "arc_supported_family", "polynomial_family",
+    "HarmonicFamily", "arc_supported_family",
     "CoeffBasis", "MomentSystem", "ReconstructionConfig", "ReconstructionResult",
     "assemble_system", "make_basis", "measured_moment", "reconstruct_all",
-    "rel_l2_error", "solve_system",
+    "rel_l2_error",
 ]

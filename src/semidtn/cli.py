@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dtn import DtnSample, bump_trace, dtn_apply, normal_derivative
-from .forward_solver import solve_semilinear
+from .forward_solver import DEFAULT_SMALLNESS_RADIUS, solve_semilinear
 from .geometry import Grid2D, arc_mask, interior_integral, make_grid
 from .harmonic import arc_supported_family
 from .linearization import mixed_divided_difference, run_cascade
@@ -41,6 +41,13 @@ OUTPUT_DIR_ENV = "SEMIDTN_OUTPUT_DIR"
 MAX_FAMILY_SIZE = 32
 MAX_BASIS_PER_SIDE = 12
 MAX_ROWS_FACTOR = 10
+# Highest coefficient order in [potential] and kmax (the partition
+# enumeration behind the cascade stops at 8), the identity_check tuple count
+# per order, and the half-width of the forward_convergence bump (half the
+# boundary walk).
+MAX_ORDER = 8
+MAX_TUPLES = 1000
+MAX_BUMP_WIDTH = 2.0
 
 
 class ConfigError(ValueError):
@@ -116,16 +123,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     exprs: dict[int, str] = {}
     if parser.has_section("potential"):
         for key, value in parser.items("potential"):
-            if not key.startswith("k") or not key[1:].isdigit():
+            if not key.startswith("k") or not key[1:].isdecimal():
                 raise ConfigError(f"[potential] keys look like k2, k3, ...; got {key!r}")
             order = int(key[1:])
-            if order < 2:
-                raise ConfigError("potential coefficients start at k2")
+            if not 2 <= order <= MAX_ORDER:
+                raise ConfigError(f"potential coefficients run from k2 to k{MAX_ORDER}; "
+                                  f"got {key!r}")
             exprs[order] = value
 
     kmax = get("reconstruction", "kmax", max(exprs) if exprs else 2, int)
-    if scenario == "reconstruction" and not 2 <= kmax <= 4:
-        raise ConfigError(f"reconstruction kmax must be in [2, 4], got {kmax}")
+    top = 4 if scenario == "reconstruction" else MAX_ORDER
+    if not 2 <= kmax <= top:
+        raise ConfigError(f"{scenario} kmax must be in [2, {top}], got {kmax}")
     eps = get("measurement", "eps", 1e-2, float)
     if not 0.0 < eps <= 0.05:
         raise ConfigError(f"eps must be in (0, 0.05], got {eps}")
@@ -152,6 +161,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"lambda must be >= 0 or 'auto', got {lam_raw!r}")
 
     extras = dict(parser.items("extras")) if parser.has_section("extras") else {}
+    if "tuples" in extras and not 1 <= get("extras", "tuples", cast=int) <= MAX_TUPLES:
+        raise ConfigError(f"[extras] tuples must be in [1, {MAX_TUPLES}], "
+                          f"got {extras['tuples']!r}")
+    if "bump_amplitude" in extras and \
+            not 0.0 < abs(get("extras", "bump_amplitude", cast=float)) <= DEFAULT_SMALLNESS_RADIUS:
+        raise ConfigError(f"[extras] bump_amplitude must be nonzero with magnitude at most "
+                          f"{DEFAULT_SMALLNESS_RADIUS}, got {extras['bump_amplitude']!r}")
+    if "bump_width" in extras and \
+            not 0.0 < get("extras", "bump_width", cast=float) <= MAX_BUMP_WIDTH:
+        raise ConfigError(f"[extras] bump_width must be in (0, {MAX_BUMP_WIDTH}], "
+                          f"got {extras['bump_width']!r}")
     return ExperimentConfig(scenario, output_dir, seed, n, s0, s1, exprs, kmax,
                             eps, family_size, basis_per_side, rows_factor, lam,
                             noise_sigma, extras)

@@ -5,9 +5,7 @@ boundary data.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -92,16 +90,3 @@ def bump_trace(grid: Grid2D, center: float, width: float, amplitude: float = 1.0
         raise ValueError("bump width must be positive")
     d = np.mod(grid.boundary_s - center + 2.0, 4.0) - 2.0  # signed circular distance
     return amplitude * bump_profile(d / width)
-
-
-def samples_to_csv(samples: list[DtnSample], mask: ArcMask, grid: Grid2D,
-                   path: str | Path) -> None:
-    """Dump measurement batches: one row per boundary node per sample."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "s", "in_gamma", "f_value", "dtn_value"])
-        for sid, sample in enumerate(samples):
-            for k in range(grid.num_boundary):
-                writer.writerow([sid, f"{grid.boundary_s[k]:.12g}",
-                                 int(mask.flags[k]),
-                                 f"{sample.f[k]:.17g}", f"{sample.output[k]:.17g}"])

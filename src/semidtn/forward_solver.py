@@ -1,13 +1,14 @@
-"""Dirichlet solvers: linear problems -Lap v + c v = g and the semilinear
+"""Dirichlet solvers: the linear problem -Lap v = g and the semilinear
 problem -Lap u + V(x,u) = 0 via Newton iteration.
 
 One direct kernel carries every solve: the orthonormal sine basis
 diagonalizes the five-point Laplacian on interior nodes (Buzbee, Golub &
-Nielsen 1970), so c = 0 problems (harmonic extensions, zero-boundary Poisson
-solves) are exact to rounding. Problems with a reaction term, the Newton
-step among them, run conjugate gradients preconditioned by the same Poisson
-solve (Concus & Golub 1973); under the smallness gate the reaction term is a
-small perturbation of -Lap and CG converges in a few iterations.
+Nielsen 1970), so linear problems (harmonic extensions, zero-boundary Poisson
+solves) are exact to rounding. Each Newton step solves with the Jacobian
+-Lap + dV/dz(x, u), applied matrix-free, by conjugate gradients
+preconditioned by the same Poisson solve (Concus & Golub 1973); under the
+smallness gate the reaction term is a small perturbation of -Lap and CG
+converges in a few iterations.
 
 The nonlinear solve enforces a smallness gate on the boundary data
 (default max-norm radius 0.1) under which Newton, started from the harmonic
@@ -29,7 +30,7 @@ from .sparse_linalg import SolverError, assemble, solve_spd
 DEFAULT_SMALLNESS_RADIUS = 0.1
 DEFAULT_NEWTON_TOL = 1e-11
 DEFAULT_MAX_NEWTON = 25
-LINEAR_TOL = 1e-12  # relative residual tolerance of the preconditioned CG solves
+LINEAR_TOL = 1e-12  # relative residual tolerance of the Newton step's preconditioned CG
 
 
 class SmallnessError(ValueError):
@@ -107,31 +108,25 @@ def _inverse_laplacian(b: np.ndarray, grid: Grid2D) -> np.ndarray:
     return (sine @ (inverse * (sine @ b.reshape(m, m) @ sine)) @ sine).ravel()
 
 
-def solve_linear(c: np.ndarray | None, g: np.ndarray | None, f: np.ndarray,
-                 grid: Grid2D, tol: float = LINEAR_TOL) -> np.ndarray:
-    """Solve -Lap v + c v = g with v = f on the boundary.
+def solve_linear(g: np.ndarray | None, f: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Solve -Lap v = g with v = f on the boundary, directly.
 
-    ``c`` and ``g`` may be None for zero. With c None the solve is direct;
-    otherwise c must be >= 0 (SPD gate) and CG, preconditioned by the Poisson
-    solve, runs to relative residual ``tol``. Returns the full nodal field;
-    boundary nodes carry f exactly.
+    ``g`` may be None for zero; only its interior values count. The boundary
+    trace is lifted into the right-hand side and the interior solved with the
+    sine-basis kernel. Returns the full nodal field; boundary nodes carry f
+    exactly.
     """
     f = check_trace(f, grid)
     lift = trace_to_field(f, grid)
     b = _neighbor_sum(lift, grid) / (grid.h * grid.h)
     if g is not None:
         b = b + _interior(check_field(g, grid), grid)
-    if c is None:
-        x = _inverse_laplacian(b, grid)
-    else:
-        A = assemble(check_field(c, grid), grid)
-        x = solve_spd(A, b, partial(_inverse_laplacian, grid=grid), tol=tol)
-    return _with_interior(lift, x, grid)
+    return _with_interior(lift, _inverse_laplacian(b, grid), grid)
 
 
 def harmonic_extension(f: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Discrete harmonic field with boundary trace f."""
-    return solve_linear(None, None, f, grid)
+    return solve_linear(None, f, grid)
 
 
 def solve_poisson(g: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -172,7 +167,7 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray, grid: Grid2D,
             return u, SolveReport(it, res_norm, fnorm, float(np.max(np.abs(u))), True,
                                   tuple(history))
         slope = P.slope_field(u)
-        A = assemble(slope, grid, allow_negative=True)
+        A = assemble(slope, grid)
         delta = solve_spd(A, -res, partial(_inverse_laplacian, grid=grid), tol=LINEAR_TOL)
         u = _with_interior(u, _interior(u, grid) + delta, grid)
         new_res = semilinear_residual(P, u, grid)

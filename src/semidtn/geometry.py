@@ -82,12 +82,6 @@ class Grid2D:
         X, Y = np.meshgrid(axis, axis, indexing="xy")
         return X.ravel(), Y.ravel()
 
-    def interior_mask(self) -> np.ndarray:
-        """Boolean flat mask selecting strictly interior nodes."""
-        m = np.zeros((self.n + 1, self.n + 1), dtype=bool)
-        m[1:-1, 1:-1] = True
-        return m.ravel()
-
 
 def make_grid(n_cells_per_side: int) -> Grid2D:
     """Build the discrete unit square with ``n_cells_per_side`` cells per side."""

@@ -1,8 +1,7 @@
 """Families of discrete harmonic test functions.
 
 Arc-supported members harmonically extend smooth boundary bumps whose
-support sits strictly inside the accessible arc; global harmonic
-polynomials serve full-data experiments. A finite family stands in for the
+support sits strictly inside the accessible arc. A finite family stands in for the
 density of products of boundary-vanishing harmonic functions, with
 moment-system conditioning reported downstream instead of any completeness
 claim.
@@ -10,9 +9,7 @@ claim.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,9 +34,6 @@ class HarmonicFamily:
 
     def __getitem__(self, i: int) -> HarmonicMember:
         return self.members[i]
-
-    def fields(self) -> list[np.ndarray]:
-        return [m.field for m in self.members]
 
     def traces(self) -> list[np.ndarray]:
         return [m.trace for m in self.members]
@@ -83,62 +77,3 @@ def arc_supported_family(mask: ArcMask, count: int, grid: Grid2D) -> HarmonicFam
         field = harmonic_extension(trace, grid)
         members.append(HarmonicMember(field, trace, f"bump(center={center:.6g},width={width:.6g})"))
     return HarmonicFamily(tuple(members))
-
-
-def polynomial_family(max_degree: int, grid: Grid2D) -> HarmonicFamily:
-    """Real and imaginary parts of (x + iy)^d for d = 0..max_degree.
-
-    Continuum-harmonic; the five-point stencil reproduces them exactly only
-    for d <= 2, recorded in the provenance. The zero imaginary part of d = 0
-    is omitted.
-    """
-    if max_degree > 6:
-        raise ValueError("polynomial family capped at degree 6")
-    x, y = grid.node_coords()
-    z = x + 1j * y
-    members = []
-    for d in range(max_degree + 1):
-        zd = z ** d
-        exact = "stencil-exact" if d <= 2 else "stencil-residual O(h^2)"
-        parts = [("re", zd.real)] if d == 0 else [("re", zd.real), ("im", zd.imag)]
-        for tag, field in parts:
-            field = np.ascontiguousarray(field)
-            trace = field[grid.boundary_nodes].copy()
-            members.append(HarmonicMember(field, trace, f"poly(d={d},{tag},{exact})"))
-    return HarmonicFamily(tuple(members))
-
-
-def triple_product_gram(family: HarmonicFamily, grid: Grid2D) -> np.ndarray:
-    """Gram matrix of the member triple products under the interior quadrature.
-
-    Entry (i, j) pairs the i-th and j-th triple products (triples in
-    lexicographic multiset order). Its numerical rank is the moment-system
-    conditioning diagnostic.
-    """
-    from itertools import combinations_with_replacement
-
-    from .geometry import interior_integral
-
-    prods = []
-    for t in combinations_with_replacement(range(len(family)), 3):
-        p = np.ones(grid.num_nodes)
-        for i in t:
-            p = p * family[i].field
-        prods.append(p)
-    G = np.empty((len(prods), len(prods)))
-    for i, pi in enumerate(prods):
-        for j in range(i, len(prods)):
-            G[i, j] = G[j, i] = interior_integral(pi * prods[j], grid)
-    return G
-
-
-def family_to_csv(family: HarmonicFamily, grid: Grid2D, path: str | Path) -> None:
-    """Dump member fields as (member, x, y, value) rows for plotting."""
-    x, y = grid.node_coords()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["member", "x", "y", "value"])
-        for idx, member in enumerate(family.members):
-            for j in range(grid.num_nodes):
-                writer.writerow([idx, f"{x[j]:.12g}", f"{y[j]:.12g}",
-                                 f"{member.field[j]:.17g}"])

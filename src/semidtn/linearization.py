@@ -65,22 +65,6 @@ def partitions(S) -> list[tuple[tuple[int, ...], ...]]:
 
 
 @dataclass(frozen=True)
-class PartitionTable:
-    """Cached partitions of {0..size-1} for every size up to ``max_size``."""
-
-    max_size: int
-    by_size: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
-
-    @classmethod
-    def build(cls, max_size: int) -> "PartitionTable":
-        table = tuple(tuple(partitions(range(sz))) for sz in range(1, max_size + 1))
-        return cls(max_size, table)
-
-    def of_size(self, size: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return self.by_size[size - 1]
-
-
-@dataclass(frozen=True)
 class CascadeState:
     """Mixed amplitude-derivatives of the solution at zero boundary data.
 
@@ -153,7 +137,7 @@ def run_cascade(P: PotentialSeries, fs, grid: Grid2D,
         for subset in _subsets(m, size):
             source = nonlinearity_derivative(P, subset, derivs)
             if source.any():
-                derivs[subset] = solve_linear(None, -source, zero_trace, grid)
+                derivs[subset] = solve_linear(-source, zero_trace, grid)
             else:
                 derivs[subset] = np.zeros(grid.num_nodes)
     return CascadeState(fs, derivs)

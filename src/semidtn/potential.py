@@ -6,7 +6,9 @@ construction. Coefficient fields live on the computation grid.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,42 +86,46 @@ class PotentialSeries:
             acc = acc * u + self.coeffs[k - 2] / math.factorial(k - 1)
         return acc * u  # derivative starts at z^1
 
-    def value_at(self, node: int, z: float) -> float:
-        """V(x_node, z)."""
-        return float(self.value_field(np.full(self.coeffs[0].size, float(z)))[node])
-
-    def slope_at(self, node: int, z: float) -> float:
-        """d/dz V(x_node, z)."""
-        return float(self.slope_field(np.full(self.coeffs[0].size, float(z)))[node])
-
     @property
     def is_zero(self) -> bool:
         return all(not a.any() for a in self.coeffs)
 
 
 # expression vocabulary for ground-truth coefficients in experiment configs
-_EXPR_NAMES = {
-    "sin": np.sin, "cos": np.cos, "exp": np.exp, "pi": np.pi,
-}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 def sample_expression(expr: str, grid: Grid2D) -> np.ndarray:
     """Sample a closed-form coefficient expression onto the grid.
 
-    Vocabulary: numeric literals, x, y, +-*/, parentheses, sin/cos of linear
-    forms, exp for Gaussian bumps, pi. Anything else is rejected.
+    Vocabulary: numeric literals (evaluated as floats), x, y, pi, the binary
+    operators + - * / **, unary + and -, parentheses, and one-argument
+    sin, cos and exp. Anything else, and any arithmetic that overflows or
+    leaves a non-finite value, raises ValueError.
     """
-    allowed = set("0123456789.+-*/() ,xy")
-    stripped = expr
-    for name in _EXPR_NAMES:
-        stripped = stripped.replace(name, "")
-    if not set(stripped) <= allowed:
-        raise ValueError(f"expression uses names outside the vocabulary: {expr!r}")
     x, y = grid.node_coords()
-    env = {"__builtins__": {}, "x": x, "y": y, **_EXPR_NAMES}
+    names = {"x": x, "y": y, "pi": np.pi}
+
+    def walk(node: ast.AST):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](walk(node.operand))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+            return _FUNCTIONS[node.func.id](walk(node.args[0]))
+        raise ValueError(f"expression {expr!r} leaves the vocabulary at {ast.unparse(node)!r}")
+
     try:
-        val = eval(expr, env)  # noqa: S307 - vocabulary-checked config expression
-    except Exception as exc:
+        val = walk(ast.parse(expr, mode="eval").body)
+    except (SyntaxError, ArithmeticError, RecursionError, MemoryError) as exc:
         raise ValueError(f"cannot evaluate expression {expr!r}: {exc}") from exc
     out = np.broadcast_to(np.asarray(val, dtype=float), (grid.num_nodes,)).copy()
     return check_field(out, grid)

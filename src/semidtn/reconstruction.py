@@ -336,11 +336,11 @@ def lcurve_weight(matrix: np.ndarray, rhs: np.ndarray, penalty: np.ndarray) -> f
     return float(weights[1 + int(np.argmax(np.nan_to_num(curvature[1:-1], nan=-np.inf)))])
 
 
-def solve_coefficients(system: MomentSystem, tol: float = 1e-10) -> np.ndarray:
+def solve_coefficients(system: MomentSystem) -> np.ndarray:
     """Coefficient vector minimizing ||A c - y||^2 + lam ||L c||^2.
 
     Solved as the stacked least-squares problem [A; sqrt(lam) L] c = [y; 0]
-    by QR. The solve is direct, so ``tol`` has no effect.
+    by QR.
     """
     if system.rows == 0:
         raise ValueError("moment system is empty")
@@ -348,11 +348,6 @@ def solve_coefficients(system: MomentSystem, tol: float = 1e-10) -> np.ndarray:
         return np.zeros(system.basis.size)
     return _tikhonov(system.matrix, system.rhs, system.lam,
                      gradient_penalty(system.basis.nodes_per_side))
-
-
-def solve_system(system: MomentSystem, tol: float = 1e-10) -> np.ndarray:
-    """Solve the regularized moment problem and synthesize the field."""
-    return system.basis.synthesize(solve_coefficients(system, tol=tol))
 
 
 def solution_operator_norm(system: MomentSystem, grid: Grid2D) -> float:

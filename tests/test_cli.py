@@ -80,9 +80,35 @@ def test_validate_ranges(tmp_path):
         bad = GOOD_CONFIG.format(out=tmp_path).replace(old_line, new_line)
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, bad))
+    # orders, kmax outside reconstruction, and the scenario extras
+    for old_line, new_line in (("k2 = 1 + x", "k2 = 1 + x\nk9 = x"),
+                               ("k2 = 1 + x", "k1000000 = x"),
+                               ("k2 = 1 + x", "k\u00b2 = x"),
+                               ("kmax = 2", "kmax = 1"),
+                               ("kmax = 2", "kmax = 9"),
+                               ("kmax = 2", "kmax = 1000000"),
+                               ("tuples = 3", "tuples = abc"),
+                               ("tuples = 3", "tuples = 0"),
+                               ("tuples = 3", "tuples = 1001"),
+                               ("tuples = 3", "tuples = 3\nbump_amplitude = -5"),
+                               ("tuples = 3", "tuples = 3\nbump_amplitude = 0"),
+                               ("tuples = 3", "tuples = 3\nbump_amplitude = 0.11"),
+                               ("tuples = 3", "tuples = 3\nbump_amplitude = nan"),
+                               ("tuples = 3", "tuples = 3\nbump_width = 0"),
+                               ("tuples = 3", "tuples = 3\nbump_width = -0.2"),
+                               ("tuples = 3", "tuples = 3\nbump_width = inf"),
+                               ("tuples = 3", "tuples = 3\nbump_width = 2.5")):
+        bad = GOOD_CONFIG.format(out=tmp_path).replace(old_line, new_line)
+        with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path, bad))
     for old_line, new_line in (("family_size = 6", "family_size = 12"),
                                ("basis_per_side = 3", "basis_per_side = 6\nrows_factor = 1"),
-                               ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = 3")):
+                               ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = 3"),
+                               ("k2 = 1 + x", "k2 = 1 + x\nk8 = x"),
+                               ("kmax = 2", "kmax = 8"),
+                               ("tuples = 3", "tuples = 1000"),
+                               ("tuples = 3", "tuples = 1\nbump_amplitude = -0.1"),
+                               ("tuples = 3", "tuples = 3\nbump_width = 2")):
         load_config(write_config(tmp_path, GOOD_CONFIG.format(out=tmp_path)
                                  .replace(old_line, new_line)))
 
@@ -107,6 +133,28 @@ def test_bad_reconstruction_knob_exits_2_without_outputs(tmp_path):
                                                "basis_per_side = 3\nrows_factor = 0"))
     assert run(path) == 2
     assert not out.exists()
+
+
+def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
+    # each of these used to hang, allocate without limit or fail after
+    # writing the manifest
+    for old_line, new_line in (("k2 = 1 + x", "k2 = 9**9**9"),
+                               ("tuples = 3", "tuples = abc"),
+                               ("tuples = 3", "tuples = 3\nbump_amplitude = -5"),
+                               ("kmax = 2", "kmax = 1000000"),
+                               ("k2 = 1 + x", "k1000000 = x")):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, GOOD_CONFIG.format(out=out).replace(old_line, new_line))
+        assert run(path) == 2
+        assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, semidtn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_validate_command(tmp_path):

@@ -1,10 +1,8 @@
-import csv
-
 import numpy as np
 import pytest
 
 from semidtn.dtn import (SupportError, bump_profile, bump_trace, check_support,
-                         dtn_apply, normal_derivative, samples_to_csv)
+                         dtn_apply, normal_derivative)
 from semidtn.geometry import (arc_mask, boundary_integral, field_to_trace, full_mask,
                               make_grid)
 from semidtn.potential import PotentialSeries
@@ -138,18 +136,3 @@ def test_check_support_exact_zero_required():
     f[-1] = 1e-300
     with pytest.raises(SupportError):
         check_support(f, mask, g)
-
-
-def test_samples_csv_layout(tmp_path):
-    g = make_grid(4)
-    mask = arc_mask(g, 0.0, 2.0)
-    f = bump_trace(g, 1.0, 0.4, 0.05)
-    sample = dtn_apply(PotentialSeries.zero(g), f, mask, g)
-    path = tmp_path / "samples.csv"
-    samples_to_csv([sample, sample], mask, g, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["sample_id", "s", "in_gamma", "f_value", "dtn_value"]
-    assert len(rows) == 1 + 2 * g.num_boundary
-    assert rows[1][0] == "0"
-    assert rows[1 + g.num_boundary][0] == "1"

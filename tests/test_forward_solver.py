@@ -7,7 +7,7 @@ from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, har
                                     newton_jacobian_check, semilinear_residual,
                                     solve_linear, solve_poisson, solve_semilinear,
                                     stencil_laplacian)
-from semidtn.geometry import field_to_trace, make_grid
+from semidtn.geometry import field_to_trace, make_grid, trace_to_field
 from semidtn.potential import PotentialSeries, sample_expression
 from semidtn.sparse_linalg import assemble, solve_spd
 
@@ -29,7 +29,7 @@ def torsion_center_value(terms: int = 199) -> float:
 
 def test_constant_boundary_data_gives_constant():
     g = make_grid(16)
-    v = solve_linear(None, None, np.ones(g.num_boundary), g)
+    v = solve_linear(None, np.ones(g.num_boundary), g)
     assert np.max(np.abs(v - 1.0)) <= 1e-9
 
 
@@ -37,23 +37,19 @@ def test_quadratic_harmonic_is_stencil_exact():
     g = make_grid(16)
     x, y = g.node_coords()
     exact = x * x - y * y
-    v = solve_linear(None, None, field_to_trace(exact, g), g)
+    v = solve_linear(None, field_to_trace(exact, g), g)
     assert np.max(np.abs(v - exact)) <= 1e-9
 
 
 def test_constant_solution_with_reaction():
+    # -Lap v + v = 1 with v = 1 on the boundary is solved by v = 1; the
+    # boundary values enter the right-hand side through the stencil
     g = make_grid(8)
     one = np.ones(g.num_nodes)
-    v = solve_linear(one, one, np.ones(g.num_boundary), g)
+    lift = trace_to_field(np.ones(g.num_boundary), g)
+    b = 1.0 - stencil_laplacian(lift, g)
+    v = solve_spd(assemble(one, g), b, lambda r: r / (4.0 / g.h ** 2 + 1.0), tol=LINEAR_TOL)
     assert np.max(np.abs(v - 1.0)) <= 1e-9
-
-
-def test_solve_linear_rejects_negative_reaction():
-    g = make_grid(8)
-    c = np.zeros(g.num_nodes)
-    c[g.num_nodes // 2] = -1.0
-    with pytest.raises(ValueError):
-        solve_linear(c, None, np.zeros(g.num_boundary), g)
 
 
 def test_zero_data_zero_solution():
@@ -84,7 +80,7 @@ def test_poisson_direct_solve_matches_iterative():
     assert not v[g.boundary_nodes].any()
     A = assemble(np.zeros(g.num_nodes), g)
     interior = source.reshape(17, 17)[1:-1, 1:-1].ravel()
-    reference = solve_spd(A, interior, lambda r: r / A.diagonal(), tol=LINEAR_TOL)
+    reference = solve_spd(A, interior, lambda r: r / (4.0 / g.h ** 2), tol=LINEAR_TOL)
     v_int = v.reshape(17, 17)[1:-1, 1:-1].ravel()
     assert np.max(np.abs(v_int - reference)) <= 1e-10 * np.max(np.abs(reference))
     assert np.max(np.abs(stencil_laplacian(v, g) - interior)) <= 1e-10 * np.max(np.abs(interior))
@@ -247,5 +243,5 @@ def test_interior_forcing_consistency():
     rhs_int = stencil_laplacian(v_exact, g)
     rhs = np.zeros(g.num_nodes)
     rhs.reshape(17, 17)[1:-1, 1:-1] = rhs_int.reshape(15, 15)
-    v = solve_linear(None, rhs, field_to_trace(v_exact, g), g)
+    v = solve_linear(rhs, field_to_trace(v_exact, g), g)
     assert np.max(np.abs(v - v_exact)) <= 1e-9

@@ -3,8 +3,7 @@ import pytest
 
 from semidtn.forward_solver import stencil_laplacian
 from semidtn.geometry import arc_mask, boundary_integral, full_mask, make_grid
-from semidtn.harmonic import (arc_supported_family, polynomial_family,
-                              triple_product_gram, family_to_csv)
+from semidtn.harmonic import arc_supported_family
 
 
 def test_single_member_centered_in_arc():
@@ -70,56 +69,12 @@ def test_arc_too_small_rejected():
         arc_supported_family(tiny, 2, g)
 
 
-def test_polynomial_family_members():
-    g = make_grid(16)
-    fam = polynomial_family(3, g)
-    assert len(fam) == 7  # 1 + 2 * 3
-    x, y = g.node_coords()
-    assert np.allclose(fam[0].field, 1.0)
-    deg2 = {m.provenance: m.field for m in fam.members if "d=2" in m.provenance}
-    re2 = next(v for k, v in deg2.items() if ",re" in k)
-    im2 = next(v for k, v in deg2.items() if ",im" in k)
-    assert np.allclose(re2, x * x - y * y, atol=1e-13)
-    assert np.allclose(im2, 2 * x * y, atol=1e-13)
-
-
-def test_polynomial_cubic_expansion_and_residual_order():
-    # d=3 real part is x^3 - 3 x y^2; stencil residual shrinks at O(h^2)
-    res_norms = []
-    for n in (16, 32):
-        g = make_grid(n)
-        x, y = g.node_coords()
-        fam = polynomial_family(3, g)
-        cubic = next(m.field for m in fam.members
-                     if m.provenance.startswith("poly(d=3,re"))
-        assert np.allclose(cubic, x ** 3 - 3 * x * y ** 2, atol=1e-12)
-        res_norms.append(np.max(np.abs(stencil_laplacian(cubic, g))))
-    assert res_norms[1] <= 0.3 * res_norms[0]
-
-
-def test_polynomial_degree_cap():
-    g = make_grid(8)
-    with pytest.raises(ValueError):
-        polynomial_family(7, g)
-
-
 def test_low_degree_polynomials_stencil_exact():
+    # real and imaginary parts of (x + iy)^d for d <= 2
     g = make_grid(8)
-    fam = polynomial_family(2, g)
-    for member in fam.members:
-        assert np.max(np.abs(stencil_laplacian(member.field, g))) <= 1e-9
-        assert "stencil-exact" in member.provenance
-
-
-def test_triple_product_gram_rank_grows_with_family():
-    g = make_grid(16)
-    mask = arc_mask(g, 0.0, 2.0)
-    ranks = []
-    for count in (3, 6):
-        fam = arc_supported_family(mask, count, g)
-        G = triple_product_gram(fam, g)
-        ranks.append(np.linalg.matrix_rank(G, tol=1e-12 * np.linalg.norm(G)))
-    assert ranks[1] > ranks[0]
+    x, y = g.node_coords()
+    for field in (np.ones(g.num_nodes), x, y, x * x - y * y, 2 * x * y):
+        assert np.max(np.abs(stencil_laplacian(field, g))) <= 1e-9
 
 
 def test_mean_value_identity_from_harmonicity():
@@ -131,14 +86,3 @@ def test_mean_value_identity_from_harmonicity():
     u = fam[0].field.reshape(17, 17)
     avg = (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]) / 4.0
     assert np.max(np.abs(u[1:-1, 1:-1] - avg)) <= 1e-10
-
-
-def test_family_csv_dump(tmp_path):
-    g = make_grid(8)
-    mask = arc_mask(g, 0.0, 2.0)
-    fam = arc_supported_family(mask, 2, g)
-    path = tmp_path / "family.csv"
-    family_to_csv(fam, g, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "member,x,y,value"
-    assert len(lines) == 1 + 2 * g.num_nodes

@@ -4,7 +4,7 @@ import pytest
 from semidtn.dtn import bump_trace, dtn_apply, normal_derivative
 from semidtn.forward_solver import harmonic_extension, solve_linear, stencil_laplacian
 from semidtn.geometry import arc_mask, make_grid
-from semidtn.linearization import (BELL, PartitionTable, measured_linearized_flux,
+from semidtn.linearization import (BELL, measured_linearized_flux,
                                    mixed_divided_difference, nonlinearity_derivative,
                                    partitions, run_cascade)
 from semidtn.potential import PotentialSeries
@@ -62,12 +62,6 @@ def test_partitions_guard():
         partitions(range(9))
     with pytest.raises(ValueError):
         partitions([])
-
-
-def test_partition_table():
-    table = PartitionTable.build(5)
-    for size in range(1, 6):
-        assert len(table.of_size(size)) == BELL[size]
 
 
 # ---------- nonlinearity derivative ----------
@@ -148,7 +142,7 @@ def test_cascade_cubic_only_bookkeeping():
     assert not state.field((0, 1)).any()
     assert not state.field((0, 2)).any()
     v123 = state.field([0]) * state.field([1]) * state.field([2])
-    direct = solve_linear(None, -(2.0 * v123), np.zeros(g.num_boundary), g)
+    direct = solve_linear(-(2.0 * v123), np.zeros(g.num_boundary), g)
     assert np.max(np.abs(state.field((0, 1, 2)) - direct)) <= 1e-12
 
 

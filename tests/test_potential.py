@@ -15,32 +15,42 @@ def series(grid, **fields):
         grid, {int(k[1:]): np.full(grid.num_nodes, v) for k, v in fields.items()})
 
 
+def value_at(P, node, z):
+    """V(x_node, z), read off value_field at the constant state z."""
+    return float(P.value_field(np.full(P.coeffs[0].size, float(z)))[node])
+
+
+def slope_at(P, node, z):
+    """d/dz V(x_node, z), read off slope_field at the constant state z."""
+    return float(P.slope_field(np.full(P.coeffs[0].size, float(z)))[node])
+
+
 def test_value_zero_at_origin(grid):
     P = series(grid, k2=1.3, k3=-0.7)
-    assert P.value_at(5, 0.0) == 0.0
-    assert P.slope_at(5, 0.0) == 0.0
+    assert value_at(P, 5, 0.0) == 0.0
+    assert slope_at(P, 5, 0.0) == 0.0
 
 
 def test_value_single_term(grid):
     P = series(grid, k2=2.0)
-    assert P.value_at(0, 3.0) == pytest.approx(9.0)
+    assert value_at(P, 0, 3.0) == pytest.approx(9.0)
 
 
 def test_value_two_terms(grid):
     # 1*z^2/2 + 6*z^3/6 at z=2: 2 + 8 = 10
     P = series(grid, k2=1.0, k3=6.0)
-    assert P.value_at(3, 2.0) == pytest.approx(10.0)
+    assert value_at(P, 3, 2.0) == pytest.approx(10.0)
 
 
 def test_slope_single_term(grid):
     P = series(grid, k2=2.0)
-    assert P.slope_at(0, 3.0) == pytest.approx(6.0)
+    assert slope_at(P, 0, 3.0) == pytest.approx(6.0)
 
 
 def test_slope_two_terms(grid):
     # 1*z + 6*z^2/2 at z=2: 2 + 12 = 14
     P = series(grid, k2=1.0, k3=6.0)
-    assert P.slope_at(0, 2.0) == pytest.approx(14.0)
+    assert slope_at(P, 0, 2.0) == pytest.approx(14.0)
 
 
 def test_coefficient_accessor(grid):
@@ -67,8 +77,8 @@ def test_slope_matches_central_difference(grid):
     z = 0.7
     errs = []
     for delta in (1e-3, 1e-4):
-        fd = (P.value_at(0, z + delta) - P.value_at(0, z - delta)) / (2.0 * delta)
-        errs.append(abs(P.slope_at(0, z) - fd))
+        fd = (value_at(P, 0, z + delta) - value_at(P, 0, z - delta)) / (2.0 * delta)
+        errs.append(abs(slope_at(P, 0, z) - fd))
     ratio = errs[0] / errs[1]
     assert 50.0 <= ratio <= 200.0
 
@@ -77,7 +87,7 @@ def test_value_is_polynomial_of_degree_kmax(grid):
     # divided difference of order kmax+1 over kmax+2 points must vanish
     P = series(grid, k2=0.4, k3=-1.1, k4=2.5)
     pts = np.linspace(-0.5, 0.5, P.kmax + 2)
-    vals = np.array([P.value_at(0, z) for z in pts])
+    vals = np.array([value_at(P, 0, z) for z in pts])
     for _ in range(P.kmax + 1):
         vals = np.diff(vals) / (pts[1] - pts[0])
     assert np.max(np.abs(vals)) <= 1e-7
@@ -92,7 +102,7 @@ def test_value_field_matches_value_at(grid):
     for node in (0, 17, grid.num_nodes - 1):
         single = PotentialSeries.from_coefficients(
             grid, {2: P.coefficient(2), 3: P.coefficient(3)})
-        assert field[node] == pytest.approx(single.value_at(node, u[node]), rel=1e-12)
+        assert field[node] == pytest.approx(value_at(single, node, u[node]), rel=1e-12)
 
 
 def test_with_coefficient_extends(grid):
@@ -107,7 +117,7 @@ def test_with_coefficient_extends(grid):
 def test_zero_series_is_zero(grid):
     P = PotentialSeries.zero(grid)
     assert P.is_zero
-    assert P.value_at(0, 0.3) == 0.0
+    assert value_at(P, 0, 0.3) == 0.0
 
 
 def test_sample_expression_vocabulary(grid):
@@ -125,6 +135,16 @@ def test_sample_expression_rejects_unknown_names(grid):
         sample_expression("__import__('os')", grid)
     with pytest.raises(ValueError):
         sample_expression("zebra + 1", grid)
+    for expr in ("x.real", "sin.__self__", "exp(x=1)", "sin(x, y)", "x // 2", "[x]", "1j"):
+        with pytest.raises(ValueError):
+            sample_expression(expr, grid)
+
+
+def test_sample_expression_overflow_is_rejected_at_once(grid):
+    # literals are floats, so a tower of powers overflows instead of growing
+    # a big integer for seconds or hours
+    with pytest.raises(ValueError):
+        sample_expression("9**9**9", grid)
 
 
 def test_series_shape_validation(grid):
