@@ -24,8 +24,8 @@ import numpy as np
 
 from .dtn import DtnSample, bump_trace, dtn_apply, normal_derivative
 from .forward_solver import DEFAULT_SMALLNESS_RADIUS, solve_semilinear
-from .geometry import Grid2D, arc_mask, interior_integral, make_grid
-from .harmonic import arc_supported_family
+from .geometry import ArcMask, Grid2D, arc_mask, interior_integral, make_grid
+from .harmonic import HarmonicFamily, arc_supported_family
 from .linearization import mixed_divided_difference, run_cascade
 from .potential import PotentialSeries, sample_expression
 from .reconstruction import (ReconstructionConfig, measured_moment,
@@ -115,6 +115,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     n = get("grid", "n", 64, int)
     if not 8 <= n <= 256:
         raise ConfigError(f"grid n must be in [8, 256], got {n}")
+    if scenario == "forward_convergence" and 4 * n > 256:
+        raise ConfigError(f"forward_convergence solves on n, 2n and 4n <= 256, got n = {n}")
     s0 = get("arc", "s0", 0.0, float)
     s1 = get("arc", "s1", 4.0, float)
     if not 0.0 <= s0 < 4.0 or not 0.0 < s1 - s0 <= 4.0:
@@ -195,6 +197,34 @@ def _truth_series(cfg: ExperimentConfig, grid: Grid2D) -> PotentialSeries:
         else PotentialSeries.zero(grid)
 
 
+@dataclass(frozen=True)
+class _Setup:
+    """The grid, arc, truth and harmonic family (None for forward_convergence,
+    which uses none) that a scenario runs on."""
+
+    grid: Grid2D
+    mask: ArcMask
+    truth: PotentialSeries
+    family: HarmonicFamily | None
+
+
+def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
+    """Parse the config and build what its scenario runs on, so that every
+    input the run would reject fails here, before anything is written.
+    Raises ConfigError or ValueError (the grid, arc, expression and family
+    builders' own checks)."""
+    cfg = load_config(config_path)
+    grid = make_grid(cfg.n)
+    mask = arc_mask(grid, cfg.s0, cfg.s1)
+    truth = _truth_series(cfg, grid)
+    if cfg.scenario == "forward_convergence":
+        family = None
+    else:
+        size = max(cfg.kmax, 3) if cfg.scenario == "linearization_check" else cfg.family_size
+        family = arc_supported_family(mask, size, grid)
+    return cfg, _Setup(grid, mask, truth, family)
+
+
 def _make_measure(cfg: ExperimentConfig, truth: PotentialSeries, mask, grid):
     """The opaque measurement map: simulator plus optional output noise."""
     rng = np.random.default_rng(cfg.seed + 10_000)
@@ -229,19 +259,16 @@ def _field_csv(path: Path, grid: Grid2D, value: np.ndarray,
             writer.writerow(row)
 
 
-def _scenario_forward_convergence(cfg: ExperimentConfig, out: Path) -> None:
-    base = cfg.n
-    sizes = [base, 2 * base, 4 * base]
-    if sizes[-1] > 256:
-        raise ConfigError("forward_convergence needs 4*n <= 256")
+def _scenario_forward_convergence(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
+    sizes = [cfg.n, 2 * cfg.n, 4 * cfg.n]
     amp = float(cfg.extras.get("bump_amplitude", "0.05"))
     # 0.3 of the arc keeps the bump shoulders resolved on the coarsest grid
     width = float(cfg.extras.get("bump_width", min(0.3 * (cfg.s1 - cfg.s0), 0.45)))
+    center = (cfg.s0 + cfg.s1) / 2.0
+    grids = [setup.grid] + [make_grid(n) for n in sizes[1:]]
+    truths = [setup.truth] + [_truth_series(cfg, grid) for grid in grids[1:]]
     solutions = {}
-    for n in sizes:
-        grid = make_grid(n)
-        truth = _truth_series(cfg, grid)
-        center = (cfg.s0 + cfg.s1) / 2.0
+    for n, grid, truth in zip(sizes, grids, truths):
         f = bump_trace(grid, center % 4.0, width, amp)
         u, _ = solve_semilinear(truth, f, grid)
         solutions[n] = u
@@ -262,11 +289,8 @@ def _scenario_forward_convergence(cfg: ExperimentConfig, out: Path) -> None:
             prev = err
 
 
-def _scenario_linearization_check(cfg: ExperimentConfig, out: Path) -> None:
-    grid = make_grid(cfg.n)
-    mask = arc_mask(grid, cfg.s0, cfg.s1)
-    truth = _truth_series(cfg, grid)
-    family = arc_supported_family(mask, max(cfg.kmax, 3), grid)
+def _scenario_linearization_check(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
+    grid, mask, truth, family = setup.grid, setup.mask, setup.truth, setup.family
     summary = {}
     rows = []
     for m in range(2, min(cfg.kmax, 3) + 1):
@@ -291,12 +315,9 @@ def _scenario_linearization_check(cfg: ExperimentConfig, out: Path) -> None:
         fh.write("\n")
 
 
-def _scenario_identity_check(cfg: ExperimentConfig, out: Path) -> None:
-    grid = make_grid(cfg.n)
-    mask = arc_mask(grid, cfg.s0, cfg.s1)
-    truth = _truth_series(cfg, grid)
+def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
+    grid, mask, truth, family = setup.grid, setup.mask, setup.truth, setup.family
     measure = _make_measure(cfg, truth, mask, grid)
-    family = arc_supported_family(mask, cfg.family_size, grid)
     n_tuples = int(cfg.extras.get("tuples", "20"))
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -326,16 +347,14 @@ def _scenario_identity_check(cfg: ExperimentConfig, out: Path) -> None:
         fh.write("\n")
 
 
-def _scenario_reconstruction(cfg: ExperimentConfig, out: Path) -> None:
-    grid = make_grid(cfg.n)
-    mask = arc_mask(grid, cfg.s0, cfg.s1)
-    truth = _truth_series(cfg, grid)
+def _scenario_reconstruction(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
+    grid, mask, truth = setup.grid, setup.mask, setup.truth
     measure = _make_measure(cfg, truth, mask, grid)
     rconf = ReconstructionConfig(grid, mask, eps=cfg.eps, family_size=cfg.family_size,
                                  basis_per_side=cfg.basis_per_side,
                                  rows_factor=cfg.rows_factor, lam=cfg.lam,
                                  seed=cfg.seed)
-    result = reconstruct_all(measure, cfg.kmax, rconf, truth=truth)
+    result = reconstruct_all(measure, cfg.kmax, rconf, truth=truth, family=setup.family)
     stages_to_json(result.stages, out / "stages.json")
     for m in range(2, cfg.kmax + 1):
         _field_csv(out / f"coefficient_k{m}.csv", grid,
@@ -353,19 +372,15 @@ _SCENARIO_FUNCS = {
 def run(config_path: str | Path) -> int:
     """Execute the configured scenario; returns the process exit code."""
     try:
-        cfg = load_config(config_path)
-        grid = make_grid(cfg.n)  # validates n against the stencil minimum
-        mask = arc_mask(grid, cfg.s0, cfg.s1)
-        truth = _truth_series(cfg, grid)  # validates the expressions
-        del grid, mask, truth
-    except (ConfigError, ValueError) as exc:
+        cfg, setup = _prepare(config_path)
+    except ValueError as exc:  # ConfigError included
         print(json.dumps({"error": str(exc), "phase": "validate"}), file=sys.stderr)
         return 2
     out = Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         _write_manifest(cfg, out)
-        _SCENARIO_FUNCS[cfg.scenario](cfg, out)
+        _SCENARIO_FUNCS[cfg.scenario](cfg, setup, out)
     except Exception as exc:
         print(json.dumps({"error": str(exc), "phase": "run",
                           "scenario": cfg.scenario}), file=sys.stderr)
@@ -374,9 +389,10 @@ def run(config_path: str | Path) -> int:
 
 
 def validate(config_path: str | Path) -> int:
+    """Run's validation phase alone: exit 2 on any input run would reject."""
     try:
-        load_config(config_path)
-    except ConfigError as exc:
+        _prepare(config_path)
+    except ValueError as exc:  # ConfigError included
         print(json.dumps({"error": str(exc), "phase": "validate"}), file=sys.stderr)
         return 2
     print("ok")

@@ -84,19 +84,19 @@ class CascadeState:
         return self.derivs[tuple(sorted(subset))]
 
 
-def nonlinearity_derivative(P: PotentialSeries, S, derivs) -> np.ndarray:
+def nonlinearity_derivative(P: PotentialSeries, S, derivs: dict) -> np.ndarray:
     """Mixed amplitude-derivative of V(x, u) at zero data, for slot subset S.
 
     Sums, over the set partitions of S with at least two blocks, the
     coefficient field of order (number of blocks) times the product of the
-    blocks' solution derivatives. Single-block partitions drop out because
-    the series has no first-order coefficient; blocks beyond the truncation
+    blocks' solution derivatives, read from ``derivs`` as laid out in
+    ``CascadeState.derivs``. Single-block partitions drop out because the
+    series has no first-order coefficient; blocks beyond the truncation
     order contribute zero fields.
     """
     S = tuple(sorted(S))
     if len(S) < 2:
         raise ValueError("nonlinearity derivative needs at least 2 slots")
-    table = derivs.derivs if isinstance(derivs, CascadeState) else derivs
     out = None
     for part in partitions(S):
         nblocks = len(part)
@@ -104,12 +104,12 @@ def nonlinearity_derivative(P: PotentialSeries, S, derivs) -> np.ndarray:
             continue
         term = P.coefficient(nblocks).copy()
         for block in part:
-            if block not in table:
+            if block not in derivs:
                 raise KeyError(f"missing lower-order derivative for slots {block}")
-            term *= table[block]
+            term *= derivs[block]
         out = term if out is None else out + term
     if out is None:
-        out = np.zeros_like(next(iter(table.values())))
+        out = np.zeros_like(next(iter(derivs.values())))
     return out
 
 

@@ -15,16 +15,16 @@ are linear, so for V_m = sum_b c_b B_b and any boundary trace phi
     <phi, N W> = -sum_b c_b <phi, N A^-1 (B_b u_1 ... u_m)> - <phi, N A^-1 S>
 
 exactly. Equivalently, with the adjoint field z_phi = A^-1 N^T (h phi), the
-row is the basis paired with -z_phi * u_1 ... u_m. Each (head, test trace)
-pair is therefore one linear equation for the coefficients with no
-quadrature error. The stage computes it forward, one direct Poisson solve
-per basis function and head, and pairs each head's flux with the unit trace
-of every arc node, so that the whole returned trace is used. V_m is sought
-on tensor Lagrange interpolants at Chebyshev-Lobatto nodes, by a
-row-equilibrated Tikhonov least-squares solve with a gradient penalty whose
-weight is the L-curve corner. Lower orders enter only through their already
-reconstructed fields, which keeps the inverse-problem information barrier
-intact.
+row is the basis paired with -z_phi * u_1 ... u_m. Each (head, phi) pair is
+therefore one linear equation for the coefficients with no quadrature
+error. The stage takes phi to be the unit trace of each arc node, so that the
+pairing reads the flux at that node and the whole returned trace is used,
+and computes the model forward, one direct Poisson solve per basis function
+and head. V_m is sought on tensor Lagrange interpolants at
+Chebyshev-Lobatto nodes, by a row-equilibrated Tikhonov least-squares solve
+with a gradient penalty whose weight is the L-curve corner. Lower orders
+enter only through their already reconstructed fields, which keeps the
+inverse-problem information barrier intact.
 
 ``measured_moment`` keeps the continuum form of the identity (the pairing
 equals the interior integral of V_m times m+1 harmonic functions, up to
@@ -118,25 +118,20 @@ class MomentSystem:
     """Regularized least-squares problem for one coefficient order:
     minimize ||matrix c - rhs||^2 + lam ||L c||^2 with L the gradient penalty.
 
-    ``row_tuples`` names the rows, each (head members..., test index). A
-    folded system holds instead the triangular factor of its rows augmented
-    by their right-hand side, (basis_size + 1) rows whose last carries the
-    part of the data outside the rows' range; it has the same minimizer,
-    residual and solution operator. Its ``row_tuples`` are the heads it
-    measured and ``folded_rows`` counts the rows folded in.
+    An assembled system holds the triangular factor of its equilibrated rows
+    augmented by their right-hand side: (basis_size + 1) rows, the last of
+    which carries the part of the data outside the rows' range. It has the
+    same minimizer, residual and solution operator as the rows themselves.
+    ``heads`` are the heads measured and ``rows`` counts the rows folded in.
     """
 
     m: int
     basis: CoeffBasis
-    row_tuples: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray  # rows x basis_size, or the folded factor
+    heads: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray
     rhs: np.ndarray
     lam: float
-    folded_rows: int | None = None
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0] if self.folded_rows is None else self.folded_rows
+    rows: int
 
 
 def _truncated(known: PotentialSeries | None, m: int, grid: Grid2D) -> PotentialSeries:
@@ -170,19 +165,18 @@ def measured_moment(measure, members, eps: float, mask: ArcMask, grid: Grid2D,
     flux = measured_linearized_flux(measure, traces, eps, mask, grid)
     value = boundary_integral(flux * members[m].trace, full_mask(grid), grid)
     low = _truncated(known, m, grid)
-    if include_lower_order and m >= 3 and not low.is_zero:
-        state = run_cascade(low, traces, grid, max_subset_size=m - 1)
-        source = nonlinearity_derivative(low, range(m), state.derivs)
+    if include_lower_order and not low.is_zero:
+        source = _lower_order_source(low, traces, grid)
         value -= interior_integral(source * members[m].field, grid)
     return float(value)
 
 
-def arc_node_traces(mask: ArcMask, grid: Grid2D) -> np.ndarray:
-    """Unit trace of every arc node, (arc nodes, 4n): the stage's test traces."""
-    arc = np.flatnonzero(mask.flags)
-    out = np.zeros((arc.size, grid.num_boundary))
-    out[np.arange(arc.size), arc] = 1.0
-    return out
+def _lower_order_source(low: PotentialSeries, traces, grid: Grid2D) -> np.ndarray:
+    """The lower orders' part S of the order-m source, m = len(traces): the
+    mixed derivative of V built from ``low`` over the cascade's fields."""
+    m = len(traces)
+    state = run_cascade(low, traces, grid, max_subset_size=m - 1)
+    return nonlinearity_derivative(low, range(m), state.derivs)
 
 
 def _choose_heads(family_size: int, m: int, cap: int,
@@ -209,32 +203,23 @@ def _readout(source: np.ndarray, grid: Grid2D) -> np.ndarray:
 
 def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
                     eps: float, mask: ArcMask, grid: Grid2D,
-                    known: PotentialSeries | None = None, rows: int | None = None,
-                    seed: int = 0, lam: float | None = None,
-                    tests: np.ndarray | None = None, heads: int | None = None,
-                    fold: bool = False) -> MomentSystem:
-    """Build the order-m moment system: one row per (head, test trace) pair.
+                    known: PotentialSeries | None = None, *, heads: int,
+                    seed: int = 0, lam: float | None = None) -> MomentSystem:
+    """Build the order-m moment system: one row per (head, arc node) pair.
 
-    A head is a sorted m-multiset of family members. Its flux is measured
-    once, by one mixed divided difference (2^m measurements), and paired
-    with each test trace phi. The row's data is h * sum(phi * flux) with
-    the lower-order source's read-out removed; its model pairs phi with the
-    read-out of each basis function times the head's product, solved on the
-    grid, which is exactly what the measurement applies (see the module
-    docstring).
-
-    With ``tests`` None the family's traces are the tests and each row is a
-    distinct sorted (m+1)-multiset: a head is paired with the members whose
-    index is not below its last. Otherwise a row is (head..., test index)
-    and every head meets every test. Heads come in a seeded order; at most
-    ``heads`` of them (default 3 * basis size) are measured, and at most
-    ``rows`` rows are kept. Rows whose model vanishes (a zero member, or a
-    trace the read-out does not see) are dropped before anything is
-    measured. Every row is scaled to unit norm, the measured data error
-    being proportional to the row norm. With ``fold`` each head's rows are
-    folded into a running triangular factor, so that the system holds
-    O(basis size^2) numbers (see ``MomentSystem``). ``lam`` None takes the
-    L-curve corner.
+    A head is a sorted m-multiset of family members. Up to ``heads`` of
+    them, in a seeded order, are measured, each once, by one mixed divided
+    difference (2^m measurements). A row reads the head's flux at one arc
+    node: its data is h * flux there, with the lower-order source's read-out
+    removed; its model is minus h times the read-out there of each basis
+    function times the head's product, solved on the grid, which is exactly
+    what the measurement applies (see the module docstring). Rows whose
+    model vanishes (a zero member, or a node the read-out does not see) are
+    dropped before anything is measured. Every row is scaled to unit norm,
+    the measured data error being proportional to the row norm, and each
+    head's rows are folded into a running triangular factor, so that the
+    system holds O(basis size^2) numbers (see ``MomentSystem``). ``lam`` None
+    takes the L-curve corner.
     """
     if m < 2:
         raise ValueError("moment systems start at order 2")
@@ -243,58 +228,39 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
     if len(family) < basis.size / (m + 1):
         warnings.warn(f"family of {len(family)} is small for a {basis.size}-dim basis",
                       stacklevel=2)
-    traces = np.array(family.traces()) if tests is None \
-        else np.atleast_2d(np.asarray(tests, dtype=float))
-    for trace in traces:
-        check_support(trace, mask, grid)
     low = _truncated(known, m, grid)
+    arc = np.flatnonzero(mask.flags)
     p = basis.size
 
-    names: list[tuple[int, ...]] = []
+    measured: list[tuple[int, ...]] = []
     count = 0
-    blocks: list[np.ndarray] = []
     factor = np.zeros((0, p + 1))
     rng = np.random.default_rng(seed)
-    for head in _choose_heads(len(family), m, 3 * p if heads is None else heads, rng):
-        if rows is not None and count >= rows:
-            break
-        first = head[-1] if tests is None else 0
-        pairing = grid.h * traces[first:]
+    for head in _choose_heads(len(family), m, heads, rng):
         prod = np.prod([family[i].field for i in head], axis=0)
-        model = -(pairing @ np.array([_readout(prod * b, grid) for b in basis.fields.T]).T)
+        model = -grid.h * np.column_stack([_readout(prod * b, grid)[arc]
+                                           for b in basis.fields.T])
         norms = np.linalg.norm(model, axis=1)
         keep = np.flatnonzero(norms > ZERO_ROW * norms.max())
-        if rows is not None:
-            keep = keep[:rows - count]
         if keep.size == 0:
             continue
         head_traces = [family[i].trace for i in head]
         flux = measured_linearized_flux(measure, head_traces, eps, mask, grid)
-        data = pairing @ flux
-        if m >= 3 and not low.is_zero:
-            state = run_cascade(low, head_traces, grid, max_subset_size=m - 1)
-            source = nonlinearity_derivative(low, range(m), state.derivs)
-            data += pairing @ _readout(source, grid)
+        data = grid.h * flux[arc]
+        if not low.is_zero:
+            data += grid.h * _readout(_lower_order_source(low, head_traces, grid), grid)[arc]
         block = np.column_stack([model, data])[keep] / norms[keep, None]
+        factor = np.linalg.qr(np.vstack([factor, block]), mode="r")
+        measured.append(head)
         count += keep.size
-        if fold:
-            factor = np.linalg.qr(np.vstack([factor, block]), mode="r")
-            names.append(head)
-        else:
-            blocks.append(block)
-            names.extend(head + (first + int(k),) for k in keep)
     if not count:
-        raise ValueError("no usable tuples: family cannot form a moment system")
-    if fold:
-        stacked = np.zeros((p + 1, p + 1))
-        stacked[:factor.shape[0]] = factor
-    else:
-        stacked = np.vstack(blocks)
+        raise ValueError("no usable heads: family cannot form a moment system")
+    stacked = np.zeros((p + 1, p + 1))
+    stacked[:factor.shape[0]] = factor
     matrix, rhs = stacked[:, :p], stacked[:, p]
     if lam is None:
         lam = lcurve_weight(matrix, rhs, gradient_penalty(basis.nodes_per_side))
-    return MomentSystem(m, basis, tuple(names), matrix, rhs, float(lam),
-                        count if fold else None)
+    return MomentSystem(m, basis, tuple(measured), matrix, rhs, float(lam), count)
 
 
 def _stacked(matrix: np.ndarray, lam: float, penalty: np.ndarray) -> np.ndarray:
@@ -422,7 +388,8 @@ class ReconstructionResult:
 
 
 def reconstruct_all(measure, K: int, config: ReconstructionConfig,
-                    truth: PotentialSeries | None = None) -> ReconstructionResult:
+                    truth: PotentialSeries | None = None,
+                    family: HarmonicFamily | None = None) -> ReconstructionResult:
     """Recover coefficient fields for orders 2..K, inductively.
 
     Each stage measures ``rows_factor * basis size`` heads (fewer when the
@@ -434,16 +401,17 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
     ``config.lam``). The lower-order correction is built from the previous
     stages' outputs, never from the ground truth, which enters only
     ``rel_error_vs_truth``. The harmonic family is deterministic in (arc,
-    size, grid), so it is built once and shared across stages. On a stage
-    failure the partial series and diagnostics collected so far are
-    attached to the raised error.
+    size, grid), so it is built once, or passed in by a caller that has
+    built it, and shared across stages. On a stage failure the partial
+    series and diagnostics collected so far are attached to the raised
+    error.
     """
     if K < 2:
         raise ValueError("reconstruction starts at order K = 2")
     grid, mask = config.grid, config.mask
-    family = arc_supported_family(mask, config.family_size, grid)
+    if family is None:
+        family = arc_supported_family(mask, config.family_size, grid)
     basis = make_basis(config.basis_per_side, grid)
-    tests = arc_node_traces(mask, grid)
     penalty = gradient_penalty(basis.nodes_per_side)
     known = PotentialSeries.zero(grid)
     stages: list[StageDiagnostics] = []
@@ -451,9 +419,8 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
     for m in range(2, K + 1):
         try:
             system = assemble_system(family, m, basis, measure, config.eps, mask, grid,
-                                     known, seed=config.seed + m, lam=config.lam,
-                                     tests=tests, heads=config.rows_factor * basis.size,
-                                     fold=True)
+                                     known, heads=config.rows_factor * basis.size,
+                                     seed=config.seed + m, lam=config.lam)
             coeff_vec = solve_coefficients(system)
         except Exception as exc:
             exc.partial_result = ReconstructionResult(  # type: ignore[attr-defined]

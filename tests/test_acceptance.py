@@ -216,11 +216,11 @@ def test_criterion_7_invariant_suite():
     basis2 = make_basis(3, g)
     P0 = sd.PotentialSeries.zero(g)
     meas = lambda tr: sd.dtn_apply(P0, tr, mask2, g)
-    s1 = sd.assemble_system(fam, 2, basis2, meas, 1e-2, mask2, g, rows=8, seed=3)
-    s2 = sd.assemble_system(fam, 2, basis2, meas, 1e-2, mask2, g, rows=8, seed=3)
+    s1 = sd.assemble_system(fam, 2, basis2, meas, 1e-2, mask2, g, heads=3, seed=3)
+    s2 = sd.assemble_system(fam, 2, basis2, meas, 1e-2, mask2, g, heads=3, seed=3)
     checks.append(np.array_equal(s1.matrix, s2.matrix)
                   and np.array_equal(s1.rhs, s2.rhs)
-                  and s1.row_tuples == s2.row_tuples)
+                  and s1.heads == s2.heads)
 
     names = ["bell counts", "boundary vanishing", "permutation symmetry",
              "masking commutation", "quadrature order", "partition of unity",

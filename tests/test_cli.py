@@ -137,14 +137,23 @@ def test_bad_reconstruction_knob_exits_2_without_outputs(tmp_path):
 
 def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
     # each of these used to hang, allocate without limit or fail after
-    # writing the manifest
-    for old_line, new_line in (("k2 = 1 + x", "k2 = 9**9**9"),
-                               ("tuples = 3", "tuples = abc"),
-                               ("tuples = 3", "tuples = 3\nbump_amplitude = -5"),
-                               ("kmax = 2", "kmax = 1000000"),
-                               ("k2 = 1 + x", "k1000000 = x")):
+    # writing the manifest; the last three used to pass validate
+    forward = ("scenario = identity_check", "scenario = forward_convergence")
+    recon = ("scenario = identity_check", "scenario = reconstruction")
+    for edits in ((("k2 = 1 + x", "k2 = 9**9**9"),),
+                  (("tuples = 3", "tuples = abc"),),
+                  (("tuples = 3", "tuples = 3\nbump_amplitude = -5"),),
+                  (("kmax = 2", "kmax = 1000000"),),
+                  (("k2 = 1 + x", "k1000000 = x"),),
+                  (("k2 = 1 + x", "k2 = zebra"),),
+                  (forward, ("n = 16", "n = 128")),
+                  (recon, ("n = 16", "n = 64"), ("s1 = 2.0", "s1 = 0.1"))):
         out = tmp_path / "out"
-        path = write_config(tmp_path, GOOD_CONFIG.format(out=out).replace(old_line, new_line))
+        text = GOOD_CONFIG.format(out=out)
+        for old_line, new_line in edits:
+            text = text.replace(old_line, new_line)
+        path = write_config(tmp_path, text)
+        assert validate(path) == 2
         assert run(path) == 2
         assert not out.exists()
 

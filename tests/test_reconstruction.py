@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from semidtn.dtn import dtn_apply
-from semidtn.forward_solver import harmonic_extension
+from semidtn.dtn import dtn_apply, normal_derivative
+from semidtn.forward_solver import harmonic_extension, solve_poisson
 from semidtn.geometry import arc_mask, full_mask, interior_integral, make_grid
 from semidtn.harmonic import arc_supported_family
 from semidtn.linearization import measured_linearized_flux
 from semidtn.potential import PotentialSeries, sample_expression
-from semidtn.reconstruction import (MomentSystem, ReconstructionConfig, arc_node_traces,
+from semidtn.reconstruction import (MomentSystem, ReconstructionConfig,
                                     assemble_system, gradient_penalty, make_basis,
                                     measured_moment, reconstruct_all, rel_l2_error,
                                     solve_coefficients, solution_operator_norm)
@@ -136,11 +136,12 @@ def test_assemble_dimensions():
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
     system = assemble_system(fam, 2, basis, measure_for(P, mask, g), 1e-2, mask, g,
-                             rows=12)
-    assert system.matrix.shape == (12, 4)
-    assert system.rhs.shape == (12,)
-    assert len(system.row_tuples) == 12
-    assert len(set(system.row_tuples)) == 12  # deduplicated
+                             heads=3)
+    assert len(system.heads) == 3
+    assert len(set(system.heads)) == 3  # deduplicated
+    assert system.rows == 3 * (mask.flags.sum() - 2)  # the two corners are not read out
+    assert system.matrix.shape == (5, 4)  # the folded factor
+    assert system.rhs.shape == (5,)
 
 
 def test_assemble_collapses_when_only_one_tuple_exists():
@@ -151,9 +152,9 @@ def test_assemble_collapses_when_only_one_tuple_exists():
     P = PotentialSeries.zero(g)
     with pytest.warns(UserWarning):
         system = assemble_system(fam_all, 2, basis, measure_for(P, mask, g), 1e-2,
-                                 mask, g, rows=12)
-    assert system.rows == 1
-    assert system.row_tuples == ((0, 0, 0),)
+                                 mask, g, heads=12)
+    assert system.heads == ((0, 0),)
+    assert system.rows == mask.flags.sum() - 2
 
 
 def test_assemble_drops_zero_product_rows():
@@ -166,9 +167,10 @@ def test_assemble_drops_zero_product_rows():
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
     system = assemble_system(fam_degenerate, 2, basis, measure_for(P, mask, g),
-                             1e-2, mask, g, rows=30)
-    for t in system.row_tuples:
-        assert len(fam) not in t  # tuples containing the zero member were dropped
+                             1e-2, mask, g, heads=15)  # all 15 heads are drawn
+    for head in system.heads:
+        assert len(fam) not in head  # heads containing the zero member were dropped
+    assert len(system.heads) == 10  # and only those
 
 
 def test_stage_model_matches_measured_pairing():
@@ -182,22 +184,50 @@ def test_stage_model_matches_measured_pairing():
     c = np.random.default_rng(0).uniform(0.5, 1.5, basis.size)
     truth = PotentialSeries.from_coefficients(g, {2: basis.synthesize(c)})
     measure = measure_for(truth, mask, g)
-    tests = arc_node_traces(mask, g)
-    system = assemble_system(fam, 2, basis, measure, 1e-2, mask, g, tests=tests,
-                             heads=1, lam=1.0)
-    heads = {t[:2] for t in system.row_tuples}
-    assert len(heads) == 1
+    system = assemble_system(fam, 2, basis, measure, 1e-2, mask, g, heads=1, lam=1.0)
+    assert len(system.heads) == 1
     assert system.rows == mask.flags.sum() - 2  # the two corners are not read out
     gap = np.linalg.norm(system.matrix @ c - system.rhs) / np.linalg.norm(system.rhs)
     assert gap <= 1e-5
 
-    head = heads.pop()
+    head = system.heads[0]
+    tests = np.eye(g.num_boundary)[mask.flags]  # unit trace of every arc node
     flux = measured_linearized_flux(measure, [fam[i].trace for i in head], 1e-2, mask, g)
     measured = g.h * tests @ flux
     prod = truth.coefficient(2) * fam[head[0]].field * fam[head[1]].field
     trapezoid = np.array([interior_integral(prod * harmonic_extension(t, g), g)
                           for t in tests])
     assert np.linalg.norm(trapezoid - measured) / np.linalg.norm(measured) > 1e-3
+
+
+def test_folding_is_exact():
+    # the folded factor has the Gram matrix of the equilibrated rows it
+    # replaces, built here one by one from the measured flux and the
+    # discrete Poisson solve and read-out, so the minimizer, residual and
+    # solution operator are those of the stacked rows
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 2.0)
+    fam = arc_supported_family(mask, 6, g)
+    basis = make_basis(3, g)
+    truth = PotentialSeries.from_coefficients(g, {2: sample_expression("1 + x*y", g)})
+    measure = measure_for(truth, mask, g)
+    system = assemble_system(fam, 2, basis, measure, 1e-2, mask, g, heads=3, lam=1.0)
+    assert len(system.heads) == 3
+    arc = np.flatnonzero(mask.flags)
+    blocks = []
+    for head in system.heads:
+        prod = fam[head[0]].field * fam[head[1]].field
+        model = np.array([-g.h * normal_derivative(solve_poisson(prod * b, g), g)[arc]
+                          for b in basis.fields.T]).T
+        flux = measured_linearized_flux(measure, [fam[i].trace for i in head], 1e-2, mask, g)
+        norms = np.linalg.norm(model, axis=1)
+        seen = norms > 0.0  # the corners are not read out
+        blocks.append(np.column_stack([model, g.h * flux[arc]])[seen] / norms[seen, None])
+    stacked = np.vstack(blocks)
+    assert stacked.shape[0] == system.rows
+    folded = np.column_stack([system.matrix, system.rhs])
+    gram = stacked.T @ stacked
+    assert np.linalg.norm(folded.T @ folded - gram) <= 1e-12 * np.linalg.norm(gram)
 
 
 # ---------- least-squares solve ----------
@@ -208,7 +238,7 @@ def synthetic_system(rows=30, nb=3, seed=0, lam=1e-12):
     basis = make_basis(nb, g)
     A = rng.normal(size=(rows, basis.size))
     c_star = rng.normal(size=basis.size)
-    return MomentSystem(2, basis, tuple(), A, A @ c_star, lam), c_star
+    return MomentSystem(2, basis, (), A, A @ c_star, lam, rows=A.shape[0]), c_star
 
 
 def test_solve_recovers_consistent_system():
@@ -220,14 +250,14 @@ def test_solve_recovers_consistent_system():
 def test_solve_zero_rhs_gives_zero():
     system, _ = synthetic_system()
     zeroed = MomentSystem(2, system.basis, (), system.matrix,
-                          np.zeros(system.rows), system.lam)
+                          np.zeros(system.rows), system.lam, rows=system.rows)
     assert not zeroed.basis.synthesize(solve_coefficients(zeroed)).any()
 
 
 def test_solve_scales_linearly():
     system, _ = synthetic_system()
     doubled = MomentSystem(2, system.basis, (), system.matrix,
-                           2.0 * system.rhs, system.lam)
+                           2.0 * system.rhs, system.lam, rows=system.rows)
     assert np.allclose(doubled.basis.synthesize(solve_coefficients(doubled)),
                        2.0 * system.basis.synthesize(solve_coefficients(system)), atol=1e-12)
 
@@ -240,7 +270,7 @@ def test_regularizer_vanishing_limit():
     c_ls = np.linalg.lstsq(A, y, rcond=None)[0]
     gaps = []
     for lam in (1e-2, 1e-4, 1e-6):
-        c = solve_coefficients(MomentSystem(2, system.basis, (), A, y, lam))
+        c = solve_coefficients(MomentSystem(2, system.basis, (), A, y, lam, rows=A.shape[0]))
         gaps.append(np.linalg.norm(c - c_ls))
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -252,7 +282,8 @@ def test_solution_operator_norm_bounds_noise_response():
     rng = np.random.default_rng(9)
     for _ in range(5):
         noise = rng.normal(size=system.rows)
-        sys_n = MomentSystem(2, system.basis, (), system.matrix, noise, system.lam)
+        sys_n = MomentSystem(2, system.basis, (), system.matrix, noise, system.lam,
+                             rows=system.rows)
         rec = sys_n.basis.synthesize(solve_coefficients(sys_n))
         assert np.sqrt(interior_integral(rec ** 2, g)) <= norm * np.linalg.norm(noise) * (1 + 1e-8)
 
@@ -303,7 +334,7 @@ def test_induction_uses_reconstructed_lower_orders():
     for delta in (0.0, 0.05, 0.2):
         known = PotentialSeries.from_coefficients(g, {2: truth.coefficient(2) + delta})
         system = assemble_system(fam, 3, basis, measure_for(truth, mask, g), 1e-2,
-                                 mask, g, known=known, rows=32, seed=5)
+                                 mask, g, known=known, heads=3 * basis.size, seed=5)
         rec = system.basis.synthesize(solve_coefficients(system))
         errors.append(rel_l2_error(rec, truth.coefficient(3), g))
     assert errors[0] < errors[1] < errors[2]
