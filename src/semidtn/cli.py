@@ -141,8 +141,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not 0.0 < eps <= 0.05:
         raise ConfigError(f"eps must be in (0, 0.05], got {eps}")
     noise_sigma = get("measurement", "noise_sigma", 0.0, float)
-    if noise_sigma < 0.0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
     family_size = get("reconstruction", "family_size", 12, int)
     if not 1 <= family_size <= MAX_FAMILY_SIZE:
@@ -159,8 +159,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         lam = None if lam_raw in ("auto", "") else float(lam_raw)
     except ValueError as exc:
         raise ConfigError(f"lambda must be a number or 'auto', got {lam_raw!r}") from exc
-    if lam is not None and not lam >= 0.0:
-        raise ConfigError(f"lambda must be >= 0 or 'auto', got {lam_raw!r}")
+    if lam is not None and not 0.0 <= lam < math.inf:
+        raise ConfigError(f"lambda must be finite and >= 0, or 'auto', got {lam_raw!r}")
 
     extras = dict(parser.items("extras")) if parser.has_section("extras") else {}
     if "tuples" in extras and not 1 <= get("extras", "tuples", cast=int) <= MAX_TUPLES:
@@ -181,8 +181,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def add_noise(trace: np.ndarray, sigma: float, rng: np.random.Generator | int) -> np.ndarray:
     """Additive Gaussian perturbation of scale sigma * max|trace|."""
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and >= 0")
     if sigma == 0.0:
         return trace.copy()
     if not isinstance(rng, np.random.Generator):

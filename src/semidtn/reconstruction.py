@@ -19,8 +19,13 @@ row is the basis paired with -z_phi * u_1 ... u_m. Each (head, phi) pair is
 therefore one linear equation for the coefficients with no quadrature
 error. The stage takes phi to be the unit trace of each arc node, so that the
 pairing reads the flux at that node and the whole returned trace is used,
-and computes the model forward, one direct Poisson solve per basis function
-and head. V_m is sought on tensor Lagrange interpolants at
+and computes the model forward. The read-out sees only the two rows or
+columns of W next to each side, and the basis functions are products of
+axis factors, so the sine-basis solve factors through them: one read-out
+operator, built per stage, maps a head's product to its whole (arc node x
+basis function) model with a few small matrix products, without a Poisson
+solve per basis function and without stored adjoint fields (see
+``_arc_readout``). V_m is sought on tensor Lagrange interpolants at
 Chebyshev-Lobatto nodes, by a row-equilibrated Tikhonov least-squares solve
 with a gradient penalty whose weight is the L-curve corner. Lower orders
 enter only through their already reconstructed fields, which keeps the
@@ -37,15 +42,17 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
 
-from .dtn import check_support, normal_derivative
-from .forward_solver import solve_poisson
-from .geometry import ArcMask, Grid2D, boundary_integral, full_mask, interior_integral
+from .dtn import _inward_indices, check_support
+from .forward_solver import _sine_modes
+from .geometry import (ArcMask, Grid2D, boundary_integral, check_field, full_mask,
+                       interior_integral)
 from .harmonic import HarmonicFamily, arc_supported_family
 from .linearization import measured_linearized_flux, nonlinearity_derivative, run_cascade
 from .potential import PotentialSeries
@@ -63,10 +70,11 @@ class CoeffBasis:
     Column ``j * nodes_per_side + i`` is l_i(x) l_j(y), where l_i is the
     degree ``nodes_per_side - 1`` cardinal polynomial of the i-th node
     (1 - cos(pi i / (nodes_per_side - 1))) / 2. The basis is nodal and a
-    partition of unity.
+    partition of unity. ``axis`` holds the l_i at the n+1 grid abscissae.
     """
 
     nodes_per_side: int
+    axis: np.ndarray    # (n + 1, nodes_per_side)
     fields: np.ndarray  # (num_grid_nodes, nodes_per_side^2)
 
     @property
@@ -91,8 +99,9 @@ def make_basis(nodes_per_side: int, grid: Grid2D) -> CoeffBasis:
                 cardinal[:, i] *= (axis - nodes[k]) / (nodes[i] - nodes[k])
     # node (ix, iy) is row iy * (n+1) + ix; column j * nb + i is l_i(x) l_j(y)
     fields = np.einsum("yj,xi->yxji", cardinal, cardinal).reshape(grid.num_nodes, nb * nb)
+    cardinal.flags.writeable = False
     fields.flags.writeable = False
-    return CoeffBasis(nb, fields)
+    return CoeffBasis(nb, cardinal, fields)
 
 
 def gradient_penalty(nb: int) -> np.ndarray:
@@ -196,9 +205,71 @@ def _choose_heads(family_size: int, m: int, cap: int,
     return chosen
 
 
-def _readout(source: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Read-out of the zero-boundary solution of -Lap_h w = source."""
-    return normal_derivative(solve_poisson(source, grid), grid)
+def _arc_readout(grid: Grid2D, axis: np.ndarray,
+                 arc: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a field P to the ``normal_derivative`` read-out, at the
+    ``arc`` nodes, of the zero-boundary solutions W_ij of
+    -Lap_h W_ij = P a_i(x) a_j(y), for every pair of axis factors a_i, a_j
+    (the q columns of ``axis``, sampled at the n+1 grid abscissae). The map
+    returns a (len(arc), q^2) array whose column j * q + i is that of W_ij.
+
+    With S the sine matrix and Lam^-1 the inverse eigenvalues of the direct
+    kernel, row r of W_ij is sum_y a_j(y) Q_i[y, :] N_r[y, :] @ S, where
+    Q_i = P diag(a_i) S and N_r = S (S[r, :]^T o Lam^-1). The read-out
+    (3 w0 - 4 w1 + w2) / (2h), with w0 = 0, sees only the two rows of W
+    next to the bottom and top sides, and the two columns next to the left
+    and right sides, which are the same formula applied to P^T with i and j
+    swapped. Only the rows and columns the arc reads are built, once, into
+    a_j(y) N_r[y, l] (n^2 q numbers each); the corners read boundary nodes,
+    so their rows are exactly zero.
+    """
+    n, q = grid.n, axis.shape[1]
+    sine, inverse = _sine_modes(grid)
+    factors = axis[1:-1]  # interior samples, (n - 1, q)
+    one, two = (idx[arc] for idx in _inward_indices(grid))
+    (y1, x1), (y2, x2) = np.divmod(one, n + 1), np.divmod(two, n + 1)
+    seen = (y1 > 0) & (y1 < n) & (x1 > 0) & (x1 < n)  # the corners read w1 = 0
+    across = grid.boundary_normals[arc, 1] != 0  # bottom and top read rows of W
+    # a_i(x) S[x, l] serves both orientations; each orientation keeps the
+    # strips it reads, a_j(y) N_r[y, l] laid out (l, (r, j), y), and where
+    # each seen node's w1 and w2 sit among the stacked strip values
+    mixer = (factors[:, :, None] * sine[:, None, :]).reshape(n - 1, q * (n - 1))
+    sides = []
+    offset = 0
+    gather = np.zeros((2, arc.size), dtype=int)
+    for rows_read in (True, False):
+        sel = seen & (across == rows_read)
+        strip1, pos1 = (y1, x1) if rows_read else (x1, y1)
+        strip2, pos2 = (y2, x2) if rows_read else (x2, y2)
+        strips = np.unique(np.concatenate([strip1[sel], strip2[sel]])) - 1
+        if strips.size == 0:
+            continue
+        kernel = np.stack([sine @ (sine[r][:, None] * inverse) for r in strips])
+        weights = np.einsum("yj,ryl->lrjy", factors, kernel, order="C") \
+            .reshape(n - 1, strips.size * q, n - 1)
+        for k, (strip, pos) in enumerate(((strip1, pos1), (strip2, pos2))):
+            gather[k, sel] = offset + (pos[sel] - 1) * strips.size \
+                + strips.searchsorted(strip[sel] - 1)
+        sides.append((rows_read, strips.size, weights))
+        offset += (n - 1) * strips.size
+    gather = gather[:, seen]
+
+    def readout(field: np.ndarray) -> np.ndarray:
+        P = check_field(field, grid).reshape(n + 1, n + 1)[1:-1, 1:-1]
+        parts = []
+        for rows_read, count, weights in sides:
+            src = P if rows_read else P.T
+            modes = (src @ mixer).reshape(n - 1, q, n - 1).transpose(2, 0, 1)  # (l, y, i)
+            block = (sine @ (weights @ modes).reshape(n - 1, count * q * q)) \
+                .reshape(n - 1, count, q, q)  # (position, strip, j, i)
+            parts.append((block if rows_read else block.swapaxes(2, 3))
+                         .reshape((n - 1) * count, q * q))
+        values = np.concatenate(parts)
+        out = np.zeros((arc.size, q * q))
+        out[seen] = (-4.0 * values[gather[0]] + values[gather[1]]) / (2.0 * grid.h)
+        return out
+
+    return readout
 
 
 def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
@@ -213,13 +284,15 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
     node: its data is h * flux there, with the lower-order source's read-out
     removed; its model is minus h times the read-out there of each basis
     function times the head's product, solved on the grid, which is exactly
-    what the measurement applies (see the module docstring). Rows whose
-    model vanishes (a zero member, or a node the read-out does not see) are
-    dropped before anything is measured. Every row is scaled to unit norm,
-    the measured data error being proportional to the row norm, and each
-    head's rows are folded into a running triangular factor, so that the
-    system holds O(basis size^2) numbers (see ``MomentSystem``). ``lam`` None
-    takes the L-curve corner.
+    what the measurement applies (see the module docstring). One read-out
+    operator per stage (``_arc_readout``) gives a head's whole model, and
+    the same map with unit axis factors reads the lower-order source. Rows
+    whose model vanishes (a zero member, or a corner, which the read-out
+    does not see) are dropped before anything is measured. Every row is
+    scaled to unit norm, the measured data error being proportional to the
+    row norm, and each head's rows are folded into a running triangular
+    factor, so that the system holds O(basis size^2) numbers (see
+    ``MomentSystem``). ``lam`` None takes the L-curve corner.
     """
     if m < 2:
         raise ValueError("moment systems start at order 2")
@@ -231,6 +304,9 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
     low = _truncated(known, m, grid)
     arc = np.flatnonzero(mask.flags)
     p = basis.size
+    model_readout = _arc_readout(grid, basis.axis, arc)
+    if not low.is_zero:
+        source_readout = _arc_readout(grid, np.ones((grid.n + 1, 1)), arc)
 
     measured: list[tuple[int, ...]] = []
     count = 0
@@ -238,8 +314,7 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
     rng = np.random.default_rng(seed)
     for head in _choose_heads(len(family), m, heads, rng):
         prod = np.prod([family[i].field for i in head], axis=0)
-        model = -grid.h * np.column_stack([_readout(prod * b, grid)[arc]
-                                           for b in basis.fields.T])
+        model = -grid.h * model_readout(prod)
         norms = np.linalg.norm(model, axis=1)
         keep = np.flatnonzero(norms > ZERO_ROW * norms.max())
         if keep.size == 0:
@@ -248,7 +323,7 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
         flux = measured_linearized_flux(measure, head_traces, eps, mask, grid)
         data = grid.h * flux[arc]
         if not low.is_zero:
-            data += grid.h * _readout(_lower_order_source(low, head_traces, grid), grid)[arc]
+            data += grid.h * source_readout(_lower_order_source(low, head_traces, grid))[:, 0]
         block = np.column_stack([model, data])[keep] / norms[keep, None]
         factor = np.linalg.qr(np.vstack([factor, block]), mode="r")
         measured.append(head)
@@ -345,12 +420,14 @@ def rel_l2_error(rec: np.ndarray, truth: np.ndarray, grid: Grid2D) -> float:
 
 @dataclass(frozen=True)
 class StageDiagnostics:
-    """One stage's record. ``rows`` counts the moment rows solved; residual,
-    condition number ([A; sqrt(lam) L]) and noise ceiling describe the
-    equilibrated system the stage solves, in that system's units."""
+    """One stage's record. ``rows`` counts the moment rows solved and
+    ``heads`` the divided differences measured, 2^m measurements each;
+    residual, condition number ([A; sqrt(lam) L]) and noise ceiling describe
+    the equilibrated system the stage solves, in that system's units."""
 
     m: int
     rows: int
+    heads: int
     basis_size: int
     lam: float
     residual: float
@@ -358,9 +435,14 @@ class StageDiagnostics:
     noise_ceiling_per_unit_gap: float
     rel_error_vs_truth: float | None = None
 
+    @property
+    def measurements(self) -> int:
+        return self.heads * 2 ** self.m
+
     def to_dict(self) -> dict:
         return {
-            "m": self.m, "rows": self.rows, "basis_size": self.basis_size,
+            "m": self.m, "rows": self.rows, "heads": self.heads,
+            "measurements": self.measurements, "basis_size": self.basis_size,
             "lambda": self.lam, "residual": self.residual,
             "cond_estimate": self.cond_estimate,
             "noise_ceiling_per_unit_gap": self.noise_ceiling_per_unit_gap,
@@ -429,7 +511,7 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
         rec = system.basis.synthesize(coeff_vec)
         rel_err = rel_l2_error(rec, truth.coefficient(m), grid) if truth is not None else None
         stages.append(StageDiagnostics(
-            m, system.rows, basis.size, system.lam,
+            m, system.rows, len(system.heads), basis.size, system.lam,
             float(np.linalg.norm(system.matrix @ coeff_vec - system.rhs)),
             float(np.linalg.cond(_stacked(system.matrix, system.lam, penalty))),
             solution_operator_norm(system, grid), rel_err))

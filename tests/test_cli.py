@@ -65,10 +65,16 @@ def test_validate_ranges(tmp_path):
                                                    "scenario = nonsense")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, bad))
-    bad = GOOD_CONFIG.format(out=tmp_path).replace("basis_per_side = 3",
-                                                   "basis_per_side = 3\nlambda = -1")
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, bad))
+    # the Tikhonov weight and the noise level: negative or not finite
+    for old_line, new_line in (("basis_per_side = 3", "basis_per_side = 3\nlambda = -1"),
+                               ("basis_per_side = 3", "basis_per_side = 3\nlambda = inf"),
+                               ("basis_per_side = 3", "basis_per_side = 3\nlambda = nan"),
+                               ("eps = 0.01", "eps = 0.01\nnoise_sigma = -0.1"),
+                               ("eps = 0.01", "eps = 0.01\nnoise_sigma = nan"),
+                               ("eps = 0.01", "eps = 0.01\nnoise_sigma = inf")):
+        bad = GOOD_CONFIG.format(out=tmp_path).replace(old_line, new_line)
+        with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path, bad))
     # reconstruction knobs: below the useful range, and above the caps
     for old_line, new_line in (("family_size = 6", "family_size = 0"),
                                ("family_size = 6", "family_size = 33"),
@@ -137,7 +143,9 @@ def test_bad_reconstruction_knob_exits_2_without_outputs(tmp_path):
 
 def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
     # each of these used to hang, allocate without limit or fail after
-    # writing the manifest; the last three used to pass validate
+    # writing the manifest; the last three used to pass validate, and so did
+    # the non-finite noise levels and weight after them (a NaN noise level
+    # ran without noise and wrote NaN into manifest.json)
     forward = ("scenario = identity_check", "scenario = forward_convergence")
     recon = ("scenario = identity_check", "scenario = reconstruction")
     for edits in ((("k2 = 1 + x", "k2 = 9**9**9"),),
@@ -147,7 +155,11 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
                   (("k2 = 1 + x", "k1000000 = x"),),
                   (("k2 = 1 + x", "k2 = zebra"),),
                   (forward, ("n = 16", "n = 128")),
-                  (recon, ("n = 16", "n = 64"), ("s1 = 2.0", "s1 = 0.1"))):
+                  (recon, ("n = 16", "n = 64"), ("s1 = 2.0", "s1 = 0.1")),
+                  (("eps = 0.01", "eps = 0.01\nnoise_sigma = nan"),),
+                  (("eps = 0.01", "eps = 0.01\nnoise_sigma = inf"),),
+                  (recon, ("eps = 0.01", "eps = 0.01\nnoise_sigma = nan")),
+                  (recon, ("basis_per_side = 3", "basis_per_side = 3\nlambda = inf"))):
         out = tmp_path / "out"
         text = GOOD_CONFIG.format(out=out)
         for old_line, new_line in edits:
@@ -334,8 +346,9 @@ def test_add_noise_contract():
     b = add_noise(rng_trace, 1e-3, 7)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, rng_trace)
-    with pytest.raises(ValueError):
-        add_noise(rng_trace, -0.1, 0)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            add_noise(rng_trace, sigma, 0)
 
 
 def test_console_entry_point(tmp_path):

@@ -7,10 +7,11 @@ from semidtn.geometry import arc_mask, full_mask, interior_integral, make_grid
 from semidtn.harmonic import arc_supported_family
 from semidtn.linearization import measured_linearized_flux
 from semidtn.potential import PotentialSeries, sample_expression
-from semidtn.reconstruction import (MomentSystem, ReconstructionConfig,
-                                    assemble_system, gradient_penalty, make_basis,
-                                    measured_moment, reconstruct_all, rel_l2_error,
-                                    solve_coefficients, solution_operator_norm)
+from semidtn.reconstruction import (ZERO_ROW, MomentSystem, ReconstructionConfig,
+                                    _arc_readout, assemble_system, gradient_penalty,
+                                    make_basis, measured_moment, reconstruct_all,
+                                    rel_l2_error, solve_coefficients,
+                                    solution_operator_norm)
 
 
 def measure_for(P, mask, grid):
@@ -198,6 +199,55 @@ def test_stage_model_matches_measured_pairing():
     trapezoid = np.array([interior_integral(prod * harmonic_extension(t, g), g)
                           for t in tests])
     assert np.linalg.norm(trapezoid - measured) / np.linalg.norm(measured) > 1e-3
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("s0, s1", [(0.0, 2.0), (0.0, 4.0), (1.0, 2.0), (3.5, 4.5)])
+def test_arc_readout_matches_poisson_solves(n, s0, s1):
+    # the stage's read-out operator against one Poisson solve and read-out
+    # per basis function, on two sides, the whole boundary, one side, and an
+    # arc through s = 0 and the corner (0, 0): every row agrees to rounding,
+    # the corners' rows are exactly zero in both, and the stage keeps the
+    # rows the reference model would keep
+    g = make_grid(n)
+    mask = arc_mask(g, s0, s1)
+    arc = np.flatnonzero(mask.flags)
+    fam = arc_supported_family(mask, 6, g)
+
+    def reference(prod, fields):
+        return np.column_stack([normal_derivative(solve_poisson(prod * b, g), g)[arc]
+                                for b in fields.T])
+
+    def assert_agrees(model, ref):
+        norms = np.linalg.norm(ref, axis=1)
+        assert np.array_equal(model.any(axis=1), norms > 0.0)
+        seen = norms > 0.0
+        gap = np.linalg.norm(model - ref, axis=1)[seen] / norms[seen]
+        assert gap.max() <= 1e-12
+
+    corners = np.isin(g.boundary_nodes[arc], [0, g.n, g.num_nodes - 1, g.num_nodes - 1 - g.n])
+    for head in ((0, 3), (1, 2, 5)):
+        prod = np.prod([fam[i].field for i in head], axis=0)
+        for nb in (3, 6):
+            basis = make_basis(nb, g)
+            ref = reference(prod, basis.fields)
+            assert not ref[corners].any()
+            assert_agrees(_arc_readout(g, basis.axis, arc)(prod), ref)
+        # unit axis factors: the read-out of the field itself
+        assert_agrees(_arc_readout(g, np.ones((n + 1, 1)), arc)(prod),
+                      reference(prod, np.ones((g.num_nodes, 1))))
+
+    basis = make_basis(3, g)
+    P = PotentialSeries.zero(g)
+    for m in (2, 3):
+        system = assemble_system(fam, m, basis, measure_for(P, mask, g), 1e-2, mask, g,
+                                 heads=2, seed=m, lam=1.0)
+        expected = 0
+        for head in system.heads:
+            norms = np.linalg.norm(reference(np.prod([fam[i].field for i in head], axis=0),
+                                             basis.fields), axis=1)
+            expected += int(np.sum(norms > ZERO_ROW * norms.max()))
+        assert system.rows == expected
 
 
 def test_folding_is_exact():
