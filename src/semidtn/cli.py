@@ -140,6 +140,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     eps = get("measurement", "eps", 1e-2, float)
     if not 0.0 < eps <= 0.05:
         raise ConfigError(f"eps must be in (0, 0.05], got {eps}")
+    # the reconstruction measures along mean directions up to t = 3 eps
+    if scenario == "reconstruction" and 3.0 * eps > DEFAULT_SMALLNESS_RADIUS:
+        raise ConfigError(f"reconstruction samples reach 3 eps, so eps must be at most "
+                          f"{DEFAULT_SMALLNESS_RADIUS} / 3; got {eps}")
     noise_sigma = get("measurement", "noise_sigma", 0.0, float)
     if not 0.0 <= noise_sigma < math.inf:
         raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")

@@ -4,7 +4,9 @@
     zero data solve a triangle of linear Dirichlet problems (harmonic for
     single slots, zero-boundary Poisson problems driven by lower-order
     products for multi-slots);
-(b) numerical mixed divided differences of the nonlinear measurement map.
+(b) numerical mixed divided differences of the nonlinear measurement map,
+    either the tensor-product difference over the slot amplitudes or the
+    polarization of directional Taylor coefficients (``DirectionStore``).
 
 The two routes are independent and cross-validate each other; the inversion
 pipeline only ever uses route (b) through an opaque measurement function.
@@ -12,6 +14,8 @@ pipeline only ever uses route (b) through an opaque measurement function.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -113,25 +117,34 @@ def nonlinearity_derivative(P: PotentialSeries, S, derivs: dict) -> np.ndarray:
     return out
 
 
-def run_cascade(P: PotentialSeries, fs, grid: Grid2D,
-                max_subset_size: int | None = None) -> CascadeState:
+def run_cascade(P: PotentialSeries, fs, grid: Grid2D) -> CascadeState:
     """Solve the derivative triangle for the given boundary-data slots.
 
-    Subsets are processed in increasing size: singletons get harmonic
-    extensions of their traces; each larger subset solves a zero-boundary
-    Poisson problem whose source is minus the nonlinearity derivative built
-    from the already-computed fields. No nonlinear solve is involved.
-    ``max_subset_size`` truncates the triangle when only lower-order fields
-    are needed.
+    Singletons get harmonic extensions of their traces; the larger subsets
+    follow by ``cascade_derivs``. No nonlinear solve is involved.
     """
     fs = tuple(check_trace(f, grid) for f in fs)
     m = len(fs)
     if not 1 <= m <= MAX_CASCADE_SLOTS:
         raise ValueError(f"cascade supports 1..{MAX_CASCADE_SLOTS} slots, got {m}")
+    harmonic = [harmonic_extension(f, grid) for f in fs]
+    return CascadeState(fs, cascade_derivs(P, harmonic, grid))
+
+
+def cascade_derivs(P: PotentialSeries, harmonic, grid: Grid2D,
+                   max_subset_size: int | None = None) -> dict[tuple[int, ...], np.ndarray]:
+    """The derivative triangle over slots whose single-slot fields, the
+    harmonic extensions of their traces, are given.
+
+    Subsets are processed in increasing size: each subset of two or more
+    slots solves a zero-boundary Poisson problem whose source is minus the
+    nonlinearity derivative built from the already-computed fields. Laid
+    out as ``CascadeState.derivs``. ``max_subset_size`` truncates the
+    triangle when only lower-order fields are needed.
+    """
+    m = len(harmonic)
     top = m if max_subset_size is None else min(m, max_subset_size)
-    derivs: dict[tuple[int, ...], np.ndarray] = {}
-    for l in range(m):
-        derivs[(l,)] = harmonic_extension(fs[l], grid)
+    derivs: dict[tuple[int, ...], np.ndarray] = {(l,): harmonic[l] for l in range(m)}
     zero_trace = np.zeros(grid.num_boundary)
     for size in range(2, top + 1):
         for subset in _subsets(m, size):
@@ -140,7 +153,7 @@ def run_cascade(P: PotentialSeries, fs, grid: Grid2D,
                 derivs[subset] = solve_linear(-source, zero_trace, grid)
             else:
                 derivs[subset] = np.zeros(grid.num_nodes)
-    return CascadeState(fs, derivs)
+    return derivs
 
 
 def _subsets(m: int, size: int):
@@ -166,12 +179,91 @@ def measured_linearized_flux(measure, fs, eps: float, mask: ArcMask,
     acc = np.zeros(grid.num_boundary)
     for signs in product((-1.0, 1.0), repeat=m):
         trace = eps * sum(s * f for s, f in zip(signs, fs))
-        sample = measure(trace)
-        out = sample.output if isinstance(sample, DtnSample) else np.asarray(sample, dtype=float)
-        acc += np.prod(signs) * out
+        acc += np.prod(signs) * _output(measure(trace))
     acc /= (2.0 * eps) ** m
     acc[~mask.flags] = 0.0
     return acc
+
+
+def _output(sample) -> np.ndarray:
+    return sample.output if isinstance(sample, DtnSample) else np.asarray(sample, dtype=float)
+
+
+class DirectionStore:
+    """Directional Taylor coefficients of an opaque measurement map F along
+    sums of the given traces, each direction measured once.
+
+    A sorted multiset S of trace indices stands for f_S, the sum of its
+    traces. Its direction is measured along the mean g_S = f_S / |S|, four
+    times, at t = +-s and +-2s with s = 3 eps / 2, so that no sample exceeds
+    3 eps max|g_S|. With E and O the even and odd parts of t -> F(t g_S),
+
+        F_2 = (16 E(s) - E(2s)) / (12 s^2)
+        F_3 = (O(2s) - 2 O(s)) / (6 s^3)
+        F_4 = (E(2s) - 4 E(s)) / (12 s^4)
+
+    are the t^m coefficients with the neighbouring orders (F_4, F_1 and F_2)
+    eliminated, and F_m(f_S) = |S|^m F_m(g_S). Multisets with the same mean,
+    such as (0,) and (0, 0), share one direction, and a direction's four
+    measurements serve every head and every order that contains it. Only
+    the arc values of F_2, F_3 and F_4 along each direction are kept, and
+    ``release`` drops an order that no later caller reads; ``calls`` counts
+    the measurements.
+    """
+
+    def __init__(self, measure, traces, eps: float, mask: ArcMask, grid: Grid2D):
+        if eps <= 0.0:
+            raise ValueError("eps must be positive")
+        self._measure = measure
+        self._traces = tuple(check_trace(f, grid) for f in traces)
+        self._arc = np.flatnonzero(mask.flags)
+        self.step = 1.5 * eps
+        self.calls = 0
+        self._measured: set[tuple[int, ...]] = set()
+        # order -> direction -> F_m(g) at the arc nodes
+        self._taylor: dict[int, dict[tuple[int, ...], np.ndarray]] = {2: {}, 3: {}, 4: {}}
+
+    def _measure_direction(self, key: tuple[int, ...]) -> None:
+        g = sum(self._traces[i] for i in key) / len(key)
+        a, b, c, d = (_output(self._measure(t * self.step * g))[self._arc]
+                      for t in (1.0, -1.0, 2.0, -2.0))
+        self.calls += 4
+        self._measured.add(key)
+        even1, even2, odd1, odd2 = 0.5 * (a + b), 0.5 * (c + d), 0.5 * (a - b), 0.5 * (c - d)
+        s = self.step
+        coeffs = {2: (16.0 * even1 - even2) / (12.0 * s ** 2),
+                  3: (odd2 - 2.0 * odd1) / (6.0 * s ** 3),
+                  4: (even2 - 4.0 * even1) / (12.0 * s ** 4)}
+        for m, kept in self._taylor.items():
+            kept[key] = coeffs[m]
+
+    def taylor(self, S, m: int) -> np.ndarray:
+        """F_m(f_S), the t^m coefficient of F(t f_S), at the arc nodes."""
+        if m not in self._taylor:
+            raise ValueError(f"order {m} is not kept: directional coefficients cover "
+                             f"orders 2..4 until released")
+        counts = Counter(S)
+        common = math.gcd(*counts.values())
+        key = tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
+        if key not in self._measured:
+            self._measure_direction(key)
+        return len(S) ** m * self._taylor[m][key]
+
+    def release(self, m: int) -> None:
+        """Drop the order-m coefficients; the directions stay measured."""
+        self._taylor.pop(m, None)
+
+    def flux(self, head) -> np.ndarray:
+        """The mixed flux D^m F[f_1..f_m] of the head's m traces at the arc
+        nodes, by polarization (Thomas, Indag. Math. 25, 2014): the sum over
+        the nonempty position subsets P of (-1)^(m - |P|) F_m(f_P)."""
+        head = tuple(sorted(head))
+        m = len(head)
+        acc = np.zeros(self._arc.size)
+        for size in range(1, m + 1):
+            for positions in combinations(range(m), size):
+                acc += (-1) ** (m - size) * self.taylor([head[i] for i in positions], m)
+        return acc
 
 
 def mixed_divided_difference(P: PotentialSeries, fs, eps: float, mask: ArcMask,

@@ -1,9 +1,9 @@
 """Inductive recovery of the nonlinearity coefficients from arc-confined
 measurements.
 
-For each order m = 2..K, the mixed divided difference of the measurement map
-over m harmonic inputs u_1..u_m (a head) is the normal-derivative read-out
-of a field W that vanishes on the boundary and solves, on the grid,
+For each order m = 2..K, the order-m mixed derivative of the measurement
+map over m harmonic inputs u_1..u_m (a head) is the normal-derivative
+read-out of a field W that vanishes on the boundary and solves, on the grid,
 
     -Lap_h W = -(V_m u_1 ... u_m + S),
 
@@ -27,9 +27,13 @@ basis function) model with a few small matrix products, without a Poisson
 solve per basis function and without stored adjoint fields (see
 ``_arc_readout``). V_m is sought on tensor Lagrange interpolants at
 Chebyshev-Lobatto nodes, by a row-equilibrated Tikhonov least-squares solve
-with a gradient penalty whose weight is the L-curve corner. Lower orders
-enter only through their already reconstructed fields, which keeps the
-inverse-problem information barrier intact.
+with a gradient penalty whose weight is the L-curve corner. The stage does
+not measure a head's flux by its own 2^m-point divided difference: it
+polarizes directional Taylor coefficients along the sums of the head's
+sub-multisets, and each such direction is measured four times, once per
+run, for every head and every order that contains it (``DirectionStore``).
+Lower orders enter only through their already reconstructed fields, which
+keeps the inverse-problem information barrier intact.
 
 ``measured_moment`` keeps the continuum form of the identity (the pairing
 equals the interior integral of V_m times m+1 harmonic functions, up to
@@ -54,7 +58,8 @@ from .forward_solver import _sine_modes
 from .geometry import (ArcMask, Grid2D, boundary_integral, check_field, full_mask,
                        interior_integral)
 from .harmonic import HarmonicFamily, arc_supported_family
-from .linearization import measured_linearized_flux, nonlinearity_derivative, run_cascade
+from .linearization import (DirectionStore, cascade_derivs, measured_linearized_flux,
+                            nonlinearity_derivative)
 from .potential import PotentialSeries
 
 # L-curve search grid for the Tikhonov weight, relative to sigma_max(A)^2
@@ -175,17 +180,18 @@ def measured_moment(measure, members, eps: float, mask: ArcMask, grid: Grid2D,
     value = boundary_integral(flux * members[m].trace, full_mask(grid), grid)
     low = _truncated(known, m, grid)
     if include_lower_order and not low.is_zero:
-        source = _lower_order_source(low, traces, grid)
+        source = _lower_order_source(low, members[:m], grid)
         value -= interior_integral(source * members[m].field, grid)
     return float(value)
 
 
-def _lower_order_source(low: PotentialSeries, traces, grid: Grid2D) -> np.ndarray:
-    """The lower orders' part S of the order-m source, m = len(traces): the
-    mixed derivative of V built from ``low`` over the cascade's fields."""
-    m = len(traces)
-    state = run_cascade(low, traces, grid, max_subset_size=m - 1)
-    return nonlinearity_derivative(low, range(m), state.derivs)
+def _lower_order_source(low: PotentialSeries, members, grid: Grid2D) -> np.ndarray:
+    """The lower orders' part S of the order-m source, m = len(members): the
+    mixed derivative of V built from ``low`` over the cascade's fields,
+    started from the members' harmonic fields."""
+    m = len(members)
+    derivs = cascade_derivs(low, [mem.field for mem in members], grid, max_subset_size=m - 1)
+    return nonlinearity_derivative(low, range(m), derivs)
 
 
 def _choose_heads(family_size: int, m: int, cap: int,
@@ -275,20 +281,25 @@ def _arc_readout(grid: Grid2D, axis: np.ndarray,
 def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
                     eps: float, mask: ArcMask, grid: Grid2D,
                     known: PotentialSeries | None = None, *, heads: int,
-                    seed: int = 0, lam: float | None = None) -> MomentSystem:
+                    seed: int = 0, lam: float | None = None,
+                    directions: DirectionStore | None = None) -> MomentSystem:
     """Build the order-m moment system: one row per (head, arc node) pair.
 
     A head is a sorted m-multiset of family members. Up to ``heads`` of
-    them, in a seeded order, are measured, each once, by one mixed divided
-    difference (2^m measurements). A row reads the head's flux at one arc
-    node: its data is h * flux there, with the lower-order source's read-out
-    removed; its model is minus h times the read-out there of each basis
-    function times the head's product, solved on the grid, which is exactly
-    what the measurement applies (see the module docstring). One read-out
-    operator per stage (``_arc_readout``) gives a head's whole model, and
-    the same map with unit axis factors reads the lower-order source. Rows
-    whose model vanishes (a zero member, or a corner, which the read-out
-    does not see) are dropped before anything is measured. Every row is
+    them, in a seeded order, are used, each once. A head's mixed flux is the
+    polarization of the order-m Taylor coefficients along the sums of its
+    sub-multisets, read from ``directions``, the run's store over the
+    family's traces, which measures each direction (four measurements) the
+    first time any head of any stage needs it; None starts a store of this
+    stage's own from ``measure`` and ``eps``. A row reads the head's flux at
+    one arc node: its data is h * flux there, with the lower-order source's
+    read-out removed; its model is minus h times the read-out there of each
+    basis function times the head's product, solved on the grid, which is
+    exactly what the measurement applies (see the module docstring). One
+    read-out operator per stage (``_arc_readout``) gives a head's whole
+    model, and the same map with unit axis factors reads the lower-order
+    source. Rows whose model vanishes (a zero member, or a corner, which the
+    read-out does not see) are dropped before anything is measured. Every row is
     scaled to unit norm, the measured data error being proportional to the
     row norm, and each head's rows are folded into a running triangular
     factor, so that the system holds O(basis size^2) numbers (see
@@ -301,6 +312,8 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
     if len(family) < basis.size / (m + 1):
         warnings.warn(f"family of {len(family)} is small for a {basis.size}-dim basis",
                       stacklevel=2)
+    if directions is None:
+        directions = DirectionStore(measure, family.traces(), eps, mask, grid)
     low = _truncated(known, m, grid)
     arc = np.flatnonzero(mask.flags)
     p = basis.size
@@ -319,11 +332,10 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
         keep = np.flatnonzero(norms > ZERO_ROW * norms.max())
         if keep.size == 0:
             continue
-        head_traces = [family[i].trace for i in head]
-        flux = measured_linearized_flux(measure, head_traces, eps, mask, grid)
-        data = grid.h * flux[arc]
+        data = grid.h * directions.flux(head)
         if not low.is_zero:
-            data += grid.h * source_readout(_lower_order_source(low, head_traces, grid))[:, 0]
+            source = _lower_order_source(low, [family[i] for i in head], grid)
+            data += grid.h * source_readout(source)[:, 0]
         block = np.column_stack([model, data])[keep] / norms[keep, None]
         factor = np.linalg.qr(np.vstack([factor, block]), mode="r")
         measured.append(head)
@@ -420,24 +432,23 @@ def rel_l2_error(rec: np.ndarray, truth: np.ndarray, grid: Grid2D) -> float:
 
 @dataclass(frozen=True)
 class StageDiagnostics:
-    """One stage's record. ``rows`` counts the moment rows solved and
-    ``heads`` the divided differences measured, 2^m measurements each;
-    residual, condition number ([A; sqrt(lam) L]) and noise ceiling describe
-    the equilibrated system the stage solves, in that system's units."""
+    """One stage's record. ``rows`` counts the moment rows solved, ``heads``
+    the heads whose flux they read, and ``measurements`` the calls of the
+    measurement map the stage made: four for each direction it was the first
+    to need. Residual, condition number ([A; sqrt(lam) L]) and noise ceiling
+    describe the equilibrated system the stage solves, in that system's
+    units."""
 
     m: int
     rows: int
     heads: int
+    measurements: int
     basis_size: int
     lam: float
     residual: float
     cond_estimate: float
     noise_ceiling_per_unit_gap: float
     rel_error_vs_truth: float | None = None
-
-    @property
-    def measurements(self) -> int:
-        return self.heads * 2 ** self.m
 
     def to_dict(self) -> dict:
         return {
@@ -474,8 +485,10 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
                     family: HarmonicFamily | None = None) -> ReconstructionResult:
     """Recover coefficient fields for orders 2..K, inductively.
 
-    Each stage measures ``rows_factor * basis size`` heads (fewer when the
-    family has fewer distinct m-multisets), pairs each head's flux with the
+    Each stage uses ``rows_factor * basis size`` heads (fewer when the
+    family has fewer distinct m-multisets) and takes each head's flux by
+    polarization from one ``DirectionStore`` that the stages share, so that a
+    direction is measured once per run. It pairs each head's flux with the
     unit trace of every arc node, models each pairing with the same discrete
     Poisson solve and read-out (see the module docstring), folds the
     equilibrated rows into a triangular factor and
@@ -495,14 +508,17 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
         family = arc_supported_family(mask, config.family_size, grid)
     basis = make_basis(config.basis_per_side, grid)
     penalty = gradient_penalty(basis.nodes_per_side)
+    directions = DirectionStore(measure, family.traces(), config.eps, mask, grid)
     known = PotentialSeries.zero(grid)
     stages: list[StageDiagnostics] = []
     systems: list[MomentSystem] = []
     for m in range(2, K + 1):
+        calls = directions.calls
         try:
             system = assemble_system(family, m, basis, measure, config.eps, mask, grid,
                                      known, heads=config.rows_factor * basis.size,
-                                     seed=config.seed + m, lam=config.lam)
+                                     seed=config.seed + m, lam=config.lam,
+                                     directions=directions)
             coeff_vec = solve_coefficients(system)
         except Exception as exc:
             exc.partial_result = ReconstructionResult(  # type: ignore[attr-defined]
@@ -511,11 +527,13 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
         rec = system.basis.synthesize(coeff_vec)
         rel_err = rel_l2_error(rec, truth.coefficient(m), grid) if truth is not None else None
         stages.append(StageDiagnostics(
-            m, system.rows, len(system.heads), basis.size, system.lam,
+            m, system.rows, len(system.heads), directions.calls - calls, basis.size,
+            system.lam,
             float(np.linalg.norm(system.matrix @ coeff_vec - system.rhs)),
             float(np.linalg.cond(_stacked(system.matrix, system.lam, penalty))),
             solution_operator_norm(system, grid), rel_err))
         systems.append(system)
+        directions.release(m)  # later stages read higher orders only
         known = known.with_coefficient(m, rec)
     return ReconstructionResult(known, tuple(stages), tuple(systems))
 

@@ -65,6 +65,19 @@ def test_validate_ranges(tmp_path):
                                                    "scenario = nonsense")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, bad))
+    # the reconstruction's samples reach 3 eps, which the smallness radius
+    # 0.1 caps at eps <= 1/30, at K = 3 and at K = 2 alike; the other
+    # scenarios keep (0, 0.05]
+    recon = GOOD_CONFIG.format(out=tmp_path).replace("scenario = identity_check",
+                                                     "scenario = reconstruction")
+    for kmax, eps in (("3", "0.035"), ("3", "0.04"), ("3", "0.05"), ("2", "0.034"),
+                      ("2", "0.05")):
+        bad = recon.replace("kmax = 2", f"kmax = {kmax}").replace("eps = 0.01", f"eps = {eps}")
+        with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path, bad))
+    for text in (recon.replace("eps = 0.01", "eps = 0.0333"),
+                 GOOD_CONFIG.format(out=tmp_path).replace("eps = 0.01", "eps = 0.05")):
+        load_config(write_config(tmp_path, text))
     # the Tikhonov weight and the noise level: negative or not finite
     for old_line, new_line in (("basis_per_side = 3", "basis_per_side = 3\nlambda = -1"),
                                ("basis_per_side = 3", "basis_per_side = 3\nlambda = inf"),
@@ -145,7 +158,9 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
     # each of these used to hang, allocate without limit or fail after
     # writing the manifest; the last three used to pass validate, and so did
     # the non-finite noise levels and weight after them (a NaN noise level
-    # ran without noise and wrote NaN into manifest.json)
+    # ran without noise and wrote NaN into manifest.json), and the
+    # reconstruction steps beyond 1/30 at the end (at K = 3, eps = 0.035 ran
+    # past the smallness radius after writing the manifest)
     forward = ("scenario = identity_check", "scenario = forward_convergence")
     recon = ("scenario = identity_check", "scenario = reconstruction")
     for edits in ((("k2 = 1 + x", "k2 = 9**9**9"),),
@@ -159,7 +174,10 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
                   (("eps = 0.01", "eps = 0.01\nnoise_sigma = nan"),),
                   (("eps = 0.01", "eps = 0.01\nnoise_sigma = inf"),),
                   (recon, ("eps = 0.01", "eps = 0.01\nnoise_sigma = nan")),
-                  (recon, ("basis_per_side = 3", "basis_per_side = 3\nlambda = inf"))):
+                  (recon, ("basis_per_side = 3", "basis_per_side = 3\nlambda = inf")),
+                  (recon, ("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.035")),
+                  (recon, ("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.05")),
+                  (recon, ("eps = 0.01", "eps = 0.04"))):
         out = tmp_path / "out"
         text = GOOD_CONFIG.format(out=out)
         for old_line, new_line in edits:

@@ -3,11 +3,12 @@ import pytest
 
 from semidtn.dtn import bump_trace, dtn_apply, normal_derivative
 from semidtn.forward_solver import harmonic_extension, solve_linear, stencil_laplacian
-from semidtn.geometry import arc_mask, make_grid
-from semidtn.linearization import (BELL, measured_linearized_flux,
+from semidtn.geometry import arc_mask, full_mask, make_grid
+from semidtn.harmonic import arc_supported_family
+from semidtn.linearization import (BELL, DirectionStore, measured_linearized_flux,
                                    mixed_divided_difference, nonlinearity_derivative,
                                    partitions, run_cascade)
-from semidtn.potential import PotentialSeries
+from semidtn.potential import PotentialSeries, sample_expression
 
 
 def const_series(grid, **fields):
@@ -321,3 +322,65 @@ def test_cascade_state_accessor():
     state = run_cascade(PotentialSeries.zero(g), [f, f], g)
     assert state.m == 2
     assert np.array_equal(state.field([1, 0]), state.field((0, 1)))
+
+
+# ---------- polarized flux ----------
+
+# relative sup gaps at n = 32, eps = 1e-2, measured before the store was
+# used by the stage: polarized vs cascade 4.5e-11 (m=2), 2.8e-5 - 4.0e-5
+# (m=3), 7.3e-5 - 2.3e-3 (m=4); polarized vs tensor difference 8.6e-5,
+# 5.3e-5 and 2.0e-4 at most
+POLARIZED_GAP = {2: 1e-9, 3: 1e-4, 4: 5e-3}
+POLARIZED_VS_TENSOR = {2: 2e-4, 3: 1.5e-4, 4: 5e-4}
+
+
+def test_polarized_flux_matches_cascade_and_tensor_difference():
+    # the full arc, n = 32, and the V2/V3/V4 of the benchmark's K = 4 run:
+    # each head's polarized flux against the cascade's exact flux and the
+    # tensor-product difference, on heads with distinct and repeated members
+    g = make_grid(32)
+    mask = full_mask(g)
+    arc = np.flatnonzero(mask.flags)
+    P = PotentialSeries.from_coefficients(g, {
+        2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", g),
+        3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g),
+        4: sample_expression("1 + x*y", g)})
+    fam = arc_supported_family(mask, 12, g)
+    measure = lambda trace: dtn_apply(P, trace, mask, g)
+    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
+    for head in ((0, 3), (2, 2), (0, 3, 7), (1, 1, 5), (0, 3, 7, 9), (1, 1, 5, 8),
+                 (0, 0, 0, 1)):
+        m = len(head)
+        traces = [fam[i].trace for i in head]
+        exact = normal_derivative(run_cascade(P, traces, g).field(range(m)), g)[arc]
+        tensor = measured_linearized_flux(measure, traces, 1e-2, mask, g)[arc]
+        polarized = directions.flux(head)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(polarized - exact)) <= POLARIZED_GAP[m] * scale, head
+        assert np.max(np.abs(polarized - tensor)) <= POLARIZED_VS_TENSOR[m] * scale, head
+
+
+def test_direction_store_guards():
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 2.0)
+    fam = arc_supported_family(mask, 3, g)
+    calls = []
+    measure = lambda trace: calls.append(trace) or dtn_apply(PotentialSeries.zero(g), trace,
+                                                             mask, g)
+    with pytest.raises(ValueError):
+        DirectionStore(measure, fam.traces(), 0.0, mask, g)
+    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
+    for m in (1, 5):
+        with pytest.raises(ValueError):
+            directions.taylor((0,), m)
+    # (0, 1) and (0, 0, 1, 1) share their mean, so one direction serves both
+    assert not np.any(directions.flux((0, 1)))  # the zero series has no order-2 term
+    assert directions.calls == len(calls) == 12
+    directions.taylor((0, 0, 1, 1), 4)
+    assert directions.calls == 12
+    # a released order is gone, the others and the measured directions stay
+    directions.release(2)
+    with pytest.raises(ValueError):
+        directions.taylor((0, 1), 2)
+    directions.taylor((0, 1), 3)
+    assert directions.calls == 12

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from semidtn.dtn import dtn_apply, normal_derivative
 from semidtn.forward_solver import harmonic_extension, solve_poisson
 from semidtn.geometry import arc_mask, full_mask, interior_integral, make_grid
 from semidtn.harmonic import arc_supported_family
-from semidtn.linearization import measured_linearized_flux
+from semidtn.linearization import DirectionStore, measured_linearized_flux
 from semidtn.potential import PotentialSeries, sample_expression
 from semidtn.reconstruction import (ZERO_ROW, MomentSystem, ReconstructionConfig,
                                     _arc_readout, assemble_system, gradient_penalty,
@@ -104,7 +106,7 @@ def test_moment_lower_order_correction_matters(setup32):
     # the correction itself is the documented cascade integral
     from semidtn.linearization import nonlinearity_derivative, run_cascade
     low = PotentialSeries.from_coefficients(g, {2: P.coefficient(2)})
-    state = run_cascade(low, [m.trace for m in members[:3]], g, max_subset_size=2)
+    state = run_cascade(low, [m.trace for m in members[:3]], g)
     source = nonlinearity_derivative(low, range(3), state.derivs)
     assert without - with_corr == pytest.approx(
         interior_integral(source * members[3].field, g), rel=1e-10)
@@ -252,9 +254,9 @@ def test_arc_readout_matches_poisson_solves(n, s0, s1):
 
 def test_folding_is_exact():
     # the folded factor has the Gram matrix of the equilibrated rows it
-    # replaces, built here one by one from the measured flux and the
-    # discrete Poisson solve and read-out, so the minimizer, residual and
-    # solution operator are those of the stacked rows
+    # replaces, built here one by one from the polarized flux the stage
+    # reads and the discrete Poisson solve and read-out, so the minimizer,
+    # residual and solution operator are those of the stacked rows
     g = make_grid(16)
     mask = arc_mask(g, 0.0, 2.0)
     fam = arc_supported_family(mask, 6, g)
@@ -264,15 +266,16 @@ def test_folding_is_exact():
     system = assemble_system(fam, 2, basis, measure, 1e-2, mask, g, heads=3, lam=1.0)
     assert len(system.heads) == 3
     arc = np.flatnonzero(mask.flags)
+    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
     blocks = []
     for head in system.heads:
         prod = fam[head[0]].field * fam[head[1]].field
         model = np.array([-g.h * normal_derivative(solve_poisson(prod * b, g), g)[arc]
                           for b in basis.fields.T]).T
-        flux = measured_linearized_flux(measure, [fam[i].trace for i in head], 1e-2, mask, g)
         norms = np.linalg.norm(model, axis=1)
         seen = norms > 0.0  # the corners are not read out
-        blocks.append(np.column_stack([model, g.h * flux[arc]])[seen] / norms[seen, None])
+        blocks.append(np.column_stack([model, g.h * directions.flux(head)])[seen]
+                      / norms[seen, None])
     stacked = np.vstack(blocks)
     assert stacked.shape[0] == system.rows
     folded = np.column_stack([system.matrix, system.rhs])
@@ -418,6 +421,46 @@ def test_reconstruct_quartic_bump_induction():
         rec = result.series.coefficient(stage.m)
         assert np.sqrt(interior_integral(rec ** 2, g)) <= 0.1 * truth_norm
     assert result.stages[2].rel_error_vs_truth <= 0.5
+
+
+def test_reconstruct_measures_each_direction_once():
+    # the stages share one store of directions: no trace is measured twice,
+    # every sub-multiset of every head used is measured along its mean at
+    # t = +-s and +-2s (s = 3 eps / 2), nothing else is measured, and the
+    # stages' counts add up to the calls
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 2.0)
+    x, _ = g.node_coords()
+    truth = PotentialSeries.from_coefficients(
+        g, {2: 1.0 + x, 3: sample_expression("sin(pi*x)*sin(pi*y)", g)})
+    fam = arc_supported_family(mask, 6, g)
+    traces = []
+
+    def measure(trace):
+        traces.append(trace.copy())
+        return dtn_apply(truth, trace, mask, g)
+
+    conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=6, basis_per_side=3,
+                                rows_factor=2, seed=0)
+    result = reconstruct_all(measure, 3, conf, family=fam)
+    measured = np.array(traces)
+    assert len(np.unique(measured, axis=0)) == len(measured)
+    needed = {tuple(head[i] for i in positions)
+              for system in result.systems for head in system.heads
+              for size in range(1, system.m + 1)
+              for positions in combinations(range(system.m), size)}
+    assert any(len(set(S)) < len(S) for S in needed)  # repeated members occur
+    matched = set()
+    for S in needed:
+        mean = sum(fam[i].trace for i in S) / len(S)
+        for t in (1.0, -1.0, 2.0, -2.0):
+            hits = np.flatnonzero(np.all(np.abs(measured - t * 1.5e-2 * mean) <= 1e-15,
+                                         axis=1))
+            assert hits.size == 1, (S, t)
+            matched.add(int(hits[0]))
+    assert matched == set(range(len(measured)))
+    assert all(stage.measurements > 0 for stage in result.stages)
+    assert sum(stage.measurements for stage in result.stages) == len(measured)
 
 
 def test_stage_failure_attaches_partial_result():
