@@ -49,6 +49,14 @@ MAX_ORDER = 8
 MAX_TUPLES = 1000
 MAX_BUMP_WIDTH = 2.0
 
+# Printed by run and validate for a reconstruction config with noise_sigma > 0;
+# the noise gains are pinned by test_polarized_flux_noise_gain.
+NOISE_WARNING = ("the reconstruction stages polarize directional Taylor coefficients, "
+                 "which carry about 3.5x (order 2), 7x (order 3) and 60x (order 4) "
+                 "the measurement noise of a 2^m-point divided difference; at "
+                 "noise_sigma 1e-9 the half-arc order-3 error exceeds 1 (see ROADMAP "
+                 "item 1)")
+
 
 class ConfigError(ValueError):
     """Config file failed to parse or validate."""
@@ -216,7 +224,8 @@ def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
     """Parse the config and build what its scenario runs on, so that every
     input the run would reject fails here, before anything is written.
     Raises ConfigError or ValueError (the grid, arc, expression and family
-    builders' own checks)."""
+    builders' own checks). A noisy reconstruction config passes with
+    ``NOISE_WARNING`` on stderr."""
     cfg = load_config(config_path)
     grid = make_grid(cfg.n)
     mask = arc_mask(grid, cfg.s0, cfg.s1)
@@ -226,6 +235,9 @@ def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
     else:
         size = max(cfg.kmax, 3) if cfg.scenario == "linearization_check" else cfg.family_size
         family = arc_supported_family(mask, size, grid)
+    if cfg.scenario == "reconstruction" and cfg.noise_sigma > 0.0:
+        print(json.dumps({"warning": NOISE_WARNING, "noise_sigma": cfg.noise_sigma}),
+              file=sys.stderr)
     return cfg, _Setup(grid, mask, truth, family)
 
 

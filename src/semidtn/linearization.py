@@ -206,29 +206,32 @@ class DirectionStore:
     eliminated, and F_m(f_S) = |S|^m F_m(g_S). Multisets with the same mean,
     such as (0,) and (0, 0), share one direction, and a direction's four
     measurements serve every head and every order that contains it. Only
-    the arc values of F_2, F_3 and F_4 along each direction are kept, and
-    ``release`` drops an order that no later caller reads; ``calls`` counts
-    the measurements.
+    the arc values of the coefficients of ``orders`` (within 2..4) along each
+    direction are kept, and ``release`` drops an order that no later caller
+    reads; ``calls`` counts the measurements.
     """
 
-    def __init__(self, measure, traces, eps: float, mask: ArcMask, grid: Grid2D):
+    def __init__(self, measure, traces, eps: float, mask: ArcMask, grid: Grid2D,
+                 orders):
         if eps <= 0.0:
             raise ValueError("eps must be positive")
+        orders = sorted(set(orders))
+        if not orders or not set(orders) <= {2, 3, 4}:
+            raise ValueError(f"directional coefficients cover orders 2..4, got {orders}")
         self._measure = measure
         self._traces = tuple(check_trace(f, grid) for f in traces)
         self._arc = np.flatnonzero(mask.flags)
         self.step = 1.5 * eps
         self.calls = 0
-        self._measured: set[tuple[int, ...]] = set()
-        # order -> direction -> F_m(g) at the arc nodes
-        self._taylor: dict[int, dict[tuple[int, ...], np.ndarray]] = {2: {}, 3: {}, 4: {}}
+        # order -> direction -> F_m(g) at the arc nodes; every kept order
+        # holds the same directions, the ones measured so far
+        self._taylor: dict[int, dict[tuple[int, ...], np.ndarray]] = {m: {} for m in orders}
 
     def _measure_direction(self, key: tuple[int, ...]) -> None:
         g = sum(self._traces[i] for i in key) / len(key)
         a, b, c, d = (_output(self._measure(t * self.step * g))[self._arc]
                       for t in (1.0, -1.0, 2.0, -2.0))
         self.calls += 4
-        self._measured.add(key)
         even1, even2, odd1, odd2 = 0.5 * (a + b), 0.5 * (c + d), 0.5 * (a - b), 0.5 * (c - d)
         s = self.step
         coeffs = {2: (16.0 * even1 - even2) / (12.0 * s ** 2),
@@ -240,12 +243,12 @@ class DirectionStore:
     def taylor(self, S, m: int) -> np.ndarray:
         """F_m(f_S), the t^m coefficient of F(t f_S), at the arc nodes."""
         if m not in self._taylor:
-            raise ValueError(f"order {m} is not kept: directional coefficients cover "
-                             f"orders 2..4 until released")
+            raise ValueError(f"order {m} is not kept: the store holds orders "
+                             f"{sorted(self._taylor)}")
         counts = Counter(S)
         common = math.gcd(*counts.values())
         key = tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
-        if key not in self._measured:
+        if key not in self._taylor[m]:
             self._measure_direction(key)
         return len(S) ** m * self._taylor[m][key]
 

@@ -278,11 +278,10 @@ def _arc_readout(grid: Grid2D, axis: np.ndarray,
     return readout
 
 
-def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
-                    eps: float, mask: ArcMask, grid: Grid2D,
+def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis,
+                    directions: DirectionStore, mask: ArcMask, grid: Grid2D,
                     known: PotentialSeries | None = None, *, heads: int,
-                    seed: int = 0, lam: float | None = None,
-                    directions: DirectionStore | None = None) -> MomentSystem:
+                    seed: int = 0, lam: float | None = None) -> MomentSystem:
     """Build the order-m moment system: one row per (head, arc node) pair.
 
     A head is a sorted m-multiset of family members. Up to ``heads`` of
@@ -290,8 +289,7 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
     polarization of the order-m Taylor coefficients along the sums of its
     sub-multisets, read from ``directions``, the run's store over the
     family's traces, which measures each direction (four measurements) the
-    first time any head of any stage needs it; None starts a store of this
-    stage's own from ``measure`` and ``eps``. A row reads the head's flux at
+    first time any head of any stage needs it. A row reads the head's flux at
     one arc node: its data is h * flux there, with the lower-order source's
     read-out removed; its model is minus h times the read-out there of each
     basis function times the head's product, solved on the grid, which is
@@ -312,8 +310,6 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis, measure,
     if len(family) < basis.size / (m + 1):
         warnings.warn(f"family of {len(family)} is small for a {basis.size}-dim basis",
                       stacklevel=2)
-    if directions is None:
-        directions = DirectionStore(measure, family.traces(), eps, mask, grid)
     low = _truncated(known, m, grid)
     arc = np.flatnonzero(mask.flags)
     p = basis.size
@@ -508,17 +504,17 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
         family = arc_supported_family(mask, config.family_size, grid)
     basis = make_basis(config.basis_per_side, grid)
     penalty = gradient_penalty(basis.nodes_per_side)
-    directions = DirectionStore(measure, family.traces(), config.eps, mask, grid)
+    directions = DirectionStore(measure, family.traces(), config.eps, mask, grid,
+                                orders=range(2, K + 1))
     known = PotentialSeries.zero(grid)
     stages: list[StageDiagnostics] = []
     systems: list[MomentSystem] = []
     for m in range(2, K + 1):
         calls = directions.calls
         try:
-            system = assemble_system(family, m, basis, measure, config.eps, mask, grid,
-                                     known, heads=config.rows_factor * basis.size,
-                                     seed=config.seed + m, lam=config.lam,
-                                     directions=directions)
+            system = assemble_system(family, m, basis, directions, mask, grid, known,
+                                     heads=config.rows_factor * basis.size,
+                                     seed=config.seed + m, lam=config.lam)
             coeff_vec = solve_coefficients(system)
         except Exception as exc:
             exc.partial_result = ReconstructionResult(  # type: ignore[attr-defined]

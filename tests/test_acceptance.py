@@ -14,7 +14,7 @@ import pytest
 import semidtn as sd
 from semidtn.dtn import normal_derivative
 from semidtn.geometry import interior_integral
-from semidtn.linearization import BELL, partitions
+from semidtn.linearization import BELL, DirectionStore, partitions
 from semidtn.reconstruction import make_basis, solution_operator_norm
 
 
@@ -216,8 +216,9 @@ def test_criterion_7_invariant_suite():
     basis2 = make_basis(3, g)
     P0 = sd.PotentialSeries.zero(g)
     meas = lambda tr: sd.dtn_apply(P0, tr, mask2, g)
-    s1 = sd.assemble_system(fam, 2, basis2, meas, 1e-2, mask2, g, heads=3, seed=3)
-    s2 = sd.assemble_system(fam, 2, basis2, meas, 1e-2, mask2, g, heads=3, seed=3)
+    s1, s2 = (sd.assemble_system(fam, 2, basis2,
+                                 DirectionStore(meas, fam.traces(), 1e-2, mask2, g, (2,)),
+                                 mask2, g, heads=3, seed=3) for _ in range(2))
     checks.append(np.array_equal(s1.matrix, s2.matrix)
                   and np.array_equal(s1.rhs, s2.rhs)
                   and s1.heads == s2.heads)

@@ -290,7 +290,7 @@ eps = 0.01
     assert summary["m2_rel_sup_gap"] <= 1e-2
 
 
-def test_reconstruction_scenario_cheap(tmp_path):
+def test_reconstruction_scenario_cheap(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = """\
 [experiment]
@@ -317,6 +317,7 @@ family_size = 6
 basis_per_side = 3
 """.format(out=out)
     assert run(write_config(tmp_path, cfg)) == 0
+    assert capsys.readouterr().err == ""  # no noise, no warning
     stages = json.loads((out / "stages.json").read_text())
     assert stages[0]["m"] == 2
     assert np.isfinite(stages[0]["rel_error_vs_truth"])
@@ -325,7 +326,7 @@ basis_per_side = 3
     assert len(field_lines) == 1 + 17 * 17
 
 
-def test_reconstruction_with_noise_stays_finite(tmp_path):
+def test_reconstruction_with_noise_stays_finite(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = """\
 [experiment]
@@ -352,9 +353,19 @@ kmax = 2
 family_size = 6
 basis_per_side = 3
 """.format(out=out)
-    assert run(write_config(tmp_path, cfg)) == 0
+    # run and validate say on stderr that the polarized stage fluxes
+    # amplify the noise; a noisy config of another scenario passes silently
+    path = write_config(tmp_path, cfg)
+    for command in (validate, run):
+        assert command(path) == 0
+        warning = json.loads(capsys.readouterr().err)
+        assert warning["noise_sigma"] == 0.001
+        assert "measurement noise" in warning["warning"]
     stages = json.loads((out / "stages.json").read_text())
     assert np.isfinite(stages[0]["rel_error_vs_truth"])
+    other = GOOD_CONFIG.format(out=out).replace("eps = 0.01", "eps = 0.01\nnoise_sigma = 0.001")
+    assert validate(write_config(tmp_path, other, "other.cfg")) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_add_noise_contract():

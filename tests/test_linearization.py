@@ -1,3 +1,7 @@
+import math
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -347,7 +351,7 @@ def test_polarized_flux_matches_cascade_and_tensor_difference():
         4: sample_expression("1 + x*y", g)})
     fam = arc_supported_family(mask, 12, g)
     measure = lambda trace: dtn_apply(P, trace, mask, g)
-    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
+    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g, (2, 3, 4))
     for head in ((0, 3), (2, 2), (0, 3, 7), (1, 1, 5), (0, 3, 7, 9), (1, 1, 5, 8),
                  (0, 0, 0, 1)):
         m = len(head)
@@ -360,6 +364,56 @@ def test_polarized_flux_matches_cascade_and_tensor_difference():
         assert np.max(np.abs(polarized - tensor)) <= POLARIZED_VS_TENSOR[m] * scale, head
 
 
+def test_polarized_flux_noise_gain():
+    # pins how output noise reaches the stage fluxes: on a map that returns
+    # only unit Gaussian noise, each head's polarized flux has the RMS its
+    # weights predict, sum over directions of (sum of (-1)^(m-|P|) |P|^m over
+    # the position subsets P on that direction)^2 times the squared weights
+    # of F_m on the four measurements, and the tensor difference has
+    # sqrt(2^m) / (2 eps)^m; polarization carries about 3.5x, 7x and 60x
+    # the tensor difference's noise at orders 2, 3 and 4 (heads of distinct
+    # members). A change to the noise handling must move these figures.
+    g = make_grid(32)
+    mask = full_mask(g)
+    arc = np.flatnonzero(mask.flags)
+    fam = arc_supported_family(mask, 12, g)
+    rng = np.random.default_rng(0)
+    noise = lambda trace: np.where(mask.flags, rng.normal(size=g.num_boundary), 0.0)
+    eps = 1e-2
+    s = 1.5 * eps
+    weights = {2: np.sqrt(2 * 8.0 ** 2 + 2 * 0.5 ** 2) / (12 * s ** 2),
+               3: np.sqrt(2 * 1.0 ** 2 + 2 * 0.5 ** 2) / (6 * s ** 3),
+               4: np.sqrt(2 * 2.0 ** 2 + 2 * 0.5 ** 2) / (12 * s ** 4)}
+
+    def direction(S):
+        counts = Counter(S)
+        common = math.gcd(*counts.values())
+        return tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
+
+    directions = DirectionStore(noise, fam.traces(), eps, mask, g, (2, 3, 4))
+    heads = {2: ((0, 3), (5, 9), (2, 2)), 3: ((0, 3, 7), (2, 6, 10), (1, 1, 5)),
+             4: ((0, 3, 7, 9), (2, 4, 6, 11), (1, 1, 5, 8), (0, 0, 0, 1))}
+    for m, order_heads in heads.items():
+        pol, ten, predicted = [], [], []
+        for head in order_heads:
+            coef = Counter()
+            for size in range(1, m + 1):
+                for positions in combinations(range(m), size):
+                    coef[direction([head[i] for i in positions])] += (-1) ** (m - size) \
+                        * size ** m
+            predicted.append(weights[m] * np.sqrt(sum(c * c for c in coef.values())))
+            pol.append(directions.flux(head))
+            ten.append(measured_linearized_flux(noise, [fam[i].trace for i in head], eps,
+                                                mask, g)[arc])
+        rms = lambda v: np.sqrt(np.mean(np.square(v)))
+        predicted_rms = np.sqrt(np.mean(np.square(predicted)))
+        tensor_rms = np.sqrt(2.0 ** m) / (2 * eps) ** m
+        assert 0.9 <= rms(pol) / predicted_rms <= 1.1, m
+        assert 0.9 <= rms(ten) / tensor_rms <= 1.1, m
+        distinct = predicted[0] / tensor_rms
+        assert {2: 3.4, 3: 6.5, 4: 55.0}[m] <= distinct <= {2: 3.7, 3: 7.0, 4: 62.0}[m], m
+
+
 def test_direction_store_guards():
     g = make_grid(16)
     mask = arc_mask(g, 0.0, 2.0)
@@ -368,11 +422,15 @@ def test_direction_store_guards():
     measure = lambda trace: calls.append(trace) or dtn_apply(PotentialSeries.zero(g), trace,
                                                              mask, g)
     with pytest.raises(ValueError):
-        DirectionStore(measure, fam.traces(), 0.0, mask, g)
-    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
+        DirectionStore(measure, fam.traces(), 0.0, mask, g, (2,))
+    for orders in ((), (1, 2), (4, 5)):
+        with pytest.raises(ValueError):
+            DirectionStore(measure, fam.traces(), 1e-2, mask, g, orders)
+    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g, (2, 3, 4))
     for m in (1, 5):
         with pytest.raises(ValueError):
             directions.taylor((0,), m)
+    assert not calls
     # (0, 1) and (0, 0, 1, 1) share their mean, so one direction serves both
     assert not np.any(directions.flux((0, 1)))  # the zero series has no order-2 term
     assert directions.calls == len(calls) == 12

@@ -138,8 +138,8 @@ def test_assemble_dimensions():
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    system = assemble_system(fam, 2, basis, measure_for(P, mask, g), 1e-2, mask, g,
-                             heads=3)
+    directions = DirectionStore(measure_for(P, mask, g), fam.traces(), 1e-2, mask, g, (2,))
+    system = assemble_system(fam, 2, basis, directions, mask, g, heads=3)
     assert len(system.heads) == 3
     assert len(set(system.heads)) == 3  # deduplicated
     assert system.rows == 3 * (mask.flags.sum() - 2)  # the two corners are not read out
@@ -153,9 +153,10 @@ def test_assemble_collapses_when_only_one_tuple_exists():
     fam_all = arc_supported_family(mask, 1, g)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
+    directions = DirectionStore(measure_for(P, mask, g), fam_all.traces(), 1e-2, mask, g,
+                                (2,))
     with pytest.warns(UserWarning):
-        system = assemble_system(fam_all, 2, basis, measure_for(P, mask, g), 1e-2,
-                                 mask, g, heads=12)
+        system = assemble_system(fam_all, 2, basis, directions, mask, g, heads=12)
     assert system.heads == ((0, 0),)
     assert system.rows == mask.flags.sum() - 2
 
@@ -169,8 +170,10 @@ def test_assemble_drops_zero_product_rows():
     fam_degenerate = HarmonicFamily(fam.members + (zero,))
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    system = assemble_system(fam_degenerate, 2, basis, measure_for(P, mask, g),
-                             1e-2, mask, g, heads=15)  # all 15 heads are drawn
+    directions = DirectionStore(measure_for(P, mask, g), fam_degenerate.traces(), 1e-2,
+                                mask, g, (2,))
+    system = assemble_system(fam_degenerate, 2, basis, directions, mask, g,
+                             heads=15)  # all 15 heads are drawn
     for head in system.heads:
         assert len(fam) not in head  # heads containing the zero member were dropped
     assert len(system.heads) == 10  # and only those
@@ -187,7 +190,8 @@ def test_stage_model_matches_measured_pairing():
     c = np.random.default_rng(0).uniform(0.5, 1.5, basis.size)
     truth = PotentialSeries.from_coefficients(g, {2: basis.synthesize(c)})
     measure = measure_for(truth, mask, g)
-    system = assemble_system(fam, 2, basis, measure, 1e-2, mask, g, heads=1, lam=1.0)
+    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g, (2,))
+    system = assemble_system(fam, 2, basis, directions, mask, g, heads=1, lam=1.0)
     assert len(system.heads) == 1
     assert system.rows == mask.flags.sum() - 2  # the two corners are not read out
     gap = np.linalg.norm(system.matrix @ c - system.rhs) / np.linalg.norm(system.rhs)
@@ -242,8 +246,10 @@ def test_arc_readout_matches_poisson_solves(n, s0, s1):
     basis = make_basis(3, g)
     P = PotentialSeries.zero(g)
     for m in (2, 3):
-        system = assemble_system(fam, m, basis, measure_for(P, mask, g), 1e-2, mask, g,
-                                 heads=2, seed=m, lam=1.0)
+        directions = DirectionStore(measure_for(P, mask, g), fam.traces(), 1e-2, mask, g,
+                                    (m,))
+        system = assemble_system(fam, m, basis, directions, mask, g, heads=2, seed=m,
+                                 lam=1.0)
         expected = 0
         for head in system.heads:
             norms = np.linalg.norm(reference(np.prod([fam[i].field for i in head], axis=0),
@@ -262,11 +268,11 @@ def test_folding_is_exact():
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(3, g)
     truth = PotentialSeries.from_coefficients(g, {2: sample_expression("1 + x*y", g)})
-    measure = measure_for(truth, mask, g)
-    system = assemble_system(fam, 2, basis, measure, 1e-2, mask, g, heads=3, lam=1.0)
+    directions = DirectionStore(measure_for(truth, mask, g), fam.traces(), 1e-2, mask, g,
+                                (2,))
+    system = assemble_system(fam, 2, basis, directions, mask, g, heads=3, lam=1.0)
     assert len(system.heads) == 3
     arc = np.flatnonzero(mask.flags)
-    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
     blocks = []
     for head in system.heads:
         prod = fam[head[0]].field * fam[head[1]].field
@@ -386,8 +392,10 @@ def test_induction_uses_reconstructed_lower_orders():
     errors = []
     for delta in (0.0, 0.05, 0.2):
         known = PotentialSeries.from_coefficients(g, {2: truth.coefficient(2) + delta})
-        system = assemble_system(fam, 3, basis, measure_for(truth, mask, g), 1e-2,
-                                 mask, g, known=known, heads=3 * basis.size, seed=5)
+        directions = DirectionStore(measure_for(truth, mask, g), fam.traces(), 1e-2,
+                                    mask, g, (3,))
+        system = assemble_system(fam, 3, basis, directions, mask, g, known=known,
+                                 heads=3 * basis.size, seed=5)
         rec = system.basis.synthesize(solve_coefficients(system))
         errors.append(rel_l2_error(rec, truth.coefficient(3), g))
     assert errors[0] < errors[1] < errors[2]
@@ -461,6 +469,33 @@ def test_reconstruct_measures_each_direction_once():
     assert matched == set(range(len(measured)))
     assert all(stage.measurements > 0 for stage in result.stages)
     assert sum(stage.measurements for stage in result.stages) == len(measured)
+
+
+def test_noisy_reconstruction_is_pinned():
+    # output noise of 1e-9 leaves V2 near its noise-free error but sends V3
+    # from ~0.17 to ~450, growing tenfold per decade of noise while the
+    # L-curve weight stays put (ROADMAP item 1); a change to the noise
+    # handling is measured against these bands
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 2.0)
+    truth = PotentialSeries.from_coefficients(g, {
+        2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", g),
+        3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g)})
+    conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=12, basis_per_side=3,
+                                rows_factor=3, seed=0)
+    errors = {}
+    for sigma in (0.0, 1e-9):
+        rng = np.random.default_rng(10_000)
+
+        def measure(trace):
+            out = dtn_apply(truth, trace, mask, g).output
+            return np.where(mask.flags, out + sigma * rng.normal(size=out.size), 0.0)
+
+        result = reconstruct_all(measure, 3, conf, truth=truth)
+        errors[sigma] = [stage.rel_error_vs_truth for stage in result.stages]
+    assert max(errors[0.0]) <= 0.2
+    assert 0.1 <= errors[1e-9][0] <= 0.2
+    assert 200.0 <= errors[1e-9][1] <= 1000.0
 
 
 def test_stage_failure_attaches_partial_result():
