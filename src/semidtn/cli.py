@@ -264,15 +264,16 @@ def _write_manifest(cfg: ExperimentConfig, out: Path) -> None:
 
 def _field_csv(path: Path, grid: Grid2D, value: np.ndarray,
                truth: np.ndarray | None = None) -> None:
-    x, y = grid.node_coords()
+    """Write x, y, value (and truth_value) per node, as csv.writer would."""
+    axis = [f"{a:.12g}" for a in np.linspace(0.0, 1.0, grid.n + 1)]
+    coords = [f"{x},{y}" for y in axis for x in axis]  # node order, x fastest
+    if truth is None:
+        lines = ["x,y,value"] + [f"{c},{v:.17g}" for c, v in zip(coords, value.tolist())]
+    else:
+        lines = ["x,y,value,truth_value"] + [
+            f"{c},{v:.17g},{t:.17g}" for c, v, t in zip(coords, value.tolist(), truth.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value"] + (["truth_value"] if truth is not None else []))
-        for j in range(grid.num_nodes):
-            row = [f"{x[j]:.12g}", f"{y[j]:.12g}", f"{value[j]:.17g}"]
-            if truth is not None:
-                row.append(f"{truth[j]:.17g}")
-            writer.writerow(row)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _scenario_forward_convergence(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:

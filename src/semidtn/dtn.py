@@ -27,14 +27,22 @@ class DtnSample:
     report: SolveReport
 
 
+_inward_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _inward_indices(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    n = grid.n
-    flat = grid.boundary_nodes
-    iy, ix = np.divmod(flat, n + 1)
-    nx, ny = grid.boundary_normals[:, 0], grid.boundary_normals[:, 1]
-    one = (iy - ny) * (n + 1) + (ix - nx)
-    two = (iy - 2 * ny) * (n + 1) + (ix - 2 * nx)
-    return one, two
+    """Flat indices of the first and second nodes inward from each boundary
+    node along -normal, in walk order; cached per grid size, read-only."""
+    pair = _inward_cache.get(grid.n)
+    if pair is None:
+        n = grid.n
+        iy, ix = np.divmod(grid.boundary_nodes, n + 1)
+        nx, ny = grid.boundary_normals[:, 0], grid.boundary_normals[:, 1]
+        pair = ((iy - ny) * (n + 1) + (ix - nx), (iy - 2 * ny) * (n + 1) + (ix - 2 * nx))
+        for a in pair:
+            a.flags.writeable = False
+        _inward_cache[n] = pair
+    return pair
 
 
 def normal_derivative(u: np.ndarray, grid: Grid2D) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Dirichlet solvers: the linear problem -Lap v = g and the semilinear
 problem -Lap u + V(x,u) = 0 via Newton iteration.
 
-One direct kernel carries every solve: the orthonormal sine basis
+One direct kernel carries every linear solve: the orthonormal sine basis
 diagonalizes the five-point Laplacian on interior nodes (Buzbee, Golub &
 Nielsen 1970), so linear problems (harmonic extensions, zero-boundary Poisson
-solves) are exact to rounding. Each Newton step solves with the Jacobian
--Lap + dV/dz(x, u), applied matrix-free, by conjugate gradients
-preconditioned by the same Poisson solve (Concus & Golub 1973); under the
-smallness gate the reaction term is a small perturbation of -Lap and CG
-converges in a few iterations.
+solves) are exact to rounding. A boundary trace enters only the four edge
+strips of the right-hand side, so its transform is a rank-4 product. Each
+Newton step solves with the Jacobian -Lap + dV/dz(x, u) in scaled sine
+coordinates (sparse_linalg.assemble) by unpreconditioned CG, which is the
+Poisson-preconditioned CG of Concus & Golub (1973) at one transform round
+trip per iteration; under the smallness gate the reaction term is a small
+perturbation of -Lap and CG converges in a few iterations.
 
 The nonlinear solve enforces a smallness gate on the boundary data
 (default max-norm radius 0.1) under which Newton, started from the harmonic
@@ -19,18 +21,17 @@ coefficient fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .geometry import Grid2D, check_field, check_trace, trace_to_field
 from .potential import PotentialSeries
-from .sparse_linalg import SolverError, assemble, solve_spd
+from .sparse_linalg import SolverError, _sine_modes, assemble, from_sine, solve_spd, to_sine
 
 DEFAULT_SMALLNESS_RADIUS = 0.1
 DEFAULT_NEWTON_TOL = 1e-11
 DEFAULT_MAX_NEWTON = 25
-LINEAR_TOL = 1e-12  # relative residual tolerance of the Newton step's preconditioned CG
+LINEAR_TOL = 1e-12  # relative residual tolerance of the Newton step's CG, in sine coordinates
 
 
 class SmallnessError(ValueError):
@@ -51,77 +52,65 @@ class SolveReport:
     residual_history: tuple[float, ...] = ()  # per-iterate residual norms, initial first
 
 
-def _interior(a: np.ndarray, grid: Grid2D) -> np.ndarray:
-    return a.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1].ravel()
-
-
 def _with_interior(boundary_field: np.ndarray, interior: np.ndarray, grid: Grid2D) -> np.ndarray:
     out = boundary_field.copy().reshape(grid.n + 1, grid.n + 1)
     out[1:-1, 1:-1] = interior.reshape(grid.n - 1, grid.n - 1)
     return out.ravel()
 
 
-def _neighbor_sum(a: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Sum of the four stencil neighbors at each interior node."""
-    A = a.reshape(grid.n + 1, grid.n + 1)
-    return (A[:-2, 1:-1] + A[2:, 1:-1] + A[1:-1, :-2] + A[1:-1, 2:]).ravel()
-
-
 def stencil_laplacian(u: np.ndarray, grid: Grid2D) -> np.ndarray:
     """(-Lap_h u) on interior nodes, using all stored node values."""
     u2 = u.reshape(grid.n + 1, grid.n + 1)
-    lap = 4.0 * u2[1:-1, 1:-1] - (u2[:-2, 1:-1] + u2[2:, 1:-1] + u2[1:-1, :-2] + u2[1:-1, 2:])
-    return lap.ravel() / (grid.h * grid.h)
+    lap = 4.0 * u2[1:-1, 1:-1]
+    lap -= u2[:-2, 1:-1]
+    lap -= u2[2:, 1:-1]
+    lap -= u2[1:-1, :-2]
+    lap -= u2[1:-1, 2:]
+    lap /= grid.h * grid.h
+    return lap.ravel()
 
 
 def semilinear_residual(P: PotentialSeries, u: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Interior residual field of -Lap u + V(x,u)."""
-    return stencil_laplacian(u, grid) + _interior(P.value_field(u), grid)
+    res = stencil_laplacian(u, grid)
+    res += P.interior_value(u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]).ravel()
+    return res
 
 
 def _l2(r: np.ndarray, grid: Grid2D) -> float:
     return float(grid.h * np.linalg.norm(r))
 
 
-_sine_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _sine_modes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal sine basis of the interior nodes (symmetric) and the
-    inverse eigenvalues of -Lap_h in it, cached per grid size."""
-    modes = _sine_cache.get(grid.n)
-    if modes is None:
-        n = grid.n
-        k = np.arange(1, n)
-        sine = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
-        eig = (2.0 * np.sin(0.5 * np.pi * k / n) / grid.h) ** 2
-        modes = (sine, 1.0 / (eig[:, None] + eig[None, :]))
-        _sine_cache[n] = modes
-    return modes
-
-
-def _inverse_laplacian(b: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """(-Lap_h)^-1 b for flat interior values b, zero boundary values: the
-    direct kernel of every solve, and the CG preconditioner."""
-    sine, inverse = _sine_modes(grid)
-    m = grid.n - 1
-    return (sine @ (inverse * (sine @ b.reshape(m, m) @ sine)) @ sine).ravel()
+def _lift_transform(u2: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """S B S for the right-hand side B that the boundary values of the
+    (n+1, n+1) field u2 give the interior equations: each edge strip of B
+    holds its side's values over h^2, so with s_0, s_last the first and last
+    columns of S, S B S = s_0 (S b)^T + s_last (S t)^T + (S l) s_0^T
+    + (S r) s_last^T for the bottom, top, left and right sides b, t, l, r."""
+    sine = _sine_modes(grid)[0]
+    edges = sine[:, [0, -1]]
+    strips = np.stack([u2[0, 1:-1], u2[-1, 1:-1], u2[1:-1, 0], u2[1:-1, -1]], axis=1)
+    hat = sine @ (strips / (grid.h * grid.h))
+    return edges @ hat[:, :2].T + hat[:, 2:] @ edges.T
 
 
 def solve_linear(g: np.ndarray | None, f: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Solve -Lap v = g with v = f on the boundary, directly.
 
     ``g`` may be None for zero; only its interior values count. The boundary
-    trace is lifted into the right-hand side and the interior solved with the
-    sine-basis kernel. Returns the full nodal field; boundary nodes carry f
-    exactly.
+    trace is lifted into the right-hand side, whose sine transform is a
+    rank-4 product, and the interior solved with the sine-basis kernel.
+    Returns the full nodal field; boundary nodes carry f exactly.
     """
-    f = check_trace(f, grid)
-    lift = trace_to_field(f, grid)
-    b = _neighbor_sum(lift, grid) / (grid.h * grid.h)
+    sine, inverse, _ = _sine_modes(grid)
+    v = trace_to_field(f, grid)
+    v2 = v.reshape(grid.n + 1, grid.n + 1)
+    hat = _lift_transform(v2, grid)
     if g is not None:
-        b = b + _interior(check_field(g, grid), grid)
-    return _with_interior(lift, _inverse_laplacian(b, grid), grid)
+        hat += sine @ check_field(g, grid).reshape(v2.shape)[1:-1, 1:-1] @ sine
+    hat *= inverse
+    v2[1:-1, 1:-1] = sine @ hat @ sine
+    return v
 
 
 def harmonic_extension(f: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -133,8 +122,7 @@ def solve_poisson(g: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Solve -Lap_h v = g with v = 0 on the boundary; only interior values of
     g count. The sine basis diagonalizes the five-point operator on interior
     nodes, so the solve is direct and exact to rounding."""
-    source = _interior(check_field(g, grid), grid)
-    return _with_interior(np.zeros(grid.num_nodes), _inverse_laplacian(source, grid), grid)
+    return solve_linear(g, np.zeros(grid.num_boundary), grid)
 
 
 def solve_semilinear(P: PotentialSeries, f: np.ndarray, grid: Grid2D,
@@ -145,9 +133,12 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray, grid: Grid2D,
     """Newton solve of -Lap u + V(x,u) = 0, u = f on the boundary.
 
     Starts from the harmonic extension of f (the exact first linearization,
-    so the first correction is already quadratically small). Diverging
-    residuals (3 consecutive increases) or the iteration cap raise
-    NewtonError; data outside the smallness gate raises SmallnessError.
+    so the first correction is already quadratically small). Each step
+    solves the Jacobian system in scaled sine coordinates, so its CG stops
+    when the (-Lap_h)^-1-norm of the step residual falls to LINEAR_TOL times
+    that of the Newton residual. Diverging residuals (3 consecutive
+    increases) or the iteration cap raise NewtonError; data outside the
+    smallness gate raises SmallnessError.
     """
     if newton_tol <= 0.0:
         raise ValueError("newton_tol must be positive")
@@ -158,6 +149,7 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray, grid: Grid2D,
             f"boundary data max-norm {fnorm:.4g} exceeds smallness radius {smallness_radius}")
 
     u = harmonic_extension(f, grid)
+    inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]  # a view: steps update u
     res = semilinear_residual(P, u, grid)
     res_norm = _l2(res, grid)
     history = [res_norm]
@@ -166,10 +158,8 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray, grid: Grid2D,
         if res_norm <= newton_tol:
             return u, SolveReport(it, res_norm, fnorm, float(np.max(np.abs(u))), True,
                                   tuple(history))
-        slope = P.slope_field(u)
-        A = assemble(slope, grid)
-        delta = solve_spd(A, -res, partial(_inverse_laplacian, grid=grid), tol=LINEAR_TOL)
-        u = _with_interior(u, _interior(u, grid) + delta, grid)
+        A = assemble(P.interior_slope(inner), grid)
+        inner -= from_sine(solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL), grid)
         new_res = semilinear_residual(P, u, grid)
         new_norm = _l2(new_res, grid)
         history.append(new_norm)
@@ -199,7 +189,7 @@ def newton_jacobian_check(P: PotentialSeries, u: np.ndarray, grid: Grid2D,
     u = check_field(u, grid)
     rng = np.random.default_rng(seed)
     res0 = semilinear_residual(P, u, grid)
-    slope = _interior(P.slope_field(u), grid)
+    slope = P.interior_slope(u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]).ravel()
     worst = 0.0
     for _ in range(n_directions):
         d_int = rng.uniform(-1.0, 1.0, grid.num_interior)

@@ -10,6 +10,7 @@ import ast
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,23 +73,57 @@ class PotentialSeries:
             return np.zeros_like(self.coeffs[0])
         return self.coeffs[k - 2]
 
+    @cached_property
+    def _interior_factors(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """V_k/k! and V_k/(k-1)! on the interior nodes, k from kmax down to 2,
+        as read-only (n-1, n-1) arrays; computed once per series."""
+        side = math.isqrt(self.coeffs[0].size)
+        value, slope = [], []
+        for k in range(self.kmax, 1, -1):
+            inner = self.coeffs[k - 2].reshape(side, side)[1:-1, 1:-1]
+            for out, scale in ((value, math.factorial(k)), (slope, math.factorial(k - 1))):
+                a = inner / scale
+                a.flags.writeable = False
+                out.append(a)
+        return tuple(value), tuple(slope)
+
     def value_field(self, u: np.ndarray) -> np.ndarray:
         """V(x, u(x)) at every node, Horner in z from the highest order down."""
-        acc = np.zeros_like(u)
-        for k in range(self.kmax, 1, -1):
-            acc = (acc + self.coeffs[k - 2] / math.factorial(k)) * u
-        return acc * u  # series starts at z^2
+        acc = _horner(u, [self.coeffs[k - 2] / math.factorial(k)
+                          for k in range(self.kmax, 1, -1)])
+        acc *= u  # series starts at z^2
+        return acc
 
     def slope_field(self, u: np.ndarray) -> np.ndarray:
         """d/dz V(x, z) at z = u(x), nodewise."""
-        acc = np.zeros_like(u)
-        for k in range(self.kmax, 1, -1):
-            acc = acc * u + self.coeffs[k - 2] / math.factorial(k - 1)
-        return acc * u  # derivative starts at z^1
+        return _horner(u, [self.coeffs[k - 2] / math.factorial(k - 1)
+                           for k in range(self.kmax, 1, -1)])
+
+    def interior_value(self, U: np.ndarray) -> np.ndarray:
+        """``value_field`` on the interior nodes, for the (n-1, n-1) array U of
+        interior values."""
+        acc = _horner(U, self._interior_factors[0])
+        acc *= U
+        return acc
+
+    def interior_slope(self, U: np.ndarray) -> np.ndarray:
+        """``slope_field`` on the interior nodes, for the (n-1, n-1) array U of
+        interior values."""
+        return _horner(U, self._interior_factors[1])
 
     @property
     def is_zero(self) -> bool:
         return all(not a.any() for a in self.coeffs)
+
+
+def _horner(z: np.ndarray, factors) -> np.ndarray:
+    """((a_0 z + a_1) z + ... + a_last) z for the factor fields a_i, in a
+    fresh array."""
+    acc = factors[0] * z
+    for a in factors[1:]:
+        acc += a
+        acc *= z
+    return acc
 
 
 # expression vocabulary for ground-truth coefficients in experiment configs

@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .dtn import _inward_indices, check_support
-from .forward_solver import _sine_modes
+from .sparse_linalg import _sine_modes
 from .geometry import (ArcMask, Grid2D, boundary_integral, check_field, full_mask,
                        interior_integral)
 from .harmonic import HarmonicFamily, arc_supported_family
@@ -230,7 +230,7 @@ def _arc_readout(grid: Grid2D, axis: np.ndarray,
     so their rows are exactly zero.
     """
     n, q = grid.n, axis.shape[1]
-    sine, inverse = _sine_modes(grid)
+    sine, inverse, _ = _sine_modes(grid)
     factors = axis[1:-1]  # interior samples, (n - 1, q)
     one, two = (idx[arc] for idx in _inward_indices(grid))
     (y1, x1), (y2, x2) = np.divmod(one, n + 1), np.divmod(two, n + 1)

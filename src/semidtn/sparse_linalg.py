@@ -1,11 +1,15 @@
-"""The discrete -Lap + c operator, applied matrix-free, and preconditioned CG.
+"""The sine-basis kernel of the five-point Laplacian, the Newton Jacobian
+-Lap_h + c in scaled sine coordinates, and conjugate gradients.
 
 Unknowns are the (n-1)^2 interior nodes only; Dirichlet boundary values are
-eliminated into the right-hand side by the caller (see forward_solver), which
-keeps the five-point operator symmetric, and positive definite for c >= 0.
-It is applied by array slicing on the interior grid; no matrix is stored.
-The caller supplies the CG preconditioner (forward_solver passes the direct
-sine-basis Poisson solve).
+eliminated into the right-hand side by the caller (see forward_solver). The
+orthonormal sine matrix S diagonalizes -Lap_h on interior nodes, with
+eigenvalues Lam (Buzbee, Golub & Nielsen 1970), so (-Lap_h)^-1 is a direct
+solve. In the coordinates y = Lam^(1/2) o (S x S) the Jacobian becomes the
+identity plus the reaction term, and CG with no preconditioner runs the
+Poisson-preconditioned CG of Concus & Golub (1973) at one transform round
+trip and no stencil per iteration. Only S and the eigenvalues are stored,
+never the operator.
 """
 
 from __future__ import annotations
@@ -27,54 +31,86 @@ class SolverError(Exception):
         self.residual = residual
 
 
+_sine_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _sine_modes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal sine basis S of the interior nodes (symmetric, S S = I),
+    and Lam^-1 and Lam^(-1/2) for the eigenvalues Lam of -Lap_h in it, as
+    (n-1, n-1) arrays; cached per grid size, read-only."""
+    modes = _sine_cache.get(grid.n)
+    if modes is None:
+        n = grid.n
+        k = np.arange(1, n)
+        sine = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
+        eig = (2.0 * np.sin(0.5 * np.pi * k / n) / grid.h) ** 2
+        inverse = 1.0 / (eig[:, None] + eig[None, :])
+        modes = (sine, inverse, np.sqrt(inverse))
+        for a in modes:
+            a.flags.writeable = False
+        _sine_cache[n] = modes
+    return modes
+
+
+def to_sine(r: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Lam^(-1/2) o (S r S) for flat interior values r: the right-hand side
+    of a Newton step in scaled sine coordinates."""
+    sine, _, scale = _sine_modes(grid)
+    m = grid.n - 1
+    out = sine @ r.reshape(m, m) @ sine
+    out *= scale
+    return out.ravel()
+
+
+def from_sine(y: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """S (Lam^(-1/2) o y) S: the interior values, (n-1, n-1), of scaled sine
+    coordinates y; the inverse of ``to_sine``."""
+    sine, _, scale = _sine_modes(grid)
+    m = grid.n - 1
+    return sine @ (scale * y.reshape(m, m)) @ sine
+
+
 def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
-    """The map x -> (-Lap_h + c) x on flat interior vectors.
+    """The Jacobian -Lap_h + diag(c) in scaled sine coordinates:
+    y -> y + Lam^(-1/2) o S (c o S (Lam^(-1/2) o y) S) S on flat vectors.
 
-    Diagonal 4/h^2 + c(node); -1/h^2 toward each interior neighbor (boundary
-    couplings are the caller's Dirichlet lift). ``c`` is a full nodal field
-    and may be negative, as a Newton step's slope can be, as long as the
-    diagonal stays positive; otherwise SolverError.
+    ``c`` holds the reaction coefficient on the (n-1)^2 interior nodes. It
+    may be negative, as a Newton step's slope can be, as long as the
+    five-point diagonal 4/h^2 + c stays positive; otherwise SolverError.
     """
-    n, h = grid.n, grid.h
-    m = n - 1
+    m = grid.n - 1
     c = np.asarray(c, dtype=float)
-    if c.shape != (grid.num_nodes,):
+    if c.shape not in ((m, m), (m * m,)):
         raise ValueError(f"reaction coefficient has shape {c.shape}")
-    c_int = c.reshape(n + 1, n + 1)[1:-1, 1:-1]
-    if not np.all(np.isfinite(c_int)):
+    c = c.reshape(m, m)
+    if not np.all(np.isfinite(c)):
         raise ValueError("reaction coefficient contains non-finite values")
-    diag = 4.0 / (h * h) + c_int
-    if np.any(diag <= 0.0):
+    if np.any(4.0 / (grid.h * grid.h) + c <= 0.0):
         raise SolverError("reaction term too negative: stencil diagonal not positive")
-    off = -1.0 / (h * h)
+    sine, _, scale = _sine_modes(grid)
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        # each node sums its terms in the order of its row-major neighbors
-        # (below, left, itself, right, above), so that the result rounds
-        # like a sorted compressed-row product
-        X = x.reshape(m, m)
-        neighbor = off * X
-        out = np.empty((m, m))
-        out[0] = 0.0
-        out[1:] = neighbor[:-1]
-        out[:, 1:] += neighbor[:, :-1]
-        out += diag * X
-        out[:, :-1] += neighbor[:, 1:]
-        out[:-1] += neighbor[1:]
-        return out.ravel()
+    def apply(y: np.ndarray) -> np.ndarray:
+        y = y.reshape(m, m)
+        w = sine @ (scale * y) @ sine
+        w *= c
+        w = sine @ w @ sine
+        w *= scale
+        w += y
+        return w.ravel()
 
     return apply
 
 
-def solve_spd(A: Operator, b: np.ndarray, precondition: Operator, tol: float = 1e-10,
-              callback=None) -> np.ndarray:
+def solve_spd(A: Operator, b: np.ndarray, precondition: Operator | None = None,
+              tol: float = 1e-10, callback=None) -> np.ndarray:
     """Preconditioned conjugate gradient for a symmetric positive definite A.
 
     ``A(x)`` applies the operator and ``precondition(r)`` applies M^-1 for a
-    symmetric positive definite M. Returns x with relative residual
-    ||Ax - b|| / ||b|| <= tol, within 10 * len(b) iterations; b = 0 short
-    circuits to x = 0. Deterministic for fixed inputs (fixed reduction
-    order). ``callback(x_k)`` is invoked once per accepted iterate when given.
+    symmetric positive definite M; None is the identity. Returns x with
+    relative residual ||Ax - b|| / ||b|| <= tol, within 10 * len(b)
+    iterations; b = 0 short circuits to x = 0. Deterministic for fixed inputs
+    (fixed reduction order). ``callback(x_k)`` is invoked once per accepted
+    iterate when given.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -84,9 +120,9 @@ def solve_spd(A: Operator, b: np.ndarray, precondition: Operator, tol: float = 1
         return np.zeros(b.size)
 
     x = np.zeros(b.size)
-    r = b.copy()
-    z = precondition(r)
-    p = z.copy()
+    r = b  # every update below makes a new array, so b and z are not copied
+    z = r if precondition is None else precondition(r)
+    p = z
     rz = r @ z
     max_iter = 10 * b.size
     for _ in range(max_iter):
@@ -100,7 +136,7 @@ def solve_spd(A: Operator, b: np.ndarray, precondition: Operator, tol: float = 1
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        z = precondition(r)
+        z = r if precondition is None else precondition(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -1,0 +1,68 @@
+"""Physical-space references for the sine-coordinate solvers: the five-point
+operator as a scipy sparse matrix, the Dirichlet lift by scatter and
+neighbour sum, and Newton with Poisson-preconditioned CG on the stencil."""
+
+import numpy as np
+import scipy.sparse as sp
+
+from semidtn.forward_solver import LINEAR_TOL, semilinear_residual
+from semidtn.geometry import trace_to_field
+from semidtn.sparse_linalg import solve_spd
+
+
+def sine_basis(g):
+    """Orthonormal sine matrix of the interior nodes and the eigenvalues of
+    -Lap_h in it, (n-1, n-1), built here from their closed forms."""
+    k = np.arange(1, g.n)
+    sine = np.sqrt(2.0 / g.n) * np.sin(np.pi * np.outer(k, k) / g.n)
+    eig = (2.0 * np.sin(0.5 * np.pi * k / g.n) / g.h) ** 2
+    return sine, eig[:, None] + eig[None, :]
+
+
+def five_point_operator(c_int, g):
+    """-Lap_h + diag(c) on interior nodes as a Kronecker sum, in compressed-row
+    storage with sorted column indices; ``c_int`` holds interior values."""
+    m = g.n - 1
+    second = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    laplacian = (sp.kron(sp.identity(m), second) + sp.kron(second, sp.identity(m))) / g.h ** 2
+    return sp.csr_matrix(laplacian + sp.diags(np.ravel(c_int))).sorted_indices()
+
+
+def poisson_solve(b, g):
+    """(-Lap_h)^-1 b for flat interior values b, by four dense sine products."""
+    sine, eig = sine_basis(g)
+    m = g.n - 1
+    return (sine @ ((sine @ b.reshape(m, m) @ sine) / eig) @ sine).ravel()
+
+
+def lift_rhs(f, g):
+    """The interior right-hand side that boundary data f gives -Lap_h: the
+    trace scattered onto the nodes, summed over each interior node's four
+    neighbours, over h^2; (n-1, n-1)."""
+    a = trace_to_field(f, g).reshape(g.n + 1, g.n + 1)
+    return (a[:-2, 1:-1] + a[2:, 1:-1] + a[1:-1, :-2] + a[1:-1, 2:]) / g.h ** 2
+
+
+def harmonic_reference(f, g):
+    """Discrete harmonic field with trace f, through the dense lift."""
+    u = trace_to_field(f, g)
+    u.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1] = \
+        poisson_solve(lift_rhs(f, g).ravel(), g).reshape(g.n - 1, g.n - 1)
+    return u
+
+
+def pcg_newton(P, f, g, newton_tol=1e-11, max_newton=25):
+    """Newton for -Lap u + V(x,u) = 0, u = f on the boundary, from the
+    harmonic extension, each step by CG on the five-point Jacobian
+    preconditioned by the Poisson solve; returns u and the step count."""
+    u = harmonic_reference(f, g)
+    inner = u.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]
+    for it in range(max_newton + 1):
+        res = semilinear_residual(P, u, g)
+        if g.h * np.linalg.norm(res) <= newton_tol:
+            return u, it
+        slope = P.slope_field(u).reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]
+        jacobian = five_point_operator(slope, g)
+        inner += solve_spd(lambda x: jacobian @ x, -res, lambda r: poisson_solve(r, g),
+                           tol=LINEAR_TOL).reshape(inner.shape)
+    raise AssertionError("reference Newton did not converge")

@@ -1,12 +1,17 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semidtn.cli import ConfigError, add_noise, load_config, main, run, validate
+from semidtn.cli import ConfigError, _field_csv, add_noise, load_config, main, run, validate
+from semidtn.geometry import make_grid
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 GOOD_CONFIG = """\
 [experiment]
@@ -200,6 +205,35 @@ def test_validate_command(tmp_path):
     path = write_config(tmp_path, GOOD_CONFIG.format(out=tmp_path / "o"))
     assert validate(path) == 0
     assert main(["validate", str(path)]) == 0
+
+
+def test_shipped_configs_validate(capsys):
+    assert len(SHIPPED_CONFIGS) >= 4
+    for path in SHIPPED_CONFIGS:
+        assert main(["validate", str(path)]) == 0, path.name
+        assert capsys.readouterr().out.strip() == "ok", path.name
+
+
+def test_field_csv_matches_csv_writer(tmp_path):
+    # the coefficient files are written with one join; they must keep the
+    # bytes that csv.writer gives, \r\n line endings included
+    g = make_grid(8)
+    x, y = g.node_coords()
+    rng = np.random.default_rng(0)
+    value = rng.normal(size=g.num_nodes) * 10.0 ** rng.integers(-20, 20, g.num_nodes)
+    truth = rng.normal(size=g.num_nodes)
+    for extra in (None, truth):
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y", "value"] + (["truth_value"] if extra is not None else []))
+            for j in range(g.num_nodes):
+                row = [f"{x[j]:.12g}", f"{y[j]:.12g}", f"{value[j]:.17g}"]
+                if extra is not None:
+                    row.append(f"{extra[j]:.17g}")
+                writer.writerow(row)
+        _field_csv(tmp_path / "field.csv", g, value, extra)
+        assert (tmp_path / "field.csv").read_bytes() == expected.read_bytes()
 
 
 def test_list_scenarios(capsys):

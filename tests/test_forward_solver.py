@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from five_point import five_point_operator, harmonic_reference, lift_rhs, sine_basis
 from semidtn.dtn import bump_trace
 from semidtn import forward_solver
 from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
@@ -9,7 +10,7 @@ from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, har
                                     stencil_laplacian)
 from semidtn.geometry import field_to_trace, make_grid, trace_to_field
 from semidtn.potential import PotentialSeries, sample_expression
-from semidtn.sparse_linalg import assemble, solve_spd
+from semidtn.sparse_linalg import assemble, from_sine, solve_spd, to_sine
 
 
 def const_series(grid, **fields):
@@ -43,13 +44,13 @@ def test_quadratic_harmonic_is_stencil_exact():
 
 def test_constant_solution_with_reaction():
     # -Lap v + v = 1 with v = 1 on the boundary is solved by v = 1; the
-    # boundary values enter the right-hand side through the stencil
+    # boundary values enter the right-hand side through the stencil, and the
+    # system is solved in scaled sine coordinates
     g = make_grid(8)
-    one = np.ones(g.num_nodes)
     lift = trace_to_field(np.ones(g.num_boundary), g)
     b = 1.0 - stencil_laplacian(lift, g)
-    v = solve_spd(assemble(one, g), b, lambda r: r / (4.0 / g.h ** 2 + 1.0), tol=LINEAR_TOL)
-    assert np.max(np.abs(v - 1.0)) <= 1e-9
+    y = solve_spd(assemble(np.ones(g.num_interior), g), to_sine(b, g), tol=LINEAR_TOL)
+    assert np.max(np.abs(from_sine(y, g) - 1.0)) <= 1e-9
 
 
 def test_zero_data_zero_solution():
@@ -71,16 +72,17 @@ def test_zero_potential_is_harmonic_extension():
 
 
 def test_poisson_direct_solve_matches_iterative():
-    # the sine-basis solve and Jacobi-preconditioned CG on the assembled
+    # the sine-basis solve and Jacobi-preconditioned CG on the five-point
     # stencil agree on a zero-boundary problem; the direct one leaves a
     # stencil residual at rounding level
     g = make_grid(16)
     source = np.random.default_rng(2).normal(size=g.num_nodes)
     v = solve_poisson(source, g)
     assert not v[g.boundary_nodes].any()
-    A = assemble(np.zeros(g.num_nodes), g)
+    A = five_point_operator(np.zeros(g.num_interior), g)
     interior = source.reshape(17, 17)[1:-1, 1:-1].ravel()
-    reference = solve_spd(A, interior, lambda r: r / (4.0 / g.h ** 2), tol=LINEAR_TOL)
+    reference = solve_spd(lambda x: A @ x, interior, lambda r: r / (4.0 / g.h ** 2),
+                          tol=LINEAR_TOL)
     v_int = v.reshape(17, 17)[1:-1, 1:-1].ravel()
     assert np.max(np.abs(v_int - reference)) <= 1e-10 * np.max(np.abs(reference))
     assert np.max(np.abs(stencil_laplacian(v, g) - interior)) <= 1e-10 * np.max(np.abs(interior))
@@ -88,15 +90,16 @@ def test_poisson_direct_solve_matches_iterative():
 
 def test_newton_step_cg_converges_in_few_iterations(monkeypatch):
     # under the smallness gate the Newton Jacobian -Lap + V'(u) is a small
-    # perturbation of -Lap, so CG preconditioned by the Poisson solve needs a
-    # handful of iterations per step (Jacobi needed ~250 at this size)
+    # perturbation of -Lap, so CG in scaled sine coordinates (the Poisson
+    # preconditioner built in) needs a handful of iterations per step
+    # (Jacobi needed ~250 at this size)
     g = make_grid(64)
     P = PotentialSeries.from_coefficients(g, {
         2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", g),
         3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g)})
     counts = []
 
-    def counting_solve(A, b, precondition, tol, callback=None):
+    def counting_solve(A, b, precondition=None, tol=1e-10, callback=None):
         steps = []
         x = solve_spd(A, b, precondition, tol=tol, callback=steps.append)
         counts.append(len(steps))
@@ -109,6 +112,24 @@ def test_newton_step_cg_converges_in_few_iterations(monkeypatch):
         assert report.converged
     assert len(counts) >= 4
     assert max(counts) <= 5
+
+
+@pytest.mark.parametrize("n", [8, 16, 33])
+def test_rank4_lift_matches_dense_lift(n):
+    # the boundary data's right-hand side lives on the four edge strips, two
+    # sides meeting at each corner-adjacent node; its sine transform as a
+    # rank-4 product matches the transform of the dense scatter-and-sum lift
+    g = make_grid(n)
+    f = np.random.default_rng(n).normal(size=g.num_boundary)
+    dense = lift_rhs(f, g)
+    m = n - 1
+    for i, j in ((0, 0), (0, m - 1), (m - 1, 0), (m - 1, m - 1)):
+        assert dense[i, j] != 0.0
+    sine, _ = sine_basis(g)
+    hat = forward_solver._lift_transform(trace_to_field(f, g).reshape(n + 1, n + 1), g)
+    assert np.max(np.abs(hat - sine @ dense @ sine)) <= 1e-13 * np.max(np.abs(hat))
+    u = harmonic_extension(f, g)
+    assert np.max(np.abs(u - harmonic_reference(f, g))) <= 1e-13 * np.max(np.abs(f))
 
 
 def test_smallness_gate():
@@ -166,6 +187,21 @@ def test_newton_nonconvergence_detected():
         # gate forced open; two iterations cannot absorb data this large
         solve_semilinear(P, np.full(g.num_boundary, 80.0), g, smallness_radius=100.0,
                          max_newton=2)
+
+
+def test_newton_divergence_detected(monkeypatch):
+    # steps three times too long overshoot: the residual doubles each step,
+    # and the third consecutive rise stops Newton before its cap
+    g = make_grid(8)
+    P = const_series(g, k2=1.0)
+
+    def overshooting_solve(A, b, precondition=None, tol=1e-10, callback=None):
+        return 3.0 * solve_spd(A, b, precondition, tol=tol, callback=callback)
+
+    monkeypatch.setattr(forward_solver, "solve_spd", overshooting_solve)
+    with pytest.raises(NewtonError, match="diverging") as info:
+        solve_semilinear(P, np.full(g.num_boundary, 0.1), g)
+    assert np.isfinite(info.value.residual)
 
 
 def test_conditioning_guard_on_negative_slope():

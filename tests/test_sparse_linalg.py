@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from five_point import five_point_operator, sine_basis
 from semidtn.geometry import make_grid
-from semidtn.sparse_linalg import SolverError, assemble, solve_spd
+from semidtn.sparse_linalg import SolverError, assemble, from_sine, solve_spd, to_sine
 
 
 def materialize(A, dim):
@@ -17,94 +17,126 @@ def jacobi(diagonal):
 
 
 def poisson(g):
-    """-Lap_h on interior nodes, and its Jacobi preconditioner (diagonal 4/h^2)."""
-    return assemble(np.zeros(g.num_nodes), g), jacobi(4.0 / g.h ** 2)
+    """The five-point -Lap_h on interior nodes, and its Jacobi preconditioner
+    (diagonal 4/h^2)."""
+    A = five_point_operator(np.zeros(g.num_interior), g)
+    return (lambda x: A @ x), jacobi(4.0 / g.h ** 2)
 
 
-def reference_operator(c, g):
-    """-Lap_h + diag(c) on interior nodes, built from scratch as a Kronecker
-    sum, in compressed-row storage with sorted column indices."""
-    m = g.n - 1
-    second = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
-    laplacian = (sp.kron(sp.identity(m), second) + sp.kron(second, sp.identity(m))) / g.h ** 2
-    c_int = c.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1].ravel()
-    return sp.csr_matrix(laplacian + sp.diags(c_int)).sorted_indices()
+def conjugated_reference(c_int, g):
+    """The five-point -Lap_h + diag(c) in scaled sine coordinates,
+    Lam^(-1/2) (S x S) A (S x S) Lam^(-1/2), from the sparse reference."""
+    sine, eig = sine_basis(g)
+    Q = np.kron(sine, sine) / np.sqrt(eig).ravel()  # column j scaled by Lam_j^(-1/2)
+    return Q.T @ five_point_operator(c_int, g).toarray() @ Q
+
+
+def physical(M, g):
+    """A sine-coordinate matrix taken back to interior nodes."""
+    sine, eig = sine_basis(g)
+    Q_inv = np.sqrt(eig).ravel()[:, None] * np.kron(sine, sine)
+    return Q_inv.T @ M @ Q_inv
 
 
 def test_assemble_poisson_diagonal():
+    # with no reaction term the Jacobian is -Lap_h, the identity in scaled
+    # sine coordinates; taken back to the nodes, its diagonal is 4/h^2
     g = make_grid(4)
-    M = materialize(assemble(np.zeros(g.num_nodes), g), 9)
+    M = materialize(assemble(np.zeros(g.num_interior), g), 9)
     assert M.shape == (9, 9)
-    assert np.allclose(np.diag(M), 64.0)
+    assert np.allclose(M, np.eye(9))
+    assert np.allclose(np.diag(physical(M, g)), 64.0)
 
 
 def test_assemble_reaction_shift():
+    # a unit reaction term adds Lam^-1 in sine coordinates, and 1 to the
+    # nodal diagonal
     g = make_grid(4)
-    M = materialize(assemble(np.ones(g.num_nodes), g), 9)
-    assert np.allclose(np.diag(M), 65.0)
+    M = materialize(assemble(np.ones(g.num_interior), g), 9)
+    assert np.allclose(M, np.eye(9) + np.diag(1.0 / sine_basis(g)[1].ravel()))
+    assert np.allclose(np.diag(physical(M, g)), 65.0)
 
 
 def test_assemble_matches_sparse_reference():
     # each operator applies the reaction term it was built with, whatever
-    # was assembled after it, and sums each row in the order of a sorted
-    # compressed-row product, so the two agree to the last bit
-    g = make_grid(12)
+    # was assembled after it, and equals the conjugated five-point operator
+    # to rounding, also for reaction values next to the negative gate
     rng = np.random.default_rng(4)
-    c1, c2 = rng.uniform(-2.0, 2.0, (2, g.num_nodes))
-    A1 = assemble(c1, g)
-    A2 = assemble(c2, g)
-    for A, c in ((A1, c1), (A2, c2)):
-        ref = reference_operator(c, g)
-        for x in rng.normal(size=(3, g.num_interior)):
-            assert np.array_equal(A(x), ref @ x)
+    for n in (8, 16):
+        g = make_grid(n)
+        gate = 4.0 / g.h ** 2
+        c1, c2 = rng.uniform(-0.99 * gate, 2.0, (2, g.num_interior))
+        c1[rng.integers(0, g.num_interior, 5)] = -gate * (1.0 - 1e-12)
+        A1 = assemble(c1, g)
+        A2 = assemble(c2, g)
+        for A, c in ((A1, c1), (A2, c2)):
+            ref = conjugated_reference(c, g)
+            M = materialize(A, g.num_interior)
+            assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_assemble_symmetry():
     g = make_grid(8)
     rng = np.random.default_rng(1)
-    M = materialize(assemble(rng.uniform(0.0, 2.0, g.num_nodes), g), g.num_interior)
-    assert np.array_equal(M, M.T)
+    M = materialize(assemble(rng.uniform(0.0, 2.0, g.num_interior), g), g.num_interior)
+    assert np.max(np.abs(M - M.T)) <= 1e-15 * np.max(np.abs(M))
 
 
 def test_assemble_rejects_negative_reaction():
     # a negative reaction term is accepted while the stencil diagonal stays
     # positive (a Newton step's slope can be negative); beyond that, rejected
     g = make_grid(4)
-    c = np.zeros(g.num_nodes)
-    c[12] = -1.0  # interior node
-    M = materialize(assemble(c, g), 9)
+    c = np.zeros(g.num_interior)
+    c[4] = -1.0  # the middle interior node
+    M = physical(materialize(assemble(c, g), 9), g)
     assert M[4, 4] == pytest.approx(63.0)
-    c[12] = -64.0  # diagonal 4/h^2 + c = 0
+    c[4] = -64.0  # diagonal 4/h^2 + c = 0
     with pytest.raises(SolverError):
         assemble(c, g)
 
 
 def test_assemble_rejects_nonfinite():
     g = make_grid(4)
-    c = np.zeros(g.num_nodes)
-    c[12] = np.nan
+    c = np.zeros(g.num_interior)
+    c[4] = np.nan
     with pytest.raises(ValueError):
         assemble(c, g)
+    with pytest.raises(ValueError):
+        assemble(np.zeros(g.num_nodes), g)
 
 
 def test_weak_diagonal_dominance():
     g = make_grid(8)
-    M = materialize(assemble(np.zeros(g.num_nodes), g), g.num_interior)
+    M = physical(materialize(assemble(np.zeros(g.num_interior), g), g.num_interior), g)
     off = np.sum(np.abs(M), axis=1) - np.abs(np.diag(M))
     assert np.all(off <= np.diag(M) + 1e-9)
 
 
 def test_discrete_eigenvalue_oracle():
     # sin(pi x) sin(pi y) sampled on interior nodes is an exact eigenvector of
-    # the 5-point operator; eigenvalue (8/h^2) sin^2(pi h/2), within 5% of 2 pi^2 at n=64
+    # the 5-point operator; eigenvalue (8/h^2) sin^2(pi h/2), within 5% of 2 pi^2
+    # at n=64. The coordinates of v are y = to_sine(-Lap_h v), and
+    # v.(-Lap_h v) = y.y
     g = make_grid(64)
-    A = assemble(np.zeros(g.num_nodes), g)
+    A = assemble(np.zeros(g.num_interior), g)
     x, y = g.node_coords()
     v = (np.sin(np.pi * x) * np.sin(np.pi * y)).reshape(65, 65)[1:-1, 1:-1].ravel()
-    rayleigh = (v @ A(v)) / (v @ v)
+    coords = to_sine(poisson(g)[0](v), g)
+    assert np.allclose(from_sine(coords, g).ravel(), v, rtol=0.0, atol=1e-13)
+    rayleigh = (coords @ A(coords)) / (v @ v)
     lam_h = 8.0 / g.h ** 2 * np.sin(np.pi * g.h / 2.0) ** 2
     assert rayleigh == pytest.approx(lam_h, rel=1e-10)
     assert abs(lam_h - 2.0 * np.pi ** 2) <= 0.05 * 2.0 * np.pi ** 2
+
+
+def test_sine_coordinates_round_trip():
+    # to_sine maps a residual r to Lam^(-1/2) S r S, so from_sine inverts
+    # it up to the Poisson solve: from_sine(to_sine(r)) = (-Lap_h)^-1 r
+    g = make_grid(16)
+    r = np.random.default_rng(3).normal(size=g.num_interior)
+    A, _ = poisson(g)
+    v = from_sine(to_sine(r, g), g).ravel()
+    assert np.max(np.abs(A(v) - r)) <= 1e-11 * np.max(np.abs(r))
 
 
 def test_solve_zero_rhs():
