@@ -51,21 +51,24 @@ def _growth_strings(size: int):
             a[j] = 0
 
 
+_partition_cache: dict[tuple, tuple[tuple[tuple[int, ...], ...], ...]] = {}
+
+
 def partitions(S) -> list[tuple[tuple[int, ...], ...]]:
     """All set partitions of S, each a tuple of blocks, deterministic
-    restricted-growth-string order. Guards |S| <= 8."""
+    restricted-growth-string order, in a fresh list; enumerated once per
+    sorted S. Guards |S| <= 8."""
     elems = tuple(sorted(S))
     if not 1 <= len(elems) <= MAX_PARTITION_SIZE:
         raise ValueError(f"partition enumeration supports 1..{MAX_PARTITION_SIZE} "
                          f"elements, got {len(elems)}")
-    out = []
-    for rgs in _growth_strings(len(elems)):
-        nblocks = max(rgs) + 1
-        blocks = [[] for _ in range(nblocks)]
-        for pos, label in enumerate(rgs):
-            blocks[label].append(elems[pos])
-        out.append(tuple(tuple(b) for b in blocks))
-    return out
+    found = _partition_cache.get(elems)
+    if found is None:
+        found = _partition_cache[elems] = tuple(
+            tuple(tuple(e for e, label in zip(elems, rgs) if label == block)
+                  for block in range(max(rgs) + 1))
+            for rgs in _growth_strings(len(elems)))
+    return list(found)
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,8 @@ def run_cascade(P: PotentialSeries, fs, grid: Grid2D) -> CascadeState:
 
 
 def cascade_derivs(P: PotentialSeries, harmonic, grid: Grid2D,
-                   max_subset_size: int | None = None) -> dict[tuple[int, ...], np.ndarray]:
+                   max_subset_size: int | None = None, *, labels=None,
+                   cache: dict | None = None) -> dict[tuple[int, ...], np.ndarray]:
     """The derivative triangle over slots whose single-slot fields, the
     harmonic extensions of their traces, are given.
 
@@ -141,6 +145,13 @@ def cascade_derivs(P: PotentialSeries, harmonic, grid: Grid2D,
     nonlinearity derivative built from the already-computed fields. Laid
     out as ``CascadeState.derivs``. ``max_subset_size`` truncates the
     triangle when only lower-order fields are needed.
+
+    ``cache``, a dict shared between calls with the same P and grid, keeps
+    each field under the ``labels`` of its slots, in slot order, and a
+    subset whose key it holds is not solved again. Equal labels must mean
+    equal harmonic fields; with sorted labels the key is the subset's label
+    multiset, whose partition sums always run in the same order, so a
+    cached field is bit-identical to a fresh one.
     """
     m = len(harmonic)
     top = m if max_subset_size is None else min(m, max_subset_size)
@@ -148,11 +159,17 @@ def cascade_derivs(P: PotentialSeries, harmonic, grid: Grid2D,
     zero_trace = np.zeros(grid.num_boundary)
     for size in range(2, top + 1):
         for subset in _subsets(m, size):
-            source = nonlinearity_derivative(P, subset, derivs)
-            if source.any():
-                derivs[subset] = solve_linear(-source, zero_trace, grid)
-            else:
-                derivs[subset] = np.zeros(grid.num_nodes)
+            key = None if cache is None else tuple(labels[l] for l in subset)
+            field = None if key is None else cache.get(key)
+            if field is None:
+                source = nonlinearity_derivative(P, subset, derivs)
+                if source.any():
+                    field = solve_linear(-source, zero_trace, grid)
+                else:
+                    field = np.zeros(grid.num_nodes)
+                if key is not None:
+                    cache[key] = field
+            derivs[subset] = field
     return derivs
 
 

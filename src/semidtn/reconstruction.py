@@ -46,9 +46,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -185,13 +186,24 @@ def measured_moment(measure, members, eps: float, mask: ArcMask, grid: Grid2D,
     return float(value)
 
 
-def _lower_order_source(low: PotentialSeries, members, grid: Grid2D) -> np.ndarray:
+def _lower_order_source(low: PotentialSeries, members, grid: Grid2D, *, labels=None,
+                        cache: dict | None = None) -> np.ndarray:
     """The lower orders' part S of the order-m source, m = len(members): the
     mixed derivative of V built from ``low`` over the cascade's fields,
-    started from the members' harmonic fields."""
+    started from the members' harmonic fields. ``labels`` and ``cache`` pass
+    to ``cascade_derivs``, so that fields are shared between heads."""
     m = len(members)
-    derivs = cascade_derivs(low, [mem.field for mem in members], grid, max_subset_size=m - 1)
+    derivs = cascade_derivs(low, [mem.field for mem in members], grid, max_subset_size=m - 1,
+                            labels=labels, cache=cache)
     return nonlinearity_derivative(low, range(m), derivs)
+
+
+def _lower_order_keys(head: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The member sub-multisets of sizes 2..m-1 of a sorted head: the keys
+    under which its lower-order source reads the cascade's fields."""
+    m = len(head)
+    return {tuple(head[i] for i in positions)
+            for size in range(2, m) for positions in combinations(range(m), size)}
 
 
 def _choose_heads(family_size: int, m: int, cap: int,
@@ -296,7 +308,9 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis,
     exactly what the measurement applies (see the module docstring). One
     read-out operator per stage (``_arc_readout``) gives a head's whole
     model, and the same map with unit axis factors reads the lower-order
-    source. Rows whose model vanishes (a zero member, or a corner, which the
+    source. That source's cascade fields are solved once per stage, each
+    under its member sub-multiset, and dropped after the last head that
+    reads them. Rows whose model vanishes (a zero member, or a corner, which the
     read-out does not see) are dropped before anything is measured. Every row is
     scaled to unit norm, the measured data error being proportional to the
     row norm, and each head's rows are folded into a running triangular
@@ -317,25 +331,33 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis,
     if not low.is_zero:
         source_readout = _arc_readout(grid, np.ones((grid.n + 1, 1)), arc)
 
+    chosen = _choose_heads(len(family), m, heads, np.random.default_rng(seed))
+    # heads still to come that read each lower-order field; a field is
+    # solved on first use and dropped after its last
+    uses = Counter(key for head in chosen for key in _lower_order_keys(head))
+    fields: dict[tuple[int, ...], np.ndarray] = {}
     measured: list[tuple[int, ...]] = []
     count = 0
     factor = np.zeros((0, p + 1))
-    rng = np.random.default_rng(seed)
-    for head in _choose_heads(len(family), m, heads, rng):
+    for head in chosen:
         prod = np.prod([family[i].field for i in head], axis=0)
         model = -grid.h * model_readout(prod)
         norms = np.linalg.norm(model, axis=1)
         keep = np.flatnonzero(norms > ZERO_ROW * norms.max())
-        if keep.size == 0:
-            continue
-        data = grid.h * directions.flux(head)
-        if not low.is_zero:
-            source = _lower_order_source(low, [family[i] for i in head], grid)
-            data += grid.h * source_readout(source)[:, 0]
-        block = np.column_stack([model, data])[keep] / norms[keep, None]
-        factor = np.linalg.qr(np.vstack([factor, block]), mode="r")
-        measured.append(head)
-        count += keep.size
+        if keep.size:
+            data = grid.h * directions.flux(head)
+            if not low.is_zero:
+                source = _lower_order_source(low, [family[i] for i in head], grid,
+                                             labels=head, cache=fields)
+                data += grid.h * source_readout(source)[:, 0]
+            block = np.column_stack([model, data])[keep] / norms[keep, None]
+            factor = np.linalg.qr(np.vstack([factor, block]), mode="r")
+            measured.append(head)
+            count += keep.size
+        for key in _lower_order_keys(head):
+            uses[key] -= 1
+            if not uses[key]:
+                fields.pop(key, None)
     if not count:
         raise ValueError("no usable heads: family cannot form a moment system")
     stacked = np.zeros((p + 1, p + 1))

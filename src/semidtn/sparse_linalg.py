@@ -108,9 +108,10 @@ def solve_spd(A: Operator, b: np.ndarray, precondition: Operator | None = None,
     ``A(x)`` applies the operator and ``precondition(r)`` applies M^-1 for a
     symmetric positive definite M; None is the identity. Returns x with
     relative residual ||Ax - b|| / ||b|| <= tol, within 10 * len(b)
-    iterations; b = 0 short circuits to x = 0. Deterministic for fixed inputs
-    (fixed reduction order). ``callback(x_k)`` is invoked once per accepted
-    iterate when given.
+    iterations; b = 0 short circuits to x = 0; b itself is left unchanged.
+    Deterministic for fixed inputs (fixed reduction order). The iterate and
+    residual are updated in place, so ``callback(x_k)``, invoked once per
+    accepted iterate when given, sees the live iterate: copy it to keep it.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -120,13 +121,15 @@ def solve_spd(A: Operator, b: np.ndarray, precondition: Operator | None = None,
         return np.zeros(b.size)
 
     x = np.zeros(b.size)
-    r = b  # every update below makes a new array, so b and z are not copied
+    r = b.copy()
     z = r if precondition is None else precondition(r)
-    p = z
+    p = z.copy()
+    step = np.empty(b.size)
     rz = r @ z
     max_iter = 10 * b.size
     for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * norm_b:
+        # without a preconditioner rz is r @ r, whose root is norm(r) exactly
+        if (np.sqrt(rz) if precondition is None else np.linalg.norm(r)) <= tol * norm_b:
             return x
         Ap = A(p)
         pAp = p @ Ap
@@ -134,11 +137,12 @@ def solve_spd(A: Operator, b: np.ndarray, precondition: Operator | None = None,
             raise SolverError("CG breakdown: operator not positive definite",
                               residual=float(np.linalg.norm(r) / norm_b))
         alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, Ap, out=step)
         z = r if precondition is None else precondition(r)
         rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         if callback is not None:
             callback(x)

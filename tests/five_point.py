@@ -1,13 +1,16 @@
 """Physical-space references for the sine-coordinate solvers: the five-point
 operator as a scipy sparse matrix, the Dirichlet lift by scatter and
-neighbour sum, and Newton with Poisson-preconditioned CG on the stencil."""
+neighbour sum, and Newton with Poisson-preconditioned CG on the stencil.
+Also exact references for the in-place kernels: CG with a new array at
+every update, the stencil by 2-D slices, and the linear solve that always
+transforms its lift."""
 
 import numpy as np
 import scipy.sparse as sp
 
-from semidtn.forward_solver import LINEAR_TOL, semilinear_residual
-from semidtn.geometry import trace_to_field
-from semidtn.sparse_linalg import solve_spd
+from semidtn.forward_solver import LINEAR_TOL, _lift_transform, semilinear_residual
+from semidtn.geometry import check_field, trace_to_field
+from semidtn.sparse_linalg import SolverError, _sine_modes, solve_spd
 
 
 def sine_basis(g):
@@ -66,3 +69,64 @@ def pcg_newton(P, f, g, newton_tol=1e-11, max_newton=25):
         inner += solve_spd(lambda x: jacobian @ x, -res, lambda r: poisson_solve(r, g),
                            tol=LINEAR_TOL).reshape(inner.shape)
     raise AssertionError("reference Newton did not converge")
+
+
+def allocating_cg(A, b, precondition=None, tol=1e-10, callback=None):
+    """``solve_spd``'s conjugate gradient with every update making a new
+    array and the stop test taking norm(r): the same operations in the same
+    order as the in-place loop, which must match it bit for bit."""
+    b = np.asarray(b, dtype=float)
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0.0:
+        return np.zeros(b.size)
+    x = np.zeros(b.size)
+    r = b
+    z = r if precondition is None else precondition(r)
+    p = z
+    rz = r @ z
+    max_iter = 10 * b.size
+    for _ in range(max_iter):
+        if np.linalg.norm(r) <= tol * norm_b:
+            return x
+        Ap = A(p)
+        pAp = p @ Ap
+        if pAp <= 0.0:
+            raise SolverError("CG breakdown: operator not positive definite")
+        alpha = rz / pAp
+        x = x + alpha * p
+        r = r - alpha * Ap
+        z = r if precondition is None else precondition(r)
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        if callback is not None:
+            callback(x)
+    if np.linalg.norm(A(x) - b) <= tol * norm_b:
+        return x
+    raise SolverError("CG did not converge")
+
+
+def slice_stencil(u, g):
+    """(-Lap_h u) on interior nodes by 2-D slices of the nodal array,
+    neighbours subtracted below, above, left, right; flat."""
+    u2 = u.reshape(g.n + 1, g.n + 1)
+    lap = 4.0 * u2[1:-1, 1:-1]
+    lap -= u2[:-2, 1:-1]
+    lap -= u2[2:, 1:-1]
+    lap -= u2[1:-1, :-2]
+    lap -= u2[1:-1, 2:]
+    lap /= g.h * g.h
+    return lap.ravel()
+
+
+def lifted_solve(src, f, g):
+    """-Lap_h v = src with v = f on the boundary, always transforming the
+    lift of f, then adding the source's transform."""
+    sine, inverse, _ = _sine_modes(g)
+    v = trace_to_field(f, g)
+    v2 = v.reshape(g.n + 1, g.n + 1)
+    hat = _lift_transform(v2, g)
+    hat += sine @ check_field(src, g).reshape(v2.shape)[1:-1, 1:-1] @ sine
+    hat *= inverse
+    v2[1:-1, 1:-1] = sine @ hat @ sine
+    return v

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from five_point import five_point_operator, harmonic_reference, lift_rhs, sine_basis
+from five_point import (five_point_operator, harmonic_reference, lift_rhs, lifted_solve,
+                        sine_basis, slice_stencil)
 from semidtn.dtn import bump_trace
 from semidtn import forward_solver
 from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
@@ -130,6 +131,27 @@ def test_rank4_lift_matches_dense_lift(n):
     assert np.max(np.abs(hat - sine @ dense @ sine)) <= 1e-13 * np.max(np.abs(hat))
     u = harmonic_extension(f, g)
     assert np.max(np.abs(u - harmonic_reference(f, g))) <= 1e-13 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("n", [8, 16, 33])
+def test_contiguous_stencil_is_exact(n):
+    # whole rows as flat slices, boundary columns dropped afterwards, give
+    # the 2-D-slice stencil bit for bit
+    g = make_grid(n)
+    u = np.random.default_rng(n).normal(size=g.num_nodes)
+    assert np.array_equal(stencil_laplacian(u, g), slice_stencil(u, g))
+
+
+def test_zero_trace_solve_skips_lift_exactly():
+    # a zero trace's lift transforms to zeros, and the source's transform
+    # plus zeros is itself; a nonzero trace adds its lift to the source's
+    g = make_grid(16)
+    rng = np.random.default_rng(4)
+    src = rng.normal(size=g.num_nodes)
+    zero = np.zeros(g.num_boundary)
+    assert np.array_equal(solve_linear(src, zero, g), lifted_solve(src, zero, g))
+    f = rng.normal(size=g.num_boundary)
+    assert np.array_equal(solve_linear(src, f, g), lifted_solve(src, f, g))
 
 
 def test_smallness_gate():

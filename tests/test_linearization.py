@@ -62,6 +62,17 @@ def test_partitions_deterministic_order():
     assert partitions((3, 1, 2)) == partitions([1, 2, 3])
 
 
+def test_partitions_returns_a_fresh_list():
+    # the enumeration is kept per sorted tuple; what a caller does to the
+    # list it got does not reach the next call
+    first = partitions((0, 1, 2))
+    expected = list(first)
+    first.pop()
+    first[0] = None
+    assert partitions([2, 1, 0]) == expected
+    assert len(expected) == BELL[3]
+
+
 def test_partitions_guard():
     with pytest.raises(ValueError):
         partitions(range(9))

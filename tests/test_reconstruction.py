@@ -5,6 +5,7 @@ import pytest
 
 from semidtn.dtn import dtn_apply, normal_derivative
 from semidtn.forward_solver import harmonic_extension, solve_poisson
+from semidtn import linearization, reconstruction
 from semidtn.geometry import arc_mask, full_mask, interior_integral, make_grid
 from semidtn.harmonic import arc_supported_family
 from semidtn.linearization import DirectionStore, measured_linearized_flux
@@ -256,6 +257,44 @@ def test_arc_readout_matches_poisson_solves(n, s0, s1):
                                              basis.fields), axis=1)
             expected += int(np.sum(norms > ZERO_ROW * norms.max()))
         assert system.rows == expected
+
+
+@pytest.mark.parametrize("m, s1", [(4, 4.0), (3, 2.0)])
+def test_stage_solves_each_lower_order_field_once(monkeypatch, m, s1):
+    # the order-m stage solves one cascade field per distinct member
+    # sub-multiset of sizes 2..m-1 over its heads, and every head's
+    # lower-order source equals the one solved for that head alone
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, s1)
+    known = PotentialSeries.from_coefficients(g, {
+        2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", g),
+        3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g)})
+    low = reconstruction._truncated(known, m, g)
+    fam = arc_supported_family(mask, 6, g)
+    basis = make_basis(3, g)
+    directions = DirectionStore(lambda trace: np.zeros(g.num_boundary), fam.traces(),
+                                1e-2, mask, g, (m,))
+    solve, source = linearization.solve_linear, reconstruction._lower_order_source
+    solves, sources = [], []
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    def recording_source(low, members, grid, **kwargs):
+        sources.append((members, source(low, members, grid, **kwargs)))
+        return sources[-1][1]
+
+    monkeypatch.setattr(linearization, "solve_linear", counting_solve)
+    monkeypatch.setattr(reconstruction, "_lower_order_source", recording_source)
+    system = assemble_system(fam, m, basis, directions, mask, g, known=known,
+                             heads=2 * basis.size, seed=m)
+    keys = [{tuple(head[i] for i in positions) for size in range(2, m)
+             for positions in combinations(range(m), size)} for head in system.heads]
+    assert len(solves) == len(set().union(*keys)) < sum(map(len, keys))
+    assert len(sources) == len(system.heads)
+    for members, data in sources:
+        assert np.array_equal(data, source(low, members, g))
 
 
 def test_folding_is_exact():

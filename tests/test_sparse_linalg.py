@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from five_point import five_point_operator, sine_basis
+from five_point import allocating_cg, five_point_operator, sine_basis
 from semidtn.geometry import make_grid
 from semidtn.sparse_linalg import SolverError, assemble, from_sine, solve_spd, to_sine
 
@@ -190,6 +190,42 @@ def test_energy_error_monotone_along_iterates():
         energies.append(np.sqrt(max(e @ A(e), 0.0)))
     energies = np.array(energies[:-1])
     assert np.all(energies[1:] <= energies[:-1] * (1.0 + 1e-9) + 1e-14)
+
+
+def cg_runs(A, b, precondition, tol):
+    """solve_spd and the allocating reference on one system: both results
+    and both callback counts; asserts that solve_spd left b unchanged."""
+    kept = b.copy()
+    steps, ref_steps = [], []
+    x = solve_spd(A, b, precondition, tol=tol, callback=lambda xk: steps.append(None))
+    assert np.array_equal(b, kept)
+    ref = allocating_cg(A, b, precondition, tol=tol,
+                        callback=lambda xk: ref_steps.append(None))
+    return x, ref, len(steps), len(ref_steps)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_in_place_cg_is_exact_on_newton_operator(n):
+    # the in-place loop and its stop test sqrt(r @ r) make the same
+    # operations in the same order as new arrays and norm(r) would
+    g = make_grid(n)
+    rng = np.random.default_rng(n)
+    A = assemble(rng.uniform(-1.0, 2.0, g.num_interior), g)
+    b = to_sine(rng.normal(size=g.num_interior), g)
+    x, ref, steps, ref_steps = cg_runs(A, b, None, 1e-12)
+    assert np.array_equal(x, ref)
+    assert steps == ref_steps >= 2
+
+
+def test_in_place_cg_is_exact_with_jacobi_preconditioner():
+    g = make_grid(16)
+    rng = np.random.default_rng(3)
+    c = rng.uniform(0.0, 50.0, g.num_interior)
+    A = five_point_operator(c, g)
+    b = rng.normal(size=g.num_interior)
+    x, ref, steps, ref_steps = cg_runs(lambda v: A @ v, b, jacobi(4.0 / g.h ** 2 + c), 1e-12)
+    assert np.array_equal(x, ref)
+    assert steps == ref_steps >= 10
 
 
 def test_solve_rejects_bad_tol_and_shape():
