@@ -54,8 +54,8 @@ MAX_BUMP_WIDTH = 2.0
 NOISE_WARNING = ("the reconstruction stages polarize directional Taylor coefficients, "
                  "which carry about 3.5x (order 2), 7x (order 3) and 60x (order 4) "
                  "the measurement noise of a 2^m-point divided difference; at "
-                 "noise_sigma 1e-9 the half-arc order-3 error exceeds 1 (see ROADMAP "
-                 "item 1)")
+                 "noise_sigma 1e-9 the half-arc order-3 error exceeds 1 (see the ROADMAP "
+                 "item 'Make every stage honest under noise')")
 
 
 class ConfigError(ValueError):

@@ -66,8 +66,7 @@ def check_support(f: np.ndarray, mask: ArcMask, grid: Grid2D) -> np.ndarray:
     return f
 
 
-def dtn_apply(P: PotentialSeries, f: np.ndarray, mask: ArcMask, grid: Grid2D,
-              **solve_kwargs) -> DtnSample:
+def dtn_apply(P: PotentialSeries, f: np.ndarray, mask: ArcMask, grid: Grid2D) -> DtnSample:
     """Measure the normal derivative on the arc for arc-supported data f.
 
     Solves the semilinear problem with data f, extracts the normal
@@ -75,7 +74,7 @@ def dtn_apply(P: PotentialSeries, f: np.ndarray, mask: ArcMask, grid: Grid2D,
     confined to the arc).
     """
     f = check_support(f, mask, grid)
-    u, report = solve_semilinear(P, f, grid, **solve_kwargs)
+    u, report = solve_semilinear(P, f, grid)
     out = normal_derivative(u, grid)
     out[~mask.flags] = 0.0
     return DtnSample(f, out, report)

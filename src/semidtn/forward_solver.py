@@ -13,7 +13,7 @@ trip per iteration; under the smallness gate the reaction term is a small
 perturbation of -Lap and CG converges in a few iterations.
 
 The nonlinear solve enforces a smallness gate on the boundary data
-(default max-norm radius 0.1) under which Newton, started from the harmonic
+(max-norm radius 0.1) under which Newton, started from the harmonic
 extension of the data, stays in its quadratic basin for unit-size
 coefficient fields.
 """
@@ -122,7 +122,7 @@ def solve_linear(g: np.ndarray | None, f: np.ndarray, grid: Grid2D) -> np.ndarra
         hat = _lift_transform(v2, grid)
     else:
         hat = sine @ check_field(g, grid).reshape(v2.shape)[1:-1, 1:-1] @ sine
-        if np.any(f):  # a zero trace lifts nothing: transform only the source
+        if f.any():  # a zero trace lifts nothing: transform only the source
             hat += _lift_transform(v2, grid)
     hat *= inverse
     v2[1:-1, 1:-1] = sine @ hat @ sine
@@ -134,35 +134,25 @@ def harmonic_extension(f: np.ndarray, grid: Grid2D) -> np.ndarray:
     return solve_linear(None, f, grid)
 
 
-def solve_poisson(g: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Solve -Lap_h v = g with v = 0 on the boundary; only interior values of
-    g count. The sine basis diagonalizes the five-point operator on interior
-    nodes, so the solve is direct and exact to rounding."""
-    return solve_linear(g, np.zeros(grid.num_boundary), grid)
-
-
-def solve_semilinear(P: PotentialSeries, f: np.ndarray, grid: Grid2D,
-                     newton_tol: float = DEFAULT_NEWTON_TOL,
-                     max_newton: int = DEFAULT_MAX_NEWTON,
-                     smallness_radius: float = DEFAULT_SMALLNESS_RADIUS,
-                     ) -> tuple[np.ndarray, SolveReport]:
+def solve_semilinear(P: PotentialSeries, f: np.ndarray,
+                     grid: Grid2D) -> tuple[np.ndarray, SolveReport]:
     """Newton solve of -Lap u + V(x,u) = 0, u = f on the boundary.
 
     Starts from the harmonic extension of f (the exact first linearization,
     so the first correction is already quadratically small). Each step
     solves the Jacobian system in scaled sine coordinates, so its CG stops
     when the (-Lap_h)^-1-norm of the step residual falls to LINEAR_TOL times
-    that of the Newton residual. Diverging residuals (3 consecutive
-    increases) or the iteration cap raise NewtonError; data outside the
-    smallness gate raises SmallnessError.
+    that of the Newton residual. Newton stops at residual DEFAULT_NEWTON_TOL;
+    diverging residuals (3 consecutive increases) or DEFAULT_MAX_NEWTON steps
+    raise NewtonError, and data whose max-norm exceeds
+    DEFAULT_SMALLNESS_RADIUS raises SmallnessError. The three constants are
+    read at call time.
     """
-    if newton_tol <= 0.0:
-        raise ValueError("newton_tol must be positive")
     f = check_trace(f, grid)
     fnorm = float(np.max(np.abs(f))) if f.size else 0.0
-    if fnorm > smallness_radius:
-        raise SmallnessError(
-            f"boundary data max-norm {fnorm:.4g} exceeds smallness radius {smallness_radius}")
+    if fnorm > DEFAULT_SMALLNESS_RADIUS:
+        raise SmallnessError(f"boundary data max-norm {fnorm:.4g} exceeds smallness "
+                             f"radius {DEFAULT_SMALLNESS_RADIUS}")
 
     u = harmonic_extension(f, grid)
     inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]  # a view: steps update u
@@ -170,8 +160,8 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray, grid: Grid2D,
     res_norm = _l2(res, grid)
     history = [res_norm]
     increases = 0
-    for it in range(max_newton):
-        if res_norm <= newton_tol:
+    for it in range(DEFAULT_MAX_NEWTON):
+        if res_norm <= DEFAULT_NEWTON_TOL:
             return u, SolveReport(it, res_norm, fnorm, float(np.max(np.abs(u))), True,
                                   tuple(history))
         A = assemble(P.interior_slope(inner), grid)
@@ -184,11 +174,11 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray, grid: Grid2D,
             raise NewtonError(f"Newton diverging: residual rose 3 times, now {new_norm:.3e}",
                               residual=new_norm)
         res, res_norm = new_res, new_norm
-    if res_norm <= newton_tol:
-        return u, SolveReport(max_newton, res_norm, fnorm, float(np.max(np.abs(u))), True,
-                              tuple(history))
-    raise NewtonError(f"Newton did not reach {newton_tol} in {max_newton} iterations "
-                      f"(residual {res_norm:.3e})", residual=res_norm)
+    if res_norm <= DEFAULT_NEWTON_TOL:
+        return u, SolveReport(DEFAULT_MAX_NEWTON, res_norm, fnorm, float(np.max(np.abs(u))),
+                              True, tuple(history))
+    raise NewtonError(f"Newton did not reach {DEFAULT_NEWTON_TOL} in {DEFAULT_MAX_NEWTON} "
+                      f"iterations (residual {res_norm:.3e})", residual=res_norm)
 
 
 def newton_jacobian_check(P: PotentialSeries, u: np.ndarray, grid: Grid2D,

@@ -107,10 +107,6 @@ class ArcMask:
     def length(self) -> float:
         return self.s1 - self.s0
 
-    @property
-    def is_full(self) -> bool:
-        return bool(self.flags.all())
-
 
 def arc_mask(grid: Grid2D, s0: float, s1: float) -> ArcMask:
     """Flag the boundary nodes whose walk parameter lies in [s0, s1)."""
@@ -137,7 +133,7 @@ def check_field(a: np.ndarray, grid: Grid2D) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.num_nodes,):
         raise ValueError(f"field length {a.shape} does not match grid ({grid.num_nodes},)")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("field contains non-finite values")
     return a
 
@@ -147,7 +143,7 @@ def check_trace(g: np.ndarray, grid: Grid2D) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.num_boundary,):
         raise ValueError(f"trace length {g.shape} does not match grid ({grid.num_boundary},)")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("trace contains non-finite values")
     return g
 
@@ -180,9 +176,3 @@ def trace_to_field(g: np.ndarray, grid: Grid2D) -> np.ndarray:
     out = np.zeros(grid.num_nodes)
     out[grid.boundary_nodes] = g
     return out
-
-
-def field_to_trace(a: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Read a nodal field along the boundary walk."""
-    a = check_field(a, grid)
-    return a[grid.boundary_nodes].copy()

@@ -30,8 +30,6 @@ MAX_PARTITION_SIZE = 8
 MAX_CASCADE_SLOTS = 6
 MAX_DIFFERENCE_SLOTS = 4
 
-BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
-
 
 def _growth_strings(size: int):
     """Restricted-growth strings of the given length, lexicographic order."""
@@ -80,12 +78,7 @@ class CascadeState:
     boundary trace; every larger subset has identically zero boundary values.
     """
 
-    fs: tuple[np.ndarray, ...]
     derivs: dict[tuple[int, ...], np.ndarray]
-
-    @property
-    def m(self) -> int:
-        return len(self.fs)
 
     def field(self, subset) -> np.ndarray:
         return self.derivs[tuple(sorted(subset))]
@@ -131,7 +124,7 @@ def run_cascade(P: PotentialSeries, fs, grid: Grid2D) -> CascadeState:
     if not 1 <= m <= MAX_CASCADE_SLOTS:
         raise ValueError(f"cascade supports 1..{MAX_CASCADE_SLOTS} slots, got {m}")
     harmonic = [harmonic_extension(f, grid) for f in fs]
-    return CascadeState(fs, cascade_derivs(P, harmonic, grid))
+    return CascadeState(cascade_derivs(P, harmonic, grid))
 
 
 def cascade_derivs(P: PotentialSeries, harmonic, grid: Grid2D,
@@ -158,7 +151,7 @@ def cascade_derivs(P: PotentialSeries, harmonic, grid: Grid2D,
     derivs: dict[tuple[int, ...], np.ndarray] = {(l,): harmonic[l] for l in range(m)}
     zero_trace = np.zeros(grid.num_boundary)
     for size in range(2, top + 1):
-        for subset in _subsets(m, size):
+        for subset in combinations(range(m), size):
             key = None if cache is None else tuple(labels[l] for l in subset)
             field = None if key is None else cache.get(key)
             if field is None:
@@ -171,10 +164,6 @@ def cascade_derivs(P: PotentialSeries, harmonic, grid: Grid2D,
                     cache[key] = field
             derivs[subset] = field
     return derivs
-
-
-def _subsets(m: int, size: int):
-    return combinations(range(m), size)
 
 
 def measured_linearized_flux(measure, fs, eps: float, mask: ArcMask,
@@ -287,22 +276,21 @@ class DirectionStore:
 
 
 def mixed_divided_difference(P: PotentialSeries, fs, eps: float, mask: ArcMask,
-                             grid: Grid2D, smallness_radius: float = DEFAULT_SMALLNESS_RADIUS,
-                             **solve_kwargs) -> np.ndarray:
+                             grid: Grid2D) -> np.ndarray:
     """Divided difference of the known-coefficient measurement map.
 
-    Pre-checks that every evaluation point passes the smallness gate, then
-    delegates to the opaque-map engine with the simulator as the measure.
+    Pre-checks that every evaluation point passes the solver's smallness
+    gate, then delegates to the opaque-map engine with the simulator as the
+    measure.
     """
     fs = tuple(check_trace(f, grid) for f in fs)
     worst = eps * sum(np.abs(f) for f in fs)
-    if worst.size and float(np.max(worst)) > smallness_radius:
-        raise ValueError(
-            f"eps={eps} pushes evaluation points outside the smallness gate "
-            f"(max combined amplitude {float(np.max(worst)):.4g} > {smallness_radius})")
+    if worst.size and float(np.max(worst)) > DEFAULT_SMALLNESS_RADIUS:
+        raise ValueError(f"eps={eps} pushes evaluation points outside the smallness gate "
+                         f"(max combined amplitude {float(np.max(worst)):.4g} > "
+                         f"{DEFAULT_SMALLNESS_RADIUS})")
 
     def measure(trace: np.ndarray) -> DtnSample:
-        return dtn_apply(P, trace, mask, grid,
-                         smallness_radius=smallness_radius, **solve_kwargs)
+        return dtn_apply(P, trace, mask, grid)
 
     return measured_linearized_flux(measure, fs, eps, mask, grid)

@@ -87,28 +87,16 @@ class PotentialSeries:
                 out.append(a)
         return tuple(value), tuple(slope)
 
-    def value_field(self, u: np.ndarray) -> np.ndarray:
-        """V(x, u(x)) at every node, Horner in z from the highest order down."""
-        acc = _horner(u, [self.coeffs[k - 2] / math.factorial(k)
-                          for k in range(self.kmax, 1, -1)])
-        acc *= u  # series starts at z^2
-        return acc
-
-    def slope_field(self, u: np.ndarray) -> np.ndarray:
-        """d/dz V(x, z) at z = u(x), nodewise."""
-        return _horner(u, [self.coeffs[k - 2] / math.factorial(k - 1)
-                           for k in range(self.kmax, 1, -1)])
-
     def interior_value(self, U: np.ndarray) -> np.ndarray:
-        """``value_field`` on the interior nodes, for the (n-1, n-1) array U of
-        interior values."""
+        """V(x, U(x)) on the interior nodes, for the (n-1, n-1) array U of
+        interior values; Horner in z from the highest order down."""
         acc = _horner(U, self._interior_factors[0])
-        acc *= U
+        acc *= U  # series starts at z^2
         return acc
 
     def interior_slope(self, U: np.ndarray) -> np.ndarray:
-        """``slope_field`` on the interior nodes, for the (n-1, n-1) array U of
-        interior values."""
+        """d/dz V(x, z) at z = U(x) on the interior nodes, for the (n-1, n-1)
+        array U of interior values."""
         return _horner(U, self._interior_factors[1])
 
     @property

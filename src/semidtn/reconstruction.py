@@ -159,16 +159,16 @@ def _truncated(known: PotentialSeries | None, m: int, grid: Grid2D) -> Potential
 
 
 def measured_moment(measure, members, eps: float, mask: ArcMask, grid: Grid2D,
-                    known: PotentialSeries | None = None,
-                    include_lower_order: bool = True) -> float:
+                    known: PotentialSeries | None = None) -> float:
     """One moment of the order-m coefficient against a harmonic (m+1)-tuple.
 
     The first m members' traces drive the mixed divided difference of the
     opaque measurement map; the flux is integrated against the last member's
     trace over the boundary, and the interior integral of the lower-order
-    source (built from ``known`` via the cascade) times the last member is
-    subtracted. In exact arithmetic the result equals the interior integral
-    of (coefficient * product of all m+1 members).
+    source (built from ``known`` via the cascade; none for ``known`` None)
+    times the last member is subtracted. In exact arithmetic the result
+    equals the interior integral of (coefficient * product of all m+1
+    members).
     """
     members = tuple(members)
     m = len(members) - 1
@@ -180,7 +180,7 @@ def measured_moment(measure, members, eps: float, mask: ArcMask, grid: Grid2D,
     flux = measured_linearized_flux(measure, traces, eps, mask, grid)
     value = boundary_integral(flux * members[m].trace, full_mask(grid), grid)
     low = _truncated(known, m, grid)
-    if include_lower_order and not low.is_zero:
+    if not low.is_zero:
         source = _lower_order_source(low, members[:m], grid)
         value -= interior_integral(source * members[m].field, grid)
     return float(value)
@@ -515,9 +515,7 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
     stages' outputs, never from the ground truth, which enters only
     ``rel_error_vs_truth``. The harmonic family is deterministic in (arc,
     size, grid), so it is built once, or passed in by a caller that has
-    built it, and shared across stages. On a stage failure the partial
-    series and diagnostics collected so far are attached to the raised
-    error.
+    built it, and shared across stages.
     """
     if K < 2:
         raise ValueError("reconstruction starts at order K = 2")
@@ -533,15 +531,10 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
     systems: list[MomentSystem] = []
     for m in range(2, K + 1):
         calls = directions.calls
-        try:
-            system = assemble_system(family, m, basis, directions, mask, grid, known,
-                                     heads=config.rows_factor * basis.size,
-                                     seed=config.seed + m, lam=config.lam)
-            coeff_vec = solve_coefficients(system)
-        except Exception as exc:
-            exc.partial_result = ReconstructionResult(  # type: ignore[attr-defined]
-                known, tuple(stages), tuple(systems))
-            raise
+        system = assemble_system(family, m, basis, directions, mask, grid, known,
+                                 heads=config.rows_factor * basis.size,
+                                 seed=config.seed + m, lam=config.lam)
+        coeff_vec = solve_coefficients(system)
         rec = system.basis.synthesize(coeff_vec)
         rel_err = rel_l2_error(rec, truth.coefficient(m), grid) if truth is not None else None
         stages.append(StageDiagnostics(

@@ -83,9 +83,9 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
     if c.shape not in ((m, m), (m * m,)):
         raise ValueError(f"reaction coefficient has shape {c.shape}")
     c = c.reshape(m, m)
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("reaction coefficient contains non-finite values")
-    if np.any(4.0 / (grid.h * grid.h) + c <= 0.0):
+    if (4.0 / (grid.h * grid.h) + c <= 0.0).any():
         raise SolverError("reaction term too negative: stencil diagonal not positive")
     sine, _, scale = _sine_modes(grid)
 
@@ -101,17 +101,15 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
     return apply
 
 
-def solve_spd(A: Operator, b: np.ndarray, precondition: Operator | None = None,
-              tol: float = 1e-10, callback=None) -> np.ndarray:
-    """Preconditioned conjugate gradient for a symmetric positive definite A.
+def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> np.ndarray:
+    """Conjugate gradient for a symmetric positive definite A.
 
-    ``A(x)`` applies the operator and ``precondition(r)`` applies M^-1 for a
-    symmetric positive definite M; None is the identity. Returns x with
-    relative residual ||Ax - b|| / ||b|| <= tol, within 10 * len(b)
-    iterations; b = 0 short circuits to x = 0; b itself is left unchanged.
-    Deterministic for fixed inputs (fixed reduction order). The iterate and
-    residual are updated in place, so ``callback(x_k)``, invoked once per
-    accepted iterate when given, sees the live iterate: copy it to keep it.
+    ``A(x)`` applies the operator. Returns x with relative residual
+    ||Ax - b|| / ||b|| <= tol, within 10 * len(b) iterations; b = 0 short
+    circuits to x = 0; b itself is left unchanged. Deterministic for fixed
+    inputs (fixed reduction order). The iterate and residual are updated in
+    place, so ``callback(x_k)``, invoked once per accepted iterate when
+    given, sees the live iterate: copy it to keep it.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -122,28 +120,25 @@ def solve_spd(A: Operator, b: np.ndarray, precondition: Operator | None = None,
 
     x = np.zeros(b.size)
     r = b.copy()
-    z = r if precondition is None else precondition(r)
-    p = z.copy()
+    p = r.copy()
     step = np.empty(b.size)
-    rz = r @ z
+    rr = r @ r
     max_iter = 10 * b.size
     for _ in range(max_iter):
-        # without a preconditioner rz is r @ r, whose root is norm(r) exactly
-        if (np.sqrt(rz) if precondition is None else np.linalg.norm(r)) <= tol * norm_b:
+        if np.sqrt(rr) <= tol * norm_b:  # the root of r @ r is norm(r) exactly
             return x
         Ap = A(p)
         pAp = p @ Ap
         if pAp <= 0.0:
             raise SolverError("CG breakdown: operator not positive definite",
                               residual=float(np.linalg.norm(r) / norm_b))
-        alpha = rz / pAp
+        alpha = rr / pAp
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, Ap, out=step)
-        z = r if precondition is None else precondition(r)
-        rz_new = r @ z
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
+        rr_new = r @ r
+        p *= rr_new / rr
+        p += r
+        rr = rr_new
         if callback is not None:
             callback(x)
     res = float(np.linalg.norm(A(x) - b) / norm_b)

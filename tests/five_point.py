@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from semidtn.forward_solver import LINEAR_TOL, _lift_transform, semilinear_residual
 from semidtn.geometry import check_field, trace_to_field
-from semidtn.sparse_linalg import SolverError, _sine_modes, solve_spd
+from semidtn.sparse_linalg import SolverError, _sine_modes
 
 
 def sine_basis(g):
@@ -64,17 +64,18 @@ def pcg_newton(P, f, g, newton_tol=1e-11, max_newton=25):
         res = semilinear_residual(P, u, g)
         if g.h * np.linalg.norm(res) <= newton_tol:
             return u, it
-        slope = P.slope_field(u).reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]
-        jacobian = five_point_operator(slope, g)
-        inner += solve_spd(lambda x: jacobian @ x, -res, lambda r: poisson_solve(r, g),
-                           tol=LINEAR_TOL).reshape(inner.shape)
+        jacobian = five_point_operator(P.interior_slope(inner), g)
+        inner += allocating_cg(lambda x: jacobian @ x, -res, lambda r: poisson_solve(r, g),
+                               tol=LINEAR_TOL).reshape(inner.shape)
     raise AssertionError("reference Newton did not converge")
 
 
 def allocating_cg(A, b, precondition=None, tol=1e-10, callback=None):
     """``solve_spd``'s conjugate gradient with every update making a new
-    array and the stop test taking norm(r): the same operations in the same
-    order as the in-place loop, which must match it bit for bit."""
+    array and the stop test taking norm(r): without ``precondition``, the
+    same operations in the same order as the in-place loop, which must match
+    it bit for bit. ``precondition(r)`` applies M^-1 for a symmetric positive
+    definite M, as the physical-space Newton reference needs."""
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:

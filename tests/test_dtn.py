@@ -4,8 +4,8 @@ import pytest
 from five_point import pcg_newton
 from semidtn.dtn import (SupportError, bump_profile, bump_trace, check_support,
                          dtn_apply, normal_derivative)
-from semidtn.geometry import (arc_mask, boundary_integral, field_to_trace, full_mask,
-                              make_grid)
+from semidtn import forward_solver
+from semidtn.geometry import arc_mask, boundary_integral, full_mask, make_grid
 from semidtn.potential import PotentialSeries, sample_expression
 
 
@@ -39,14 +39,15 @@ def test_dtn_zero_data():
     assert not sample.output.any()
 
 
-def test_dtn_linear_harmonic_oracle():
+def test_dtn_linear_harmonic_oracle(monkeypatch):
     # harmonic extension of x is x itself; normal derivative is +-1 on the
     # vertical sides and 0 on the horizontal ones, with the corner convention
     g = make_grid(16)
     x, _ = g.node_coords()
-    f = field_to_trace(x, g)
-    # x exceeds the default smallness radius; relax the gate for this linear case
-    sample = dtn_apply(PotentialSeries.zero(g), f, full_mask(g), g, smallness_radius=2.0)
+    f = x[g.boundary_nodes]
+    # x exceeds the smallness radius; relax the gate for this linear case
+    monkeypatch.setattr(forward_solver, "DEFAULT_SMALLNESS_RADIUS", 2.0)
+    sample = dtn_apply(PotentialSeries.zero(g), f, full_mask(g), g)
     expected = g.boundary_normals[:, 0].astype(float)
     assert np.allclose(sample.output, expected, atol=1e-8)
 

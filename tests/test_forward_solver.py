@@ -7,9 +7,8 @@ from semidtn.dtn import bump_trace
 from semidtn import forward_solver
 from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
                                     newton_jacobian_check, semilinear_residual,
-                                    solve_linear, solve_poisson, solve_semilinear,
-                                    stencil_laplacian)
-from semidtn.geometry import field_to_trace, make_grid, trace_to_field
+                                    solve_linear, solve_semilinear, stencil_laplacian)
+from semidtn.geometry import make_grid, trace_to_field
 from semidtn.potential import PotentialSeries, sample_expression
 from semidtn.sparse_linalg import assemble, from_sine, solve_spd, to_sine
 
@@ -39,7 +38,7 @@ def test_quadratic_harmonic_is_stencil_exact():
     g = make_grid(16)
     x, y = g.node_coords()
     exact = x * x - y * y
-    v = solve_linear(None, field_to_trace(exact, g), g)
+    v = solve_linear(None, exact[g.boundary_nodes], g)
     assert np.max(np.abs(v - exact)) <= 1e-9
 
 
@@ -73,17 +72,16 @@ def test_zero_potential_is_harmonic_extension():
 
 
 def test_poisson_direct_solve_matches_iterative():
-    # the sine-basis solve and Jacobi-preconditioned CG on the five-point
-    # stencil agree on a zero-boundary problem; the direct one leaves a
-    # stencil residual at rounding level
+    # the sine-basis solve and CG on the five-point stencil agree on a
+    # zero-boundary problem; the direct one leaves a stencil residual at
+    # rounding level
     g = make_grid(16)
     source = np.random.default_rng(2).normal(size=g.num_nodes)
-    v = solve_poisson(source, g)
+    v = solve_linear(source, np.zeros(g.num_boundary), g)
     assert not v[g.boundary_nodes].any()
     A = five_point_operator(np.zeros(g.num_interior), g)
     interior = source.reshape(17, 17)[1:-1, 1:-1].ravel()
-    reference = solve_spd(lambda x: A @ x, interior, lambda r: r / (4.0 / g.h ** 2),
-                          tol=LINEAR_TOL)
+    reference = solve_spd(lambda x: A @ x, interior, tol=LINEAR_TOL)
     v_int = v.reshape(17, 17)[1:-1, 1:-1].ravel()
     assert np.max(np.abs(v_int - reference)) <= 1e-10 * np.max(np.abs(reference))
     assert np.max(np.abs(stencil_laplacian(v, g) - interior)) <= 1e-10 * np.max(np.abs(interior))
@@ -100,9 +98,9 @@ def test_newton_step_cg_converges_in_few_iterations(monkeypatch):
         3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g)})
     counts = []
 
-    def counting_solve(A, b, precondition=None, tol=1e-10, callback=None):
+    def counting_solve(A, b, tol=1e-10, callback=None):
         steps = []
-        x = solve_spd(A, b, precondition, tol=tol, callback=steps.append)
+        x = solve_spd(A, b, tol=tol, callback=steps.append)
         counts.append(len(steps))
         return x
 
@@ -202,13 +200,14 @@ def test_newton_quadratic_convergence():
     assert checked >= 1
 
 
-def test_newton_nonconvergence_detected():
+def test_newton_nonconvergence_detected(monkeypatch):
     g = make_grid(8)
     P = const_series(g, k2=1.0)
+    # gate forced open; two iterations cannot absorb data this large
+    monkeypatch.setattr(forward_solver, "DEFAULT_SMALLNESS_RADIUS", 100.0)
+    monkeypatch.setattr(forward_solver, "DEFAULT_MAX_NEWTON", 2)
     with pytest.raises(NewtonError):
-        # gate forced open; two iterations cannot absorb data this large
-        solve_semilinear(P, np.full(g.num_boundary, 80.0), g, smallness_radius=100.0,
-                         max_newton=2)
+        solve_semilinear(P, np.full(g.num_boundary, 80.0), g)
 
 
 def test_newton_divergence_detected(monkeypatch):
@@ -217,8 +216,8 @@ def test_newton_divergence_detected(monkeypatch):
     g = make_grid(8)
     P = const_series(g, k2=1.0)
 
-    def overshooting_solve(A, b, precondition=None, tol=1e-10, callback=None):
-        return 3.0 * solve_spd(A, b, precondition, tol=tol, callback=callback)
+    def overshooting_solve(A, b, tol=1e-10, callback=None):
+        return 3.0 * solve_spd(A, b, tol=tol, callback=callback)
 
     monkeypatch.setattr(forward_solver, "solve_spd", overshooting_solve)
     with pytest.raises(NewtonError, match="diverging") as info:
@@ -301,5 +300,5 @@ def test_interior_forcing_consistency():
     rhs_int = stencil_laplacian(v_exact, g)
     rhs = np.zeros(g.num_nodes)
     rhs.reshape(17, 17)[1:-1, 1:-1] = rhs_int.reshape(15, 15)
-    v = solve_linear(rhs, field_to_trace(v_exact, g), g)
+    v = solve_linear(rhs, v_exact[g.boundary_nodes], g)
     assert np.max(np.abs(v - v_exact)) <= 1e-9

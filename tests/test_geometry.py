@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from semidtn.geometry import (arc_mask, boundary_integral, field_to_trace, full_mask,
-                              interior_integral, make_grid, trace_to_field)
+from semidtn import dtn
+from semidtn.geometry import (arc_mask, boundary_integral, check_field, check_trace,
+                              full_mask, interior_integral, make_grid, trace_to_field)
 from semidtn.dtn import bump_profile
+from semidtn.potential import PotentialSeries
 
 
 def test_make_grid_counts():
@@ -154,7 +156,6 @@ def test_interior_integral_linear_in_field():
 def test_full_arc_flags_everything():
     g = make_grid(8)
     assert full_mask(g).flags.all()
-    assert full_mask(g).is_full
 
 
 def test_arc_mask_half_open():
@@ -187,7 +188,7 @@ def test_trace_field_round_trip():
     g = make_grid(6)
     rng = np.random.default_rng(0)
     trace = rng.normal(size=g.num_boundary)
-    assert np.array_equal(field_to_trace(trace_to_field(trace, g), g), trace)
+    assert np.array_equal(trace_to_field(trace, g)[g.boundary_nodes], trace)
 
 
 def test_length_mismatch_rejected():
@@ -196,3 +197,25 @@ def test_length_mismatch_rejected():
         boundary_integral(np.ones(7), full_mask(g), g)
     with pytest.raises(ValueError):
         interior_integral(np.ones(12), g)
+
+
+def test_nonfinite_input_rejected(monkeypatch):
+    # traces and fields holding NaN or an infinity are rejected, and a
+    # measurement rejects a NaN trace before it solves anything
+    g = make_grid(8)
+    for bad in (np.nan, np.inf, -np.inf):
+        trace = np.zeros(g.num_boundary)
+        trace[3] = bad
+        field = np.zeros(g.num_nodes)
+        field[40] = bad
+        with pytest.raises(ValueError, match="trace contains non-finite values"):
+            check_trace(trace, g)
+        with pytest.raises(ValueError, match="field contains non-finite values"):
+            check_field(field, g)
+    solves = []
+    monkeypatch.setattr(dtn, "solve_semilinear", lambda *args: solves.append(args))
+    trace = np.zeros(g.num_boundary)
+    trace[3] = np.nan
+    with pytest.raises(ValueError, match="trace contains non-finite values"):
+        dtn.dtn_apply(PotentialSeries.zero(g), trace, full_mask(g), g)
+    assert not solves

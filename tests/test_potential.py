@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,22 @@ def series(grid, **fields):
         grid, {int(k[1:]): np.full(grid.num_nodes, v) for k, v in fields.items()})
 
 
+def interior_state(P, z):
+    """The constant interior state z, (n-1, n-1), of the series' grid."""
+    side = math.isqrt(P.coeffs[0].size) - 2
+    return np.full((side, side), float(z))
+
+
 def value_at(P, node, z):
-    """V(x_node, z), read off value_field at the constant state z."""
-    return float(P.value_field(np.full(P.coeffs[0].size, float(z)))[node])
+    """V(x_node, z) at the interior node of flat interior index ``node``,
+    read off interior_value at the constant state z."""
+    return float(P.interior_value(interior_state(P, z)).ravel()[node])
 
 
 def slope_at(P, node, z):
-    """d/dz V(x_node, z), read off slope_field at the constant state z."""
-    return float(P.slope_field(np.full(P.coeffs[0].size, float(z)))[node])
+    """d/dz V(x_node, z) at the interior node of flat interior index
+    ``node``, read off interior_slope at the constant state z."""
+    return float(P.interior_slope(interior_state(P, z)).ravel()[node])
 
 
 def test_value_zero_at_origin(grid):
@@ -98,11 +108,13 @@ def test_value_field_matches_value_at(grid):
     P = PotentialSeries.from_coefficients(
         grid, {2: rng.normal(size=grid.num_nodes), 3: rng.normal(size=grid.num_nodes)})
     u = rng.normal(size=grid.num_nodes)
-    field = P.value_field(u)
-    for node in (0, 17, grid.num_nodes - 1):
+    inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]
+    field = P.interior_value(inner).ravel()
+    for node in (0, 17, grid.num_interior - 1):
         single = PotentialSeries.from_coefficients(
             grid, {2: P.coefficient(2), 3: P.coefficient(3)})
-        assert field[node] == pytest.approx(value_at(single, node, u[node]), rel=1e-12)
+        assert field[node] == pytest.approx(value_at(single, node, inner.ravel()[node]),
+                                            rel=1e-12)
 
 
 def test_with_coefficient_extends(grid):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semidtn.dtn import dtn_apply, normal_derivative
-from semidtn.forward_solver import harmonic_extension, solve_poisson
+from semidtn.forward_solver import harmonic_extension, solve_linear
 from semidtn import linearization, reconstruction
 from semidtn.geometry import arc_mask, full_mask, interior_integral, make_grid
 from semidtn.harmonic import arc_supported_family
@@ -19,6 +19,11 @@ from semidtn.reconstruction import (ZERO_ROW, MomentSystem, ReconstructionConfig
 
 def measure_for(P, mask, grid):
     return lambda trace: dtn_apply(P, trace, mask, grid)
+
+
+def poisson_readout(source, g):
+    """The normal derivative of the zero-boundary solution of -Lap_h w = source."""
+    return normal_derivative(solve_linear(source, np.zeros(g.num_boundary), g), g)
 
 
 @pytest.fixture(scope="module")
@@ -89,16 +94,15 @@ def test_moment_matches_direct_quadrature(setup32):
 
 def test_moment_lower_order_correction_matters(setup32):
     # at order 3 the known quadratic coefficient feeds a source correction;
-    # omitting it shifts the moment by exactly the interior integral of that
-    # source against the last member
+    # omitting it (no known series) shifts the moment by exactly the interior
+    # integral of that source against the last member
     g, mask, fam, _ = setup32
     x, _ = g.node_coords()
     P = PotentialSeries.from_coefficients(
         g, {2: 2.0 + x, 3: sample_expression("sin(pi*x)*sin(pi*y)", g)})
     members = [fam[0], fam[2], fam[4], fam[6]]
     with_corr = measured_moment(measure_for(P, mask, g), members, 1e-2, mask, g, known=P)
-    without = measured_moment(measure_for(P, mask, g), members, 1e-2, mask, g, known=P,
-                              include_lower_order=False)
+    without = measured_moment(measure_for(P, mask, g), members, 1e-2, mask, g, known=None)
     prod = P.coefficient(3).copy()
     for mem in members:
         prod = prod * mem.field
@@ -222,8 +226,7 @@ def test_arc_readout_matches_poisson_solves(n, s0, s1):
     fam = arc_supported_family(mask, 6, g)
 
     def reference(prod, fields):
-        return np.column_stack([normal_derivative(solve_poisson(prod * b, g), g)[arc]
-                                for b in fields.T])
+        return np.column_stack([poisson_readout(prod * b, g)[arc] for b in fields.T])
 
     def assert_agrees(model, ref):
         norms = np.linalg.norm(ref, axis=1)
@@ -315,7 +318,7 @@ def test_folding_is_exact():
     blocks = []
     for head in system.heads:
         prod = fam[head[0]].field * fam[head[1]].field
-        model = np.array([-g.h * normal_derivative(solve_poisson(prod * b, g), g)[arc]
+        model = np.array([-g.h * poisson_readout(prod * b, g)[arc]
                           for b in basis.fields.T]).T
         norms = np.linalg.norm(model, axis=1)
         seen = norms > 0.0  # the corners are not read out
@@ -513,8 +516,8 @@ def test_reconstruct_measures_each_direction_once():
 def test_noisy_reconstruction_is_pinned():
     # output noise of 1e-9 leaves V2 near its noise-free error but sends V3
     # from ~0.17 to ~450, growing tenfold per decade of noise while the
-    # L-curve weight stays put (ROADMAP item 1); a change to the noise
-    # handling is measured against these bands
+    # L-curve weight stays put (ROADMAP item "Make every stage honest under
+    # noise"); a change to the noise handling is measured against these bands
     g = make_grid(16)
     mask = arc_mask(g, 0.0, 2.0)
     truth = PotentialSeries.from_coefficients(g, {
@@ -537,7 +540,8 @@ def test_noisy_reconstruction_is_pinned():
     assert 200.0 <= errors[1e-9][1] <= 1000.0
 
 
-def test_stage_failure_attaches_partial_result():
+def test_stage_failure_propagates_measurement_error():
+    # a stage failure reaches the caller as the measurement raised it
     g = make_grid(32)
     mask = arc_mask(g, 0.0, 2.0)
     truth = PotentialSeries.zero(g)
@@ -552,9 +556,9 @@ def test_stage_failure_attaches_partial_result():
 
     conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=6, basis_per_side=3,
                                 rows_factor=2, seed=0)
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(RuntimeError, match="measurement device unplugged"):
         reconstruct_all(flaky_measure, 3, conf)
-    assert hasattr(info.value, "partial_result")
+    assert calls["n"] == 41
 
 
 def test_reconstruct_requires_k_at_least_two():
