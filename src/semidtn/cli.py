@@ -49,6 +49,18 @@ MAX_ORDER = 8
 MAX_TUPLES = 1000
 MAX_BUMP_WIDTH = 2.0
 
+# The sections a config may hold and the keys of each (the README key
+# table); anything else is a typo that would otherwise fall back to a default.
+CONFIG_KEYS = {
+    "experiment": {"scenario", "output_dir", "seed"},
+    "grid": {"n"},
+    "arc": {"s0", "s1"},
+    "potential": {f"k{k}" for k in range(2, MAX_ORDER + 1)},
+    "measurement": {"eps", "noise_sigma"},
+    "reconstruction": {"kmax", "family_size", "basis_per_side", "rows_factor", "lambda"},
+    "extras": {"tuples", "bump_amplitude", "bump_width"},
+}
+
 # Printed by run and validate for a reconstruction config with noise_sigma > 0;
 # the noise gains are pinned by test_polarized_flux_noise_gain.
 NOISE_WARNING = ("the reconstruction stages polarize directional Taylor coefficients, "
@@ -102,6 +114,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}]; choose from "
+                              f"{', '.join(CONFIG_KEYS)}")
+        unknown = sorted(set(parser[section]) - CONFIG_KEYS[section])
+        if unknown:
+            raise ConfigError(f"unknown key [{section}] {unknown[0]}; choose from "
+                              f"{', '.join(sorted(CONFIG_KEYS[section]))}")
 
     def get(section: str, key: str, default=None, cast=str):
         if parser.has_option(section, key):
@@ -130,16 +150,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not 0.0 <= s0 < 4.0 or not 0.0 < s1 - s0 <= 4.0:
         raise ConfigError(f"arc [{s0}, {s1}) invalid: need 0 <= s0 < 4, 0 < s1-s0 <= 4")
 
-    exprs: dict[int, str] = {}
-    if parser.has_section("potential"):
-        for key, value in parser.items("potential"):
-            if not key.startswith("k") or not key[1:].isdecimal():
-                raise ConfigError(f"[potential] keys look like k2, k3, ...; got {key!r}")
-            order = int(key[1:])
-            if not 2 <= order <= MAX_ORDER:
-                raise ConfigError(f"potential coefficients run from k2 to k{MAX_ORDER}; "
-                                  f"got {key!r}")
-            exprs[order] = value
+    exprs = {int(key[1:]): value for key, value in parser.items("potential")} \
+        if parser.has_section("potential") else {}
 
     kmax = get("reconstruction", "kmax", max(exprs) if exprs else 2, int)
     top = 4 if scenario == "reconstruction" else MAX_ORDER

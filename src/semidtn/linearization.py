@@ -3,7 +3,9 @@
 (a) the analytic cascade: mixed amplitude-derivatives of the solution at
     zero data solve a triangle of linear Dirichlet problems (harmonic for
     single slots, zero-boundary Poisson problems driven by lower-order
-    products for multi-slots);
+    products for multi-slots), memoised under sorted label multisets so that
+    a caller sharing one memo between several multisets solves each
+    sub-multiset once (``cascade_fields``);
 (b) numerical mixed divided differences of the nonlinear measurement map,
     either the tensor-product difference over the slot amplitudes or the
     polarization of directional Taylor coefficients (``DirectionStore``).
@@ -85,25 +87,29 @@ class CascadeState:
 
 
 def nonlinearity_derivative(P: PotentialSeries, S, derivs: dict) -> np.ndarray:
-    """Mixed amplitude-derivative of V(x, u) at zero data, for slot subset S.
+    """Mixed amplitude-derivative of V(x, u) at zero data, for the label
+    multiset S (slot indices, or the members of a head).
 
     Sums, over the set partitions of S with at least two blocks, the
     coefficient field of order (number of blocks) times the product of the
-    blocks' solution derivatives, read from ``derivs`` as laid out in
-    ``CascadeState.derivs``. Single-block partitions drop out because the
-    series has no first-order coefficient; blocks beyond the truncation
-    order contribute zero fields.
+    blocks' solution derivatives, read from ``derivs`` under their sorted
+    label tuples (see ``cascade_fields``). Single-block partitions drop out
+    because the series has no first-order coefficient; blocks beyond the
+    truncation order contribute zero fields.
     """
     S = tuple(sorted(S))
     if len(S) < 2:
         raise ValueError("nonlinearity derivative needs at least 2 slots")
     out = None
-    for part in partitions(S):
+    # partitions of the positions, so that the enumeration is cached per size
+    # and not per multiset
+    for part in partitions(range(len(S))):
         nblocks = len(part)
         if nblocks < 2 or nblocks > P.kmax:
             continue
         term = P.coefficient(nblocks).copy()
-        for block in part:
+        for positions in part:
+            block = tuple(S[i] for i in positions)
             if block not in derivs:
                 raise KeyError(f"missing lower-order derivative for slots {block}")
             term *= derivs[block]
@@ -117,53 +123,39 @@ def run_cascade(P: PotentialSeries, fs, grid: Grid2D) -> CascadeState:
     """Solve the derivative triangle for the given boundary-data slots.
 
     Singletons get harmonic extensions of their traces; the larger subsets
-    follow by ``cascade_derivs``. No nonlinear solve is involved.
+    follow by ``cascade_fields`` over the slot labels. No nonlinear solve is
+    involved.
     """
     fs = tuple(check_trace(f, grid) for f in fs)
     m = len(fs)
     if not 1 <= m <= MAX_CASCADE_SLOTS:
         raise ValueError(f"cascade supports 1..{MAX_CASCADE_SLOTS} slots, got {m}")
-    harmonic = [harmonic_extension(f, grid) for f in fs]
-    return CascadeState(cascade_derivs(P, harmonic, grid))
+    fields = {(l,): harmonic_extension(f, grid) for l, f in enumerate(fs)}
+    cascade_fields(P, range(m), fields, grid)
+    return CascadeState(fields)
 
 
-def cascade_derivs(P: PotentialSeries, harmonic, grid: Grid2D,
-                   max_subset_size: int | None = None, *, labels=None,
-                   cache: dict | None = None) -> dict[tuple[int, ...], np.ndarray]:
-    """The derivative triangle over slots whose single-slot fields, the
-    harmonic extensions of their traces, are given.
+def cascade_fields(P: PotentialSeries, S, fields: dict, grid: Grid2D) -> np.ndarray:
+    """The cascade field of the label multiset S, memoised in ``fields``.
 
-    Subsets are processed in increasing size: each subset of two or more
-    slots solves a zero-boundary Poisson problem whose source is minus the
-    nonlinearity derivative built from the already-computed fields. Laid
-    out as ``CascadeState.derivs``. ``max_subset_size`` truncates the
-    triangle when only lower-order fields are needed.
-
-    ``cache``, a dict shared between calls with the same P and grid, keeps
-    each field under the ``labels`` of its slots, in slot order, and a
-    subset whose key it holds is not solved again. Equal labels must mean
-    equal harmonic fields; with sorted labels the key is the subset's label
-    multiset, whose partition sums always run in the same order, so a
-    cached field is bit-identical to a fresh one.
+    ``fields`` maps sorted label tuples to nodal fields and starts with each
+    label's harmonic field under ``(label,)``; equal labels mean equal
+    fields. Every sub-multiset of S with two or more labels that ``fields``
+    lacks, S included, is solved once, in increasing size: a zero-boundary
+    Poisson problem whose source is minus the nonlinearity derivative built
+    from the smaller ones. A sorted multiset's partition sums always run in
+    the same order, so a memoised field is bit-identical to a fresh one.
     """
-    m = len(harmonic)
-    top = m if max_subset_size is None else min(m, max_subset_size)
-    derivs: dict[tuple[int, ...], np.ndarray] = {(l,): harmonic[l] for l in range(m)}
+    S = tuple(sorted(S))
     zero_trace = np.zeros(grid.num_boundary)
-    for size in range(2, top + 1):
-        for subset in combinations(range(m), size):
-            key = None if cache is None else tuple(labels[l] for l in subset)
-            field = None if key is None else cache.get(key)
-            if field is None:
-                source = nonlinearity_derivative(P, subset, derivs)
-                if source.any():
-                    field = solve_linear(-source, zero_trace, grid)
-                else:
-                    field = np.zeros(grid.num_nodes)
-                if key is not None:
-                    cache[key] = field
-            derivs[subset] = field
-    return derivs
+    for size in range(2, len(S) + 1):
+        for positions in combinations(range(len(S)), size):
+            key = tuple(S[i] for i in positions)
+            if key not in fields:
+                source = nonlinearity_derivative(P, key, fields)
+                fields[key] = solve_linear(-source, zero_trace, grid) if source.any() \
+                    else np.zeros(grid.num_nodes)
+    return fields[S]
 
 
 def measured_linearized_flux(measure, fs, eps: float, mask: ArcMask,
@@ -211,56 +203,45 @@ class DirectionStore:
     are the t^m coefficients with the neighbouring orders (F_4, F_1 and F_2)
     eliminated, and F_m(f_S) = |S|^m F_m(g_S). Multisets with the same mean,
     such as (0,) and (0, 0), share one direction, and a direction's four
-    measurements serve every head and every order that contains it. Only
-    the arc values of the coefficients of ``orders`` (within 2..4) along each
-    direction are kept, and ``release`` drops an order that no later caller
-    reads; ``calls`` counts the measurements.
+    measurements serve every head and every order that contains it. Each
+    direction keeps E(s), E(2s), O(s) and O(2s) at the arc nodes, from which
+    ``taylor`` forms the coefficient it is asked for; ``calls`` counts the
+    measurements.
     """
 
-    def __init__(self, measure, traces, eps: float, mask: ArcMask, grid: Grid2D,
-                 orders):
+    def __init__(self, measure, traces, eps: float, mask: ArcMask, grid: Grid2D):
         if eps <= 0.0:
             raise ValueError("eps must be positive")
-        orders = sorted(set(orders))
-        if not orders or not set(orders) <= {2, 3, 4}:
-            raise ValueError(f"directional coefficients cover orders 2..4, got {orders}")
         self._measure = measure
         self._traces = tuple(check_trace(f, grid) for f in traces)
         self._arc = np.flatnonzero(mask.flags)
         self.step = 1.5 * eps
         self.calls = 0
-        # order -> direction -> F_m(g) at the arc nodes; every kept order
-        # holds the same directions, the ones measured so far
-        self._taylor: dict[int, dict[tuple[int, ...], np.ndarray]] = {m: {} for m in orders}
-
-    def _measure_direction(self, key: tuple[int, ...]) -> None:
-        g = sum(self._traces[i] for i in key) / len(key)
-        a, b, c, d = (_output(self._measure(t * self.step * g))[self._arc]
-                      for t in (1.0, -1.0, 2.0, -2.0))
-        self.calls += 4
-        even1, even2, odd1, odd2 = 0.5 * (a + b), 0.5 * (c + d), 0.5 * (a - b), 0.5 * (c - d)
-        s = self.step
-        coeffs = {2: (16.0 * even1 - even2) / (12.0 * s ** 2),
-                  3: (odd2 - 2.0 * odd1) / (6.0 * s ** 3),
-                  4: (even2 - 4.0 * even1) / (12.0 * s ** 4)}
-        for m, kept in self._taylor.items():
-            kept[key] = coeffs[m]
+        # direction -> (E(s), E(2s), O(s), O(2s)) of F(t g) at the arc nodes
+        self._parts: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
     def taylor(self, S, m: int) -> np.ndarray:
         """F_m(f_S), the t^m coefficient of F(t f_S), at the arc nodes."""
-        if m not in self._taylor:
-            raise ValueError(f"order {m} is not kept: the store holds orders "
-                             f"{sorted(self._taylor)}")
+        if not 2 <= m <= 4:
+            raise ValueError(f"directional coefficients cover orders 2..4, got {m}")
         counts = Counter(S)
         common = math.gcd(*counts.values())
         key = tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
-        if key not in self._taylor[m]:
-            self._measure_direction(key)
-        return len(S) ** m * self._taylor[m][key]
-
-    def release(self, m: int) -> None:
-        """Drop the order-m coefficients; the directions stay measured."""
-        self._taylor.pop(m, None)
+        if key not in self._parts:
+            g = sum(self._traces[i] for i in key) / len(key)
+            a, b, c, d = (_output(self._measure(t * self.step * g))[self._arc]
+                          for t in (1.0, -1.0, 2.0, -2.0))
+            self.calls += 4
+            self._parts[key] = (0.5 * (a + b), 0.5 * (c + d), 0.5 * (a - b), 0.5 * (c - d))
+        even1, even2, odd1, odd2 = self._parts[key]
+        s = self.step
+        if m == 2:
+            coeff = (16.0 * even1 - even2) / (12.0 * s ** 2)
+        elif m == 3:
+            coeff = (odd2 - 2.0 * odd1) / (6.0 * s ** 3)
+        else:
+            coeff = (even2 - 4.0 * even1) / (12.0 * s ** 4)
+        return len(S) ** m * coeff
 
     def flux(self, head) -> np.ndarray:
         """The mixed flux D^m F[f_1..f_m] of the head's m traces at the arc

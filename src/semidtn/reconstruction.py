@@ -33,7 +33,8 @@ polarizes directional Taylor coefficients along the sums of the head's
 sub-multisets, and each such direction is measured four times, once per
 run, for every head and every order that contains it (``DirectionStore``).
 Lower orders enter only through their already reconstructed fields, which
-keeps the inverse-problem information barrier intact.
+keeps the inverse-problem information barrier intact; the cascade fields of
+S are solved once per stage, in one memo keyed by member multisets.
 
 ``measured_moment`` keeps the continuum form of the identity (the pairing
 equals the interior integral of V_m times m+1 harmonic functions, up to
@@ -46,10 +47,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,7 @@ from .sparse_linalg import _sine_modes
 from .geometry import (ArcMask, Grid2D, boundary_integral, check_field, full_mask,
                        interior_integral)
 from .harmonic import HarmonicFamily, arc_supported_family
-from .linearization import (DirectionStore, cascade_derivs, measured_linearized_flux,
+from .linearization import (DirectionStore, cascade_fields, measured_linearized_flux,
                             nonlinearity_derivative)
 from .potential import PotentialSeries
 
@@ -181,29 +181,21 @@ def measured_moment(measure, members, eps: float, mask: ArcMask, grid: Grid2D,
     value = boundary_integral(flux * members[m].trace, full_mask(grid), grid)
     low = _truncated(known, m, grid)
     if not low.is_zero:
-        source = _lower_order_source(low, members[:m], grid)
+        fields = {(i,): mem.field for i, mem in enumerate(members[:m])}
+        source = _lower_order_source(low, tuple(range(m)), fields, grid)
         value -= interior_integral(source * members[m].field, grid)
     return float(value)
 
 
-def _lower_order_source(low: PotentialSeries, members, grid: Grid2D, *, labels=None,
-                        cache: dict | None = None) -> np.ndarray:
-    """The lower orders' part S of the order-m source, m = len(members): the
-    mixed derivative of V built from ``low`` over the cascade's fields,
-    started from the members' harmonic fields. ``labels`` and ``cache`` pass
-    to ``cascade_derivs``, so that fields are shared between heads."""
-    m = len(members)
-    derivs = cascade_derivs(low, [mem.field for mem in members], grid, max_subset_size=m - 1,
-                            labels=labels, cache=cache)
-    return nonlinearity_derivative(low, range(m), derivs)
-
-
-def _lower_order_keys(head: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The member sub-multisets of sizes 2..m-1 of a sorted head: the keys
-    under which its lower-order source reads the cascade's fields."""
-    m = len(head)
-    return {tuple(head[i] for i in positions)
-            for size in range(2, m) for positions in combinations(range(m), size)}
+def _lower_order_source(low: PotentialSeries, S: tuple[int, ...], fields: dict,
+                        grid: Grid2D) -> np.ndarray:
+    """The lower orders' part of the order-m source, m = len(S), for the
+    sorted label multiset S: the mixed derivative of V built from ``low``
+    over the cascade fields of S's proper sub-multisets, which
+    ``cascade_fields`` adds to the memo ``fields`` where it lacks them."""
+    for i in range(len(S)):
+        cascade_fields(low, S[:i] + S[i + 1:], fields, grid)
+    return nonlinearity_derivative(low, S, fields)
 
 
 def _choose_heads(family_size: int, m: int, cap: int,
@@ -309,9 +301,10 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis,
     read-out operator per stage (``_arc_readout``) gives a head's whole
     model, and the same map with unit axis factors reads the lower-order
     source. That source's cascade fields are solved once per stage, each
-    under its member sub-multiset, and dropped after the last head that
-    reads them. Rows whose model vanishes (a zero member, or a corner, which the
-    read-out does not see) are dropped before anything is measured. Every row is
+    under its member sub-multiset in one memo that starts with the family's
+    harmonic fields and is kept until the stage returns (``cascade_fields``).
+    Rows whose model vanishes (a zero member, or a corner, which the read-out
+    does not see) are dropped before anything is measured. Every row is
     scaled to unit norm, the measured data error being proportional to the
     row norm, and each head's rows are folded into a running triangular
     factor, so that the system holds O(basis size^2) numbers (see
@@ -331,15 +324,12 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis,
     if not low.is_zero:
         source_readout = _arc_readout(grid, np.ones((grid.n + 1, 1)), arc)
 
-    chosen = _choose_heads(len(family), m, heads, np.random.default_rng(seed))
-    # heads still to come that read each lower-order field; a field is
-    # solved on first use and dropped after its last
-    uses = Counter(key for head in chosen for key in _lower_order_keys(head))
-    fields: dict[tuple[int, ...], np.ndarray] = {}
+    # the stage's cascade memo, keyed by member multisets
+    fields = {(i,): member.field for i, member in enumerate(family)}
     measured: list[tuple[int, ...]] = []
     count = 0
     factor = np.zeros((0, p + 1))
-    for head in chosen:
+    for head in _choose_heads(len(family), m, heads, np.random.default_rng(seed)):
         prod = np.prod([family[i].field for i in head], axis=0)
         model = -grid.h * model_readout(prod)
         norms = np.linalg.norm(model, axis=1)
@@ -347,17 +337,12 @@ def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis,
         if keep.size:
             data = grid.h * directions.flux(head)
             if not low.is_zero:
-                source = _lower_order_source(low, [family[i] for i in head], grid,
-                                             labels=head, cache=fields)
+                source = _lower_order_source(low, head, fields, grid)
                 data += grid.h * source_readout(source)[:, 0]
             block = np.column_stack([model, data])[keep] / norms[keep, None]
             factor = np.linalg.qr(np.vstack([factor, block]), mode="r")
             measured.append(head)
             count += keep.size
-        for key in _lower_order_keys(head):
-            uses[key] -= 1
-            if not uses[key]:
-                fields.pop(key, None)
     if not count:
         raise ValueError("no usable heads: family cannot form a moment system")
     stacked = np.zeros((p + 1, p + 1))
@@ -517,15 +502,14 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
     size, grid), so it is built once, or passed in by a caller that has
     built it, and shared across stages.
     """
-    if K < 2:
-        raise ValueError("reconstruction starts at order K = 2")
+    if not 2 <= K <= 4:
+        raise ValueError(f"reconstruction covers orders K = 2..4, got {K}")
     grid, mask = config.grid, config.mask
     if family is None:
         family = arc_supported_family(mask, config.family_size, grid)
     basis = make_basis(config.basis_per_side, grid)
     penalty = gradient_penalty(basis.nodes_per_side)
-    directions = DirectionStore(measure, family.traces(), config.eps, mask, grid,
-                                orders=range(2, K + 1))
+    directions = DirectionStore(measure, family.traces(), config.eps, mask, grid)
     known = PotentialSeries.zero(grid)
     stages: list[StageDiagnostics] = []
     systems: list[MomentSystem] = []
@@ -544,7 +528,6 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
             float(np.linalg.cond(_stacked(system.matrix, system.lam, penalty))),
             solution_operator_norm(system, grid), rel_err))
         systems.append(system)
-        directions.release(m)  # later stages read higher orders only
         known = known.with_coefficient(m, rec)
     return ReconstructionResult(known, tuple(stages), tuple(systems))
 

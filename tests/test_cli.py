@@ -104,7 +104,9 @@ def test_validate_ranges(tmp_path):
         bad = GOOD_CONFIG.format(out=tmp_path).replace(old_line, new_line)
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, bad))
-    # orders, kmax outside reconstruction, and the scenario extras
+    # orders, kmax outside reconstruction, the scenario extras, and sections
+    # or keys outside the README table, which would otherwise fall back to
+    # their defaults
     for old_line, new_line in (("k2 = 1 + x", "k2 = 1 + x\nk9 = x"),
                                ("k2 = 1 + x", "k1000000 = x"),
                                ("k2 = 1 + x", "k\u00b2 = x"),
@@ -121,7 +123,17 @@ def test_validate_ranges(tmp_path):
                                ("tuples = 3", "tuples = 3\nbump_width = 0"),
                                ("tuples = 3", "tuples = 3\nbump_width = -0.2"),
                                ("tuples = 3", "tuples = 3\nbump_width = inf"),
-                               ("tuples = 3", "tuples = 3\nbump_width = 2.5")):
+                               ("tuples = 3", "tuples = 3\nbump_width = 2.5"),
+                               ("[potential]", "[potental]"),
+                               ("[extras]", "[extra]"),
+                               ("[extras]", "[solver]\nnewton_tol = 1e-9\n\n[extras]"),
+                               ("seed = 11", "seed = 11\nsed = 3"),
+                               ("n = 16", "n = 16\ncells = 16"),
+                               ("s1 = 2.0", "s1 = 2.0\ns2 = 3.0"),
+                               ("k2 = 1 + x", "k02 = 1 + x"),
+                               ("eps = 0.01", "eps = 0.01\nnoise = 0.1"),
+                               ("family_size = 6", "family_size = 6\nrows_facter = 9"),
+                               ("tuples = 3", "tuples = 3\nbump_hight = 0.05")):
         bad = GOOD_CONFIG.format(out=tmp_path).replace(old_line, new_line)
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, bad))

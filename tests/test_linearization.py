@@ -13,6 +13,7 @@ from semidtn.linearization import (DirectionStore, measured_linearized_flux,
                                    mixed_divided_difference, nonlinearity_derivative,
                                    partitions, run_cascade)
 from semidtn.potential import PotentialSeries, sample_expression
+from semidtn.reconstruction import ReconstructionConfig, reconstruct_all
 
 
 # the number of set partitions of an n-element set, n = 0..8
@@ -366,7 +367,7 @@ def test_polarized_flux_matches_cascade_and_tensor_difference():
         4: sample_expression("1 + x*y", g)})
     fam = arc_supported_family(mask, 12, g)
     measure = lambda trace: dtn_apply(P, trace, mask, g)
-    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g, (2, 3, 4))
+    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
     for head in ((0, 3), (2, 2), (0, 3, 7), (1, 1, 5), (0, 3, 7, 9), (1, 1, 5, 8),
                  (0, 0, 0, 1)):
         m = len(head)
@@ -405,7 +406,7 @@ def test_polarized_flux_noise_gain():
         common = math.gcd(*counts.values())
         return tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
 
-    directions = DirectionStore(noise, fam.traces(), eps, mask, g, (2, 3, 4))
+    directions = DirectionStore(noise, fam.traces(), eps, mask, g)
     heads = {2: ((0, 3), (5, 9), (2, 2)), 3: ((0, 3, 7), (2, 6, 10), (1, 1, 5)),
              4: ((0, 3, 7, 9), (2, 4, 6, 11), (1, 1, 5, 8), (0, 0, 0, 1))}
     for m, order_heads in heads.items():
@@ -437,23 +438,22 @@ def test_direction_store_guards():
     measure = lambda trace: calls.append(trace) or dtn_apply(PotentialSeries.zero(g), trace,
                                                              mask, g)
     with pytest.raises(ValueError):
-        DirectionStore(measure, fam.traces(), 0.0, mask, g, (2,))
-    for orders in ((), (1, 2), (4, 5)):
-        with pytest.raises(ValueError):
-            DirectionStore(measure, fam.traces(), 1e-2, mask, g, orders)
-    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g, (2, 3, 4))
+        DirectionStore(measure, fam.traces(), 0.0, mask, g)
+    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
     for m in (1, 5):
         with pytest.raises(ValueError):
             directions.taylor((0,), m)
     assert not calls
-    # (0, 1) and (0, 0, 1, 1) share their mean, so one direction serves both
+    # (0, 1) and (0, 0, 1, 1) share their mean, so one direction serves both,
+    # at every order
     assert not np.any(directions.flux((0, 1)))  # the zero series has no order-2 term
     assert directions.calls == len(calls) == 12
-    directions.taylor((0, 0, 1, 1), 4)
+    for m in (2, 3, 4):
+        directions.taylor((0, 0, 1, 1), m)
     assert directions.calls == 12
-    # a released order is gone, the others and the measured directions stay
-    directions.release(2)
-    with pytest.raises(ValueError):
-        directions.taylor((0, 1), 2)
-    directions.taylor((0, 1), 3)
-    assert directions.calls == 12
+    # a reconstruction outside orders 2..4 fails before it measures anything
+    conf = ReconstructionConfig(g, mask, family_size=3, basis_per_side=2)
+    for K in (1, 5):
+        with pytest.raises(ValueError, match="K = 2..4"):
+            reconstruct_all(measure, K, conf, family=fam)
+    assert len(calls) == 12

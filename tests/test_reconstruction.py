@@ -143,7 +143,7 @@ def test_assemble_dimensions():
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measure_for(P, mask, g), fam.traces(), 1e-2, mask, g, (2,))
+    directions = DirectionStore(measure_for(P, mask, g), fam.traces(), 1e-2, mask, g)
     system = assemble_system(fam, 2, basis, directions, mask, g, heads=3)
     assert len(system.heads) == 3
     assert len(set(system.heads)) == 3  # deduplicated
@@ -158,8 +158,7 @@ def test_assemble_collapses_when_only_one_tuple_exists():
     fam_all = arc_supported_family(mask, 1, g)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measure_for(P, mask, g), fam_all.traces(), 1e-2, mask, g,
-                                (2,))
+    directions = DirectionStore(measure_for(P, mask, g), fam_all.traces(), 1e-2, mask, g)
     with pytest.warns(UserWarning):
         system = assemble_system(fam_all, 2, basis, directions, mask, g, heads=12)
     assert system.heads == ((0, 0),)
@@ -176,7 +175,7 @@ def test_assemble_drops_zero_product_rows():
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
     directions = DirectionStore(measure_for(P, mask, g), fam_degenerate.traces(), 1e-2,
-                                mask, g, (2,))
+                                mask, g)
     system = assemble_system(fam_degenerate, 2, basis, directions, mask, g,
                              heads=15)  # all 15 heads are drawn
     for head in system.heads:
@@ -195,7 +194,7 @@ def test_stage_model_matches_measured_pairing():
     c = np.random.default_rng(0).uniform(0.5, 1.5, basis.size)
     truth = PotentialSeries.from_coefficients(g, {2: basis.synthesize(c)})
     measure = measure_for(truth, mask, g)
-    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g, (2,))
+    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
     system = assemble_system(fam, 2, basis, directions, mask, g, heads=1, lam=1.0)
     assert len(system.heads) == 1
     assert system.rows == mask.flags.sum() - 2  # the two corners are not read out
@@ -250,8 +249,7 @@ def test_arc_readout_matches_poisson_solves(n, s0, s1):
     basis = make_basis(3, g)
     P = PotentialSeries.zero(g)
     for m in (2, 3):
-        directions = DirectionStore(measure_for(P, mask, g), fam.traces(), 1e-2, mask, g,
-                                    (m,))
+        directions = DirectionStore(measure_for(P, mask, g), fam.traces(), 1e-2, mask, g)
         system = assemble_system(fam, m, basis, directions, mask, g, heads=2, seed=m,
                                  lam=1.0)
         expected = 0
@@ -264,9 +262,10 @@ def test_arc_readout_matches_poisson_solves(n, s0, s1):
 
 @pytest.mark.parametrize("m, s1", [(4, 4.0), (3, 2.0)])
 def test_stage_solves_each_lower_order_field_once(monkeypatch, m, s1):
-    # the order-m stage solves one cascade field per distinct member
-    # sub-multiset of sizes 2..m-1 over its heads, and every head's
-    # lower-order source equals the one solved for that head alone
+    # the order-m stage's memo solves one cascade field per distinct member
+    # sub-multiset of sizes 2..m-1 over its kept heads, fewer than the heads
+    # would solve each on its own, and every head's lower-order source is
+    # bit-identical to the one from a fresh memo keyed by slot positions
     g = make_grid(16)
     mask = arc_mask(g, 0.0, s1)
     known = PotentialSeries.from_coefficients(g, {
@@ -276,7 +275,7 @@ def test_stage_solves_each_lower_order_field_once(monkeypatch, m, s1):
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(3, g)
     directions = DirectionStore(lambda trace: np.zeros(g.num_boundary), fam.traces(),
-                                1e-2, mask, g, (m,))
+                                1e-2, mask, g)
     solve, source = linearization.solve_linear, reconstruction._lower_order_source
     solves, sources = [], []
 
@@ -284,20 +283,22 @@ def test_stage_solves_each_lower_order_field_once(monkeypatch, m, s1):
         solves.append(args)
         return solve(*args)
 
-    def recording_source(low, members, grid, **kwargs):
-        sources.append((members, source(low, members, grid, **kwargs)))
+    def recording_source(low, S, fields, grid):
+        sources.append((S, source(low, S, fields, grid)))
         return sources[-1][1]
 
     monkeypatch.setattr(linearization, "solve_linear", counting_solve)
     monkeypatch.setattr(reconstruction, "_lower_order_source", recording_source)
     system = assemble_system(fam, m, basis, directions, mask, g, known=known,
                              heads=2 * basis.size, seed=m)
+    assert any(len(set(head)) < m for head in system.heads)  # a repeated member
     keys = [{tuple(head[i] for i in positions) for size in range(2, m)
              for positions in combinations(range(m), size)} for head in system.heads]
     assert len(solves) == len(set().union(*keys)) < sum(map(len, keys))
-    assert len(sources) == len(system.heads)
-    for members, data in sources:
-        assert np.array_equal(data, source(low, members, g))
+    assert [S for S, _ in sources] == list(system.heads)
+    for head, data in sources:
+        fresh = {(i,): fam[label].field for i, label in enumerate(head)}
+        assert np.array_equal(data, source(low, tuple(range(m)), fresh, g))
 
 
 def test_folding_is_exact():
@@ -310,8 +311,7 @@ def test_folding_is_exact():
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(3, g)
     truth = PotentialSeries.from_coefficients(g, {2: sample_expression("1 + x*y", g)})
-    directions = DirectionStore(measure_for(truth, mask, g), fam.traces(), 1e-2, mask, g,
-                                (2,))
+    directions = DirectionStore(measure_for(truth, mask, g), fam.traces(), 1e-2, mask, g)
     system = assemble_system(fam, 2, basis, directions, mask, g, heads=3, lam=1.0)
     assert len(system.heads) == 3
     arc = np.flatnonzero(mask.flags)
@@ -434,8 +434,7 @@ def test_induction_uses_reconstructed_lower_orders():
     errors = []
     for delta in (0.0, 0.05, 0.2):
         known = PotentialSeries.from_coefficients(g, {2: truth.coefficient(2) + delta})
-        directions = DirectionStore(measure_for(truth, mask, g), fam.traces(), 1e-2,
-                                    mask, g, (3,))
+        directions = DirectionStore(measure_for(truth, mask, g), fam.traces(), 1e-2, mask, g)
         system = assemble_system(fam, 3, basis, directions, mask, g, known=known,
                                  heads=3 * basis.size, seed=5)
         rec = system.basis.synthesize(solve_coefficients(system))
