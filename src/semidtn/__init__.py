@@ -12,7 +12,7 @@ from .dtn import DtnSample, bump_trace, dtn_apply, normal_derivative
 from .linearization import (CascadeState, measured_linearized_flux,
                             mixed_divided_difference, nonlinearity_derivative,
                             partitions, run_cascade)
-from .harmonic import HarmonicFamily, arc_supported_family
+from .harmonic import arc_supported_family
 from .reconstruction import (CoeffBasis, MomentSystem, ReconstructionConfig,
                              ReconstructionResult, assemble_system, make_basis,
                              measured_moment, reconstruct_all, rel_l2_error)
@@ -28,7 +28,7 @@ __all__ = [
     "CascadeState", "measured_linearized_flux",
     "mixed_divided_difference", "nonlinearity_derivative", "partitions",
     "run_cascade",
-    "HarmonicFamily", "arc_supported_family",
+    "arc_supported_family",
     "CoeffBasis", "MomentSystem", "ReconstructionConfig", "ReconstructionResult",
     "assemble_system", "make_basis", "measured_moment", "reconstruct_all",
     "rel_l2_error",

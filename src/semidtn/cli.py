@@ -25,14 +25,11 @@ import numpy as np
 from .dtn import DtnSample, bump_trace, dtn_apply, normal_derivative
 from .forward_solver import DEFAULT_SMALLNESS_RADIUS, solve_semilinear
 from .geometry import ArcMask, Grid2D, arc_mask, interior_integral, make_grid
-from .harmonic import HarmonicFamily, arc_supported_family
-from .linearization import mixed_divided_difference, run_cascade
+from .harmonic import HarmonicMember, arc_supported_family
+from .linearization import (MAX_ORDER, check_difference_gate, mixed_divided_difference,
+                            run_cascade)
 from .potential import PotentialSeries, sample_expression
-from .reconstruction import (ReconstructionConfig, measured_moment,
-                             reconstruct_all, stages_to_json)
-
-SCENARIOS = ("forward_convergence", "linearization_check", "identity_check",
-             "reconstruction")
+from .reconstruction import ReconstructionConfig, measured_moment, reconstruct_all
 
 OUTPUT_DIR_ENV = "SEMIDTN_OUTPUT_DIR"
 
@@ -41,11 +38,11 @@ OUTPUT_DIR_ENV = "SEMIDTN_OUTPUT_DIR"
 MAX_FAMILY_SIZE = 32
 MAX_BASIS_PER_SIDE = 12
 MAX_ROWS_FACTOR = 10
-# Highest coefficient order in [potential] and kmax (the partition
-# enumeration behind the cascade stops at 8), the identity_check tuple count
-# per order, and the half-width of the forward_convergence bump (half the
-# boundary walk).
-MAX_ORDER = 8
+# Highest coefficient order a [potential] key may name (the forward model
+# solves any order; kmax, the highest order differentiated, stops at
+# MAX_ORDER), the identity_check tuple count per order, and the half-width
+# of the forward_convergence bump (half the boundary walk).
+MAX_POTENTIAL_ORDER = 8
 MAX_TUPLES = 1000
 MAX_BUMP_WIDTH = 2.0
 
@@ -55,7 +52,7 @@ CONFIG_KEYS = {
     "experiment": {"scenario", "output_dir", "seed"},
     "grid": {"n"},
     "arc": {"s0", "s1"},
-    "potential": {f"k{k}" for k in range(2, MAX_ORDER + 1)},
+    "potential": {f"k{k}" for k in range(2, MAX_POTENTIAL_ORDER + 1)},
     "measurement": {"eps", "noise_sigma"},
     "reconstruction": {"kmax", "family_size", "basis_per_side", "rows_factor", "lambda"},
     "extras": {"tuples", "bump_amplitude", "bump_width"},
@@ -136,9 +133,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     scenario = get("experiment", "scenario")
     if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
+        raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
     output_dir = os.environ.get(OUTPUT_DIR_ENV) or get("experiment", "output_dir")
     seed = get("experiment", "seed", 0, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     n = get("grid", "n", 64, int)
     if not 8 <= n <= 256:
@@ -153,10 +152,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     exprs = {int(key[1:]): value for key, value in parser.items("potential")} \
         if parser.has_section("potential") else {}
 
-    kmax = get("reconstruction", "kmax", max(exprs) if exprs else 2, int)
-    top = 4 if scenario == "reconstruction" else MAX_ORDER
-    if not 2 <= kmax <= top:
-        raise ConfigError(f"{scenario} kmax must be in [2, {top}], got {kmax}")
+    kmax = get("reconstruction", "kmax", min(max(exprs), MAX_ORDER) if exprs else 2, int)
+    if not 2 <= kmax <= MAX_ORDER:
+        raise ConfigError(f"kmax must be in [2, {MAX_ORDER}], got {kmax}")
     eps = get("measurement", "eps", 1e-2, float)
     if not 0.0 < eps <= 0.05:
         raise ConfigError(f"eps must be in (0, 0.05], got {eps}")
@@ -164,6 +162,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if scenario == "reconstruction" and 3.0 * eps > DEFAULT_SMALLNESS_RADIUS:
         raise ConfigError(f"reconstruction samples reach 3 eps, so eps must be at most "
                           f"{DEFAULT_SMALLNESS_RADIUS} / 3; got {eps}")
+    # identity_check draws members with replacement, so an order-kmax
+    # difference of one repeated member (a bump of peak 1) reaches kmax eps
+    if scenario == "identity_check" and kmax * eps > DEFAULT_SMALLNESS_RADIUS:
+        raise ConfigError(f"identity_check samples reach kmax eps = {kmax * eps:.4g}, "
+                          f"above the smallness radius {DEFAULT_SMALLNESS_RADIUS}")
     noise_sigma = get("measurement", "noise_sigma", 0.0, float)
     if not 0.0 <= noise_sigma < math.inf:
         raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
@@ -229,15 +232,16 @@ class _Setup:
     grid: Grid2D
     mask: ArcMask
     truth: PotentialSeries
-    family: HarmonicFamily | None
+    family: tuple[HarmonicMember, ...] | None
 
 
 def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
     """Parse the config and build what its scenario runs on, so that every
     input the run would reject fails here, before anything is written.
     Raises ConfigError or ValueError (the grid, arc, expression and family
-    builders' own checks). A noisy reconstruction config passes with
-    ``NOISE_WARNING`` on stderr."""
+    builders' own checks, and the smallness gate of every linearization_check
+    difference). A noisy reconstruction config passes with ``NOISE_WARNING``
+    on stderr."""
     cfg = load_config(config_path)
     grid = make_grid(cfg.n)
     mask = arc_mask(grid, cfg.s0, cfg.s1)
@@ -247,6 +251,9 @@ def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
     else:
         size = max(cfg.kmax, 3) if cfg.scenario == "linearization_check" else cfg.family_size
         family = arc_supported_family(mask, size, grid)
+    if cfg.scenario == "linearization_check":
+        for _, fs, eps in _linearization_differences(cfg, family):
+            check_difference_gate(fs, eps)
     if cfg.scenario == "reconstruction" and cfg.noise_sigma > 0.0:
         print(json.dumps({"warning": NOISE_WARNING, "noise_sigma": cfg.noise_sigma}),
               file=sys.stderr)
@@ -268,22 +275,18 @@ def _make_measure(cfg: ExperimentConfig, truth: PotentialSeries, mask, grid):
     return measure
 
 
-def _write_manifest(cfg: ExperimentConfig, out: Path) -> None:
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(cfg.resolved(), fh, indent=2, sort_keys=True)
+def _write_json(path: Path, value) -> None:
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _field_csv(path: Path, grid: Grid2D, value: np.ndarray,
-               truth: np.ndarray | None = None) -> None:
-    """Write x, y, value (and truth_value) per node, as csv.writer would."""
+def _field_csv(path: Path, grid: Grid2D, value: np.ndarray, truth: np.ndarray) -> None:
+    """Write x, y, value and truth_value per node, as csv.writer would."""
     axis = [f"{a:.12g}" for a in np.linspace(0.0, 1.0, grid.n + 1)]
     coords = [f"{x},{y}" for y in axis for x in axis]  # node order, x fastest
-    if truth is None:
-        lines = ["x,y,value"] + [f"{c},{v:.17g}" for c, v in zip(coords, value.tolist())]
-    else:
-        lines = ["x,y,value,truth_value"] + [
-            f"{c},{v:.17g},{t:.17g}" for c, v, t in zip(coords, value.tolist(), truth.tolist())]
+    lines = ["x,y,value,truth_value"] + [
+        f"{c},{v:.17g},{t:.17g}" for c, v, t in zip(coords, value.tolist(), truth.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
@@ -318,13 +321,18 @@ def _scenario_forward_convergence(cfg: ExperimentConfig, setup: _Setup, out: Pat
             prev = err
 
 
+def _linearization_differences(cfg: ExperimentConfig, family: tuple[HarmonicMember, ...]):
+    """(m, traces, step) of each order-m difference linearization_check takes:
+    over the first m members, at eps for m = 2 and 2 eps above."""
+    for m in range(2, cfg.kmax + 1):
+        yield m, [family[i].trace for i in range(m)], cfg.eps if m == 2 else 2 * cfg.eps
+
+
 def _scenario_linearization_check(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
-    grid, mask, truth, family = setup.grid, setup.mask, setup.truth, setup.family
+    grid, mask, truth = setup.grid, setup.mask, setup.truth
     summary = {}
     rows = []
-    for m in range(2, min(cfg.kmax, 3) + 1):
-        fs = [family[i].trace for i in range(m)]
-        eps = cfg.eps if m == 2 else 2 * cfg.eps
+    for m, fs, eps in _linearization_differences(cfg, setup.family):
         dd = mixed_divided_difference(truth, fs, eps, mask, grid)
         state = run_cascade(truth, fs, grid)
         flux = normal_derivative(state.field(range(m)), grid)
@@ -339,9 +347,7 @@ def _scenario_linearization_check(cfg: ExperimentConfig, setup: _Setup, out: Pat
         writer = csv.writer(fh)
         writer.writerow(["m", "s", "in_gamma", "divided_difference", "cascade_flux"])
         writer.writerows(rows)
-    with open(out / "linearization_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "linearization_summary.json", summary)
 
 
 def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
@@ -351,7 +357,7 @@ def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
     rng = np.random.default_rng(cfg.seed)
     rows = []
     max_gap = 0.0
-    for m in range(2, min(cfg.kmax, 3) + 1):
+    for m in range(2, cfg.kmax + 1):
         known = truth if m > 2 else None
         for t in range(n_tuples):
             idx = rng.integers(0, len(family), size=m + 1)
@@ -370,10 +376,8 @@ def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
         writer.writerow(["m", "tuple_id", "members", "measured_moment",
                          "direct_integral", "abs_gap"])
         writer.writerows(rows)
-    with open(out / "identity_summary.json", "w") as fh:
-        json.dump({"max_abs_gap": max_gap, "tuples_per_order": n_tuples},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "identity_summary.json",
+                {"max_abs_gap": max_gap, "tuples_per_order": n_tuples})
 
 
 def _scenario_reconstruction(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
@@ -384,13 +388,13 @@ def _scenario_reconstruction(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
                                  rows_factor=cfg.rows_factor, lam=cfg.lam,
                                  seed=cfg.seed)
     result = reconstruct_all(measure, cfg.kmax, rconf, truth=truth, family=setup.family)
-    stages_to_json(result.stages, out / "stages.json")
+    _write_json(out / "stages.json", [s.to_dict() for s in result.stages])
     for m in range(2, cfg.kmax + 1):
         _field_csv(out / f"coefficient_k{m}.csv", grid,
                    result.series.coefficient(m), truth.coefficient(m))
 
 
-_SCENARIO_FUNCS = {
+SCENARIOS = {
     "forward_convergence": _scenario_forward_convergence,
     "linearization_check": _scenario_linearization_check,
     "identity_check": _scenario_identity_check,
@@ -408,8 +412,8 @@ def run(config_path: str | Path) -> int:
     out = Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_manifest(cfg, out)
-        _SCENARIO_FUNCS[cfg.scenario](cfg, setup, out)
+        _write_json(out / "manifest.json", cfg.resolved())
+        SCENARIOS[cfg.scenario](cfg, setup, out)
     except Exception as exc:
         print(json.dumps({"error": str(exc), "phase": "run",
                           "scenario": cfg.scenario}), file=sys.stderr)

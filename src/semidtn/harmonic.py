@@ -25,21 +25,8 @@ class HarmonicMember:
     provenance: str
 
 
-@dataclass(frozen=True)
-class HarmonicFamily:
-    members: tuple[HarmonicMember, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, i: int) -> HarmonicMember:
-        return self.members[i]
-
-    def traces(self) -> list[np.ndarray]:
-        return [m.trace for m in self.members]
-
-
-def arc_supported_family(mask: ArcMask, count: int, grid: Grid2D) -> HarmonicFamily:
+def arc_supported_family(mask: ArcMask, count: int,
+                         grid: Grid2D) -> tuple[HarmonicMember, ...]:
     """Harmonic extensions of ``count`` boundary bumps supported in the arc.
 
     Two half-width scales (arc/4 and arc/8) alternate; centers are
@@ -76,4 +63,4 @@ def arc_supported_family(mask: ArcMask, count: int, grid: Grid2D) -> HarmonicFam
         trace[~mask.flags] = 0.0  # exact arc support even under rounding
         field = harmonic_extension(trace, grid)
         members.append(HarmonicMember(field, trace, f"bump(center={center:.6g},width={width:.6g})"))
-    return HarmonicFamily(tuple(members))
+    return tuple(members)

@@ -29,8 +29,9 @@ from .geometry import ArcMask, Grid2D, check_trace
 from .potential import PotentialSeries
 
 MAX_PARTITION_SIZE = 8
-MAX_CASCADE_SLOTS = 6
-MAX_DIFFERENCE_SLOTS = 4
+# Highest order the program differentiates: a direction's four samples in
+# ``DirectionStore`` resolve the Taylor coefficients F_2..F_4 and no more.
+MAX_ORDER = 4
 
 
 def _growth_strings(size: int):
@@ -95,7 +96,8 @@ def nonlinearity_derivative(P: PotentialSeries, S, derivs: dict) -> np.ndarray:
     blocks' solution derivatives, read from ``derivs`` under their sorted
     label tuples (see ``cascade_fields``). Single-block partitions drop out
     because the series has no first-order coefficient; blocks beyond the
-    truncation order contribute zero fields.
+    truncation order contribute zero fields. Every S of two or more labels
+    has a two-block partition, so the sum is never empty.
     """
     S = tuple(sorted(S))
     if len(S) < 2:
@@ -114,8 +116,6 @@ def nonlinearity_derivative(P: PotentialSeries, S, derivs: dict) -> np.ndarray:
                 raise KeyError(f"missing lower-order derivative for slots {block}")
             term *= derivs[block]
         out = term if out is None else out + term
-    if out is None:
-        out = np.zeros_like(next(iter(derivs.values())))
     return out
 
 
@@ -128,8 +128,8 @@ def run_cascade(P: PotentialSeries, fs, grid: Grid2D) -> CascadeState:
     """
     fs = tuple(check_trace(f, grid) for f in fs)
     m = len(fs)
-    if not 1 <= m <= MAX_CASCADE_SLOTS:
-        raise ValueError(f"cascade supports 1..{MAX_CASCADE_SLOTS} slots, got {m}")
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"cascade supports 1..{MAX_ORDER} slots, got {m}")
     fields = {(l,): harmonic_extension(f, grid) for l, f in enumerate(fs)}
     cascade_fields(P, range(m), fields, grid)
     return CascadeState(fields)
@@ -171,9 +171,8 @@ def measured_linearized_flux(measure, fs, eps: float, mask: ArcMask,
         raise ValueError("eps must be positive")
     fs = tuple(check_trace(f, grid) for f in fs)
     m = len(fs)
-    if not 1 <= m <= MAX_DIFFERENCE_SLOTS:
-        raise ValueError(f"divided differences support 1..{MAX_DIFFERENCE_SLOTS} "
-                         f"slots, got {m}")
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"divided differences support 1..{MAX_ORDER} slots, got {m}")
     acc = np.zeros(grid.num_boundary)
     for signs in product((-1.0, 1.0), repeat=m):
         trace = eps * sum(s * f for s, f in zip(signs, fs))
@@ -222,8 +221,8 @@ class DirectionStore:
 
     def taylor(self, S, m: int) -> np.ndarray:
         """F_m(f_S), the t^m coefficient of F(t f_S), at the arc nodes."""
-        if not 2 <= m <= 4:
-            raise ValueError(f"directional coefficients cover orders 2..4, got {m}")
+        if not 2 <= m <= MAX_ORDER:
+            raise ValueError(f"directional coefficients cover orders 2..{MAX_ORDER}, got {m}")
         counts = Counter(S)
         common = math.gcd(*counts.values())
         key = tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
@@ -256,20 +255,27 @@ class DirectionStore:
         return acc
 
 
-def mixed_divided_difference(P: PotentialSeries, fs, eps: float, mask: ArcMask,
-                             grid: Grid2D) -> np.ndarray:
-    """Divided difference of the known-coefficient measurement map.
-
-    Pre-checks that every evaluation point passes the solver's smallness
-    gate, then delegates to the opaque-map engine with the simulator as the
-    measure.
-    """
-    fs = tuple(check_trace(f, grid) for f in fs)
+def check_difference_gate(fs, eps: float) -> None:
+    """Raise ValueError unless every evaluation point of the divided
+    difference of the traces ``fs`` at step ``eps`` passes the solver's
+    smallness gate; eps times the sum of the |f_l| bounds them all."""
     worst = eps * sum(np.abs(f) for f in fs)
     if worst.size and float(np.max(worst)) > DEFAULT_SMALLNESS_RADIUS:
         raise ValueError(f"eps={eps} pushes evaluation points outside the smallness gate "
                          f"(max combined amplitude {float(np.max(worst)):.4g} > "
                          f"{DEFAULT_SMALLNESS_RADIUS})")
+
+
+def mixed_divided_difference(P: PotentialSeries, fs, eps: float, mask: ArcMask,
+                             grid: Grid2D) -> np.ndarray:
+    """Divided difference of the known-coefficient measurement map.
+
+    Pre-checks that every evaluation point passes the solver's smallness
+    gate (``check_difference_gate``), then delegates to the opaque-map
+    engine with the simulator as the measure.
+    """
+    fs = tuple(check_trace(f, grid) for f in fs)
+    check_difference_gate(fs, eps)
 
     def measure(trace: np.ndarray) -> DtnSample:
         return dtn_apply(P, trace, mask, grid)

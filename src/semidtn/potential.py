@@ -36,8 +36,8 @@ class PotentialSeries:
             a.flags.writeable = False
 
     @classmethod
-    def zero(cls, grid: Grid2D, kmax: int = 2) -> "PotentialSeries":
-        return cls(kmax, tuple(np.zeros(grid.num_nodes) for _ in range(kmax - 1)))
+    def zero(cls, grid: Grid2D) -> "PotentialSeries":
+        return cls(2, (np.zeros(grid.num_nodes),))
 
     @classmethod
     def from_coefficients(cls, grid: Grid2D, fields: dict[int, np.ndarray]) -> "PotentialSeries":

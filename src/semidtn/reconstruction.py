@@ -44,13 +44,11 @@ stage.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from pathlib import Path
 
 import numpy as np
 
@@ -58,9 +56,9 @@ from .dtn import _inward_indices, check_support
 from .sparse_linalg import _sine_modes
 from .geometry import (ArcMask, Grid2D, boundary_integral, check_field, full_mask,
                        interior_integral)
-from .harmonic import HarmonicFamily, arc_supported_family
-from .linearization import (DirectionStore, cascade_fields, measured_linearized_flux,
-                            nonlinearity_derivative)
+from .harmonic import HarmonicMember, arc_supported_family
+from .linearization import (MAX_ORDER, DirectionStore, cascade_fields,
+                            measured_linearized_flux, nonlinearity_derivative)
 from .potential import PotentialSeries
 
 # L-curve search grid for the Tikhonov weight, relative to sigma_max(A)^2
@@ -282,7 +280,7 @@ def _arc_readout(grid: Grid2D, axis: np.ndarray,
     return readout
 
 
-def assemble_system(family: HarmonicFamily, m: int, basis: CoeffBasis,
+def assemble_system(family: tuple[HarmonicMember, ...], m: int, basis: CoeffBasis,
                     directions: DirectionStore, mask: ArcMask, grid: Grid2D,
                     known: PotentialSeries | None = None, *, heads: int,
                     seed: int = 0, lam: float | None = None) -> MomentSystem:
@@ -485,7 +483,7 @@ class ReconstructionResult:
 
 def reconstruct_all(measure, K: int, config: ReconstructionConfig,
                     truth: PotentialSeries | None = None,
-                    family: HarmonicFamily | None = None) -> ReconstructionResult:
+                    family: tuple[HarmonicMember, ...] | None = None) -> ReconstructionResult:
     """Recover coefficient fields for orders 2..K, inductively.
 
     Each stage uses ``rows_factor * basis size`` heads (fewer when the
@@ -502,14 +500,14 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
     size, grid), so it is built once, or passed in by a caller that has
     built it, and shared across stages.
     """
-    if not 2 <= K <= 4:
-        raise ValueError(f"reconstruction covers orders K = 2..4, got {K}")
+    if not 2 <= K <= MAX_ORDER:
+        raise ValueError(f"reconstruction covers orders K = 2..{MAX_ORDER}, got {K}")
     grid, mask = config.grid, config.mask
     if family is None:
         family = arc_supported_family(mask, config.family_size, grid)
     basis = make_basis(config.basis_per_side, grid)
     penalty = gradient_penalty(basis.nodes_per_side)
-    directions = DirectionStore(measure, family.traces(), config.eps, mask, grid)
+    directions = DirectionStore(measure, [m.trace for m in family], config.eps, mask, grid)
     known = PotentialSeries.zero(grid)
     stages: list[StageDiagnostics] = []
     systems: list[MomentSystem] = []
@@ -530,9 +528,3 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
         systems.append(system)
         known = known.with_coefficient(m, rec)
     return ReconstructionResult(known, tuple(stages), tuple(systems))
-
-
-def stages_to_json(stages, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump([s.to_dict() for s in stages], fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -216,7 +216,7 @@ def test_criterion_7_invariant_suite():
     P0 = sd.PotentialSeries.zero(g)
     meas = lambda tr: sd.dtn_apply(P0, tr, mask2, g)
     s1, s2 = (sd.assemble_system(fam, 2, basis2,
-                                 DirectionStore(meas, fam.traces(), 1e-2, mask2, g),
+                                 DirectionStore(meas, [m.trace for m in fam], 1e-2, mask2, g),
                                  mask2, g, heads=3, seed=3) for _ in range(2))
     checks.append(np.array_equal(s1.matrix, s2.matrix)
                   and np.array_equal(s1.rhs, s2.rhs)

@@ -104,13 +104,14 @@ def test_validate_ranges(tmp_path):
         bad = GOOD_CONFIG.format(out=tmp_path).replace(old_line, new_line)
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, bad))
-    # orders, kmax outside reconstruction, the scenario extras, and sections
-    # or keys outside the README table, which would otherwise fall back to
-    # their defaults
+    # orders, kmax outside 2..4 (the checks used to accept up to 8 and check
+    # only orders 2 and 3), the scenario extras, and sections or keys outside
+    # the README table, which would otherwise fall back to their defaults
     for old_line, new_line in (("k2 = 1 + x", "k2 = 1 + x\nk9 = x"),
                                ("k2 = 1 + x", "k1000000 = x"),
                                ("k2 = 1 + x", "k\u00b2 = x"),
                                ("kmax = 2", "kmax = 1"),
+                               ("kmax = 2", "kmax = 8"),
                                ("kmax = 2", "kmax = 9"),
                                ("kmax = 2", "kmax = 1000000"),
                                ("tuples = 3", "tuples = abc"),
@@ -141,7 +142,7 @@ def test_validate_ranges(tmp_path):
                                ("basis_per_side = 3", "basis_per_side = 6\nrows_factor = 1"),
                                ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = 3"),
                                ("k2 = 1 + x", "k2 = 1 + x\nk8 = x"),
-                               ("kmax = 2", "kmax = 8"),
+                               ("kmax = 2", "kmax = 4"),
                                ("tuples = 3", "tuples = 1000"),
                                ("tuples = 3", "tuples = 1\nbump_amplitude = -0.1"),
                                ("tuples = 3", "tuples = 3\nbump_width = 2")):
@@ -175,11 +176,13 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
     # each of these used to hang, allocate without limit or fail after
     # writing the manifest; the last three used to pass validate, and so did
     # the non-finite noise levels and weight after them (a NaN noise level
-    # ran without noise and wrote NaN into manifest.json), and the
-    # reconstruction steps beyond 1/30 at the end (at K = 3, eps = 0.035 ran
-    # past the smallness radius after writing the manifest)
+    # ran without noise and wrote NaN into manifest.json), the
+    # reconstruction steps beyond 1/30 (at K = 3, eps = 0.035 ran past the
+    # smallness radius after writing the manifest), and the check steps and
+    # negative seeds at the end (they failed after writing the manifest)
     forward = ("scenario = identity_check", "scenario = forward_convergence")
     recon = ("scenario = identity_check", "scenario = reconstruction")
+    lin = ("scenario = identity_check", "scenario = linearization_check")
     for edits in ((("k2 = 1 + x", "k2 = 9**9**9"),),
                   (("tuples = 3", "tuples = abc"),),
                   (("tuples = 3", "tuples = 3\nbump_amplitude = -5"),),
@@ -194,7 +197,11 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
                   (recon, ("basis_per_side = 3", "basis_per_side = 3\nlambda = inf")),
                   (recon, ("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.035")),
                   (recon, ("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.05")),
-                  (recon, ("eps = 0.01", "eps = 0.04"))):
+                  (recon, ("eps = 0.01", "eps = 0.04")),
+                  (lin, ("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.03")),
+                  (("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.05")),
+                  (("seed = 11", "seed = -5"),),
+                  (recon, ("seed = 11", "seed = -5"))):
         out = tmp_path / "out"
         text = GOOD_CONFIG.format(out=out)
         for old_line, new_line in edits:
@@ -234,18 +241,15 @@ def test_field_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(0)
     value = rng.normal(size=g.num_nodes) * 10.0 ** rng.integers(-20, 20, g.num_nodes)
     truth = rng.normal(size=g.num_nodes)
-    for extra in (None, truth):
-        expected = tmp_path / "expected.csv"
-        with open(expected, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "value"] + (["truth_value"] if extra is not None else []))
-            for j in range(g.num_nodes):
-                row = [f"{x[j]:.12g}", f"{y[j]:.12g}", f"{value[j]:.17g}"]
-                if extra is not None:
-                    row.append(f"{extra[j]:.17g}")
-                writer.writerow(row)
-        _field_csv(tmp_path / "field.csv", g, value, extra)
-        assert (tmp_path / "field.csv").read_bytes() == expected.read_bytes()
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "value", "truth_value"])
+        for j in range(g.num_nodes):
+            writer.writerow([f"{x[j]:.12g}", f"{y[j]:.12g}", f"{value[j]:.17g}",
+                             f"{truth[j]:.17g}"])
+    _field_csv(tmp_path / "field.csv", g, value, truth)
+    assert (tmp_path / "field.csv").read_bytes() == expected.read_bytes()
 
 
 def test_list_scenarios(capsys):
@@ -334,6 +338,29 @@ eps = 0.01
     assert run(write_config(tmp_path, cfg)) == 0
     summary = json.loads((out / "linearization_summary.json").read_text())
     assert summary["m2_rel_sup_gap"] <= 1e-2
+
+
+def test_check_scenarios_check_every_order(tmp_path, monkeypatch):
+    # both checks used to stop at order 3 whatever kmax said; the shipped
+    # configs with an order-4 term and kmax = 4 gave an order-4 relative sup
+    # gap of 2.4e-4 and an order-4 moment gap of at most 2.6e-5
+    for name in ("linearization_check", "identity_check"):
+        out = tmp_path / name
+        monkeypatch.setenv("SEMIDTN_OUTPUT_DIR", str(out))
+        text = next(p for p in SHIPPED_CONFIGS if p.stem == name).read_text()
+        text = text.replace("kmax = 3", "kmax = 4").replace(
+            "\n\n[measurement]", "\nk4 = 1 + x*y\n\n[measurement]")
+        assert run(write_config(tmp_path, text)) == 0
+        assert json.loads((out / "manifest.json").read_text())["kmax"] == 4
+        with open(out / f"{name}.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["m"] == "4"]
+        assert rows
+        if name == "linearization_check":
+            summary = json.loads((out / "linearization_summary.json").read_text())
+            assert summary["m4_rel_sup_gap"] <= 1e-3
+        else:
+            assert len(rows) == 20
+            assert max(float(row["abs_gap"]) for row in rows) <= 1e-4
 
 
 def test_reconstruction_scenario_cheap(tmp_path, capsys):

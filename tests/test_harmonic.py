@@ -22,7 +22,7 @@ def test_members_are_discrete_harmonic():
     g = make_grid(16)
     mask = arc_mask(g, 0.5, 2.5)
     fam = arc_supported_family(mask, 6, g)
-    for member in fam.members:
+    for member in fam:
         res = stencil_laplacian(member.field, g)
         assert g.h * np.linalg.norm(res) <= 1e-9
 
@@ -31,7 +31,7 @@ def test_traces_vanish_off_arc_exactly():
     g = make_grid(32)
     mask = arc_mask(g, 1.0, 3.0)
     fam = arc_supported_family(mask, 8, g)
-    for member in fam.members:
+    for member in fam:
         assert not member.trace[~mask.flags].any()
 
 
@@ -41,7 +41,7 @@ def test_requested_count_and_deterministic_order():
     fam1 = arc_supported_family(mask, 5, g)
     fam2 = arc_supported_family(mask, 5, g)
     assert len(fam1) == 5
-    for a, b in zip(fam1.members, fam2.members):
+    for a, b in zip(fam1, fam2):
         assert a.provenance == b.provenance
         assert np.array_equal(a.field, b.field)
 
@@ -51,7 +51,7 @@ def test_disjoint_bump_traces_are_orthogonal():
     mask = arc_mask(g, 0.0, 2.0)
     fam = arc_supported_family(mask, 8, g)
     s = g.boundary_s
-    supports = [set(np.nonzero(m.trace)[0]) for m in fam.members]
+    supports = [set(np.nonzero(m.trace)[0]) for m in fam]
     found = False
     for i in range(len(fam)):
         for j in range(i + 1, len(fam)):

@@ -367,7 +367,7 @@ def test_polarized_flux_matches_cascade_and_tensor_difference():
         4: sample_expression("1 + x*y", g)})
     fam = arc_supported_family(mask, 12, g)
     measure = lambda trace: dtn_apply(P, trace, mask, g)
-    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
+    directions = DirectionStore(measure, [m.trace for m in fam], 1e-2, mask, g)
     for head in ((0, 3), (2, 2), (0, 3, 7), (1, 1, 5), (0, 3, 7, 9), (1, 1, 5, 8),
                  (0, 0, 0, 1)):
         m = len(head)
@@ -406,7 +406,7 @@ def test_polarized_flux_noise_gain():
         common = math.gcd(*counts.values())
         return tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
 
-    directions = DirectionStore(noise, fam.traces(), eps, mask, g)
+    directions = DirectionStore(noise, [m.trace for m in fam], eps, mask, g)
     heads = {2: ((0, 3), (5, 9), (2, 2)), 3: ((0, 3, 7), (2, 6, 10), (1, 1, 5)),
              4: ((0, 3, 7, 9), (2, 4, 6, 11), (1, 1, 5, 8), (0, 0, 0, 1))}
     for m, order_heads in heads.items():
@@ -438,8 +438,8 @@ def test_direction_store_guards():
     measure = lambda trace: calls.append(trace) or dtn_apply(PotentialSeries.zero(g), trace,
                                                              mask, g)
     with pytest.raises(ValueError):
-        DirectionStore(measure, fam.traces(), 0.0, mask, g)
-    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
+        DirectionStore(measure, [m.trace for m in fam], 0.0, mask, g)
+    directions = DirectionStore(measure, [m.trace for m in fam], 1e-2, mask, g)
     for m in (1, 5):
         with pytest.raises(ValueError):
             directions.taylor((0,), m)

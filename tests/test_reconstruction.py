@@ -143,7 +143,7 @@ def test_assemble_dimensions():
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measure_for(P, mask, g), fam.traces(), 1e-2, mask, g)
+    directions = DirectionStore(measure_for(P, mask, g), [m.trace for m in fam], 1e-2, mask, g)
     system = assemble_system(fam, 2, basis, directions, mask, g, heads=3)
     assert len(system.heads) == 3
     assert len(set(system.heads)) == 3  # deduplicated
@@ -158,7 +158,8 @@ def test_assemble_collapses_when_only_one_tuple_exists():
     fam_all = arc_supported_family(mask, 1, g)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measure_for(P, mask, g), fam_all.traces(), 1e-2, mask, g)
+    directions = DirectionStore(measure_for(P, mask, g), [m.trace for m in fam_all], 1e-2,
+                                mask, g)
     with pytest.warns(UserWarning):
         system = assemble_system(fam_all, 2, basis, directions, mask, g, heads=12)
     assert system.heads == ((0, 0),)
@@ -169,13 +170,13 @@ def test_assemble_drops_zero_product_rows():
     g = make_grid(32)
     mask = arc_mask(g, 0.0, 2.0)
     fam = arc_supported_family(mask, 4, g)
-    from semidtn.harmonic import HarmonicFamily, HarmonicMember
+    from semidtn.harmonic import HarmonicMember
     zero = HarmonicMember(np.zeros(g.num_nodes), np.zeros(g.num_boundary), "zero")
-    fam_degenerate = HarmonicFamily(fam.members + (zero,))
+    fam_degenerate = fam + (zero,)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measure_for(P, mask, g), fam_degenerate.traces(), 1e-2,
-                                mask, g)
+    directions = DirectionStore(measure_for(P, mask, g),
+                                [m.trace for m in fam_degenerate], 1e-2, mask, g)
     system = assemble_system(fam_degenerate, 2, basis, directions, mask, g,
                              heads=15)  # all 15 heads are drawn
     for head in system.heads:
@@ -194,7 +195,7 @@ def test_stage_model_matches_measured_pairing():
     c = np.random.default_rng(0).uniform(0.5, 1.5, basis.size)
     truth = PotentialSeries.from_coefficients(g, {2: basis.synthesize(c)})
     measure = measure_for(truth, mask, g)
-    directions = DirectionStore(measure, fam.traces(), 1e-2, mask, g)
+    directions = DirectionStore(measure, [m.trace for m in fam], 1e-2, mask, g)
     system = assemble_system(fam, 2, basis, directions, mask, g, heads=1, lam=1.0)
     assert len(system.heads) == 1
     assert system.rows == mask.flags.sum() - 2  # the two corners are not read out
@@ -249,7 +250,8 @@ def test_arc_readout_matches_poisson_solves(n, s0, s1):
     basis = make_basis(3, g)
     P = PotentialSeries.zero(g)
     for m in (2, 3):
-        directions = DirectionStore(measure_for(P, mask, g), fam.traces(), 1e-2, mask, g)
+        directions = DirectionStore(measure_for(P, mask, g), [m.trace for m in fam], 1e-2,
+                                    mask, g)
         system = assemble_system(fam, m, basis, directions, mask, g, heads=2, seed=m,
                                  lam=1.0)
         expected = 0
@@ -274,7 +276,7 @@ def test_stage_solves_each_lower_order_field_once(monkeypatch, m, s1):
     low = reconstruction._truncated(known, m, g)
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(3, g)
-    directions = DirectionStore(lambda trace: np.zeros(g.num_boundary), fam.traces(),
+    directions = DirectionStore(lambda trace: np.zeros(g.num_boundary), [m.trace for m in fam],
                                 1e-2, mask, g)
     solve, source = linearization.solve_linear, reconstruction._lower_order_source
     solves, sources = [], []
@@ -311,7 +313,8 @@ def test_folding_is_exact():
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(3, g)
     truth = PotentialSeries.from_coefficients(g, {2: sample_expression("1 + x*y", g)})
-    directions = DirectionStore(measure_for(truth, mask, g), fam.traces(), 1e-2, mask, g)
+    directions = DirectionStore(measure_for(truth, mask, g), [m.trace for m in fam], 1e-2,
+                                mask, g)
     system = assemble_system(fam, 2, basis, directions, mask, g, heads=3, lam=1.0)
     assert len(system.heads) == 3
     arc = np.flatnonzero(mask.flags)
@@ -434,7 +437,8 @@ def test_induction_uses_reconstructed_lower_orders():
     errors = []
     for delta in (0.0, 0.05, 0.2):
         known = PotentialSeries.from_coefficients(g, {2: truth.coefficient(2) + delta})
-        directions = DirectionStore(measure_for(truth, mask, g), fam.traces(), 1e-2, mask, g)
+        directions = DirectionStore(measure_for(truth, mask, g), [m.trace for m in fam],
+                                    1e-2, mask, g)
         system = assemble_system(fam, 3, basis, directions, mask, g, known=known,
                                  heads=3 * basis.size, seed=5)
         rec = system.basis.synthesize(solve_coefficients(system))
