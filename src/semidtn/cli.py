@@ -249,7 +249,7 @@ def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
     if cfg.scenario == "forward_convergence":
         family = None
     else:
-        size = max(cfg.kmax, 3) if cfg.scenario == "linearization_check" else cfg.family_size
+        size = cfg.kmax if cfg.scenario == "linearization_check" else cfg.family_size
         family = arc_supported_family(mask, size, grid)
     if cfg.scenario == "linearization_check":
         for _, fs, eps in _linearization_differences(cfg, family):
@@ -357,8 +357,10 @@ def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
     rng = np.random.default_rng(cfg.seed)
     rows = []
     max_gap = 0.0
+    rel_gaps = {}
     for m in range(2, cfg.kmax + 1):
         known = truth if m > 2 else None
+        order_gap = scale = 0.0
         for t in range(n_tuples):
             idx = rng.integers(0, len(family), size=m + 1)
             members = [family[i] for i in idx]
@@ -369,15 +371,19 @@ def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
             expected = interior_integral(prod, grid)
             gap = abs(value - expected)
             max_gap = max(max_gap, gap)
+            order_gap, scale = max(order_gap, gap), max(scale, abs(expected))
             rows.append([m, t, "-".join(str(i) for i in idx),
                          f"{value:.17g}", f"{expected:.17g}", f"{gap:.17g}"])
+        # each order's largest gap relative to its largest moment, which the
+        # absolute max_abs_gap of the lower orders would hide
+        rel_gaps[f"m{m}_rel_max_gap"] = order_gap / (scale or 1.0)
     with open(out / "identity_check.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "tuple_id", "members", "measured_moment",
                          "direct_integral", "abs_gap"])
         writer.writerows(rows)
     _write_json(out / "identity_summary.json",
-                {"max_abs_gap": max_gap, "tuples_per_order": n_tuples})
+                {"max_abs_gap": max_gap, "tuples_per_order": n_tuples, **rel_gaps})
 
 
 def _scenario_reconstruction(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:

@@ -19,19 +19,21 @@ row is the basis paired with -z_phi * u_1 ... u_m. Each (head, phi) pair is
 therefore one linear equation for the coefficients with no quadrature
 error. The stage takes phi to be the unit trace of each arc node, so that the
 pairing reads the flux at that node and the whole returned trace is used,
-and computes the model forward. The read-out sees only the two rows or
-columns of W next to each side, and the basis functions are products of
-axis factors, so the sine-basis solve factors through them: one read-out
-operator, built per stage, maps a head's product to its whole (arc node x
-basis function) model with a few small matrix products, without a Poisson
-solve per basis function and without stored adjoint fields (see
-``_arc_readout``). V_m is sought on tensor Lagrange interpolants at
-Chebyshev-Lobatto nodes, by a row-equilibrated Tikhonov least-squares solve
-with a gradient penalty whose weight is the L-curve corner. The stage does
-not measure a head's flux by its own 2^m-point divided difference: it
-polarizes directional Taylor coefficients along the sums of the head's
-sub-multisets, and each such direction is measured four times, once per
-run, for every head and every order that contains it (``DirectionStore``).
+and computes the model forward. A side's read-out combines the two rows or
+columns of W next to it, so in sine space it is one kernel, whose mirror
+reads the opposite side, and the basis functions are products of axis
+factors, so the sine-basis solve factors through them: one read-out
+operator, built per stage from that kernel pair, maps a head's product to
+its whole (arc node x basis function) model with a few small matrix
+products, without a Poisson solve per basis function and without stored
+adjoint fields (see ``_arc_readout``). V_m is sought on tensor Lagrange
+interpolants at Chebyshev-Lobatto nodes, by a row-equilibrated Tikhonov
+least-squares solve with a gradient penalty whose weight is the L-curve
+corner. The stage does not measure a head's flux by its own 2^m-point
+divided difference: it polarizes directional Taylor coefficients along the
+sums of the head's sub-multisets, and each such direction is measured four
+times, once per run, for every head and every order that contains it
+(``DirectionStore``).
 Lower orders enter only through their already reconstructed fields, which
 keeps the inverse-problem information barrier intact; the cascade fields of
 S are solved once per stage, in one memo keyed by member multisets.
@@ -52,7 +54,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .dtn import _inward_indices, check_support
+from .dtn import check_support
 from .sparse_linalg import _sine_modes
 from .geometry import (ArcMask, Grid2D, boundary_integral, check_field, full_mask,
                        interior_integral)
@@ -109,21 +111,10 @@ def make_basis(nodes_per_side: int, grid: Grid2D) -> CoeffBasis:
 
 
 def gradient_penalty(nb: int) -> np.ndarray:
-    """First-difference matrix on the coarse coefficient grid."""
-    rows = []
-    for j in range(nb):
-        for i in range(nb - 1):
-            r = np.zeros(nb * nb)
-            r[j * nb + i] = -1.0
-            r[j * nb + i + 1] = 1.0
-            rows.append(r)
-    for j in range(nb - 1):
-        for i in range(nb):
-            r = np.zeros(nb * nb)
-            r[j * nb + i] = -1.0
-            r[(j + 1) * nb + i] = 1.0
-            rows.append(r)
-    return np.array(rows)
+    """First-difference matrix on the coarse coefficient grid: the x
+    differences of each row of nodes, then the y differences."""
+    D = np.diff(np.eye(nb), axis=0)
+    return np.vstack([np.kron(np.eye(nb), D), np.kron(D, np.eye(nb))])
 
 
 @dataclass(frozen=True)
@@ -223,59 +214,38 @@ def _arc_readout(grid: Grid2D, axis: np.ndarray,
 
     With S the sine matrix and Lam^-1 the inverse eigenvalues of the direct
     kernel, row r of W_ij is sum_y a_j(y) Q_i[y, :] N_r[y, :] @ S, where
-    Q_i = P diag(a_i) S and N_r = S (S[r, :]^T o Lam^-1). The read-out
-    (3 w0 - 4 w1 + w2) / (2h), with w0 = 0, sees only the two rows of W
-    next to the bottom and top sides, and the two columns next to the left
-    and right sides, which are the same formula applied to P^T with i and j
-    swapped. Only the rows and columns the arc reads are built, once, into
-    a_j(y) N_r[y, l] (n^2 q numbers each); the corners read boundary nodes,
-    so their rows are exactly zero.
+    Q_i = P diag(a_i) S and N_r = S (S[r, :]^T o Lam^-1). The bottom side's
+    read-out (3 w0 - 4 w1 + w2) / (2h), with w0 = 0, is that sum with the one
+    kernel D = S ((-4 S[0] + S[1]) / (2h) o Lam^-1) in place of N_r, and the
+    top side's is the sum with its y-mirror D[::-1]. The left and right sides
+    read columns: the same two kernels applied to P^T, with i and j swapped.
+    Each orientation thus costs one product P @ (a_i(x) S[x, l]), shared by
+    its two sides. Arc node k sits at offset k mod n of side k // n of the
+    walk, the top and left sides running against the axes; offset 0 is a
+    corner, which reads boundary nodes, so its row is exactly zero.
     """
     n, q = grid.n, axis.shape[1]
     sine, inverse, _ = _sine_modes(grid)
     factors = axis[1:-1]  # interior samples, (n - 1, q)
-    one, two = (idx[arc] for idx in _inward_indices(grid))
-    (y1, x1), (y2, x2) = np.divmod(one, n + 1), np.divmod(two, n + 1)
-    seen = (y1 > 0) & (y1 < n) & (x1 > 0) & (x1 < n)  # the corners read w1 = 0
-    across = grid.boundary_normals[arc, 1] != 0  # bottom and top read rows of W
-    # a_i(x) S[x, l] serves both orientations; each orientation keeps the
-    # strips it reads, a_j(y) N_r[y, l] laid out (l, (r, j), y), and where
-    # each seen node's w1 and w2 sit among the stacked strip values
+    near = sine @ ((-4.0 * sine[0] + sine[1])[:, None] / (2.0 * grid.h) * inverse)
+    # a_i(x) S[x, l] and a_j(y) D[y, l], laid out (l, (side, j), y), serve
+    # both orientations
     mixer = (factors[:, :, None] * sine[:, None, :]).reshape(n - 1, q * (n - 1))
-    sides = []
-    offset = 0
-    gather = np.zeros((2, arc.size), dtype=int)
-    for rows_read in (True, False):
-        sel = seen & (across == rows_read)
-        strip1, pos1 = (y1, x1) if rows_read else (x1, y1)
-        strip2, pos2 = (y2, x2) if rows_read else (x2, y2)
-        strips = np.unique(np.concatenate([strip1[sel], strip2[sel]])) - 1
-        if strips.size == 0:
-            continue
-        kernel = np.stack([sine @ (sine[r][:, None] * inverse) for r in strips])
-        weights = np.einsum("yj,ryl->lrjy", factors, kernel, order="C") \
-            .reshape(n - 1, strips.size * q, n - 1)
-        for k, (strip, pos) in enumerate(((strip1, pos1), (strip2, pos2))):
-            gather[k, sel] = offset + (pos[sel] - 1) * strips.size \
-                + strips.searchsorted(strip[sel] - 1)
-        sides.append((rows_read, strips.size, weights))
-        offset += (n - 1) * strips.size
-    gather = gather[:, seen]
+    weights = np.einsum("yj,kyl->lkjy", factors, np.stack([near, near[::-1]]),
+                        order="C").reshape(n - 1, 2 * q, n - 1)
 
     def readout(field: np.ndarray) -> np.ndarray:
         P = check_field(field, grid).reshape(n + 1, n + 1)[1:-1, 1:-1]
-        parts = []
-        for rows_read, count, weights in sides:
-            src = P if rows_read else P.T
-            modes = (src @ mixer).reshape(n - 1, q, n - 1).transpose(2, 0, 1)  # (l, y, i)
-            block = (sine @ (weights @ modes).reshape(n - 1, count * q * q)) \
-                .reshape(n - 1, count, q, q)  # (position, strip, j, i)
-            parts.append((block if rows_read else block.swapaxes(2, 3))
-                         .reshape((n - 1) * count, q * q))
-        values = np.concatenate(parts)
-        out = np.zeros((arc.size, q * q))
-        out[seen] = (-4.0 * values[gather[0]] + values[gather[1]]) / (2.0 * grid.h)
-        return out
+        out = np.zeros((4, n, q, q))  # (side, offset, j, i)
+        for transpose, sides in ((False, [0, 2]), (True, [3, 1])):
+            modes = ((P.T if transpose else P) @ mixer).reshape(n - 1, q, n - 1) \
+                .transpose(2, 0, 1)  # (l, y, i)
+            block = (sine @ (weights @ modes).reshape(n - 1, 2 * q * q)) \
+                .reshape(n - 1, 2, q, q)  # (position, side, j, i)
+            out[sides, 1:] = block.transpose(1, 0, 3, 2) if transpose \
+                else block.swapaxes(0, 1)
+        out[2:, 1:] = out[2:, :0:-1].copy()  # the top and left sides run backwards
+        return out.reshape(4 * n, q * q)[arc]
 
     return readout
 
@@ -370,9 +340,14 @@ def lcurve_weight(matrix: np.ndarray, rhs: np.ndarray, penalty: np.ndarray) -> f
     Traces (log residual, log ||L c||) over ``LCURVE_WEIGHTS`` times
     sigma_max(A)^2, cut below sigma_min(A)^2 where the solution no longer
     moves, and returns the weight of largest curvature, taken by finite
-    differences in log(weight) at the interior points.
+    differences in log(weight) at the interior points. For all-zero data the
+    solution is zero at every weight and the curve is a point, so the weight,
+    which then sets only the condition number and the noise ceiling, is the
+    grid's top, sigma_max(A)^2, rather than a point rounding would pick.
     """
     sigma = np.linalg.svd(matrix, compute_uv=False)
+    if not rhs.any():
+        return float(sigma[0] ** 2)
     smallest = sigma[-1] if sigma.size == matrix.shape[1] else 0.0
     weights = sigma[0] ** 2 * LCURVE_WEIGHTS
     weights = weights[min(np.searchsorted(weights, smallest ** 2), weights.size - 3):]

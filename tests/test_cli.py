@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semidtn import cli
 from semidtn.cli import ConfigError, _field_csv, add_noise, load_config, main, run, validate
 from semidtn.geometry import make_grid
+from semidtn.harmonic import arc_supported_family
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -267,8 +269,15 @@ def test_identity_scenario_writes_artifacts(tmp_path):
     assert manifest["scenario"] == "identity_check"
     assert manifest["n"] == 16
     summary = json.loads((out / "identity_summary.json").read_text())
-    assert summary["max_abs_gap"] >= 0.0
-    assert (out / "identity_check.csv").exists()
+    with open(out / "identity_check.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    gaps = [float(row["abs_gap"]) for row in rows]
+    moments = [abs(float(row["direct_integral"])) for row in rows]
+    assert set(summary) == {"max_abs_gap", "tuples_per_order", "m2_rel_max_gap"}
+    assert summary["max_abs_gap"] == max(gaps)
+    # the order's largest gap over its largest moment (0.35 on this n = 16 grid)
+    assert summary["m2_rel_max_gap"] == max(gaps) / max(moments)
+    assert 0.0 < summary["m2_rel_max_gap"] < 1.0
 
 
 def test_seeded_runs_byte_identical(tmp_path):
@@ -340,10 +349,31 @@ eps = 0.01
     assert summary["m2_rel_sup_gap"] <= 1e-2
 
 
+def test_linearization_check_builds_kmax_members(tmp_path, monkeypatch):
+    # an order-m difference reads members 0..m-1, so a kmax = 2 run builds
+    # two members and harmonically extends no third one it would never read
+    sizes = []
+
+    def recording_family(mask, size, grid):
+        sizes.append(size)
+        return arc_supported_family(mask, size, grid)
+
+    monkeypatch.setattr(cli, "arc_supported_family", recording_family)
+    out = tmp_path / "out"
+    text = GOOD_CONFIG.format(out=out).replace("scenario = identity_check",
+                                               "scenario = linearization_check")
+    assert run(write_config(tmp_path, text)) == 0
+    assert sizes == [2]
+    summary = json.loads((out / "linearization_summary.json").read_text())
+    assert set(summary) == {"m2_rel_sup_gap"}
+    assert summary["m2_rel_sup_gap"] <= 1e-2
+
+
 def test_check_scenarios_check_every_order(tmp_path, monkeypatch):
     # both checks used to stop at order 3 whatever kmax said; the shipped
     # configs with an order-4 term and kmax = 4 gave an order-4 relative sup
-    # gap of 2.4e-4 and an order-4 moment gap of at most 2.6e-5
+    # gap of 2.4e-4 and an order-4 moment gap of at most 2.6e-5, 0.011 of the
+    # largest order-4 moment (the order-2 gap sets max_abs_gap, 1.4e-3)
     for name in ("linearization_check", "identity_check"):
         out = tmp_path / name
         monkeypatch.setenv("SEMIDTN_OUTPUT_DIR", str(out))
@@ -361,6 +391,8 @@ def test_check_scenarios_check_every_order(tmp_path, monkeypatch):
         else:
             assert len(rows) == 20
             assert max(float(row["abs_gap"]) for row in rows) <= 1e-4
+            summary = json.loads((out / "identity_summary.json").read_text())
+            assert summary["m4_rel_max_gap"] <= 0.05
 
 
 def test_reconstruction_scenario_cheap(tmp_path, capsys):

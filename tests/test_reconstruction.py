@@ -12,8 +12,8 @@ from semidtn.linearization import DirectionStore, measured_linearized_flux
 from semidtn.potential import PotentialSeries, sample_expression
 from semidtn.reconstruction import (ZERO_ROW, MomentSystem, ReconstructionConfig,
                                     _arc_readout, assemble_system, gradient_penalty,
-                                    make_basis, measured_moment, reconstruct_all,
-                                    rel_l2_error, solve_coefficients,
+                                    lcurve_weight, make_basis, measured_moment,
+                                    reconstruct_all, rel_l2_error, solve_coefficients,
                                     solution_operator_norm)
 
 
@@ -61,6 +61,19 @@ def test_gradient_penalty_shape_and_nullspace():
     L = gradient_penalty(4)
     assert L.shape == (2 * 4 * 3, 16)
     assert np.allclose(L @ np.ones(16), 0.0)  # constants are penalty-free
+    # the Kronecker form against an explicit loop: the x difference of each
+    # row of nodes (node (i, j) is column j * nb + i), then the y ones
+    for nb in range(2, 13):
+        rows = []
+        for j in range(nb):
+            for i in range(nb - 1):
+                rows.append(np.zeros(nb * nb))
+                rows[-1][[j * nb + i, j * nb + i + 1]] = (-1.0, 1.0)
+        for j in range(nb - 1):
+            for i in range(nb):
+                rows.append(np.zeros(nb * nb))
+                rows[-1][[j * nb + i, (j + 1) * nb + i]] = (-1.0, 1.0)
+        assert np.array_equal(gradient_penalty(nb), np.array(rows))
 
 
 # ---------- measured moments ----------
@@ -213,11 +226,14 @@ def test_stage_model_matches_measured_pairing():
 
 
 @pytest.mark.parametrize("n", [16, 32])
-@pytest.mark.parametrize("s0, s1", [(0.0, 2.0), (0.0, 4.0), (1.0, 2.0), (3.5, 4.5)])
+@pytest.mark.parametrize("s0, s1", [(0.0, 2.0), (0.0, 4.0), (1.0, 2.0), (3.5, 4.5),
+                                    (2.0, 3.0), (3.0, 4.0), (2.5, 3.5)])
 def test_arc_readout_matches_poisson_solves(n, s0, s1):
     # the stage's read-out operator against one Poisson solve and read-out
-    # per basis function, on two sides, the whole boundary, one side, and an
-    # arc through s = 0 and the corner (0, 0): every row agrees to rounding,
+    # per basis function, on two sides, the whole boundary, the right side,
+    # an arc through s = 0 and the corner (0, 0), the top side and the left
+    # side alone, which the walk runs against the axes, and an arc through
+    # the corner (0, 1) between them: every row agrees to rounding,
     # the corners' rows are exactly zero in both, and the stage keeps the
     # rows the reference model would keep
     g = make_grid(n)
@@ -356,6 +372,19 @@ def test_solve_zero_rhs_gives_zero():
     zeroed = MomentSystem(2, system.basis, (), system.matrix,
                           np.zeros(system.rows), system.lam, rows=system.rows)
     assert not zeroed.basis.synthesize(solve_coefficients(zeroed)).any()
+
+
+def test_lcurve_weight_on_zero_data_is_the_grid_top():
+    # with all-zero data the L-curve is a point and has no corner, so the
+    # weight is the grid's top, which a rounding-level change of the matrix
+    # moves by no more than rounding (a point picked from the flat curve
+    # moved a whole grid step)
+    system, _ = synthetic_system()
+    L = gradient_penalty(system.basis.nodes_per_side)
+    zero = np.zeros(system.rows)
+    top = np.linalg.norm(system.matrix, 2) ** 2
+    for matrix in (system.matrix, system.matrix * (1.0 + 1e-12)):
+        assert lcurve_weight(matrix, zero, L) == pytest.approx(top, rel=1e-10)
 
 
 def test_solve_scales_linearly():
