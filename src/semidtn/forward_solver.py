@@ -38,6 +38,9 @@ DEFAULT_MAX_NEWTON = 25
 # to the cascade grew from 2.3e-3 to 8.4e-3 at m=4 and from 4.9e-11 to
 # 1.1e-9 at m=2, past the bounds of 5e-3 and 1e-9 that the tests hold.
 LINEAR_TOL = 1e-12
+# Free sets of Newton work arrays (the stencil's rows and two residuals) by
+# grid size, taken for one solve as sparse_linalg takes CG's.
+_newton_work: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
 
 class SmallnessError(ValueError):
@@ -64,29 +67,45 @@ def _with_interior(boundary_field: np.ndarray, interior: np.ndarray, grid: Grid2
     return out.ravel()
 
 
-def stencil_laplacian(u: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """(-Lap_h u) on interior nodes, using all stored node values.
+def _stencil_rows(u: np.ndarray, grid: Grid2D, rows: np.ndarray) -> np.ndarray:
+    """(-Lap_h u) over whole rows 1..n-1 into ``rows``, (n-1)(n+1) values;
+    returns its (n-1, n-1) interior view.
 
-    The stencil runs over whole rows 1..n-1 as flat contiguous slices,
-    subtracting the neighbours below, above, left and right in that order,
-    and the two boundary columns, which read across row ends, are dropped."""
+    The stencil runs over the rows as flat contiguous slices, subtracting
+    the neighbours below, above, left and right in that order; the two
+    boundary columns, which read across row ends, are left out of the view."""
     row = grid.n + 1
     u = u.reshape(row * row)
     end = grid.n * row
-    lap = 4.0 * u[row:end]
-    lap -= u[:end - row]
-    lap -= u[2 * row:end + row]
-    lap -= u[row - 1:end - 1]
-    lap -= u[row + 1:end + 1]
-    lap /= grid.h * grid.h
-    return lap.reshape(grid.n - 1, row)[:, 1:-1].ravel()
+    np.multiply(4.0, u[row:end], out=rows)
+    rows -= u[:end - row]
+    rows -= u[2 * row:end + row]
+    rows -= u[row - 1:end - 1]
+    rows -= u[row + 1:end + 1]
+    rows /= grid.h * grid.h
+    return rows.reshape(grid.n - 1, row)[:, 1:-1]
+
+
+def stencil_laplacian(u: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """(-Lap_h u) on interior nodes, using all stored node values."""
+    return _stencil_rows(u, grid, np.empty((grid.n - 1) * (grid.n + 1))).ravel()
+
+
+def _residual_into(P: PotentialSeries, u: np.ndarray, grid: Grid2D, rows: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """-Lap u + V(x,u) on interior nodes into the flat (n-1)^2 array ``out``,
+    with ``rows`` as the stencil's work array; returns ``out``."""
+    m = grid.n - 1
+    field = out.reshape(m, m)
+    np.copyto(field, _stencil_rows(u, grid, rows))
+    field += P.interior_value(u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1])
+    return out
 
 
 def semilinear_residual(P: PotentialSeries, u: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Interior residual field of -Lap u + V(x,u)."""
-    res = stencil_laplacian(u, grid)
-    res += P.interior_value(u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]).ravel()
-    return res
+    m = grid.n - 1
+    return _residual_into(P, u, grid, np.empty(m * (grid.n + 1)), np.empty(m * m))
 
 
 def _l2(r: np.ndarray, grid: Grid2D) -> float:
@@ -156,24 +175,29 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
 
     u = harmonic_extension(f, grid)
     inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]  # a view: steps update u
-    res = semilinear_residual(P, u, grid)
-    res_norm = _l2(res, grid)
-    history = [res_norm]
-    increases = 0
-    for it in range(DEFAULT_MAX_NEWTON):
-        if res_norm <= DEFAULT_NEWTON_TOL:
-            return u, SolveReport(it, res_norm, fnorm, float(np.max(np.abs(u))), True,
-                                  tuple(history))
-        A = assemble(P.interior_slope(inner), grid)
-        inner -= from_sine(solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL), grid)
-        new_res = semilinear_residual(P, u, grid)
-        new_norm = _l2(new_res, grid)
-        history.append(new_norm)
-        increases = increases + 1 if new_norm > res_norm else 0
-        if increases >= 3:
-            raise NewtonError(f"Newton diverging: residual rose 3 times, now {new_norm:.3e}",
-                              residual=new_norm)
-        res, res_norm = new_res, new_norm
+    m = grid.n - 1
+    free = _newton_work.setdefault(grid.n, [])
+    work = rows, res, new_res = (free.pop() if free else
+                                 (np.empty(m * (grid.n + 1)), np.empty(m * m), np.empty(m * m)))
+    try:
+        res_norm = _l2(_residual_into(P, u, grid, rows, res), grid)
+        history = [res_norm]
+        increases = 0
+        for it in range(DEFAULT_MAX_NEWTON):
+            if res_norm <= DEFAULT_NEWTON_TOL:
+                return u, SolveReport(it, res_norm, fnorm, float(np.max(np.abs(u))), True,
+                                      tuple(history))
+            A = assemble(P.interior_slope(inner), grid)
+            inner -= from_sine(solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL), grid)
+            new_norm = _l2(_residual_into(P, u, grid, rows, new_res), grid)
+            history.append(new_norm)
+            increases = increases + 1 if new_norm > res_norm else 0
+            if increases >= 3:
+                raise NewtonError(f"Newton diverging: residual rose 3 times, "
+                                  f"now {new_norm:.3e}", residual=new_norm)
+            res, new_res, res_norm = new_res, res, new_norm
+    finally:
+        free.append(work)
     if res_norm <= DEFAULT_NEWTON_TOL:
         return u, SolveReport(DEFAULT_MAX_NEWTON, res_norm, fnorm, float(np.max(np.abs(u))),
                               True, tuple(history))

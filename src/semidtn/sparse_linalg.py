@@ -14,6 +14,7 @@ never the operator.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,11 @@ class SolverError(Exception):
 
 
 _sine_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# Free sets of CG work arrays (residual, search direction, step vector) by
+# system size. A set is popped for one solve and appended back after it, so a
+# solve nested inside another (an operator or callback that solves again)
+# takes a set of its own.
+_cg_work: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
 
 def _sine_modes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,23 +83,34 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
     ``c`` holds the reaction coefficient on the (n-1)^2 interior nodes. It
     may be negative, as a Newton step's slope can be, as long as the
     five-point diagonal 4/h^2 + c stays positive; otherwise SolverError.
+    Each application returns a new array; the operator keeps two (n-1)^2
+    intermediates of its own, so one operator runs in one thread at a time.
     """
     m = grid.n - 1
     c = np.asarray(c, dtype=float)
     if c.shape not in ((m, m), (m * m,)):
         raise ValueError(f"reaction coefficient has shape {c.shape}")
     c = c.reshape(m, m)
-    if not np.isfinite(c).all():
+    lo, hi = c.min(), c.max()  # a NaN anywhere makes both NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("reaction coefficient contains non-finite values")
-    if (4.0 / (grid.h * grid.h) + c <= 0.0).any():
+    # rounded addition is monotone, so the smallest c has the smallest diagonal
+    if 4.0 / (grid.h * grid.h) + lo <= 0.0:
         raise SolverError("reaction term too negative: stencil diagonal not positive")
     sine, _, scale = _sine_modes(grid)
+    # the operator's own intermediates, overwritten by every application;
+    # each product passes its output positionally, which costs less per call
+    # than the out= keyword on the small grids
+    front, back = np.empty((m, m)), np.empty((m, m))
 
     def apply(y: np.ndarray) -> np.ndarray:
         y = y.reshape(m, m)
-        w = sine @ (scale * y) @ sine
-        w *= c
-        w = sine @ w @ sine
+        np.multiply(scale, y, front)
+        np.matmul(sine, front, back)
+        np.matmul(back, sine, front)
+        np.multiply(front, c, front)
+        np.matmul(sine, front, back)
+        w = back @ sine
         w *= scale
         w += y
         return w.ravel()
@@ -109,7 +126,9 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
     circuits to x = 0; b itself is left unchanged. Deterministic for fixed
     inputs (fixed reduction order). The iterate and residual are updated in
     place, so ``callback(x_k)``, invoked once per accepted iterate when
-    given, sees the live iterate: copy it to keep it.
+    given, sees the live iterate: copy it to keep it. The returned x is a
+    new array; the residual, search direction and step vector are work
+    arrays held for this solve only, and a nested solve gets its own.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -119,28 +138,32 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
         return np.zeros(b.size)
 
     x = np.zeros(b.size)
-    r = b.copy()
-    p = r.copy()
-    step = np.empty(b.size)
-    rr = r @ r
-    max_iter = 10 * b.size
-    for _ in range(max_iter):
-        if np.sqrt(rr) <= tol * norm_b:  # the root of r @ r is norm(r) exactly
-            return x
-        Ap = A(p)
-        pAp = p @ Ap
-        if pAp <= 0.0:
-            raise SolverError("CG breakdown: operator not positive definite",
-                              residual=float(np.linalg.norm(r) / norm_b))
-        alpha = rr / pAp
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, Ap, out=step)
-        rr_new = r @ r
-        p *= rr_new / rr
-        p += r
-        rr = rr_new
-        if callback is not None:
-            callback(x)
+    free = _cg_work.setdefault(b.size, [])
+    work = r, p, step = free.pop() if free else tuple(np.empty(b.size) for _ in range(3))
+    try:
+        np.copyto(r, b)
+        np.copyto(p, r)
+        rr = r @ r
+        max_iter = 10 * b.size
+        for _ in range(max_iter):
+            if np.sqrt(rr) <= tol * norm_b:  # the root of r @ r is norm(r) exactly
+                return x
+            Ap = A(p)
+            pAp = p @ Ap
+            if pAp <= 0.0:
+                raise SolverError("CG breakdown: operator not positive definite",
+                                  residual=float(np.linalg.norm(r) / norm_b))
+            alpha = rr / pAp
+            x += np.multiply(alpha, p, out=step)
+            r -= np.multiply(alpha, Ap, out=step)
+            rr_new = r @ r
+            p *= rr_new / rr
+            p += r
+            rr = rr_new
+            if callback is not None:
+                callback(x)
+    finally:
+        free.append(work)
     res = float(np.linalg.norm(A(x) - b) / norm_b)
     if res <= tol:
         return x

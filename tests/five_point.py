@@ -2,15 +2,17 @@
 operator as a scipy sparse matrix, the Dirichlet lift by scatter and
 neighbour sum, and Newton with Poisson-preconditioned CG on the stencil.
 Also exact references for the in-place kernels: CG with a new array at
-every update, the stencil by 2-D slices, and the linear solve that always
-transforms its lift."""
+every update, the stencil by 2-D slices, the linear solve that always
+transforms its lift, and Newton with a new array at every step."""
 
 import numpy as np
 import scipy.sparse as sp
 
-from semidtn.forward_solver import LINEAR_TOL, _lift_transform, semilinear_residual
-from semidtn.geometry import check_field, trace_to_field
-from semidtn.sparse_linalg import SolverError, _sine_modes
+from semidtn import forward_solver
+from semidtn.forward_solver import (LINEAR_TOL, SolveReport, _lift_transform, harmonic_extension,
+                                    semilinear_residual)
+from semidtn.geometry import check_field, check_trace, trace_to_field
+from semidtn.sparse_linalg import SolverError, _sine_modes, from_sine, to_sine
 
 
 def sine_basis(g):
@@ -131,3 +133,47 @@ def lifted_solve(src, f, g):
     hat *= inverse
     v2[1:-1, 1:-1] = sine @ hat @ sine
     return v
+
+
+def allocating_newton(P, f, g):
+    """``solve_semilinear``'s Newton loop with a new array at every update:
+    the residual from the 2-D-slice stencil, the sine-coordinate Jacobian
+    applied by products that each make a new array, and ``allocating_cg``.
+    The same operations in the same order as the loop with work arrays,
+    which must match it bit for bit; returns u and its SolveReport. Only
+    for data that converge: it has no divergence test."""
+    f = check_trace(f, g)
+    sine, _, scale = _sine_modes(g)
+    m = g.n - 1
+
+    def residual(u):
+        interior = u.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]
+        return slice_stencil(u, g) + P.interior_value(interior).ravel()
+
+    def jacobian(c):
+        c = c.reshape(m, m)
+
+        def apply(y):
+            y = y.reshape(m, m)
+            w = sine @ (scale * y) @ sine
+            w *= c
+            w = sine @ w @ sine
+            w *= scale
+            w += y
+            return w.ravel()
+
+        return apply
+
+    u = harmonic_extension(f, g)
+    inner = u.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]
+    res = residual(u)
+    history = [float(g.h * np.linalg.norm(res))]
+    for it in range(forward_solver.DEFAULT_MAX_NEWTON + 1):
+        if history[-1] <= forward_solver.DEFAULT_NEWTON_TOL:
+            return u, SolveReport(it, history[-1], float(np.max(np.abs(f))),
+                                  float(np.max(np.abs(u))), True, tuple(history))
+        A = jacobian(P.interior_slope(inner))
+        inner -= from_sine(allocating_cg(A, to_sine(res, g), tol=LINEAR_TOL), g)
+        res = residual(u)
+        history.append(float(g.h * np.linalg.norm(res)))
+    raise AssertionError("reference Newton did not converge")

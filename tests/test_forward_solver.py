@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from five_point import (five_point_operator, harmonic_reference, lift_rhs, lifted_solve,
-                        sine_basis, slice_stencil)
-from semidtn.dtn import bump_trace
+from five_point import (allocating_newton, five_point_operator, harmonic_reference, lift_rhs,
+                        lifted_solve, sine_basis, slice_stencil)
+from semidtn.dtn import bump_trace, dtn_apply, normal_derivative
 from semidtn import forward_solver
 from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
                                     newton_jacobian_check, semilinear_residual,
                                     solve_linear, solve_semilinear, stencil_laplacian)
-from semidtn.geometry import make_grid, trace_to_field
+from semidtn.geometry import arc_mask, make_grid, trace_to_field
 from semidtn.potential import PotentialSeries, sample_expression
 from semidtn.sparse_linalg import assemble, from_sine, solve_spd, to_sine
 
@@ -16,6 +16,13 @@ from semidtn.sparse_linalg import assemble, from_sine, solve_spd, to_sine
 def const_series(grid, **fields):
     return PotentialSeries.from_coefficients(
         grid, {int(k[1:]): np.full(grid.num_nodes, v) for k, v in fields.items()})
+
+
+def half_arc_series(grid):
+    """V2 and V3 of the half-arc reconstruction example."""
+    return PotentialSeries.from_coefficients(grid, {
+        2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", grid),
+        3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", grid)})
 
 
 def torsion_center_value(terms: int = 199) -> float:
@@ -93,9 +100,7 @@ def test_newton_step_cg_converges_in_few_iterations(monkeypatch):
     # preconditioner built in) needs a handful of iterations per step
     # (Jacobi needed ~250 at this size)
     g = make_grid(64)
-    P = PotentialSeries.from_coefficients(g, {
-        2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", g),
-        3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g)})
+    P = half_arc_series(g)
     counts = []
 
     def counting_solve(A, b, tol=1e-10, callback=None):
@@ -111,6 +116,45 @@ def test_newton_step_cg_converges_in_few_iterations(monkeypatch):
         assert report.converged
     assert len(counts) >= 4
     assert max(counts) <= 5
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_newton_with_work_arrays_is_exact(n):
+    # the residuals in reused work arrays, the Jacobian's reused
+    # intermediates and CG's reused vectors make the same operations in the
+    # same order as a Newton loop that makes a new array at every update:
+    # the field, the whole report and the measurement match bit for bit, on
+    # divided-difference inputs and on data at the smallness gate
+    g = make_grid(n)
+    mask = arc_mask(g, 0.0, 2.0)
+    P = half_arc_series(g)
+    a, b, c = (bump_trace(g, s, w) for s, w in ((0.5, 0.5), (1.25, 0.25), (1.5, 0.5)))
+    for f in (0.01 * (a + b - c), 0.01 * (-a + b + c), 0.1 * a, -0.1 * c):
+        sample = dtn_apply(P, f, mask, g)
+        u, report = solve_semilinear(P, f, g)
+        ref_u, ref_report = allocating_newton(P, f, g)
+        assert np.array_equal(u, ref_u)
+        assert report == ref_report
+        assert sample.report == ref_report
+        ref_out = normal_derivative(ref_u, g)
+        ref_out[~mask.flags] = 0.0
+        assert np.array_equal(sample.output, ref_out)
+
+
+def test_returned_arrays_survive_next_measurement():
+    # no returned u or measurement is a view of a work array: the next
+    # solve on the same grid leaves both as they were
+    g = make_grid(32)
+    mask = arc_mask(g, 0.0, 2.0)
+    P = half_arc_series(g)
+    first, second = bump_trace(g, 0.5, 0.4, 0.05), bump_trace(g, 1.4, 0.3, -0.08)
+    u, _ = solve_semilinear(P, first, g)
+    sample = dtn_apply(P, first, mask, g)
+    kept_u, kept_out = u.copy(), sample.output.copy()
+    solve_semilinear(P, second, g)
+    dtn_apply(P, second, mask, g)
+    assert np.array_equal(u, kept_u)
+    assert np.array_equal(sample.output, kept_out)
 
 
 @pytest.mark.parametrize("n", [8, 16, 33])

@@ -69,6 +69,22 @@ def test_assemble_matches_sparse_reference():
             assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_assembled_operators_applied_in_turn():
+    # each operator keeps its own reaction term and intermediates, and every
+    # application returns a new array: two operators applied in turn give
+    # what each gives alone, and no kept result changes afterwards
+    g = make_grid(16)
+    rng = np.random.default_rng(6)
+    c1, c2 = rng.uniform(-1.0, 2.0, (2, g.num_interior))
+    ys = rng.normal(size=(3, g.num_interior))
+    alone = [[assemble(c, g)(y) for y in ys] for c in (c1, c2)]
+    A1, A2 = assemble(c1, g), assemble(c2, g)
+    in_turn = [(A1(y), A2(y)) for y in ys]
+    for (out1, out2), ref1, ref2 in zip(in_turn, *alone):
+        assert np.array_equal(out1, ref1)
+        assert np.array_equal(out2, ref2)
+
+
 def test_assemble_symmetry():
     g = make_grid(8)
     rng = np.random.default_rng(1)
@@ -90,11 +106,13 @@ def test_assemble_rejects_negative_reaction():
 
 
 def test_assemble_rejects_nonfinite():
+    # -inf would also break the diagonal gate; finiteness is checked first
     g = make_grid(4)
-    c = np.zeros(g.num_interior)
-    c[4] = np.nan
-    with pytest.raises(ValueError):
-        assemble(c, g)
+    for bad in (np.nan, np.inf, -np.inf):
+        c = np.zeros(g.num_interior)
+        c[4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble(c, g)
     with pytest.raises(ValueError):
         assemble(np.zeros(g.num_nodes), g)
 
@@ -208,6 +226,44 @@ def test_in_place_cg_is_exact_on_newton_operator(n):
     x, ref, steps, ref_steps = cg_runs(A, b, 1e-12)
     assert np.array_equal(x, ref)
     assert steps == ref_steps >= 2
+
+
+def test_nested_solve_of_same_size_is_exact():
+    # an operator or a callback that itself solves a system of the same
+    # size gets work arrays of its own, so the outer solve matches one that
+    # is not nested in another solve; the inner identity solve is exact.
+    # The reference runs first, so its inner solves leave free work arrays
+    # of this size behind for the nested run to take
+    g = make_grid(16)
+    rng = np.random.default_rng(8)
+    A = assemble(rng.uniform(0.0, 2.0, g.num_interior), g)
+    b = to_sine(rng.normal(size=g.num_interior), g)
+    inner = []
+
+    def nesting(y):
+        return A(y) + solve_spd(lambda v: 2.0 * v, y)
+
+    def solving_callback(xk):
+        inner.append(solve_spd(lambda v: 2.0 * v, xk))
+
+    ref = allocating_cg(nesting, b, tol=1e-12, callback=solving_callback)
+    ref_inner = inner[:]
+    inner.clear()
+    assert np.array_equal(solve_spd(nesting, b, tol=1e-12, callback=solving_callback), ref)
+    assert len(inner) == len(ref_inner) >= 2
+    assert all(np.array_equal(p, q) for p, q in zip(inner, ref_inner))
+
+
+def test_returned_solution_survives_next_solve():
+    # x is a new array, not a work array, so a later solve of the same size
+    # leaves it as it was
+    g = make_grid(16)
+    A = poisson(g)
+    rng = np.random.default_rng(9)
+    x = solve_spd(A, rng.normal(size=g.num_interior), tol=1e-12)
+    kept = x.copy()
+    solve_spd(A, rng.normal(size=g.num_interior), tol=1e-12)
+    assert np.array_equal(x, kept)
 
 
 def test_solve_rejects_bad_tol_and_shape():
