@@ -10,6 +10,13 @@ identity plus the reaction term, and CG with no preconditioner runs the
 Poisson-preconditioned CG of Concus & Golub (1973) at one transform round
 trip and no stencil per iteration. Only S and the eigenvalues are stored,
 never the operator.
+
+From FOLD_MIN_N up, the Newton step's transforms fold by mode parity: sine
+mode k is even about the grid's midpoint for odd k and odd for even k, so
+each product with S splits into two quarter-size products on the folded
+sums and differences of node rows (the even/odd reduction of Buzbee, Golub &
+Nielsen). Its sine coordinates are then in odd-then-even mode order, a
+private order that only ``to_sine``, ``assemble`` and ``from_sine`` read.
 """
 
 from __future__ import annotations
@@ -32,7 +39,16 @@ class SolverError(Exception):
         self.residual = residual
 
 
+# Smallest grid size whose Newton step transforms folded (_Fold), at the
+# measured crossover. One 2-D transform, dense against folded forward /
+# inverse, one BLAS thread on 2 cores: n=64 27 against 38 / 37 us, n=80 41
+# against 70 / 67, n=96 88 against 101 / 91, n=100 90 against 105 / 99, n=104
+# 143 against 106 / 109, n=128 252 against 184 / 163, n=256 1742 against
+# 1033 / 871.
+FOLD_MIN_N = 104
+
 _sine_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_fold_cache: dict[int, _Fold] = {}
 # Free sets of CG work arrays (residual, search direction, step vector) by
 # system size. A set is popped for one solve and appended back after it, so a
 # solve nested inside another (an operator or callback that solves again)
@@ -58,12 +74,97 @@ def _sine_modes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return modes
 
 
+class _Fold:
+    """S X S and S Y S on one grid size by the even/odd reduction, with
+    modes in odd-then-even order.
+
+    Node rows j and n - j fold into their sum, read by the odd modes, and
+    their difference, read by the even ones; for even n the middle row
+    n / 2 joins the sums alone, as no even mode reads it. ``odd`` and
+    ``even`` are the two halves of S on the folded rows, and ``scale`` is
+    Lam^(-1/2) in the folded mode order. Only whole contiguous rows are ever
+    added: each 2-D transform folds rows, writes the two half products,
+    transposed, into the column blocks of a work array, and folds that
+    array's rows again. The two work arrays are the kernel's own, shared by
+    every caller on this grid size, so the transforms run in one thread at
+    a time.
+    """
+
+    __slots__ = ("odd", "even", "scale", "_rows", "_mid")
+
+    def __init__(self, grid: Grid2D):
+        sine, _, scale = _sine_modes(grid)
+        m, half = grid.n - 1, grid.n // 2  # half: the odd modes and folded rows
+        order = np.r_[0:m:2, 1:m:2]  # mode k at index k - 1
+        self.odd = sine[0::2, :half].copy()
+        self.even = sine[1::2, :m - half].copy()
+        self.scale = scale[np.ix_(order, order)]
+        for a in (self.odd, self.even, self.scale):
+            a.flags.writeable = False
+        self._rows, self._mid = np.empty((m, m)), np.empty((m, m))
+
+    def _fold(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Row sums of x into out's first rows, differences into the rest."""
+        pairs, half = len(self.even), len(self.odd)
+        top, bottom = x[:pairs], x[:-pairs - 1:-1]
+        np.add(top, bottom, out[:pairs])
+        if half > pairs:
+            out[pairs] = x[pairs]
+        np.subtract(top, bottom, out[half:])
+
+    def _unfold(self, a: np.ndarray, out: np.ndarray) -> None:
+        """Node rows from a's odd-mode rows (first) and even-mode rows."""
+        pairs, half = len(self.even), len(self.odd)
+        np.add(a[:pairs], a[half:], out[:pairs])
+        np.subtract(a[:pairs], a[half:], out[:-pairs - 1:-1])
+        if half > pairs:
+            out[pairs] = a[pairs]
+
+    def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """S x S of (n-1, n-1) node values x into ``out``, folded order."""
+        half, rows, mid = len(self.odd), self._rows, self._mid
+        self._fold(x, rows)
+        np.matmul(rows[:half].T, self.odd.T, mid[:, :half])
+        np.matmul(rows[half:].T, self.even.T, mid[:, half:])
+        self._fold(mid, rows)
+        np.matmul(rows[:half].T, self.odd.T, out[:, :half])
+        np.matmul(rows[half:].T, self.even.T, out[:, half:])
+        return out
+
+    def inverse(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """S y S of (n-1, n-1) folded-order modes y into ``out``, node values."""
+        half, rows, mid = len(self.odd), self._rows, self._mid
+        np.matmul(self.odd.T, y[:, :half].T, rows[:half])
+        np.matmul(self.even.T, y[:, half:].T, rows[half:])
+        self._unfold(rows, mid)
+        np.matmul(self.odd.T, mid[:, :half].T, rows[:half])
+        np.matmul(self.even.T, mid[:, half:].T, rows[half:])
+        self._unfold(rows, out)
+        return out
+
+
+def _folded(grid: Grid2D) -> _Fold | None:
+    """The folded kernel of a grid from FOLD_MIN_N up, cached; None below."""
+    if grid.n < FOLD_MIN_N:
+        return None
+    fold = _fold_cache.get(grid.n)
+    if fold is None:
+        fold = _fold_cache[grid.n] = _Fold(grid)
+    return fold
+
+
 def to_sine(r: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Lam^(-1/2) o (S r S) for flat interior values r: the right-hand side
-    of a Newton step in scaled sine coordinates."""
-    sine, _, scale = _sine_modes(grid)
+    of a Newton step in scaled sine coordinates, flat, with modes in
+    odd-then-even order from FOLD_MIN_N up."""
     m = grid.n - 1
-    out = sine @ r.reshape(m, m) @ sine
+    fold = _folded(grid)
+    if fold is None:
+        sine, _, scale = _sine_modes(grid)
+        out = sine @ r.reshape(m, m) @ sine
+    else:
+        scale = fold.scale
+        out = fold.forward(r.reshape(m, m), np.empty((m, m)))
     out *= scale
     return out.ravel()
 
@@ -71,9 +172,12 @@ def to_sine(r: np.ndarray, grid: Grid2D) -> np.ndarray:
 def from_sine(y: np.ndarray, grid: Grid2D) -> np.ndarray:
     """S (Lam^(-1/2) o y) S: the interior values, (n-1, n-1), of scaled sine
     coordinates y; the inverse of ``to_sine``."""
-    sine, _, scale = _sine_modes(grid)
     m = grid.n - 1
-    return sine @ (scale * y.reshape(m, m)) @ sine
+    fold = _folded(grid)
+    if fold is None:
+        sine, _, scale = _sine_modes(grid)
+        return sine @ (scale * y.reshape(m, m)) @ sine
+    return fold.inverse(fold.scale * y.reshape(m, m), np.empty((m, m)))
 
 
 def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
@@ -85,6 +189,8 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
     five-point diagonal 4/h^2 + c stays positive; otherwise SolverError.
     Each application returns a new array; the operator keeps two (n-1)^2
     intermediates of its own, so one operator runs in one thread at a time.
+    From FOLD_MIN_N up it reads and returns modes in ``to_sine``'s folded
+    order and transforms through the grid's folded kernel.
     """
     m = grid.n - 1
     c = np.asarray(c, dtype=float)
@@ -97,11 +203,26 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
     # rounded addition is monotone, so the smallest c has the smallest diagonal
     if 4.0 / (grid.h * grid.h) + lo <= 0.0:
         raise SolverError("reaction term too negative: stencil diagonal not positive")
-    sine, _, scale = _sine_modes(grid)
     # the operator's own intermediates, overwritten by every application;
     # each product passes its output positionally, which costs less per call
     # than the out= keyword on the small grids
     front, back = np.empty((m, m)), np.empty((m, m))
+    fold = _folded(grid)
+    if fold is not None:
+        scale = fold.scale
+
+        def apply_folded(y: np.ndarray) -> np.ndarray:
+            y = y.reshape(m, m)
+            np.multiply(scale, y, front)
+            fold.inverse(front, back)
+            np.multiply(back, c, back)
+            w = fold.forward(back, np.empty((m, m)))
+            w *= scale
+            w += y
+            return w.ravel()
+
+        return apply_folded
+    sine, _, scale = _sine_modes(grid)
 
     def apply(y: np.ndarray) -> np.ndarray:
         y = y.reshape(m, m)

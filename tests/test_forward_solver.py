@@ -4,7 +4,7 @@ import pytest
 from five_point import (allocating_newton, five_point_operator, harmonic_reference, lift_rhs,
                         lifted_solve, sine_basis, slice_stencil)
 from semidtn.dtn import bump_trace, dtn_apply, normal_derivative
-from semidtn import forward_solver
+from semidtn import forward_solver, sparse_linalg
 from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
                                     newton_jacobian_check, semilinear_residual,
                                     solve_linear, solve_semilinear, stencil_laplacian)
@@ -141,10 +141,12 @@ def test_newton_with_work_arrays_is_exact(n):
         assert np.array_equal(sample.output, ref_out)
 
 
-def test_returned_arrays_survive_next_measurement():
-    # no returned u or measurement is a view of a work array: the next
-    # solve on the same grid leaves both as they were
-    g = make_grid(32)
+@pytest.mark.parametrize("n", [32, 128])
+def test_returned_arrays_survive_next_measurement(n):
+    # no returned u or measurement is a view of a work array, the folded
+    # kernel's included: the next solve on the same grid leaves both as
+    # they were
+    g = make_grid(n)
     mask = arc_mask(g, 0.0, 2.0)
     P = half_arc_series(g)
     first, second = bump_trace(g, 0.5, 0.4, 0.05), bump_trace(g, 1.4, 0.3, -0.08)
@@ -155,6 +157,40 @@ def test_returned_arrays_survive_next_measurement():
     dtn_apply(P, second, mask, g)
     assert np.array_equal(u, kept_u)
     assert np.array_equal(sample.output, kept_out)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_folded_newton_step_matches_dense_products(n, monkeypatch):
+    # from FOLD_MIN_N up the Newton step transforms through the folded
+    # kernel; with the switch moved above the grid it runs the dense
+    # products. On divided-difference inputs with the half-arc V2 and V3
+    # both make the same Newton steps, 3 CG iterations each, and the same
+    # measurement to rounding of its largest value
+    assert n >= sparse_linalg.FOLD_MIN_N
+    g = make_grid(n)
+    mask = arc_mask(g, 0.0, 2.0)
+    P = half_arc_series(g)
+    a, b, c = (bump_trace(g, s, w) for s, w in ((0.5, 0.5), (1.25, 0.25), (1.5, 0.5)))
+    traces = (0.01 * (a + b - c), 0.01 * (-a + b + c))
+    counts = []
+
+    def counting_solve(A, b, tol=1e-10, callback=None):
+        steps = []
+        x = solve_spd(A, b, tol=tol, callback=steps.append)
+        counts.append(len(steps))
+        return x
+
+    monkeypatch.setattr(forward_solver, "solve_spd", counting_solve)
+    folded = [dtn_apply(P, f, mask, g) for f in traces]
+    folded_counts = counts[:]
+    counts.clear()
+    monkeypatch.setattr(sparse_linalg, "FOLD_MIN_N", n + 1)
+    dense = [dtn_apply(P, f, mask, g) for f in traces]
+    assert counts == folded_counts
+    assert len(counts) >= 2 and set(counts) == {3}
+    for fs, ds in zip(folded, dense):
+        assert fs.report.iterations == ds.report.iterations
+        assert np.max(np.abs(fs.output - ds.output)) <= 1e-15 * np.max(np.abs(ds.output))
 
 
 @pytest.mark.parametrize("n", [8, 16, 33])

@@ -3,7 +3,8 @@ import pytest
 
 from five_point import allocating_cg, five_point_operator, sine_basis
 from semidtn.geometry import make_grid
-from semidtn.sparse_linalg import SolverError, assemble, from_sine, solve_spd, to_sine
+from semidtn.sparse_linalg import (FOLD_MIN_N, SolverError, _Fold, assemble, from_sine, solve_spd,
+                                   to_sine)
 
 
 def materialize(A, dim):
@@ -149,6 +150,71 @@ def test_sine_coordinates_round_trip():
     A = poisson(g)
     v = from_sine(to_sine(r, g), g).ravel()
     assert np.max(np.abs(A(v) - r)) <= 1e-11 * np.max(np.abs(r))
+
+
+def folded_order(g):
+    """Index of mode k at position k - 1, odd modes first, then even ones."""
+    return np.ix_(np.r_[0:g.n - 1:2, 1:g.n - 1:2], np.r_[0:g.n - 1:2, 1:g.n - 1:2])
+
+
+def unfolded(y, g):
+    """Modes in folded order, (n-1)^2 values, back in the order k = 1..n-1."""
+    out = np.empty((g.n - 1, g.n - 1))
+    out[folded_order(g)] = y.reshape(out.shape)
+    return out
+
+
+def assert_close(a, ref, rel=1e-13):
+    assert a.shape == ref.shape
+    assert np.max(np.abs(a - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_folded_kernel_matches_dense_products(n):
+    # the even/odd-folded kernel, called directly on both parities of n - 1
+    # (on even n the middle row is read by the odd modes alone): forward is
+    # S X S with modes in odd-then-even order, inverse is S Y S of such modes,
+    # and the scale is Lam^(-1/2) in that order
+    g = make_grid(n)
+    m = n - 1
+    sine, eig = sine_basis(g)
+    fold = _Fold(g)
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=(2, m, m))
+    assert_close(fold.forward(x, np.empty((m, m))), (sine @ x @ sine)[folded_order(g)])
+    assert_close(fold.inverse(y, np.empty((m, m))), sine @ unfolded(y, g) @ sine)
+    assert_close(fold.inverse(fold.forward(x, np.empty((m, m))), np.empty((m, m))), x)
+    assert_close(fold.scale, (1.0 / np.sqrt(eig))[folded_order(g)], rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [128, 129])
+def test_folded_newton_transforms_match_dense_products(n):
+    # from FOLD_MIN_N up, to_sine, from_sine and the Jacobian run the folded
+    # kernel in odd-then-even mode order: mode-permuted, they match the dense
+    # products, and the Jacobian matches the five-point operator conjugated
+    # by them. Every result is kept until all are made, so none may be a
+    # work array of the kernel or of the operator
+    assert n >= FOLD_MIN_N
+    g = make_grid(n)
+    m = n - 1
+    sine, eig = sine_basis(g)
+    scale = 1.0 / np.sqrt(eig)
+    rng = np.random.default_rng(n)
+    r, y = rng.normal(size=(2, m * m))
+    c = rng.uniform(-1.0, 2.0, m * m)
+    ys = rng.normal(size=(3, m * m))
+    A = assemble(c, g)
+    coords, nodes = to_sine(r, g), from_sine(y, g)
+    applied = [A(v) for v in ys]
+    assert coords.shape == (m * m,) and nodes.shape == (m, m)
+    assert_close(unfolded(coords, g), scale * (sine @ r.reshape(m, m) @ sine))
+    assert_close(nodes, sine @ (scale * unfolded(y, g)) @ sine)
+    jacobian = five_point_operator(c, g)
+    for v, w in zip(ys, applied):
+        physical = sine @ (scale * unfolded(v, g)) @ sine
+        ref = scale * (sine @ (jacobian @ physical.ravel()).reshape(m, m) @ sine)
+        assert w.shape == (m * m,)
+        assert_close(unfolded(w, g), ref)
 
 
 def test_solve_zero_rhs():
