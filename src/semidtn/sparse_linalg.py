@@ -8,15 +8,16 @@ eigenvalues Lam (Buzbee, Golub & Nielsen 1970), so (-Lap_h)^-1 is a direct
 solve. In the coordinates y = Lam^(1/2) o (S x S) the Jacobian becomes the
 identity plus the reaction term, and CG with no preconditioner runs the
 Poisson-preconditioned CG of Concus & Golub (1973) at one transform round
-trip and no stencil per iteration. Only S and the eigenvalues are stored,
-never the operator.
+trip and no stencil per iteration. Only S, the eigenvalues and one
+transform kernel per grid size are stored, never the operator.
 
-From FOLD_MIN_N up, the Newton step's transforms fold by mode parity: sine
-mode k is even about the grid's midpoint for odd k and odd for even k, so
-each product with S splits into two quarter-size products on the folded
-sums and differences of node rows (the even/odd reduction of Buzbee, Golub &
-Nielsen). Its sine coordinates are then in odd-then-even mode order, a
-private order that only ``to_sine``, ``assemble`` and ``from_sine`` read.
+The Newton step's kernel makes the two dense products with S below
+FOLD_MIN_N and folds them by mode parity from there up: sine mode k is even
+about the grid's midpoint for odd k and odd for even k, so each product with
+S splits into two quarter-size products on the folded sums and differences
+of node rows (the even/odd reduction of Buzbee, Golub & Nielsen). Its sine
+coordinates are then in odd-then-even mode order, a private order that only
+``to_sine``, ``assemble`` and ``from_sine`` read.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class SolverError(Exception):
 FOLD_MIN_N = 104
 
 _sine_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_fold_cache: dict[int, _Fold] = {}
+_kernel_cache: dict[tuple[int, type], _Dense | _Fold] = {}
 # Free sets of CG work arrays (residual, search direction, step vector) by
 # system size. A set is popped for one solve and appended back after it, so a
 # solve nested inside another (an operator or callback that solves again)
@@ -72,6 +73,26 @@ def _sine_modes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             a.flags.writeable = False
         _sine_cache[n] = modes
     return modes
+
+
+class _Dense:
+    """S X S on one grid size by two dense products, modes in the order
+    k = 1..n-1, and ``scale`` Lam^(-1/2) in it. ``inverse`` is ``forward``,
+    as S S = I. S X lands in the kernel's own work array, shared like
+    _Fold's, so the transforms run in one thread at a time."""
+
+    __slots__ = ("sine", "scale", "_mid")
+
+    def __init__(self, grid: Grid2D):
+        self.sine, _, self.scale = _sine_modes(grid)
+        self._mid = np.empty((grid.n - 1, grid.n - 1))
+
+    def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(self.sine, x, self._mid)
+        np.matmul(self._mid, self.sine, out)
+        return out
+
+    inverse = forward
 
 
 class _Fold:
@@ -143,14 +164,14 @@ class _Fold:
         return out
 
 
-def _folded(grid: Grid2D) -> _Fold | None:
-    """The folded kernel of a grid from FOLD_MIN_N up, cached; None below."""
-    if grid.n < FOLD_MIN_N:
-        return None
-    fold = _fold_cache.get(grid.n)
-    if fold is None:
-        fold = _fold_cache[grid.n] = _Fold(grid)
-    return fold
+def _kernel(grid: Grid2D) -> _Dense | _Fold:
+    """The Newton step's transform kernel of a grid: folded from FOLD_MIN_N
+    up, dense below; cached by size and kind, as the switch is read here."""
+    kind = _Fold if grid.n >= FOLD_MIN_N else _Dense
+    kernel = _kernel_cache.get((grid.n, kind))
+    if kernel is None:
+        kernel = _kernel_cache[grid.n, kind] = kind(grid)
+    return kernel
 
 
 def to_sine(r: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -158,14 +179,9 @@ def to_sine(r: np.ndarray, grid: Grid2D) -> np.ndarray:
     of a Newton step in scaled sine coordinates, flat, with modes in
     odd-then-even order from FOLD_MIN_N up."""
     m = grid.n - 1
-    fold = _folded(grid)
-    if fold is None:
-        sine, _, scale = _sine_modes(grid)
-        out = sine @ r.reshape(m, m) @ sine
-    else:
-        scale = fold.scale
-        out = fold.forward(r.reshape(m, m), np.empty((m, m)))
-    out *= scale
+    kernel = _kernel(grid)
+    out = kernel.forward(r.reshape(m, m), np.empty((m, m)))
+    out *= kernel.scale
     return out.ravel()
 
 
@@ -173,11 +189,8 @@ def from_sine(y: np.ndarray, grid: Grid2D) -> np.ndarray:
     """S (Lam^(-1/2) o y) S: the interior values, (n-1, n-1), of scaled sine
     coordinates y; the inverse of ``to_sine``."""
     m = grid.n - 1
-    fold = _folded(grid)
-    if fold is None:
-        sine, _, scale = _sine_modes(grid)
-        return sine @ (scale * y.reshape(m, m)) @ sine
-    return fold.inverse(fold.scale * y.reshape(m, m), np.empty((m, m)))
+    kernel = _kernel(grid)
+    return kernel.inverse(kernel.scale * y.reshape(m, m), np.empty((m, m)))
 
 
 def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
@@ -187,10 +200,10 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
     ``c`` holds the reaction coefficient on the (n-1)^2 interior nodes. It
     may be negative, as a Newton step's slope can be, as long as the
     five-point diagonal 4/h^2 + c stays positive; otherwise SolverError.
-    Each application returns a new array; the operator keeps two (n-1)^2
-    intermediates of its own, so one operator runs in one thread at a time.
-    From FOLD_MIN_N up it reads and returns modes in ``to_sine``'s folded
-    order and transforms through the grid's folded kernel.
+    Each application returns a new array. The products with S run through
+    the grid's transform kernel, so the operator reads and returns modes in
+    ``to_sine``'s order; it keeps two (n-1)^2 intermediates of its own and
+    shares the kernel's work arrays, so it runs in one thread at a time.
     """
     m = grid.n - 1
     c = np.asarray(c, dtype=float)
@@ -204,34 +217,18 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
     if 4.0 / (grid.h * grid.h) + lo <= 0.0:
         raise SolverError("reaction term too negative: stencil diagonal not positive")
     # the operator's own intermediates, overwritten by every application;
-    # each product passes its output positionally, which costs less per call
-    # than the out= keyword on the small grids
+    # positional outputs and methods bound once cost less per call than the
+    # out= keyword and attribute lookups on the small grids
     front, back = np.empty((m, m)), np.empty((m, m))
-    fold = _folded(grid)
-    if fold is not None:
-        scale = fold.scale
-
-        def apply_folded(y: np.ndarray) -> np.ndarray:
-            y = y.reshape(m, m)
-            np.multiply(scale, y, front)
-            fold.inverse(front, back)
-            np.multiply(back, c, back)
-            w = fold.forward(back, np.empty((m, m)))
-            w *= scale
-            w += y
-            return w.ravel()
-
-        return apply_folded
-    sine, _, scale = _sine_modes(grid)
+    kernel = _kernel(grid)
+    scale, forward, inverse = kernel.scale, kernel.forward, kernel.inverse
 
     def apply(y: np.ndarray) -> np.ndarray:
         y = y.reshape(m, m)
         np.multiply(scale, y, front)
-        np.matmul(sine, front, back)
-        np.matmul(back, sine, front)
-        np.multiply(front, c, front)
-        np.matmul(sine, front, back)
-        w = back @ sine
+        inverse(front, back)
+        np.multiply(back, c, back)
+        w = forward(back, np.empty((m, m)))
         w *= scale
         w += y
         return w.ravel()
@@ -251,7 +248,7 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
     new array; the residual, search direction and step vector are work
     arrays held for this solve only, and a nested solve gets its own.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)

@@ -12,7 +12,7 @@ from semidtn import forward_solver
 from semidtn.forward_solver import (LINEAR_TOL, SolveReport, _lift_transform, harmonic_extension,
                                     semilinear_residual)
 from semidtn.geometry import check_field, check_trace, trace_to_field
-from semidtn.sparse_linalg import SolverError, _folded, _sine_modes, from_sine, to_sine
+from semidtn.sparse_linalg import SolverError, _Fold, _kernel, _sine_modes, from_sine, to_sine
 
 
 def sine_basis(g):
@@ -138,13 +138,15 @@ def lifted_solve(src, f, g):
 def allocating_newton(P, f, g):
     """``solve_semilinear``'s Newton loop with a new array at every update:
     the residual from the 2-D-slice stencil, the sine-coordinate Jacobian
-    applied by transforms that each make a new array (the grid's folded
-    kernel from FOLD_MIN_N up, as ``to_sine`` hands it folded coordinates),
-    and ``allocating_cg``. The same operations in the same order as the loop
-    with work arrays, which must match it bit for bit; returns u and its
-    SolveReport. Only for data that converge: it has no divergence test."""
+    applied by transforms that each make a new array (dense products of its
+    own below FOLD_MIN_N, the grid's folded kernel from there up, as
+    ``to_sine`` hands it folded coordinates), and ``allocating_cg``. The
+    same operations in the same order as the loop with work arrays, which
+    must match it bit for bit; returns u and its SolveReport. Only for data
+    that converge: it has no divergence test."""
     f = check_trace(f, g)
-    fold = _folded(g)
+    kernel = _kernel(g)
+    fold = kernel if isinstance(kernel, _Fold) else None
     sine, _, scale = _sine_modes(g)
     if fold is not None:
         scale = fold.scale

@@ -163,7 +163,8 @@ def test_returned_arrays_survive_next_measurement(n):
 def test_folded_newton_step_matches_dense_products(n, monkeypatch):
     # from FOLD_MIN_N up the Newton step transforms through the folded
     # kernel; with the switch moved above the grid it runs the dense
-    # products. On divided-difference inputs with the half-arc V2 and V3
+    # products (the two runs must see different kernels, not one cached
+    # per size). On divided-difference inputs with the half-arc V2 and V3
     # both make the same Newton steps, 3 CG iterations each, and the same
     # measurement to rounding of its largest value
     assert n >= sparse_linalg.FOLD_MIN_N
@@ -183,9 +184,12 @@ def test_folded_newton_step_matches_dense_products(n, monkeypatch):
     monkeypatch.setattr(forward_solver, "solve_spd", counting_solve)
     folded = [dtn_apply(P, f, mask, g) for f in traces]
     folded_counts = counts[:]
+    kinds = [type(sparse_linalg._kernel(g))]
     counts.clear()
     monkeypatch.setattr(sparse_linalg, "FOLD_MIN_N", n + 1)
     dense = [dtn_apply(P, f, mask, g) for f in traces]
+    kinds.append(type(sparse_linalg._kernel(g)))
+    assert kinds == [sparse_linalg._Fold, sparse_linalg._Dense]
     assert counts == folded_counts
     assert len(counts) >= 2 and set(counts) == {3}
     for fs, ds in zip(folded, dense):

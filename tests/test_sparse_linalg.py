@@ -3,8 +3,8 @@ import pytest
 
 from five_point import allocating_cg, five_point_operator, sine_basis
 from semidtn.geometry import make_grid
-from semidtn.sparse_linalg import (FOLD_MIN_N, SolverError, _Fold, assemble, from_sine, solve_spd,
-                                   to_sine)
+from semidtn.sparse_linalg import (FOLD_MIN_N, SolverError, _Dense, _Fold, assemble, from_sine,
+                                   solve_spd, to_sine)
 
 
 def materialize(A, dim):
@@ -152,15 +152,17 @@ def test_sine_coordinates_round_trip():
     assert np.max(np.abs(A(v) - r)) <= 1e-11 * np.max(np.abs(r))
 
 
-def folded_order(g):
-    """Index of mode k at position k - 1, odd modes first, then even ones."""
-    return np.ix_(np.r_[0:g.n - 1:2, 1:g.n - 1:2], np.r_[0:g.n - 1:2, 1:g.n - 1:2])
+def mode_order(g, folded):
+    """Index of mode k in a kernel's coordinates: odd modes first, then even
+    ones, when folded; at position k - 1 otherwise."""
+    k = np.r_[0:g.n - 1:2, 1:g.n - 1:2] if folded else np.arange(g.n - 1)
+    return np.ix_(k, k)
 
 
-def unfolded(y, g):
-    """Modes in folded order, (n-1)^2 values, back in the order k = 1..n-1."""
+def unfolded(y, g, folded):
+    """Modes in a kernel's order, (n-1)^2 values, back in the order k = 1..n-1."""
     out = np.empty((g.n - 1, g.n - 1))
-    out[folded_order(g)] = y.reshape(out.shape)
+    out[mode_order(g, folded)] = y.reshape(out.shape)
     return out
 
 
@@ -169,32 +171,40 @@ def assert_close(a, ref, rel=1e-13):
     assert np.max(np.abs(a - ref)) <= rel * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("n", [8, 9])
-def test_folded_kernel_matches_dense_products(n):
-    # the even/odd-folded kernel, called directly on both parities of n - 1
-    # (on even n the middle row is read by the odd modes alone): forward is
-    # S X S with modes in odd-then-even order, inverse is S Y S of such modes,
-    # and the scale is Lam^(-1/2) in that order
+@pytest.mark.parametrize("n, kind", [(8, _Fold), (9, _Fold), (8, _Dense), (9, _Dense)],
+                         ids=["8", "9", "dense-8", "dense-9"])
+def test_folded_kernel_matches_dense_products(n, kind):
+    # each Newton-step kernel, called directly on both parities of n - 1
+    # (on even n the fold's middle row is read by the odd modes alone):
+    # forward is S X S with modes in the kernel's order, odd-then-even when
+    # folded, inverse is S Y S of such modes, and the scale is Lam^(-1/2) in
+    # that order. The dense kernel makes the very products S @ X @ S, so the
+    # Newton step's results stay bit for bit those of the plain products
     g = make_grid(n)
     m = n - 1
+    folded = kind is _Fold
     sine, eig = sine_basis(g)
-    fold = _Fold(g)
+    kernel = kind(g)
     rng = np.random.default_rng(n)
     x, y = rng.normal(size=(2, m, m))
-    assert_close(fold.forward(x, np.empty((m, m))), (sine @ x @ sine)[folded_order(g)])
-    assert_close(fold.inverse(y, np.empty((m, m))), sine @ unfolded(y, g) @ sine)
-    assert_close(fold.inverse(fold.forward(x, np.empty((m, m))), np.empty((m, m))), x)
-    assert_close(fold.scale, (1.0 / np.sqrt(eig))[folded_order(g)], rel=1e-15)
+    order = mode_order(g, folded)
+    assert_close(kernel.forward(x, np.empty((m, m))), (sine @ x @ sine)[order])
+    assert_close(kernel.inverse(y, np.empty((m, m))), sine @ unfolded(y, g, folded) @ sine)
+    assert_close(kernel.inverse(kernel.forward(x, np.empty((m, m))), np.empty((m, m))), x)
+    assert_close(kernel.scale, (1.0 / np.sqrt(eig))[order], rel=1e-15)
+    if not folded:
+        assert np.array_equal(kernel.forward(x, np.empty((m, m))), sine @ x @ sine)
 
 
-@pytest.mark.parametrize("n", [128, 129])
+@pytest.mark.parametrize("n", [128, 129, 32])
 def test_folded_newton_transforms_match_dense_products(n):
-    # from FOLD_MIN_N up, to_sine, from_sine and the Jacobian run the folded
-    # kernel in odd-then-even mode order: mode-permuted, they match the dense
-    # products, and the Jacobian matches the five-point operator conjugated
-    # by them. Every result is kept until all are made, so none may be a
-    # work array of the kernel or of the operator
-    assert n >= FOLD_MIN_N
+    # to_sine, from_sine and the Jacobian run the grid's kernel, folded in
+    # odd-then-even mode order from FOLD_MIN_N up and dense below: in
+    # natural mode order they match the dense products, and the Jacobian
+    # matches the five-point operator conjugated by them. Every result is
+    # kept until all are made, so none may be a work array of the kernel or
+    # of the operator
+    folded = n >= FOLD_MIN_N
     g = make_grid(n)
     m = n - 1
     sine, eig = sine_basis(g)
@@ -207,14 +217,14 @@ def test_folded_newton_transforms_match_dense_products(n):
     coords, nodes = to_sine(r, g), from_sine(y, g)
     applied = [A(v) for v in ys]
     assert coords.shape == (m * m,) and nodes.shape == (m, m)
-    assert_close(unfolded(coords, g), scale * (sine @ r.reshape(m, m) @ sine))
-    assert_close(nodes, sine @ (scale * unfolded(y, g)) @ sine)
+    assert_close(unfolded(coords, g, folded), scale * (sine @ r.reshape(m, m) @ sine))
+    assert_close(nodes, sine @ (scale * unfolded(y, g, folded)) @ sine)
     jacobian = five_point_operator(c, g)
     for v, w in zip(ys, applied):
-        physical = sine @ (scale * unfolded(v, g)) @ sine
+        physical = sine @ (scale * unfolded(v, g, folded)) @ sine
         ref = scale * (sine @ (jacobian @ physical.ravel()).reshape(m, m) @ sine)
         assert w.shape == (m * m,)
-        assert_close(unfolded(w, g), ref)
+        assert_close(unfolded(w, g, folded), ref)
 
 
 def test_solve_zero_rhs():
@@ -337,8 +347,9 @@ def test_solve_rejects_bad_tol_and_shape():
     # a nonzero one of the wrong length reaches the shape check
     g = make_grid(4)
     A = poisson(g)
-    with pytest.raises(ValueError):
-        solve_spd(A, np.zeros(g.num_interior), tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            solve_spd(A, np.zeros(g.num_interior), tol=tol)
     with pytest.raises(ValueError):
         solve_spd(A, np.ones(g.num_interior + 1))
 
