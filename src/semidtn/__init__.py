@@ -8,9 +8,8 @@ from .sparse_linalg import SolverError, assemble, solve_spd
 from .forward_solver import (NewtonError, SmallnessError, SolveReport,
                              harmonic_extension, newton_jacobian_check,
                              solve_linear, solve_semilinear)
-from .dtn import DtnSample, bump_trace, dtn_apply, normal_derivative
-from .linearization import (CascadeState, measured_linearized_flux,
-                            mixed_divided_difference, nonlinearity_derivative,
+from .dtn import DtnSample, bump_trace, dtn_apply, measurement, normal_derivative
+from .linearization import (CascadeState, measured_linearized_flux, nonlinearity_derivative,
                             partitions, run_cascade)
 from .harmonic import arc_supported_family
 from .reconstruction import (CoeffBasis, MomentSystem, ReconstructionConfig,
@@ -24,9 +23,8 @@ __all__ = [
     "SolverError", "assemble", "solve_spd",
     "NewtonError", "SmallnessError", "SolveReport", "harmonic_extension",
     "newton_jacobian_check", "solve_linear", "solve_semilinear",
-    "DtnSample", "bump_trace", "dtn_apply", "normal_derivative",
-    "CascadeState", "measured_linearized_flux",
-    "mixed_divided_difference", "nonlinearity_derivative", "partitions",
+    "DtnSample", "bump_trace", "dtn_apply", "measurement", "normal_derivative",
+    "CascadeState", "measured_linearized_flux", "nonlinearity_derivative", "partitions",
     "run_cascade",
     "arc_supported_family",
     "CoeffBasis", "MomentSystem", "ReconstructionConfig", "ReconstructionResult",

@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dtn import DtnSample, bump_trace, dtn_apply, normal_derivative
+from .dtn import bump_trace, measurement, normal_derivative
 from .forward_solver import DEFAULT_SMALLNESS_RADIUS, solve_semilinear
 from .geometry import ArcMask, Grid2D, arc_mask, interior_integral, make_grid
 from .harmonic import HarmonicMember, arc_supported_family
-from .linearization import (MAX_ORDER, check_difference_gate, mixed_divided_difference,
+from .linearization import (MAX_ORDER, check_difference_gate, measured_linearized_flux,
                             run_cascade)
 from .potential import PotentialSeries, sample_expression
 from .reconstruction import ReconstructionConfig, measured_moment, reconstruct_all
@@ -206,18 +206,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
                             noise_sigma, extras)
 
 
-def add_noise(trace: np.ndarray, sigma: float, rng: np.random.Generator | int) -> np.ndarray:
-    """Additive Gaussian perturbation of scale sigma * max|trace|."""
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and >= 0")
-    if sigma == 0.0:
-        return trace.copy()
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    scale = sigma * float(np.max(np.abs(trace)))
-    return trace + rng.normal(0.0, scale, trace.shape) if scale > 0.0 else trace.copy()
-
-
 def _truth_series(cfg: ExperimentConfig, grid: Grid2D) -> PotentialSeries:
     fields = {k: sample_expression(expr, grid) for k, expr in cfg.potential_exprs.items()}
     return PotentialSeries.from_coefficients(grid, fields) if fields \
@@ -258,21 +246,6 @@ def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
         print(json.dumps({"warning": NOISE_WARNING, "noise_sigma": cfg.noise_sigma}),
               file=sys.stderr)
     return cfg, _Setup(grid, mask, truth, family)
-
-
-def _make_measure(cfg: ExperimentConfig, truth: PotentialSeries, mask, grid):
-    """The opaque measurement map: simulator plus optional output noise."""
-    rng = np.random.default_rng(cfg.seed + 10_000)
-
-    def measure(trace: np.ndarray) -> DtnSample:
-        sample = dtn_apply(truth, trace, mask, grid)
-        if cfg.noise_sigma == 0.0:
-            return sample
-        noisy = add_noise(sample.output, cfg.noise_sigma, rng)
-        noisy[~mask.flags] = 0.0
-        return DtnSample(sample.f, noisy, sample.report)
-
-    return measure
 
 
 def _write_json(path: Path, value) -> None:
@@ -330,10 +303,11 @@ def _linearization_differences(cfg: ExperimentConfig, family: tuple[HarmonicMemb
 
 def _scenario_linearization_check(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
     grid, mask, truth = setup.grid, setup.mask, setup.truth
+    measure = measurement(truth, mask, grid)  # noise-free: the check reads truncation
     summary = {}
     rows = []
     for m, fs, eps in _linearization_differences(cfg, setup.family):
-        dd = mixed_divided_difference(truth, fs, eps, mask, grid)
+        dd = measured_linearized_flux(measure, fs, eps, mask, grid)
         state = run_cascade(truth, fs, grid)
         flux = normal_derivative(state.field(range(m)), grid)
         flux[~mask.flags] = 0.0
@@ -352,7 +326,7 @@ def _scenario_linearization_check(cfg: ExperimentConfig, setup: _Setup, out: Pat
 
 def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
     grid, mask, truth, family = setup.grid, setup.mask, setup.truth, setup.family
-    measure = _make_measure(cfg, truth, mask, grid)
+    measure = measurement(truth, mask, grid, cfg.noise_sigma, cfg.seed + 10_000)
     n_tuples = int(cfg.extras.get("tuples", "20"))
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -388,7 +362,7 @@ def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
 
 def _scenario_reconstruction(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
     grid, mask, truth = setup.grid, setup.mask, setup.truth
-    measure = _make_measure(cfg, truth, mask, grid)
+    measure = measurement(truth, mask, grid, cfg.noise_sigma, cfg.seed + 10_000)
     rconf = ReconstructionConfig(grid, mask, eps=cfg.eps, family_size=cfg.family_size,
                                  basis_per_side=cfg.basis_per_side,
                                  rows_factor=cfg.rows_factor, lam=cfg.lam,

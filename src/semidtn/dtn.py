@@ -1,10 +1,11 @@
 """Partial Dirichlet-to-Neumann measurements: normal derivative extraction,
-arc-restricted inputs and outputs, and the smooth bump family used as
-boundary data.
+arc-restricted inputs and outputs, the opaque measurement map the inversion
+reads, and the smooth bump family used as boundary data.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,8 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class DtnSample:
-    """One measurement: input trace, arc-masked normal-derivative trace, report."""
+    """One measurement: arc-masked normal-derivative trace and solve report."""
 
-    f: np.ndarray
     output: np.ndarray
     report: SolveReport
 
@@ -77,7 +77,32 @@ def dtn_apply(P: PotentialSeries, f: np.ndarray, mask: ArcMask, grid: Grid2D) ->
     u, report = solve_semilinear(P, f, grid)
     out = normal_derivative(u, grid)
     out[~mask.flags] = 0.0
-    return DtnSample(f, out, report)
+    return DtnSample(out, report)
+
+
+def measurement(P: PotentialSeries, mask: ArcMask, grid: Grid2D, noise_sigma: float = 0.0,
+                seed: int = 0):
+    """The opaque measurement map ``measure(trace) -> flux`` of the series P
+    on the arc: ``dtn_apply``'s output. With ``noise_sigma`` > 0 each call
+    adds Gaussian noise of scale noise_sigma * max|flux|, drawn in call order
+    from one generator seeded with ``seed`` (only when that scale is > 0),
+    and zeroes it again outside the arc. Each call looks ``dtn_apply`` up in
+    this module, so that a wrapper installed here sees every measurement.
+    """
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError("noise_sigma must be finite and >= 0")
+    rng = np.random.default_rng(seed)
+
+    def measure(trace: np.ndarray) -> np.ndarray:
+        out = dtn_apply(P, trace, mask, grid).output
+        if noise_sigma > 0.0:
+            scale = noise_sigma * float(np.max(np.abs(out)))
+            if scale > 0.0:
+                out += rng.normal(0.0, scale, out.shape)
+                out[~mask.flags] = 0.0
+        return out
+
+    return measure
 
 
 def bump_profile(t: np.ndarray) -> np.ndarray:
@@ -93,7 +118,7 @@ def bump_profile(t: np.ndarray) -> np.ndarray:
 def bump_trace(grid: Grid2D, center: float, width: float, amplitude: float = 1.0) -> np.ndarray:
     """Boundary trace of a bump of half-width ``width`` centered at walk
     parameter ``center`` (wraps around the walk origin)."""
-    if width <= 0.0:
+    if not width > 0.0:
         raise ValueError("bump width must be positive")
     d = np.mod(grid.boundary_s - center + 2.0, 4.0) - 2.0  # signed circular distance
     return amplitude * bump_profile(d / width)

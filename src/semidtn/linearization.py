@@ -11,7 +11,8 @@
     polarization of directional Taylor coefficients (``DirectionStore``).
 
 The two routes are independent and cross-validate each other; the inversion
-pipeline only ever uses route (b) through an opaque measurement function.
+pipeline only ever uses route (b) through an opaque measurement function, which
+maps a boundary trace to its flux array (``dtn.measurement``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .dtn import DtnSample, dtn_apply
 from .forward_solver import DEFAULT_SMALLNESS_RADIUS, harmonic_extension, solve_linear
 from .geometry import ArcMask, Grid2D, check_trace
 from .potential import PotentialSeries
@@ -160,14 +160,15 @@ def cascade_fields(P: PotentialSeries, S, fields: dict, grid: Grid2D) -> np.ndar
 
 def measured_linearized_flux(measure, fs, eps: float, mask: ArcMask,
                              grid: Grid2D) -> np.ndarray:
-    """Mixed divided difference of an opaque measurement map.
+    """Mixed divided difference of an opaque measurement map ``measure``,
+    which returns the flux array of a boundary trace.
 
     Applies the tensor-product central difference over the slot amplitudes:
     sum over the 2^m sign patterns of (product of signs) times the
     measurement of (sum of sign*eps*f_l), divided by (2 eps)^m. Returns an
     arc-masked boundary trace. O(eps^2) truncation per slot.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     fs = tuple(check_trace(f, grid) for f in fs)
     m = len(fs)
@@ -176,14 +177,10 @@ def measured_linearized_flux(measure, fs, eps: float, mask: ArcMask,
     acc = np.zeros(grid.num_boundary)
     for signs in product((-1.0, 1.0), repeat=m):
         trace = eps * sum(s * f for s, f in zip(signs, fs))
-        acc += np.prod(signs) * _output(measure(trace))
+        acc += np.prod(signs) * measure(trace)
     acc /= (2.0 * eps) ** m
     acc[~mask.flags] = 0.0
     return acc
-
-
-def _output(sample) -> np.ndarray:
-    return sample.output if isinstance(sample, DtnSample) else np.asarray(sample, dtype=float)
 
 
 class DirectionStore:
@@ -209,7 +206,7 @@ class DirectionStore:
     """
 
     def __init__(self, measure, traces, eps: float, mask: ArcMask, grid: Grid2D):
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ValueError("eps must be positive")
         self._measure = measure
         self._traces = tuple(check_trace(f, grid) for f in traces)
@@ -228,7 +225,7 @@ class DirectionStore:
         key = tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
         if key not in self._parts:
             g = sum(self._traces[i] for i in key) / len(key)
-            a, b, c, d = (_output(self._measure(t * self.step * g))[self._arc]
+            a, b, c, d = (self._measure(t * self.step * g)[self._arc]
                           for t in (1.0, -1.0, 2.0, -2.0))
             self.calls += 4
             self._parts[key] = (0.5 * (a + b), 0.5 * (c + d), 0.5 * (a - b), 0.5 * (c - d))
@@ -260,24 +257,8 @@ def check_difference_gate(fs, eps: float) -> None:
     difference of the traces ``fs`` at step ``eps`` passes the solver's
     smallness gate; eps times the sum of the |f_l| bounds them all."""
     worst = eps * sum(np.abs(f) for f in fs)
-    if worst.size and float(np.max(worst)) > DEFAULT_SMALLNESS_RADIUS:
+    if worst.size and not float(np.max(worst)) <= DEFAULT_SMALLNESS_RADIUS:
         raise ValueError(f"eps={eps} pushes evaluation points outside the smallness gate "
                          f"(max combined amplitude {float(np.max(worst)):.4g} > "
                          f"{DEFAULT_SMALLNESS_RADIUS})")
 
-
-def mixed_divided_difference(P: PotentialSeries, fs, eps: float, mask: ArcMask,
-                             grid: Grid2D) -> np.ndarray:
-    """Divided difference of the known-coefficient measurement map.
-
-    Pre-checks that every evaluation point passes the solver's smallness
-    gate (``check_difference_gate``), then delegates to the opaque-map
-    engine with the simulator as the measure.
-    """
-    fs = tuple(check_trace(f, grid) for f in fs)
-    check_difference_gate(fs, eps)
-
-    def measure(trace: np.ndarray) -> DtnSample:
-        return dtn_apply(P, trace, mask, grid)
-
-    return measured_linearized_flux(measure, fs, eps, mask, grid)

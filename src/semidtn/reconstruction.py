@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -427,14 +427,9 @@ class StageDiagnostics:
     rel_error_vs_truth: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m, "rows": self.rows, "heads": self.heads,
-            "measurements": self.measurements, "basis_size": self.basis_size,
-            "lambda": self.lam, "residual": self.residual,
-            "cond_estimate": self.cond_estimate,
-            "noise_ceiling_per_unit_gap": self.noise_ceiling_per_unit_gap,
-            "rel_error_vs_truth": self.rel_error_vs_truth,
-        }
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        return out
 
 
 @dataclass(frozen=True)

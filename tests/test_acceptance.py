@@ -37,7 +37,7 @@ def criterion4_stats():
     truth = sd.PotentialSeries.from_coefficients(g, {
         2: sd.sample_expression("2 + x", g),
         3: sd.sample_expression("sin(pi*x)*sin(pi*y)", g)})
-    measure = lambda tr: sd.dtn_apply(truth, tr, mask, g)
+    measure = sd.measurement(truth, mask, g)
     fam = sd.arc_supported_family(mask, 12, g)
     rng = np.random.default_rng(123)
     eps, h = 1e-2, g.h
@@ -98,7 +98,7 @@ def test_criterion_3_linearization_cross_validation():
     gaps = {}
     for m, eps, tol in ((2, 1e-2, 1e-3), (3, 2e-2, 1e-2)):
         fs = [fam[i].trace for i in range(m)]
-        dd = sd.mixed_divided_difference(P, fs, eps, mask, g)
+        dd = sd.measured_linearized_flux(sd.measurement(P, mask, g), fs, eps, mask, g)
         state = sd.run_cascade(P, fs, g)
         flux = normal_derivative(state.field(range(m)), g)
         flux[~mask.flags] = 0.0
@@ -129,7 +129,7 @@ def test_criterion_5_end_to_end_reconstruction():
     errs = {}
     for label, (s0, s1) in (("half", (0.0, 2.0)), ("full", (0.0, 4.0))):
         mask = sd.arc_mask(g, s0, s1)
-        measure = lambda tr: sd.dtn_apply(truth, tr, mask, g)
+        measure = sd.measurement(truth, mask, g)
         conf = sd.ReconstructionConfig(g, mask, eps=1e-2, family_size=12,
                                        basis_per_side=6, seed=0)
         res = sd.reconstruct_all(measure, 3, conf, truth=truth)
@@ -155,7 +155,7 @@ def test_criterion_6_power_nonlinearity(criterion4_stats):
     q = sd.sample_expression("exp(-4*((x-0.5)**2 + (y-0.5)**2))", g)
     truth = sd.PotentialSeries.from_coefficients(g, {3: q})
     mask = sd.full_mask(g)
-    measure = lambda tr: sd.dtn_apply(truth, tr, mask, g)
+    measure = sd.measurement(truth, mask, g)
     conf = sd.ReconstructionConfig(g, mask, eps=1e-2, family_size=12,
                                    basis_per_side=6, seed=0)
     res = sd.reconstruct_all(measure, 3, conf, truth=truth)
@@ -214,7 +214,7 @@ def test_criterion_7_invariant_suite():
     fam = sd.arc_supported_family(mask2, 6, g)
     basis2 = make_basis(3, g)
     P0 = sd.PotentialSeries.zero(g)
-    meas = lambda tr: sd.dtn_apply(P0, tr, mask2, g)
+    meas = sd.measurement(P0, mask2, g)
     s1, s2 = (sd.assemble_system(fam, 2, basis2,
                                  DirectionStore(meas, [m.trace for m in fam], 1e-2, mask2, g),
                                  mask2, g, heads=3, seed=3) for _ in range(2))

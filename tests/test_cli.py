@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from semidtn import cli
-from semidtn.cli import ConfigError, _field_csv, add_noise, load_config, main, run, validate
+from semidtn.cli import ConfigError, _field_csv, load_config, main, run, validate
 from semidtn.geometry import make_grid
 from semidtn.harmonic import arc_supported_family
 
@@ -280,12 +280,17 @@ def test_identity_scenario_writes_artifacts(tmp_path):
     assert 0.0 < summary["m2_rel_max_gap"] < 1.0
 
 
-def test_seeded_runs_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    run(write_config(tmp_path, GOOD_CONFIG.format(out=out1), "a.cfg"))
-    run(write_config(tmp_path, GOOD_CONFIG.format(out=out2), "b.cfg"))
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
+def test_seeded_runs_byte_identical(tmp_path, noise_sigma):
+    text = GOOD_CONFIG.replace("eps = 0.01", f"eps = 0.01\nnoise_sigma = {noise_sigma}")
+    outs = [tmp_path / "a", tmp_path / "b", tmp_path / "clean"]
+    for out, cfg in zip(outs, (text, text, GOOD_CONFIG)):
+        assert run(write_config(tmp_path, cfg.format(out=out), f"{out.name}.cfg")) == 0
     for name in ("identity_check.csv", "identity_summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # the noise reaches the artifacts
+    noisy = (outs[0] / "identity_check.csv").read_bytes()
+    assert (noisy != (outs[2] / "identity_check.csv").read_bytes()) == (noise_sigma > 0.0)
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -466,6 +471,9 @@ basis_per_side = 3
     assert run(write_config(tmp_path, cfg)) == 0
     assert capsys.readouterr().err == ""  # no noise, no warning
     stages = json.loads((out / "stages.json").read_text())
+    assert sorted(stages[0]) == ["basis_size", "cond_estimate", "heads", "lambda", "m",
+                                 "measurements", "noise_ceiling_per_unit_gap",
+                                 "rel_error_vs_truth", "residual", "rows"]
     assert stages[0]["m"] == 2
     assert np.isfinite(stages[0]["rel_error_vs_truth"])
     field_lines = (out / "coefficient_k2.csv").read_text().splitlines()
@@ -513,18 +521,6 @@ basis_per_side = 3
     other = GOOD_CONFIG.format(out=out).replace("eps = 0.01", "eps = 0.01\nnoise_sigma = 0.001")
     assert validate(write_config(tmp_path, other, "other.cfg")) == 0
     assert capsys.readouterr().err == ""
-
-
-def test_add_noise_contract():
-    rng_trace = np.linspace(-1.0, 1.0, 32)
-    assert np.array_equal(add_noise(rng_trace, 0.0, 5), rng_trace)
-    a = add_noise(rng_trace, 1e-3, 7)
-    b = add_noise(rng_trace, 1e-3, 7)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, rng_trace)
-    for sigma in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            add_noise(rng_trace, sigma, 0)
 
 
 def test_console_entry_point(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from five_point import pcg_newton
 from semidtn.dtn import (SupportError, bump_profile, bump_trace, check_support,
-                         dtn_apply, normal_derivative)
-from semidtn import forward_solver
+                         dtn_apply, measurement, normal_derivative)
+from semidtn import dtn, forward_solver
 from semidtn.geometry import arc_mask, boundary_integral, full_mask, make_grid
 from semidtn.potential import PotentialSeries, sample_expression
 
@@ -156,6 +156,34 @@ def test_bump_trace_support_and_wrap():
     wrapped = bump_trace(g, 0.0, 0.3, 1.0)  # support crosses the walk origin
     assert wrapped[0] == pytest.approx(1.0)
     assert wrapped[-1] > 0.0
+    for width in (float("nan"), 0.0, -0.1):
+        with pytest.raises(ValueError, match="width"):
+            bump_trace(g, 0.5, width, 1.0)
+
+
+def test_measurement_noise_contract(monkeypatch):
+    # sigma 0 is the simulator's output; sigma > 0 adds seeded noise in call
+    # order, fresh at each call, and keeps the nodes off the arc at zero
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 2.0)
+    P = PotentialSeries.from_coefficients(g, {2: np.ones(g.num_nodes)})
+    f = bump_trace(g, 1.0, 0.4, 0.05)
+    clean = dtn_apply(P, f, mask, g).output
+    assert np.array_equal(measurement(P, mask, g, 0.0, 5)(f), clean)
+    noisy = measurement(P, mask, g, 1e-3, 7)
+    a, a_next = noisy(f), noisy(f)
+    assert np.array_equal(a, measurement(P, mask, g, 1e-3, 7)(f))
+    assert not np.array_equal(a, clean)
+    assert not np.array_equal(a, a_next)
+    assert not a[~mask.flags].any() and not a_next[~mask.flags].any()
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            measurement(P, mask, g, sigma)
+    # a device built earlier sees a wrapper installed at dtn.dtn_apply later,
+    # which is how a tracer counts measurements
+    device, calls = measurement(P, mask, g), []
+    monkeypatch.setattr(dtn, "dtn_apply", lambda *args: calls.append(args) or dtn_apply(*args))
+    assert np.array_equal(device(f), clean) and len(calls) == 1
 
 
 def test_check_support_exact_zero_required():

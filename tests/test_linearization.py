@@ -5,12 +5,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from semidtn.dtn import bump_trace, dtn_apply, normal_derivative
+from semidtn.dtn import bump_trace, dtn_apply, measurement, normal_derivative
 from semidtn.forward_solver import harmonic_extension, solve_linear, stencil_laplacian
 from semidtn.geometry import arc_mask, full_mask, make_grid
 from semidtn.harmonic import arc_supported_family
-from semidtn.linearization import (DirectionStore, measured_linearized_flux,
-                                   mixed_divided_difference, nonlinearity_derivative,
+from semidtn.linearization import (DirectionStore, check_difference_gate,
+                                   measured_linearized_flux, nonlinearity_derivative,
                                    partitions, run_cascade)
 from semidtn.potential import PotentialSeries, sample_expression
 from semidtn.reconstruction import ReconstructionConfig, reconstruct_all
@@ -211,12 +211,17 @@ def test_cascade_slot_cap():
 
 # ---------- divided differences ----------
 
+def divided_difference(P, fs, eps, mask, g):
+    """The tensor difference of the noise-free measurement map of P."""
+    return measured_linearized_flux(measurement(P, mask, g), fs, eps, mask, g)
+
+
 def test_divided_difference_zero_potential_pair():
     g = make_grid(16)
     mask = arc_mask(g, 0.0, 2.0)
     f1 = bump_trace(g, 0.5, 0.3, 1.0)
     f2 = bump_trace(g, 1.5, 0.3, 1.0)
-    dd = mixed_divided_difference(PotentialSeries.zero(g), [f1, f2], 1e-2, mask, g)
+    dd = divided_difference(PotentialSeries.zero(g), [f1, f2], 1e-2, mask, g)
     assert np.max(np.abs(dd)) <= 1e-6  # solver noise / eps^2
 
 
@@ -226,7 +231,7 @@ def test_single_slot_matches_cascade():
     x, _ = g.node_coords()
     P = PotentialSeries.from_coefficients(g, {2: 1.0 + x})
     f = bump_trace(g, 0.8, 0.3, 1.0)
-    dd = mixed_divided_difference(P, [f], 1e-2, mask, g)
+    dd = divided_difference(P, [f], 1e-2, mask, g)
     flux = normal_derivative(harmonic_extension(f, g), g)
     flux[~mask.flags] = 0.0
     gap = np.max(np.abs(dd - flux)) / np.max(np.abs(flux))
@@ -242,7 +247,7 @@ def test_pair_cross_validates_cascade():
     P = PotentialSeries.from_coefficients(g, {2: 1.0 + x})
     f1 = bump_trace(g, 0.5, 0.3, 1.0)
     f2 = bump_trace(g, 1.5, 0.3, 1.0)
-    dd = mixed_divided_difference(P, [f1, f2], 1e-2, mask, g)
+    dd = divided_difference(P, [f1, f2], 1e-2, mask, g)
     state = run_cascade(P, [f1, f2], g)
     flux = normal_derivative(state.field((0, 1)), g)
     flux[~mask.flags] = 0.0
@@ -262,7 +267,7 @@ def test_divided_difference_eps_order():
     flux[~mask.flags] = 0.0
     gaps = []
     for eps in (4e-2, 2e-2, 1e-2):
-        dd = mixed_divided_difference(P, [f1, f2], eps, mask, g)
+        dd = divided_difference(P, [f1, f2], eps, mask, g)
         gaps.append(np.max(np.abs(dd - flux)[mask.flags]))
     orders = [np.log2(gaps[i] / gaps[i + 1]) for i in range(2)]
     assert all(1.5 <= o <= 2.6 for o in orders)
@@ -275,8 +280,8 @@ def test_multilinearity_in_each_slot():
     f1 = bump_trace(g, 0.6, 0.3, 0.7)
     f2 = bump_trace(g, 1.4, 0.3, 0.7)
     a = 2.0
-    d1 = mixed_divided_difference(P, [f1, f2], 1e-2, mask, g)
-    d2 = mixed_divided_difference(P, [a * f1, f2], 1e-2, mask, g)
+    d1 = divided_difference(P, [f1, f2], 1e-2, mask, g)
+    d2 = divided_difference(P, [a * f1, f2], 1e-2, mask, g)
     assert np.max(np.abs(d2 - a * d1)) <= 1e-6 * a
 
 
@@ -285,10 +290,14 @@ def test_divided_difference_gate():
     mask = arc_mask(g, 0.0, 2.0)
     P = const_series(g, k2=1.0)
     f = bump_trace(g, 1.0, 0.4, 1.0)
-    with pytest.raises(ValueError):
-        mixed_divided_difference(P, [f, f], 6e-2, mask, g)  # 2 * 0.06 > 0.1
-    with pytest.raises(ValueError):
-        mixed_divided_difference(P, [f], -1e-2, mask, g)
+    check_difference_gate([f, f], 5e-2)
+    with pytest.raises(ValueError, match="smallness gate"):
+        check_difference_gate([f, f], 6e-2)  # 2 * 0.06 > 0.1
+    with pytest.raises(ValueError, match="smallness gate"):
+        check_difference_gate([f, f], float("nan"))
+    for eps in (float("nan"), 0.0, -0.1, -1e-2):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            divided_difference(P, [f], eps, mask, g)
 
 
 def test_measured_flux_equals_simulator_composition():
@@ -297,29 +306,23 @@ def test_measured_flux_equals_simulator_composition():
     x, _ = g.node_coords()
     P = PotentialSeries.from_coefficients(g, {2: 1.0 + x})
     fs = [bump_trace(g, 0.6, 0.3, 1.0), bump_trace(g, 1.4, 0.3, 1.0)]
-    direct = mixed_divided_difference(P, fs, 1e-2, mask, g)
+    direct = divided_difference(P, fs, 1e-2, mask, g)
     via_measure = measured_linearized_flux(
-        lambda tr: dtn_apply(P, tr, mask, g), fs, 1e-2, mask, g)
+        lambda tr: dtn_apply(P, tr, mask, g).output, fs, 1e-2, mask, g)
     assert np.array_equal(direct, via_measure)
 
 
 def test_measured_flux_with_degenerate_noise_is_identical():
-    from semidtn.cli import add_noise
-    from semidtn.dtn import DtnSample
     g = make_grid(16)
     mask = arc_mask(g, 0.0, 2.0)
     P = const_series(g, k2=1.0)
     fs = [bump_trace(g, 0.6, 0.3, 1.0), bump_trace(g, 1.4, 0.3, 1.0)]
-    rng = np.random.default_rng(0)
-
-    def noisy_measure(trace):
-        sample = dtn_apply(P, trace, mask, g)
-        return DtnSample(sample.f, add_noise(sample.output, 0.0, rng), sample.report)
-
-    clean = measured_linearized_flux(lambda tr: dtn_apply(P, tr, mask, g),
+    clean = measured_linearized_flux(lambda tr: dtn_apply(P, tr, mask, g).output,
                                      fs, 1e-2, mask, g)
-    wrapped = measured_linearized_flux(noisy_measure, fs, 1e-2, mask, g)
-    assert np.array_equal(clean, wrapped)
+    for seed in (0, 7):
+        wrapped = measured_linearized_flux(measurement(P, mask, g, 0.0, seed),
+                                           fs, 1e-2, mask, g)
+        assert np.array_equal(clean, wrapped)
 
 
 def test_measured_flux_identical_for_matching_series():
@@ -331,8 +334,8 @@ def test_measured_flux_identical_for_matching_series():
     P1 = PotentialSeries.from_coefficients(g, {2: 1.0 + x})
     P2 = PotentialSeries.from_coefficients(g, {2: (1.0 + x).copy(), 3: np.zeros(g.num_nodes)})
     fs = [bump_trace(g, 0.6, 0.3, 1.0), bump_trace(g, 1.4, 0.3, 1.0)]
-    out1 = measured_linearized_flux(lambda tr: dtn_apply(P1, tr, mask, g), fs, 1e-2, mask, g)
-    out2 = measured_linearized_flux(lambda tr: dtn_apply(P2, tr, mask, g), fs, 1e-2, mask, g)
+    out1 = divided_difference(P1, fs, 1e-2, mask, g)
+    out2 = divided_difference(P2, fs, 1e-2, mask, g)
     assert np.max(np.abs(out1 - out2)) <= 1e-10
 
 
@@ -366,7 +369,7 @@ def test_polarized_flux_matches_cascade_and_tensor_difference():
         3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g),
         4: sample_expression("1 + x*y", g)})
     fam = arc_supported_family(mask, 12, g)
-    measure = lambda trace: dtn_apply(P, trace, mask, g)
+    measure = measurement(P, mask, g)
     directions = DirectionStore(measure, [m.trace for m in fam], 1e-2, mask, g)
     for head in ((0, 3), (2, 2), (0, 3, 7), (1, 1, 5), (0, 3, 7, 9), (1, 1, 5, 8),
                  (0, 0, 0, 1)):
@@ -435,10 +438,11 @@ def test_direction_store_guards():
     mask = arc_mask(g, 0.0, 2.0)
     fam = arc_supported_family(mask, 3, g)
     calls = []
-    measure = lambda trace: calls.append(trace) or dtn_apply(PotentialSeries.zero(g), trace,
-                                                             mask, g)
-    with pytest.raises(ValueError):
-        DirectionStore(measure, [m.trace for m in fam], 0.0, mask, g)
+    device = measurement(PotentialSeries.zero(g), mask, g)
+    measure = lambda trace: calls.append(trace) or device(trace)
+    for eps in (float("nan"), 0.0, -0.1):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            DirectionStore(measure, [m.trace for m in fam], eps, mask, g)
     directions = DirectionStore(measure, [m.trace for m in fam], 1e-2, mask, g)
     for m in (1, 5):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from semidtn.dtn import dtn_apply, normal_derivative
+from semidtn.dtn import dtn_apply, measurement, normal_derivative
 from semidtn.forward_solver import harmonic_extension, solve_linear
 from semidtn import linearization, reconstruction
 from semidtn.geometry import arc_mask, full_mask, interior_integral, make_grid
@@ -15,10 +15,6 @@ from semidtn.reconstruction import (ZERO_ROW, MomentSystem, ReconstructionConfig
                                     lcurve_weight, make_basis, measured_moment,
                                     reconstruct_all, rel_l2_error, solve_coefficients,
                                     solution_operator_norm)
-
-
-def measure_for(P, mask, grid):
-    return lambda trace: dtn_apply(P, trace, mask, grid)
 
 
 def poisson_readout(source, g):
@@ -81,7 +77,7 @@ def test_gradient_penalty_shape_and_nullspace():
 def test_moment_zero_coefficient(setup32):
     g, mask, fam, _ = setup32
     P = PotentialSeries.zero(g)
-    val = measured_moment(measure_for(P, mask, g), [fam[0], fam[1], fam[2]],
+    val = measured_moment(measurement(P, mask, g), [fam[0], fam[1], fam[2]],
                           1e-2, mask, g)
     assert abs(val) <= 1e-7
 
@@ -95,7 +91,7 @@ def test_moment_matches_direct_quadrature(setup32):
     P = PotentialSeries.from_coefficients(g, {2: q})
     members = [fam[0], fam[3], fam[5]]
     eps = 1e-2
-    val = measured_moment(measure_for(P, mask, g), members, eps, mask, g)
+    val = measured_moment(measurement(P, mask, g), members, eps, mask, g)
     prod = q.copy()
     for mem in members:
         prod = prod * mem.field
@@ -114,8 +110,8 @@ def test_moment_lower_order_correction_matters(setup32):
     P = PotentialSeries.from_coefficients(
         g, {2: 2.0 + x, 3: sample_expression("sin(pi*x)*sin(pi*y)", g)})
     members = [fam[0], fam[2], fam[4], fam[6]]
-    with_corr = measured_moment(measure_for(P, mask, g), members, 1e-2, mask, g, known=P)
-    without = measured_moment(measure_for(P, mask, g), members, 1e-2, mask, g, known=None)
+    with_corr = measured_moment(measurement(P, mask, g), members, 1e-2, mask, g, known=P)
+    without = measured_moment(measurement(P, mask, g), members, 1e-2, mask, g, known=None)
     prod = P.coefficient(3).copy()
     for mem in members:
         prod = prod * mem.field
@@ -138,13 +134,13 @@ def test_moment_rejects_unsupported_tuple(setup32):
     bad = HarmonicMember(np.ones(g.num_nodes), bad_trace, "outsider")
     P = PotentialSeries.zero(g)
     with pytest.raises(SupportError):
-        measured_moment(measure_for(P, mask, g), [fam[0], fam[1], bad], 1e-2, mask, g)
+        measured_moment(measurement(P, mask, g), [fam[0], fam[1], bad], 1e-2, mask, g)
 
 
 def test_moment_needs_three_members(setup32):
     g, mask, fam, _ = setup32
     with pytest.raises(ValueError):
-        measured_moment(measure_for(PotentialSeries.zero(g), mask, g),
+        measured_moment(measurement(PotentialSeries.zero(g), mask, g),
                         [fam[0], fam[1]], 1e-2, mask, g)
 
 
@@ -156,7 +152,7 @@ def test_assemble_dimensions():
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measure_for(P, mask, g), [m.trace for m in fam], 1e-2, mask, g)
+    directions = DirectionStore(measurement(P, mask, g), [m.trace for m in fam], 1e-2, mask, g)
     system = assemble_system(fam, 2, basis, directions, mask, g, heads=3)
     assert len(system.heads) == 3
     assert len(set(system.heads)) == 3  # deduplicated
@@ -171,7 +167,7 @@ def test_assemble_collapses_when_only_one_tuple_exists():
     fam_all = arc_supported_family(mask, 1, g)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measure_for(P, mask, g), [m.trace for m in fam_all], 1e-2,
+    directions = DirectionStore(measurement(P, mask, g), [m.trace for m in fam_all], 1e-2,
                                 mask, g)
     with pytest.warns(UserWarning):
         system = assemble_system(fam_all, 2, basis, directions, mask, g, heads=12)
@@ -188,7 +184,7 @@ def test_assemble_drops_zero_product_rows():
     fam_degenerate = fam + (zero,)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measure_for(P, mask, g),
+    directions = DirectionStore(measurement(P, mask, g),
                                 [m.trace for m in fam_degenerate], 1e-2, mask, g)
     system = assemble_system(fam_degenerate, 2, basis, directions, mask, g,
                              heads=15)  # all 15 heads are drawn
@@ -207,7 +203,7 @@ def test_stage_model_matches_measured_pairing():
     basis = make_basis(4, g)
     c = np.random.default_rng(0).uniform(0.5, 1.5, basis.size)
     truth = PotentialSeries.from_coefficients(g, {2: basis.synthesize(c)})
-    measure = measure_for(truth, mask, g)
+    measure = measurement(truth, mask, g)
     directions = DirectionStore(measure, [m.trace for m in fam], 1e-2, mask, g)
     system = assemble_system(fam, 2, basis, directions, mask, g, heads=1, lam=1.0)
     assert len(system.heads) == 1
@@ -266,7 +262,7 @@ def test_arc_readout_matches_poisson_solves(n, s0, s1):
     basis = make_basis(3, g)
     P = PotentialSeries.zero(g)
     for m in (2, 3):
-        directions = DirectionStore(measure_for(P, mask, g), [m.trace for m in fam], 1e-2,
+        directions = DirectionStore(measurement(P, mask, g), [m.trace for m in fam], 1e-2,
                                     mask, g)
         system = assemble_system(fam, m, basis, directions, mask, g, heads=2, seed=m,
                                  lam=1.0)
@@ -329,7 +325,7 @@ def test_folding_is_exact():
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(3, g)
     truth = PotentialSeries.from_coefficients(g, {2: sample_expression("1 + x*y", g)})
-    directions = DirectionStore(measure_for(truth, mask, g), [m.trace for m in fam], 1e-2,
+    directions = DirectionStore(measurement(truth, mask, g), [m.trace for m in fam], 1e-2,
                                 mask, g)
     system = assemble_system(fam, 2, basis, directions, mask, g, heads=3, lam=1.0)
     assert len(system.heads) == 3
@@ -430,7 +426,7 @@ def test_reconstruct_quadratic_only_truth_keeps_cubic_small():
         g, {2: sample_expression("exp(-4*((x-0.5)**2 + (y-0.5)**2))", g)})
     conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=8, basis_per_side=4,
                                 rows_factor=2, seed=1)
-    result = reconstruct_all(measure_for(truth, mask, g), 3, conf, truth=truth)
+    result = reconstruct_all(measurement(truth, mask, g), 3, conf, truth=truth)
     err2 = result.stages[0].rel_error_vs_truth
     norm3 = np.sqrt(interior_integral(result.series.coefficient(3) ** 2, g))
     assert err2 <= 0.5
@@ -447,8 +443,8 @@ def test_reconstruct_identical_measures_identical_outputs():
                                                     3: np.zeros(g.num_nodes)})
     conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=6, basis_per_side=3,
                                 rows_factor=2, seed=2)
-    res_a = reconstruct_all(measure_for(truth_a, mask, g), 2, conf)
-    res_b = reconstruct_all(measure_for(truth_b, mask, g), 2, conf)
+    res_a = reconstruct_all(measurement(truth_a, mask, g), 2, conf)
+    res_b = reconstruct_all(measurement(truth_b, mask, g), 2, conf)
     gap = np.max(np.abs(res_a.series.coefficient(2) - res_b.series.coefficient(2)))
     assert gap <= 1e-8
 
@@ -466,7 +462,7 @@ def test_induction_uses_reconstructed_lower_orders():
     errors = []
     for delta in (0.0, 0.05, 0.2):
         known = PotentialSeries.from_coefficients(g, {2: truth.coefficient(2) + delta})
-        directions = DirectionStore(measure_for(truth, mask, g), [m.trace for m in fam],
+        directions = DirectionStore(measurement(truth, mask, g), [m.trace for m in fam],
                                     1e-2, mask, g)
         system = assemble_system(fam, 3, basis, directions, mask, g, known=known,
                                  heads=3 * basis.size, seed=5)
@@ -484,7 +480,7 @@ def test_partial_data_ordering_cheap_scenario():
     for label, mask in (("full", full_mask(g)), ("quarter", arc_mask(g, 0.0, 1.0))):
         conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=8,
                                     basis_per_side=4, rows_factor=2, seed=3)
-        res = reconstruct_all(measure_for(truth, mask, g), 2, conf, truth=truth)
+        res = reconstruct_all(measurement(truth, mask, g), 2, conf, truth=truth)
         errs[label] = res.stages[0].rel_error_vs_truth
     assert errs["full"] <= errs["quarter"]
 
@@ -497,7 +493,7 @@ def test_reconstruct_quartic_bump_induction():
         g, {4: sample_expression("exp(-4*((x-0.5)**2 + (y-0.5)**2))", g)})
     conf = ReconstructionConfig(g, mask, eps=2e-2, family_size=8, basis_per_side=4,
                                 rows_factor=2, seed=4)
-    result = reconstruct_all(measure_for(truth, mask, g), 4, conf, truth=truth)
+    result = reconstruct_all(measurement(truth, mask, g), 4, conf, truth=truth)
     truth_norm = np.sqrt(interior_integral(truth.coefficient(4) ** 2, g))
     for stage in result.stages[:2]:
         rec = result.series.coefficient(stage.m)
@@ -517,10 +513,11 @@ def test_reconstruct_measures_each_direction_once():
         g, {2: 1.0 + x, 3: sample_expression("sin(pi*x)*sin(pi*y)", g)})
     fam = arc_supported_family(mask, 6, g)
     traces = []
+    device = measurement(truth, mask, g)
 
     def measure(trace):
         traces.append(trace.copy())
-        return dtn_apply(truth, trace, mask, g)
+        return device(trace)
 
     conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=6, basis_per_side=3,
                                 rows_factor=2, seed=0)
@@ -579,12 +576,13 @@ def test_stage_failure_propagates_measurement_error():
     truth = PotentialSeries.zero(g)
 
     calls = {"n": 0}
+    device = measurement(truth, mask, g)
 
     def flaky_measure(trace):
         calls["n"] += 1
         if calls["n"] > 40:
             raise RuntimeError("measurement device unplugged")
-        return dtn_apply(truth, trace, mask, g)
+        return device(trace)
 
     conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=6, basis_per_side=3,
                                 rows_factor=2, seed=0)
@@ -598,4 +596,4 @@ def test_reconstruct_requires_k_at_least_two():
     mask = full_mask(g)
     conf = ReconstructionConfig(g, mask)
     with pytest.raises(ValueError):
-        reconstruct_all(measure_for(PotentialSeries.zero(g), mask, g), 1, conf)
+        reconstruct_all(measurement(PotentialSeries.zero(g), mask, g), 1, conf)
