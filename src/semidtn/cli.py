@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,29 +33,65 @@ from .reconstruction import ReconstructionConfig, measured_moment, reconstruct_a
 
 OUTPUT_DIR_ENV = "SEMIDTN_OUTPUT_DIR"
 
-# Upper bounds of the reconstruction knobs, so that no config value makes a
-# run allocate or measure without limit (the shipped configs use 12, 6, 3).
-MAX_FAMILY_SIZE = 32
-MAX_BASIS_PER_SIDE = 12
-MAX_ROWS_FACTOR = 10
-# Highest coefficient order a [potential] key may name (the forward model
-# solves any order; kmax, the highest order differentiated, stops at
-# MAX_ORDER), the identity_check tuple count per order, and the half-width
-# of the forward_convergence bump (half the boundary walk).
-MAX_POTENTIAL_ORDER = 8
-MAX_TUPLES = 1000
-MAX_BUMP_WIDTH = 2.0
+# The coefficient orders a [potential] key may name (the forward model
+# solves any order; kmax, the highest order differentiated, stops at MAX_ORDER).
+POTENTIAL_ORDERS = range(2, 9)
+REQUIRED = object()
 
-# The sections a config may hold and the keys of each (the README key
-# table); anything else is a typo that would otherwise fall back to a default.
-CONFIG_KEYS = {
-    "experiment": {"scenario", "output_dir", "seed"},
-    "grid": {"n"},
-    "arc": {"s0", "s1"},
-    "potential": {f"k{k}" for k in range(2, MAX_POTENTIAL_ORDER + 1)},
-    "measurement": {"eps", "noise_sigma"},
-    "reconstruction": {"kmax", "family_size", "basis_per_side", "rows_factor", "lambda"},
-    "extras": {"tuples", "bump_amplitude", "bump_width"},
+# Every config key, in the order load_config reads them (the README key
+# table): (section, key) -> (cast, default, check, rule). A REQUIRED key
+# has no default; a callable default is computed from the values read
+# before it. A check is a predicate on the value and the values read before
+# it (None accepts any), and rule says what it accepts. The caps keep a
+# config from making a run allocate or measure without limit (the shipped
+# configs use family_size 12, basis_per_side 6 and rows_factor 3), and every
+# sample a scenario takes stays within the smallness radius.
+KEYS = {
+    ("experiment", "scenario"): (str, REQUIRED, lambda s, _: s in SCENARIOS,
+                                 "a name that `semidtn list-scenarios` prints"),
+    ("experiment", "output_dir"): (str, REQUIRED, None, "a directory"),
+    ("experiment", "seed"): (int, 0, lambda s, _: s >= 0, "an integer >= 0"),
+    ("grid", "n"): (int, 64, lambda n, v: 8 <= n <= (
+        64 if v["scenario"] == "forward_convergence" else 256),
+        "an integer in [8, 256], and at most 64 for forward_convergence, "
+        "which also solves on 2n and 4n"),
+    ("arc", "s0"): (float, 0.0, lambda s, _: 0.0 <= s < 4.0, "in [0, 4)"),
+    ("arc", "s1"): (float, 4.0, lambda s, v: 0.0 < s - v["s0"] <= 4.0, "above s0 by at most 4"),
+    **{("potential", f"k{k}"): (str, None, None, "a coefficient expression")
+       for k in POTENTIAL_ORDERS},
+    ("reconstruction", "kmax"): (
+        int, lambda v: min(max((k for k in POTENTIAL_ORDERS if v[f"k{k}"] is not None),
+                               default=2), MAX_ORDER),
+        lambda k, _: 2 <= k <= MAX_ORDER, f"an integer in [2, {MAX_ORDER}]"),
+    # identity_check may repeat a member kmax times, so an order-kmax
+    # difference (a bump of peak 1) reaches kmax eps; the reconstruction
+    # measures along mean directions up to t = 3 eps
+    ("measurement", "eps"): (
+        float, 0.01, lambda e, v: 0.0 < e <= 0.05 and DEFAULT_SMALLNESS_RADIUS >= e * {
+            "identity_check": v["kmax"], "reconstruction": 3}.get(v["scenario"], 1),
+        f"in (0, 0.05], with kmax eps (identity_check) and 3 eps (reconstruction) "
+        f"at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}"),
+    ("measurement", "noise_sigma"): (float, 0.0, lambda s, v: 0.0 <= s < math.inf and (
+        s == 0.0 or v["scenario"] in ("identity_check", "reconstruction")),
+        "finite and >= 0, and 0 for linearization_check and forward_convergence, "
+        "which measure without noise"),
+    ("reconstruction", "family_size"): (int, 12, lambda k, _: 1 <= k <= 32,
+                                        "an integer in [1, 32]"),
+    ("reconstruction", "basis_per_side"): (int, 6, lambda k, _: 2 <= k <= 12,
+                                           "an integer in [2, 12]"),
+    ("reconstruction", "rows_factor"): (int, 3, lambda k, _: 1 <= k <= 10,
+                                        "an integer in [1, 10]"),
+    ("reconstruction", "lambda"): (lambda raw: None if raw in ("auto", "") else float(raw),
+                                   None, lambda w, _: w is None or 0.0 <= w < math.inf,
+                                   "'auto' or a finite number >= 0"),
+    ("extras", "tuples"): (int, 20, lambda t, _: 1 <= t <= 1000, "an integer in [1, 1000]"),
+    ("extras", "bump_amplitude"): (
+        float, 0.05, lambda a, _: 0.0 < abs(a) <= DEFAULT_SMALLNESS_RADIUS,
+        f"nonzero with magnitude at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}"),
+    # 0.3 of the arc keeps the bump shoulders resolved on the coarsest grid;
+    # the width is capped at half the boundary walk
+    ("extras", "bump_width"): (float, lambda v: min(0.3 * (v["s1"] - v["s0"]), 0.45),
+                               lambda w, _: 0.0 < w <= 2.0, "in (0, 2]"),
 }
 
 # Printed by run and validate for a reconstruction config with noise_sigma > 0;
@@ -73,6 +109,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The values of the KEYS table, and the [extras] keys as the file gives
+    them, which the manifest echoes."""
+
     scenario: str
     output_dir: str
     seed: int
@@ -82,12 +121,15 @@ class ExperimentConfig:
     potential_exprs: dict[int, str]
     kmax: int
     eps: float
+    noise_sigma: float
     family_size: int
     basis_per_side: int
     rows_factor: int
     lam: float | None
-    noise_sigma: float
-    extras: dict[str, str] = dc_field(default_factory=dict)
+    tuples: int
+    bump_amplitude: float
+    bump_width: float
+    extras: dict[str, str]
 
     def resolved(self) -> dict:
         out = {
@@ -103,107 +145,47 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate an experiment config; raises ConfigError."""
+    """Parse and validate an experiment config against KEYS; raises ConfigError."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
+        given = {(section, key): parser[section][key]
+                 for section in parser.sections() for key in parser[section]}
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    sections = dict.fromkeys(section for section, _ in KEYS)
     for section in parser.sections():
-        if section not in CONFIG_KEYS:
-            raise ConfigError(f"unknown section [{section}]; choose from "
-                              f"{', '.join(CONFIG_KEYS)}")
-        unknown = sorted(set(parser[section]) - CONFIG_KEYS[section])
-        if unknown:
-            raise ConfigError(f"unknown key [{section}] {unknown[0]}; choose from "
-                              f"{', '.join(sorted(CONFIG_KEYS[section]))}")
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}]; choose from {', '.join(sections)}")
+    for section, key in given:
+        if (section, key) not in KEYS:
+            raise ConfigError(f"unknown key [{section}] {key}; choose from "
+                              f"{', '.join(k for s, k in KEYS if s == section)}")
+    if env_dir := os.environ.get(OUTPUT_DIR_ENV):
+        given["experiment", "output_dir"] = env_dir
 
-    def get(section: str, key: str, default=None, cast=str):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                return cast(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-        if default is None:
+    values: dict[str, object] = {}
+    for (section, key), (cast, default, check, rule) in KEYS.items():
+        raw = given.get((section, key))
+        if raw is None and default is REQUIRED:
             raise ConfigError(f"missing required key [{section}] {key}")
-        return default
-
-    scenario = get("experiment", "scenario")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
-    output_dir = os.environ.get(OUTPUT_DIR_ENV) or get("experiment", "output_dir")
-    seed = get("experiment", "seed", 0, int)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
-    n = get("grid", "n", 64, int)
-    if not 8 <= n <= 256:
-        raise ConfigError(f"grid n must be in [8, 256], got {n}")
-    if scenario == "forward_convergence" and 4 * n > 256:
-        raise ConfigError(f"forward_convergence solves on n, 2n and 4n <= 256, got n = {n}")
-    s0 = get("arc", "s0", 0.0, float)
-    s1 = get("arc", "s1", 4.0, float)
-    if not 0.0 <= s0 < 4.0 or not 0.0 < s1 - s0 <= 4.0:
-        raise ConfigError(f"arc [{s0}, {s1}) invalid: need 0 <= s0 < 4, 0 < s1-s0 <= 4")
-
-    exprs = {int(key[1:]): value for key, value in parser.items("potential")} \
-        if parser.has_section("potential") else {}
-
-    kmax = get("reconstruction", "kmax", min(max(exprs), MAX_ORDER) if exprs else 2, int)
-    if not 2 <= kmax <= MAX_ORDER:
-        raise ConfigError(f"kmax must be in [2, {MAX_ORDER}], got {kmax}")
-    eps = get("measurement", "eps", 1e-2, float)
-    if not 0.0 < eps <= 0.05:
-        raise ConfigError(f"eps must be in (0, 0.05], got {eps}")
-    # the reconstruction measures along mean directions up to t = 3 eps
-    if scenario == "reconstruction" and 3.0 * eps > DEFAULT_SMALLNESS_RADIUS:
-        raise ConfigError(f"reconstruction samples reach 3 eps, so eps must be at most "
-                          f"{DEFAULT_SMALLNESS_RADIUS} / 3; got {eps}")
-    # identity_check draws members with replacement, so an order-kmax
-    # difference of one repeated member (a bump of peak 1) reaches kmax eps
-    if scenario == "identity_check" and kmax * eps > DEFAULT_SMALLNESS_RADIUS:
-        raise ConfigError(f"identity_check samples reach kmax eps = {kmax * eps:.4g}, "
-                          f"above the smallness radius {DEFAULT_SMALLNESS_RADIUS}")
-    noise_sigma = get("measurement", "noise_sigma", 0.0, float)
-    if not 0.0 <= noise_sigma < math.inf:
-        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-
-    family_size = get("reconstruction", "family_size", 12, int)
-    if not 1 <= family_size <= MAX_FAMILY_SIZE:
-        raise ConfigError(f"family_size must be in [1, {MAX_FAMILY_SIZE}], got {family_size}")
-    basis_per_side = get("reconstruction", "basis_per_side", 6, int)
-    if not 2 <= basis_per_side <= MAX_BASIS_PER_SIDE:
-        raise ConfigError(f"basis_per_side must be in [2, {MAX_BASIS_PER_SIDE}], "
-                          f"got {basis_per_side}")
-    rows_factor = get("reconstruction", "rows_factor", 3, int)
-    if not 1 <= rows_factor <= MAX_ROWS_FACTOR:
-        raise ConfigError(f"rows_factor must be in [1, {MAX_ROWS_FACTOR}], got {rows_factor}")
-    lam_raw = get("reconstruction", "lambda", "auto")
-    try:
-        lam = None if lam_raw in ("auto", "") else float(lam_raw)
-    except ValueError as exc:
-        raise ConfigError(f"lambda must be a number or 'auto', got {lam_raw!r}") from exc
-    if lam is not None and not 0.0 <= lam < math.inf:
-        raise ConfigError(f"lambda must be finite and >= 0, or 'auto', got {lam_raw!r}")
-
-    extras = dict(parser.items("extras")) if parser.has_section("extras") else {}
-    if "tuples" in extras and not 1 <= get("extras", "tuples", cast=int) <= MAX_TUPLES:
-        raise ConfigError(f"[extras] tuples must be in [1, {MAX_TUPLES}], "
-                          f"got {extras['tuples']!r}")
-    if "bump_amplitude" in extras and \
-            not 0.0 < abs(get("extras", "bump_amplitude", cast=float)) <= DEFAULT_SMALLNESS_RADIUS:
-        raise ConfigError(f"[extras] bump_amplitude must be nonzero with magnitude at most "
-                          f"{DEFAULT_SMALLNESS_RADIUS}, got {extras['bump_amplitude']!r}")
-    if "bump_width" in extras and \
-            not 0.0 < get("extras", "bump_width", cast=float) <= MAX_BUMP_WIDTH:
-        raise ConfigError(f"[extras] bump_width must be in (0, {MAX_BUMP_WIDTH}], "
-                          f"got {extras['bump_width']!r}")
-    return ExperimentConfig(scenario, output_dir, seed, n, s0, s1, exprs, kmax,
-                            eps, family_size, basis_per_side, rows_factor, lam,
-                            noise_sigma, extras)
+        try:
+            value = cast(raw) if raw is not None else \
+                default(values) if callable(default) else default
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: must be {rule}") from None
+        if check is not None and not check(value, values):
+            raise ConfigError(f"[{section}] {key} = {value if raw is None else raw!r}: "
+                              f"must be {rule}")
+        values[key] = value
+    exprs = {k: values.pop(f"k{k}") for k in POTENTIAL_ORDERS}
+    return ExperimentConfig(
+        potential_exprs={k: expr for k, expr in exprs.items() if expr is not None},
+        lam=values.pop("lambda"),
+        extras={key: raw for (section, key), raw in given.items() if section == "extras"},
+        **values)
 
 
 def _truth_series(cfg: ExperimentConfig, grid: Grid2D) -> PotentialSeries:
@@ -266,15 +248,12 @@ def _field_csv(path: Path, grid: Grid2D, value: np.ndarray, truth: np.ndarray) -
 
 def _scenario_forward_convergence(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
     sizes = [cfg.n, 2 * cfg.n, 4 * cfg.n]
-    amp = float(cfg.extras.get("bump_amplitude", "0.05"))
-    # 0.3 of the arc keeps the bump shoulders resolved on the coarsest grid
-    width = float(cfg.extras.get("bump_width", min(0.3 * (cfg.s1 - cfg.s0), 0.45)))
     center = (cfg.s0 + cfg.s1) / 2.0
     grids = [setup.grid] + [make_grid(n) for n in sizes[1:]]
     truths = [setup.truth] + [_truth_series(cfg, grid) for grid in grids[1:]]
     solutions = {}
     for n, grid, truth in zip(sizes, grids, truths):
-        f = bump_trace(grid, center % 4.0, width, amp)
+        f = bump_trace(grid, center % 4.0, cfg.bump_width, cfg.bump_amplitude)
         u, _ = solve_semilinear(truth, f, grid)
         solutions[n] = u
     errors = []
@@ -327,7 +306,6 @@ def _scenario_linearization_check(cfg: ExperimentConfig, setup: _Setup, out: Pat
 def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
     grid, mask, truth, family = setup.grid, setup.mask, setup.truth, setup.family
     measure = measurement(truth, mask, grid, cfg.noise_sigma, cfg.seed + 10_000)
-    n_tuples = int(cfg.extras.get("tuples", "20"))
     rng = np.random.default_rng(cfg.seed)
     rows = []
     max_gap = 0.0
@@ -335,7 +313,7 @@ def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
     for m in range(2, cfg.kmax + 1):
         known = truth if m > 2 else None
         order_gap = scale = 0.0
-        for t in range(n_tuples):
+        for t in range(cfg.tuples):
             idx = rng.integers(0, len(family), size=m + 1)
             members = [family[i] for i in idx]
             value = measured_moment(measure, members, cfg.eps, mask, grid, known)
@@ -357,7 +335,7 @@ def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
                          "direct_integral", "abs_gap"])
         writer.writerows(rows)
     _write_json(out / "identity_summary.json",
-                {"max_abs_gap": max_gap, "tuples_per_order": n_tuples, **rel_gaps})
+                {"max_abs_gap": max_gap, "tuples_per_order": cfg.tuples, **rel_gaps})
 
 
 def _scenario_reconstruction(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:

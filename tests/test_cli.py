@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ from semidtn.cli import ConfigError, _field_csv, load_config, main, run, validat
 from semidtn.geometry import make_grid
 from semidtn.harmonic import arc_supported_family
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 GOOD_CONFIG = """\
 [experiment]
@@ -59,6 +61,45 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.potential_exprs == {2: "1 + x"}
     assert cfg.kmax == 2
     assert cfg.lam is None
+    # the extras typed, bump_width defaulting to min(0.3 (s1 - s0), 0.45)
+    assert (cfg.tuples, cfg.bump_amplitude, cfg.bump_width) == (3, 0.05, 0.45)
+    assert cfg.extras == {"tuples": "3"}
+
+
+def test_manifest_is_pinned():
+    # the manifest echoes the resolved config; extra_* only for the extras
+    # a file gives, as the strings it gives
+    common = {"seed": 0, "kmax": 3, "eps": 0.01, "family_size": 12, "basis_per_side": 6,
+              "rows_factor": 3, "lambda": None, "noise_sigma": 0.0}
+    expected = {
+        "reconstruction_half_boundary": {
+            **common, "scenario": "reconstruction", "n": 64, "arc_s0": 0.0, "arc_s1": 2.0,
+            "potential": {"2": "exp(-4*((x-0.4)**2 + (y-0.6)**2))",
+                          "3": "0.5*sin(pi*x)*sin(pi*y)"}},
+        "forward_convergence": {
+            **common, "scenario": "forward_convergence", "n": 16, "arc_s0": 0.0,
+            "arc_s1": 1.0, "potential": {"2": "1 + x", "3": "sin(pi*x)*sin(pi*y)"},
+            "extra_bump_amplitude": "0.05"},
+    }
+    for name, manifest in expected.items():
+        resolved = load_config(ROOT / "configs" / f"{name}.cfg").resolved()
+        resolved.pop("output_dir")
+        assert resolved == manifest, name
+
+
+def test_readme_key_table_matches_keys():
+    # every `[section] key` row of README's config table is a key of
+    # cli.KEYS and the other way round; `k2, k3, ..., k8` spans its ends
+    rows = re.findall(r"^\| `\[(\w+)\] ([^`]+)` \|", (ROOT / "README.md").read_text(),
+                      re.MULTILINE)
+    documented = set()
+    for section, names in rows:
+        names = [name.strip() for name in names.split(",")]
+        if "..." in names:
+            first, last = int(names[0][1:]), int(names[-1][1:])
+            names = [f"k{k}" for k in range(first, last + 1)]
+        documented.update((section, name) for name in names)
+    assert documented == set(cli.KEYS)
 
 
 def test_validate_ranges(tmp_path):
@@ -150,6 +191,11 @@ def test_validate_ranges(tmp_path):
                                ("tuples = 3", "tuples = 3\nbump_width = 2")):
         load_config(write_config(tmp_path, GOOD_CONFIG.format(out=tmp_path)
                                  .replace(old_line, new_line)))
+    # the two scenarios that measure without noise accept noise_sigma = 0
+    # (a level above 0 exits 2: test_unbounded_inputs_exit_2_without_outputs)
+    for scenario in ("linearization_check", "forward_convergence"):
+        load_config(write_config(tmp_path, GOOD_CONFIG.format(out=tmp_path).replace(
+            "identity_check", scenario).replace("eps = 0.01", "eps = 0.01\nnoise_sigma = 0")))
 
 
 def test_missing_file_rejected(tmp_path):
@@ -181,7 +227,9 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
     # ran without noise and wrote NaN into manifest.json), the
     # reconstruction steps beyond 1/30 (at K = 3, eps = 0.035 ran past the
     # smallness radius after writing the manifest), and the check steps and
-    # negative seeds at the end (they failed after writing the manifest)
+    # negative seeds after them (they failed after writing the manifest);
+    # the noise levels of the two noise-free scenarios were ignored, and a
+    # '%' in a value raised configparser's interpolation error uncaught
     forward = ("scenario = identity_check", "scenario = forward_convergence")
     recon = ("scenario = identity_check", "scenario = reconstruction")
     lin = ("scenario = identity_check", "scenario = linearization_check")
@@ -203,7 +251,10 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
                   (lin, ("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.03")),
                   (("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.05")),
                   (("seed = 11", "seed = -5"),),
-                  (recon, ("seed = 11", "seed = -5"))):
+                  (recon, ("seed = 11", "seed = -5")),
+                  (lin, ("eps = 0.01", "eps = 0.01\nnoise_sigma = 1e-6")),
+                  (forward, ("eps = 0.01", "eps = 0.01\nnoise_sigma = 1e-6")),
+                  (("k2 = 1 + x", "k2 = 50%"),)):
         out = tmp_path / "out"
         text = GOOD_CONFIG.format(out=out)
         for old_line, new_line in edits:
