@@ -1,9 +1,9 @@
 """Config-driven experiment runner.
 
 Configs are flat key = value text files with sections (INI style, parsed by
-configparser); see README for the full key reference. Every scenario writes
-a manifest echoing the resolved config, then its own CSV/JSON artifacts.
-Same config + same seed gives byte-identical outputs.
+configparser); see README for the full key reference. A config may set only
+keys its scenario reads (READS), and the run's manifest holds their resolved
+values. Same config + same seed gives byte-identical outputs.
 
 Exit codes: 0 success, 1 scenario failure, 2 config parse/validation failure.
 """
@@ -71,10 +71,8 @@ KEYS = {
             "identity_check": v["kmax"], "reconstruction": 3}.get(v["scenario"], 1),
         f"in (0, 0.05], with kmax eps (identity_check) and 3 eps (reconstruction) "
         f"at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}"),
-    ("measurement", "noise_sigma"): (float, 0.0, lambda s, v: 0.0 <= s < math.inf and (
-        s == 0.0 or v["scenario"] in ("identity_check", "reconstruction")),
-        "finite and >= 0, and 0 for linearization_check and forward_convergence, "
-        "which measure without noise"),
+    ("measurement", "noise_sigma"): (float, 0.0, lambda s, _: 0.0 <= s < math.inf,
+                                     "finite and >= 0"),
     ("reconstruction", "family_size"): (int, 12, lambda k, _: 1 <= k <= 32,
                                         "an integer in [1, 32]"),
     ("reconstruction", "basis_per_side"): (int, 6, lambda k, _: 2 <= k <= 12,
@@ -109,8 +107,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The values of the KEYS table, and the [extras] keys as the file gives
-    them, which the manifest echoes."""
+    """The values of the KEYS table, and as ``manifest`` those of the keys
+    the scenario reads, under their KEYS names."""
 
     scenario: str
     output_dir: str
@@ -129,23 +127,11 @@ class ExperimentConfig:
     tuples: int
     bump_amplitude: float
     bump_width: float
-    extras: dict[str, str]
-
-    def resolved(self) -> dict:
-        out = {
-            "scenario": self.scenario, "output_dir": self.output_dir,
-            "seed": self.seed, "n": self.n, "arc_s0": self.s0, "arc_s1": self.s1,
-            "potential": {str(k): v for k, v in sorted(self.potential_exprs.items())},
-            "kmax": self.kmax, "eps": self.eps, "family_size": self.family_size,
-            "basis_per_side": self.basis_per_side, "rows_factor": self.rows_factor,
-            "lambda": self.lam, "noise_sigma": self.noise_sigma,
-        }
-        out.update({f"extra_{k}": v for k, v in sorted(self.extras.items())})
-        return out
+    manifest: dict[str, object]
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate an experiment config against KEYS; raises ConfigError."""
+    """Parse and validate a config against KEYS and READS; raises ConfigError."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -180,12 +166,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"[{section}] {key} = {value if raw is None else raw!r}: "
                               f"must be {rule}")
         values[key] = value
+        if key == "scenario":  # a key the scenario ignores would be a silent no-op
+            if ignored := [f"[{s}] {k}" for s, k in given if k not in READS[value]]:
+                raise ConfigError(f"{ignored[0]} is not read by scenario {value}")
+    manifest = {key: value for key, value in values.items() if key in READS[values["scenario"]]}
     exprs = {k: values.pop(f"k{k}") for k in POTENTIAL_ORDERS}
     return ExperimentConfig(
         potential_exprs={k: expr for k, expr in exprs.items() if expr is not None},
-        lam=values.pop("lambda"),
-        extras={key: raw for (section, key), raw in given.items() if section == "extras"},
-        **values)
+        lam=values.pop("lambda"), manifest=manifest, **values)
 
 
 def _truth_series(cfg: ExperimentConfig, grid: Grid2D) -> PotentialSeries:
@@ -359,6 +347,18 @@ SCENARIOS = {
     "reconstruction": _scenario_reconstruction,
 }
 
+# The KEYS names each scenario reads: every one reads the grid, the arc, the
+# coefficient expressions and its own name and output directory
+READ_BY_ALL = ("scenario", "output_dir", "n", "s0", "s1", *(f"k{k}" for k in POTENTIAL_ORDERS))
+READS = {
+    "forward_convergence": {*READ_BY_ALL, "bump_amplitude", "bump_width"},
+    "linearization_check": {*READ_BY_ALL, "kmax", "eps"},
+    "identity_check": {*READ_BY_ALL, "seed", "kmax", "eps", "noise_sigma", "family_size",
+                       "tuples"},
+    "reconstruction": {*READ_BY_ALL, "seed", "kmax", "eps", "noise_sigma", "family_size",
+                       "basis_per_side", "rows_factor", "lambda"},
+}
+
 
 def run(config_path: str | Path) -> int:
     """Execute the configured scenario; returns the process exit code."""
@@ -370,7 +370,7 @@ def run(config_path: str | Path) -> int:
     out = Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "manifest.json", cfg.resolved())
+        _write_json(out / "manifest.json", cfg.manifest)
         SCENARIOS[cfg.scenario](cfg, setup, out)
     except Exception as exc:
         print(json.dumps({"error": str(exc), "phase": "run",

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import os
@@ -39,17 +40,95 @@ eps = 0.01
 [reconstruction]
 kmax = 2
 family_size = 6
-basis_per_side = 3
 
 [extras]
 tuples = 3
 """
+
+# one valid config per other scenario, each setting only keys it reads
+FORWARD_CONFIG = """\
+[experiment]
+scenario = forward_convergence
+output_dir = {out}
+
+[grid]
+n = 8
+
+[arc]
+s0 = 0.0
+s1 = 2.0
+
+[potential]
+k2 = 1 + x
+
+[extras]
+bump_amplitude = 0.05
+"""
+
+LIN_CONFIG = """\
+[experiment]
+scenario = linearization_check
+output_dir = {out}
+
+[grid]
+n = 16
+
+[arc]
+s0 = 0.0
+s1 = 2.0
+
+[potential]
+k2 = 1 + x
+
+[measurement]
+eps = 0.01
+
+[reconstruction]
+kmax = 2
+"""
+
+RECON_CONFIG = """\
+[experiment]
+scenario = reconstruction
+output_dir = {out}
+seed = 0
+
+[grid]
+n = 16
+
+[arc]
+s0 = 0.0
+s1 = 4.0
+
+[potential]
+k2 = exp(-4*((x-0.5)**2 + (y-0.5)**2))
+
+[measurement]
+eps = 0.01
+
+[reconstruction]
+kmax = 2
+family_size = 6
+basis_per_side = 3
+"""
+
+CONFIGS = {"identity_check": GOOD_CONFIG, "forward_convergence": FORWARD_CONFIG,
+           "linearization_check": LIN_CONFIG, "reconstruction": RECON_CONFIG}
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def edited(text, *edits):
+    """text with each (old, new) edit made; every old line must be in it, so
+    that no edit silently leaves the config as it was."""
+    for old, new in edits:
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
 
 
 def test_load_config_round_trip(tmp_path):
@@ -63,139 +142,195 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.lam is None
     # the extras typed, bump_width defaulting to min(0.3 (s1 - s0), 0.45)
     assert (cfg.tuples, cfg.bump_amplitude, cfg.bump_width) == (3, 0.05, 0.45)
-    assert cfg.extras == {"tuples": "3"}
 
 
 def test_manifest_is_pinned():
-    # the manifest echoes the resolved config; extra_* only for the extras
-    # a file gives, as the strings it gives
-    common = {"seed": 0, "kmax": 3, "eps": 0.01, "family_size": 12, "basis_per_side": 6,
-              "rows_factor": 3, "lambda": None, "noise_sigma": 0.0}
+    # the manifest is the resolved value of each key the scenario reads,
+    # under its KEYS name, with null for an order the file does not give
+    unset = {f"k{k}": None for k in range(4, 9)}
     expected = {
         "reconstruction_half_boundary": {
-            **common, "scenario": "reconstruction", "n": 64, "arc_s0": 0.0, "arc_s1": 2.0,
-            "potential": {"2": "exp(-4*((x-0.4)**2 + (y-0.6)**2))",
-                          "3": "0.5*sin(pi*x)*sin(pi*y)"}},
+            **unset, "scenario": "reconstruction", "n": 64, "s0": 0.0, "s1": 2.0,
+            "k2": "exp(-4*((x-0.4)**2 + (y-0.6)**2))", "k3": "0.5*sin(pi*x)*sin(pi*y)",
+            "seed": 0, "kmax": 3, "eps": 0.01, "noise_sigma": 0.0, "family_size": 12,
+            "basis_per_side": 6, "rows_factor": 3, "lambda": None},
         "forward_convergence": {
-            **common, "scenario": "forward_convergence", "n": 16, "arc_s0": 0.0,
-            "arc_s1": 1.0, "potential": {"2": "1 + x", "3": "sin(pi*x)*sin(pi*y)"},
-            "extra_bump_amplitude": "0.05"},
+            **unset, "scenario": "forward_convergence", "n": 16, "s0": 0.0, "s1": 1.0,
+            "k2": "1 + x", "k3": "sin(pi*x)*sin(pi*y)", "bump_amplitude": 0.05,
+            "bump_width": 0.3},
     }
     for name, manifest in expected.items():
-        resolved = load_config(ROOT / "configs" / f"{name}.cfg").resolved()
+        resolved = dict(load_config(ROOT / "configs" / f"{name}.cfg").manifest)
         resolved.pop("output_dir")
         assert resolved == manifest, name
+    for path in SHIPPED_CONFIGS:
+        cfg = load_config(path)
+        assert set(cfg.manifest) == cli.READS[cfg.scenario], path.name
 
 
 def test_readme_key_table_matches_keys():
     # every `[section] key` row of README's config table is a key of
-    # cli.KEYS and the other way round; `k2, k3, ..., k8` spans its ends
-    rows = re.findall(r"^\| `\[(\w+)\] ([^`]+)` \|", (ROOT / "README.md").read_text(),
-                      re.MULTILINE)
+    # cli.KEYS and the other way round; `k2, k3, ..., k8` spans its ends;
+    # its "Read by" column names the scenarios whose cli.READS holds the key
+    rows = re.findall(r"^\| `\[(\w+)\] ([^`]+)` \|.*\| ([^|]+) \|$",
+                      (ROOT / "README.md").read_text(), re.MULTILINE)
     documented = set()
-    for section, names in rows:
+    for section, names, read_by in rows:
         names = [name.strip() for name in names.split(",")]
         if "..." in names:
             first, last = int(names[0][1:]), int(names[-1][1:])
             names = [f"k{k}" for k in range(first, last + 1)]
         documented.update((section, name) for name in names)
+        readers = set(cli.SCENARIOS) if read_by == "all" else set(re.findall(r"`(\w+)`",
+                                                                             read_by))
+        for name in names:
+            assert readers == {s for s, keys in cli.READS.items() if name in keys}, name
     assert documented == set(cli.KEYS)
 
 
+def _rejected(tmp_path, text, named):
+    """load_config raises ConfigError on text, naming `named`."""
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(write_config(tmp_path, text))
+
+
 def test_validate_ranges(tmp_path):
-    bad = GOOD_CONFIG.format(out=tmp_path).replace("n = 16", "n = 4")
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, bad))
-    bad = GOOD_CONFIG.format(out=tmp_path).replace("eps = 0.01", "eps = 0.2")
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, bad))
-    bad = GOOD_CONFIG.format(out=tmp_path).replace("scenario = identity_check",
-                                                   "scenario = nonsense")
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, bad))
+    good, forward, lin, recon = (CONFIGS[name].format(out=tmp_path) for name in (
+        "identity_check", "forward_convergence", "linearization_check", "reconstruction"))
+    _rejected(tmp_path, edited(good, ("n = 16", "n = 4")), "[grid] n")
+    _rejected(tmp_path, edited(good, ("eps = 0.01", "eps = 0.2")), "[measurement] eps")
+    _rejected(tmp_path, edited(good, ("scenario = identity_check", "scenario = nonsense")),
+              "[experiment] scenario = 'nonsense': must be a name that `semidtn "
+              "list-scenarios` prints")
     # the reconstruction's samples reach 3 eps, which the smallness radius
     # 0.1 caps at eps <= 1/30, at K = 3 and at K = 2 alike; the other
     # scenarios keep (0, 0.05]
-    recon = GOOD_CONFIG.format(out=tmp_path).replace("scenario = identity_check",
-                                                     "scenario = reconstruction")
     for kmax, eps in (("3", "0.035"), ("3", "0.04"), ("3", "0.05"), ("2", "0.034"),
                       ("2", "0.05")):
-        bad = recon.replace("kmax = 2", f"kmax = {kmax}").replace("eps = 0.01", f"eps = {eps}")
-        with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, bad))
-    for text in (recon.replace("eps = 0.01", "eps = 0.0333"),
-                 GOOD_CONFIG.format(out=tmp_path).replace("eps = 0.01", "eps = 0.05")):
+        _rejected(tmp_path, edited(recon, ("kmax = 2", f"kmax = {kmax}"),
+                                   ("eps = 0.01", f"eps = {eps}")), "[measurement] eps")
+    for text in (edited(recon, ("eps = 0.01", "eps = 0.0333")),
+                 edited(good, ("eps = 0.01", "eps = 0.05"))):
         load_config(write_config(tmp_path, text))
     # the Tikhonov weight and the noise level: negative or not finite
-    for old_line, new_line in (("basis_per_side = 3", "basis_per_side = 3\nlambda = -1"),
-                               ("basis_per_side = 3", "basis_per_side = 3\nlambda = inf"),
-                               ("basis_per_side = 3", "basis_per_side = 3\nlambda = nan"),
-                               ("eps = 0.01", "eps = 0.01\nnoise_sigma = -0.1"),
-                               ("eps = 0.01", "eps = 0.01\nnoise_sigma = nan"),
-                               ("eps = 0.01", "eps = 0.01\nnoise_sigma = inf")):
-        bad = GOOD_CONFIG.format(out=tmp_path).replace(old_line, new_line)
-        with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, bad))
+    for value in ("-1", "inf", "nan"):
+        _rejected(tmp_path, edited(recon, ("basis_per_side = 3",
+                                           f"basis_per_side = 3\nlambda = {value}")),
+                  "[reconstruction] lambda")
+    for value in ("-0.1", "nan", "inf"):
+        _rejected(tmp_path, edited(good, ("eps = 0.01", f"eps = 0.01\nnoise_sigma = {value}")),
+                  "[measurement] noise_sigma")
     # reconstruction knobs: below the useful range, and above the caps
-    for old_line, new_line in (("family_size = 6", "family_size = 0"),
-                               ("family_size = 6", "family_size = 33"),
-                               ("basis_per_side = 3", "basis_per_side = 1"),
-                               ("basis_per_side = 3", "basis_per_side = 13"),
-                               ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = 0"),
-                               ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = -2"),
-                               ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = 11")):
-        bad = GOOD_CONFIG.format(out=tmp_path).replace(old_line, new_line)
-        with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, bad))
+    for text, named in ((edited(good, ("family_size = 6", "family_size = 0")), "family_size"),
+                        (edited(good, ("family_size = 6", "family_size = 33")), "family_size"),
+                        (edited(recon, ("basis_per_side = 3", "basis_per_side = 1")),
+                         "basis_per_side"),
+                        (edited(recon, ("basis_per_side = 3", "basis_per_side = 13")),
+                         "basis_per_side")):
+        _rejected(tmp_path, text, f"[reconstruction] {named}")
+    for value in ("0", "-2", "11"):
+        _rejected(tmp_path, edited(recon, ("basis_per_side = 3",
+                                           f"basis_per_side = 3\nrows_factor = {value}")),
+                  "[reconstruction] rows_factor")
     # orders, kmax outside 2..4 (the checks used to accept up to 8 and check
     # only orders 2 and 3), the scenario extras, and sections or keys outside
     # the README table, which would otherwise fall back to their defaults
-    for old_line, new_line in (("k2 = 1 + x", "k2 = 1 + x\nk9 = x"),
-                               ("k2 = 1 + x", "k1000000 = x"),
-                               ("k2 = 1 + x", "k\u00b2 = x"),
-                               ("kmax = 2", "kmax = 1"),
-                               ("kmax = 2", "kmax = 8"),
-                               ("kmax = 2", "kmax = 9"),
-                               ("kmax = 2", "kmax = 1000000"),
-                               ("tuples = 3", "tuples = abc"),
-                               ("tuples = 3", "tuples = 0"),
-                               ("tuples = 3", "tuples = 1001"),
-                               ("tuples = 3", "tuples = 3\nbump_amplitude = -5"),
-                               ("tuples = 3", "tuples = 3\nbump_amplitude = 0"),
-                               ("tuples = 3", "tuples = 3\nbump_amplitude = 0.11"),
-                               ("tuples = 3", "tuples = 3\nbump_amplitude = nan"),
-                               ("tuples = 3", "tuples = 3\nbump_width = 0"),
-                               ("tuples = 3", "tuples = 3\nbump_width = -0.2"),
-                               ("tuples = 3", "tuples = 3\nbump_width = inf"),
-                               ("tuples = 3", "tuples = 3\nbump_width = 2.5"),
-                               ("[potential]", "[potental]"),
-                               ("[extras]", "[extra]"),
-                               ("[extras]", "[solver]\nnewton_tol = 1e-9\n\n[extras]"),
-                               ("seed = 11", "seed = 11\nsed = 3"),
-                               ("n = 16", "n = 16\ncells = 16"),
-                               ("s1 = 2.0", "s1 = 2.0\ns2 = 3.0"),
-                               ("k2 = 1 + x", "k02 = 1 + x"),
-                               ("eps = 0.01", "eps = 0.01\nnoise = 0.1"),
-                               ("family_size = 6", "family_size = 6\nrows_facter = 9"),
-                               ("tuples = 3", "tuples = 3\nbump_hight = 0.05")):
-        bad = GOOD_CONFIG.format(out=tmp_path).replace(old_line, new_line)
-        with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, bad))
-    for old_line, new_line in (("family_size = 6", "family_size = 12"),
-                               ("basis_per_side = 3", "basis_per_side = 6\nrows_factor = 1"),
-                               ("basis_per_side = 3", "basis_per_side = 3\nrows_factor = 3"),
-                               ("k2 = 1 + x", "k2 = 1 + x\nk8 = x"),
-                               ("kmax = 2", "kmax = 4"),
-                               ("tuples = 3", "tuples = 1000"),
-                               ("tuples = 3", "tuples = 1\nbump_amplitude = -0.1"),
-                               ("tuples = 3", "tuples = 3\nbump_width = 2")):
-        load_config(write_config(tmp_path, GOOD_CONFIG.format(out=tmp_path)
-                                 .replace(old_line, new_line)))
-    # the two scenarios that measure without noise accept noise_sigma = 0
-    # (a level above 0 exits 2: test_unbounded_inputs_exit_2_without_outputs)
-    for scenario in ("linearization_check", "forward_convergence"):
-        load_config(write_config(tmp_path, GOOD_CONFIG.format(out=tmp_path).replace(
-            "identity_check", scenario).replace("eps = 0.01", "eps = 0.01\nnoise_sigma = 0")))
+    for base, old_line, new_line, named in (
+            (good, "k2 = 1 + x", "k2 = 1 + x\nk9 = x", "[potential] k9"),
+            (good, "k2 = 1 + x", "k1000000 = x", "[potential] k1000000"),
+            (good, "k2 = 1 + x", "k² = x", "[potential] k²"),
+            (good, "kmax = 2", "kmax = 1", "[reconstruction] kmax"),
+            (good, "kmax = 2", "kmax = 8", "[reconstruction] kmax"),
+            (good, "kmax = 2", "kmax = 9", "[reconstruction] kmax"),
+            (good, "kmax = 2", "kmax = 1000000", "[reconstruction] kmax"),
+            (good, "tuples = 3", "tuples = abc", "[extras] tuples"),
+            (good, "tuples = 3", "tuples = 0", "[extras] tuples"),
+            (good, "tuples = 3", "tuples = 1001", "[extras] tuples"),
+            (forward, "bump_amplitude = 0.05", "bump_amplitude = -5", "[extras] bump_amplitude"),
+            (forward, "bump_amplitude = 0.05", "bump_amplitude = 0", "[extras] bump_amplitude"),
+            (forward, "bump_amplitude = 0.05", "bump_amplitude = 0.11",
+             "[extras] bump_amplitude"),
+            (forward, "bump_amplitude = 0.05", "bump_amplitude = nan",
+             "[extras] bump_amplitude"),
+            (forward, "bump_amplitude = 0.05", "bump_amplitude = 0.05\nbump_width = 0",
+             "[extras] bump_width"),
+            (forward, "bump_amplitude = 0.05", "bump_amplitude = 0.05\nbump_width = -0.2",
+             "[extras] bump_width"),
+            (forward, "bump_amplitude = 0.05", "bump_amplitude = 0.05\nbump_width = inf",
+             "[extras] bump_width"),
+            (forward, "bump_amplitude = 0.05", "bump_amplitude = 0.05\nbump_width = 2.5",
+             "[extras] bump_width"),
+            (good, "[potential]", "[potental]", "[potental]"),
+            (good, "[extras]", "[extra]", "[extra]"),
+            (good, "[extras]", "[solver]\nnewton_tol = 1e-9\n\n[extras]", "[solver]"),
+            (good, "seed = 11", "seed = 11\nsed = 3", "[experiment] sed"),
+            (good, "n = 16", "n = 16\ncells = 16", "[grid] cells"),
+            (good, "s1 = 2.0", "s1 = 2.0\ns2 = 3.0", "[arc] s2"),
+            (good, "k2 = 1 + x", "k02 = 1 + x", "[potential] k02"),
+            (good, "eps = 0.01", "eps = 0.01\nnoise = 0.1", "[measurement] noise"),
+            (good, "family_size = 6", "family_size = 6\nrows_facter = 9",
+             "[reconstruction] rows_facter"),
+            (good, "tuples = 3", "tuples = 3\nbump_hight = 0.05", "[extras] bump_hight")):
+        _rejected(tmp_path, edited(base, (old_line, new_line)), named)
+    for base, old_line, new_line in (
+            (good, "family_size = 6", "family_size = 12"),
+            (recon, "basis_per_side = 3", "basis_per_side = 6\nrows_factor = 1"),
+            (recon, "basis_per_side = 3", "basis_per_side = 3\nrows_factor = 3"),
+            (good, "k2 = 1 + x", "k2 = 1 + x\nk8 = x"),
+            (good, "kmax = 2", "kmax = 4"),
+            (good, "tuples = 3", "tuples = 1"),
+            (good, "tuples = 3", "tuples = 1000"),
+            (forward, "bump_amplitude = 0.05", "bump_amplitude = -0.1"),
+            (forward, "bump_amplitude = 0.05", "bump_amplitude = 0.05\nbump_width = 2")):
+        load_config(write_config(tmp_path, edited(base, (old_line, new_line))))
+    # the two scenarios that measure without noise do not read noise_sigma,
+    # so even noise_sigma = 0 exits 2 there
+    for text, scenario in (
+            (edited(lin, ("eps = 0.01", "eps = 0.01\nnoise_sigma = 0")), "linearization_check"),
+            (edited(forward, ("[potential]", "[measurement]\nnoise_sigma = 0\n\n[potential]")),
+             "forward_convergence")):
+        _rejected(tmp_path, text, f"[measurement] noise_sigma is not read by scenario {scenario}")
+
+
+@pytest.mark.parametrize("scenario", sorted(CONFIGS))
+def test_a_key_the_scenario_does_not_read_exits_2(tmp_path, capsys, scenario):
+    # a key the scenario ignores would be a silent no-op, like a misspelt
+    # one, so validate and run reject it, whatever its value, before
+    # writing anything
+    out = tmp_path / "out"
+    text = CONFIGS[scenario].format(out=out)
+    ignored = [(section, key) for section, key in cli.KEYS if key not in cli.READS[scenario]]
+    assert ignored
+    for section, key in ignored:
+        added = edited(text, (f"[{section}]", f"[{section}]\n{key} = 1")) \
+            if f"[{section}]" in text else f"{text}\n[{section}]\n{key} = 1\n"
+        path = write_config(tmp_path, added)
+        for command in (validate, run):
+            assert command(path) == 2, key
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error == f"[{section}] {key} is not read by scenario {scenario}"
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", sorted(CONFIGS))
+def test_every_key_the_scenario_reads_loads(tmp_path, scenario):
+    # the scenario's valid config with every key it reads given, an order
+    # it does not give as 0 and lambda as auto, validates
+    resolved = load_config(write_config(tmp_path, CONFIGS[scenario].format(
+        out=tmp_path / "out"))).manifest
+    sections = {}
+    for section, key in cli.KEYS:
+        if key in resolved:
+            value = resolved[key]
+            sections.setdefault(section, {})[key] = \
+                str(value) if value is not None else "auto" if key == "lambda" else "0"
+    full = configparser.ConfigParser()
+    full.read_dict(sections)
+    path = tmp_path / "full.cfg"
+    with open(path, "w") as fh:
+        full.write(fh)
+    assert validate(path) == 0
+    assert set(load_config(path).manifest) == cli.READS[scenario]
 
 
 def test_missing_file_rejected(tmp_path):
@@ -203,24 +338,29 @@ def test_missing_file_rejected(tmp_path):
         load_config(tmp_path / "absent.cfg")
 
 
-def test_malformed_config_exits_2_without_outputs(tmp_path):
+def _exits_2_without_outputs(capsys, path, out, named):
+    """validate and run both exit 2 on path, write nothing under out and
+    report an error that names `named`."""
+    for command in (validate, run):
+        assert command(path) == 2
+        assert named in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+
+def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     out = tmp_path / "out"
-    path = write_config(tmp_path, GOOD_CONFIG.format(out=out).replace("n = 16", "n = 999"))
-    assert run(path) == 2
-    assert not out.exists()
+    path = write_config(tmp_path, edited(GOOD_CONFIG.format(out=out), ("n = 16", "n = 999")))
+    _exits_2_without_outputs(capsys, path, out, "[grid] n")
 
 
-def test_bad_reconstruction_knob_exits_2_without_outputs(tmp_path):
+def test_bad_reconstruction_knob_exits_2_without_outputs(tmp_path, capsys):
     out = tmp_path / "out"
-    text = GOOD_CONFIG.format(out=out).replace("scenario = identity_check",
-                                               "scenario = reconstruction")
-    path = write_config(tmp_path, text.replace("basis_per_side = 3",
-                                               "basis_per_side = 3\nrows_factor = 0"))
-    assert run(path) == 2
-    assert not out.exists()
+    path = write_config(tmp_path, edited(RECON_CONFIG.format(out=out), (
+        "basis_per_side = 3", "basis_per_side = 3\nrows_factor = 0")))
+    _exits_2_without_outputs(capsys, path, out, "[reconstruction] rows_factor")
 
 
-def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
+def test_unbounded_inputs_exit_2_without_outputs(tmp_path, capsys):
     # each of these used to hang, allocate without limit or fail after
     # writing the manifest; the last three used to pass validate, and so did
     # the non-finite noise levels and weight after them (a NaN noise level
@@ -229,40 +369,47 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path):
     # smallness radius after writing the manifest), and the check steps and
     # negative seeds after them (they failed after writing the manifest);
     # the noise levels of the two noise-free scenarios were ignored, and a
-    # '%' in a value raised configparser's interpolation error uncaught
-    forward = ("scenario = identity_check", "scenario = forward_convergence")
-    recon = ("scenario = identity_check", "scenario = reconstruction")
-    lin = ("scenario = identity_check", "scenario = linearization_check")
-    for edits in ((("k2 = 1 + x", "k2 = 9**9**9"),),
-                  (("tuples = 3", "tuples = abc"),),
-                  (("tuples = 3", "tuples = 3\nbump_amplitude = -5"),),
-                  (("kmax = 2", "kmax = 1000000"),),
-                  (("k2 = 1 + x", "k1000000 = x"),),
-                  (("k2 = 1 + x", "k2 = zebra"),),
-                  (forward, ("n = 16", "n = 128")),
-                  (recon, ("n = 16", "n = 64"), ("s1 = 2.0", "s1 = 0.1")),
-                  (("eps = 0.01", "eps = 0.01\nnoise_sigma = nan"),),
-                  (("eps = 0.01", "eps = 0.01\nnoise_sigma = inf"),),
-                  (recon, ("eps = 0.01", "eps = 0.01\nnoise_sigma = nan")),
-                  (recon, ("basis_per_side = 3", "basis_per_side = 3\nlambda = inf")),
-                  (recon, ("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.035")),
-                  (recon, ("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.05")),
-                  (recon, ("eps = 0.01", "eps = 0.04")),
-                  (lin, ("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.03")),
-                  (("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.05")),
-                  (("seed = 11", "seed = -5"),),
-                  (recon, ("seed = 11", "seed = -5")),
-                  (lin, ("eps = 0.01", "eps = 0.01\nnoise_sigma = 1e-6")),
-                  (forward, ("eps = 0.01", "eps = 0.01\nnoise_sigma = 1e-6")),
-                  (("k2 = 1 + x", "k2 = 50%"),)):
+    # '%' in a value raised configparser's interpolation error uncaught.
+    # Each case names what its error names: the key, or for the checks made
+    # after parsing, the expression, the arc or the step
+    for scenario, edits, named in (
+            ("identity_check", [("k2 = 1 + x", "k2 = 9**9**9")], "9**9**9"),
+            ("identity_check", [("tuples = 3", "tuples = abc")], "[extras] tuples"),
+            ("forward_convergence", [("bump_amplitude = 0.05", "bump_amplitude = -5")],
+             "[extras] bump_amplitude"),
+            ("identity_check", [("kmax = 2", "kmax = 1000000")], "[reconstruction] kmax"),
+            ("identity_check", [("k2 = 1 + x", "k1000000 = x")], "[potential] k1000000"),
+            ("identity_check", [("k2 = 1 + x", "k2 = zebra")], "zebra"),
+            ("forward_convergence", [("n = 8", "n = 128")], "[grid] n"),
+            ("reconstruction", [("n = 16", "n = 64"), ("s1 = 4.0", "s1 = 0.1")], "arc too small"),
+            ("identity_check", [("eps = 0.01", "eps = 0.01\nnoise_sigma = nan")],
+             "[measurement] noise_sigma"),
+            ("identity_check", [("eps = 0.01", "eps = 0.01\nnoise_sigma = inf")],
+             "[measurement] noise_sigma"),
+            ("reconstruction", [("eps = 0.01", "eps = 0.01\nnoise_sigma = nan")],
+             "[measurement] noise_sigma"),
+            ("reconstruction", [("basis_per_side = 3", "basis_per_side = 3\nlambda = inf")],
+             "[reconstruction] lambda"),
+            ("reconstruction", [("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.035")],
+             "[measurement] eps"),
+            ("reconstruction", [("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.05")],
+             "[measurement] eps"),
+            ("reconstruction", [("eps = 0.01", "eps = 0.04")], "[measurement] eps"),
+            ("linearization_check", [("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.03")],
+             "eps=0.06 pushes evaluation points outside the smallness gate"),
+            ("identity_check", [("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.05")],
+             "[measurement] eps"),
+            ("identity_check", [("seed = 11", "seed = -5")], "[experiment] seed"),
+            ("reconstruction", [("seed = 0", "seed = -5")], "[experiment] seed"),
+            ("linearization_check", [("eps = 0.01", "eps = 0.01\nnoise_sigma = 1e-6")],
+             "[measurement] noise_sigma is not read by scenario linearization_check"),
+            ("forward_convergence", [("[potential]",
+                                      "[measurement]\nnoise_sigma = 1e-6\n\n[potential]")],
+             "[measurement] noise_sigma is not read by scenario forward_convergence"),
+            ("identity_check", [("k2 = 1 + x", "k2 = 50%")], "'%' must be followed by")):
         out = tmp_path / "out"
-        text = GOOD_CONFIG.format(out=out)
-        for old_line, new_line in edits:
-            text = text.replace(old_line, new_line)
-        path = write_config(tmp_path, text)
-        assert validate(path) == 2
-        assert run(path) == 2
-        assert not out.exists()
+        path = write_config(tmp_path, edited(CONFIGS[scenario].format(out=out), *edits))
+        _exits_2_without_outputs(capsys, path, out, named)
 
 
 def test_cli_import_loads_no_scipy():
@@ -333,7 +480,7 @@ def test_identity_scenario_writes_artifacts(tmp_path):
 
 @pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
 def test_seeded_runs_byte_identical(tmp_path, noise_sigma):
-    text = GOOD_CONFIG.replace("eps = 0.01", f"eps = 0.01\nnoise_sigma = {noise_sigma}")
+    text = edited(GOOD_CONFIG, ("eps = 0.01", f"eps = 0.01\nnoise_sigma = {noise_sigma}"))
     outs = [tmp_path / "a", tmp_path / "b", tmp_path / "clean"]
     for out, cfg in zip(outs, (text, text, GOOD_CONFIG)):
         assert run(write_config(tmp_path, cfg.format(out=out), f"{out.name}.cfg")) == 0
@@ -355,22 +502,7 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
 
 def test_forward_convergence_scenario(tmp_path):
     out = tmp_path / "out"
-    cfg = """\
-[experiment]
-scenario = forward_convergence
-output_dir = {out}
-seed = 0
-
-[grid]
-n = 8
-
-[arc]
-s0 = 0.0
-s1 = 2.0
-
-[potential]
-k2 = 1 + x
-""".format(out=out)
+    cfg = FORWARD_CONFIG.format(out=out)
     assert run(write_config(tmp_path, cfg)) == 0
     lines = (out / "forward_convergence.csv").read_text().splitlines()
     assert lines[0] == "coarse_n,fine_n,sup_error,observed_order"
@@ -389,7 +521,6 @@ def test_forward_convergence_on_folded_grids_is_second_order_and_repeats(tmp_pat
 [experiment]
 scenario = forward_convergence
 output_dir = {out}
-seed = 0
 
 [grid]
 n = 64
@@ -423,25 +554,7 @@ bump_amplitude = 0.05
 
 def test_linearization_scenario(tmp_path):
     out = tmp_path / "out"
-    cfg = """\
-[experiment]
-scenario = linearization_check
-output_dir = {out}
-seed = 0
-
-[grid]
-n = 16
-
-[arc]
-s0 = 0.0
-s1 = 2.0
-
-[potential]
-k2 = 1 + x
-
-[measurement]
-eps = 0.01
-""".format(out=out)
+    cfg = LIN_CONFIG.format(out=out)
     assert run(write_config(tmp_path, cfg)) == 0
     summary = json.loads((out / "linearization_summary.json").read_text())
     assert summary["m2_rel_sup_gap"] <= 1e-2
@@ -458,9 +571,7 @@ def test_linearization_check_builds_kmax_members(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "arc_supported_family", recording_family)
     out = tmp_path / "out"
-    text = GOOD_CONFIG.format(out=out).replace("scenario = identity_check",
-                                               "scenario = linearization_check")
-    assert run(write_config(tmp_path, text)) == 0
+    assert run(write_config(tmp_path, LIN_CONFIG.format(out=out))) == 0
     assert sizes == [2]
     summary = json.loads((out / "linearization_summary.json").read_text())
     assert set(summary) == {"m2_rel_sup_gap"}
@@ -476,8 +587,8 @@ def test_check_scenarios_check_every_order(tmp_path, monkeypatch):
         out = tmp_path / name
         monkeypatch.setenv("SEMIDTN_OUTPUT_DIR", str(out))
         text = next(p for p in SHIPPED_CONFIGS if p.stem == name).read_text()
-        text = text.replace("kmax = 3", "kmax = 4").replace(
-            "\n\n[measurement]", "\nk4 = 1 + x*y\n\n[measurement]")
+        text = edited(text, ("kmax = 3", "kmax = 4"),
+                      ("\n\n[measurement]", "\nk4 = 1 + x*y\n\n[measurement]"))
         assert run(write_config(tmp_path, text)) == 0
         assert json.loads((out / "manifest.json").read_text())["kmax"] == 4
         with open(out / f"{name}.csv", newline="") as fh:
@@ -495,30 +606,7 @@ def test_check_scenarios_check_every_order(tmp_path, monkeypatch):
 
 def test_reconstruction_scenario_cheap(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg = """\
-[experiment]
-scenario = reconstruction
-output_dir = {out}
-seed = 0
-
-[grid]
-n = 16
-
-[arc]
-s0 = 0.0
-s1 = 4.0
-
-[potential]
-k2 = exp(-4*((x-0.5)**2 + (y-0.5)**2))
-
-[measurement]
-eps = 0.01
-
-[reconstruction]
-kmax = 2
-family_size = 6
-basis_per_side = 3
-""".format(out=out)
+    cfg = RECON_CONFIG.format(out=out)
     assert run(write_config(tmp_path, cfg)) == 0
     assert capsys.readouterr().err == ""  # no noise, no warning
     stages = json.loads((out / "stages.json").read_text())
@@ -534,31 +622,7 @@ basis_per_side = 3
 
 def test_reconstruction_with_noise_stays_finite(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg = """\
-[experiment]
-scenario = reconstruction
-output_dir = {out}
-seed = 0
-
-[grid]
-n = 16
-
-[arc]
-s0 = 0.0
-s1 = 4.0
-
-[potential]
-k2 = exp(-4*((x-0.5)**2 + (y-0.5)**2))
-
-[measurement]
-eps = 0.01
-noise_sigma = 0.001
-
-[reconstruction]
-kmax = 2
-family_size = 6
-basis_per_side = 3
-""".format(out=out)
+    cfg = edited(RECON_CONFIG.format(out=out), ("eps = 0.01", "eps = 0.01\nnoise_sigma = 0.001"))
     # run and validate say on stderr that the polarized stage fluxes
     # amplify the noise; a noisy config of another scenario passes silently
     path = write_config(tmp_path, cfg)
@@ -569,7 +633,7 @@ basis_per_side = 3
         assert "measurement noise" in warning["warning"]
     stages = json.loads((out / "stages.json").read_text())
     assert np.isfinite(stages[0]["rel_error_vs_truth"])
-    other = GOOD_CONFIG.format(out=out).replace("eps = 0.01", "eps = 0.01\nnoise_sigma = 0.001")
+    other = edited(GOOD_CONFIG.format(out=out), ("eps = 0.01", "eps = 0.01\nnoise_sigma = 0.001"))
     assert validate(write_config(tmp_path, other, "other.cfg")) == 0
     assert capsys.readouterr().err == ""
 
