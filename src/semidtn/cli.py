@@ -137,6 +137,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         read = parser.read(path)
         given = {(section, key): parser[section][key]
                  for section in parser.sections() for key in parser[section]}
+    except configparser.InterpolationError as exc:  # a stray '%' in a value
+        raise ConfigError(f"[{exc.section}] {exc.option}: {exc.message}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     if not read:
@@ -177,7 +179,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _truth_series(cfg: ExperimentConfig, grid: Grid2D) -> PotentialSeries:
-    fields = {k: sample_expression(expr, grid) for k, expr in cfg.potential_exprs.items()}
+    fields = {}
+    for k, expr in cfg.potential_exprs.items():
+        try:
+            fields[k] = sample_expression(expr, grid)
+        except ValueError as exc:
+            raise ConfigError(f"[potential] k{k} = {expr!r}: {exc}") from None
     return PotentialSeries.from_coefficients(grid, fields) if fields \
         else PotentialSeries.zero(grid)
 
@@ -196,22 +203,30 @@ class _Setup:
 def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
     """Parse the config and build what its scenario runs on, so that every
     input the run would reject fails here, before anything is written.
-    Raises ConfigError or ValueError (the grid, arc, expression and family
-    builders' own checks, and the smallness gate of every linearization_check
-    difference). A noisy reconstruction config passes with ``NOISE_WARNING``
-    on stderr."""
+    Raises ConfigError, naming the keys behind each check made here: the
+    expression, arc and family builders' own checks, and the smallness gate
+    of every linearization_check difference. A noisy reconstruction config
+    passes with ``NOISE_WARNING`` on stderr."""
     cfg = load_config(config_path)
     grid = make_grid(cfg.n)
-    mask = arc_mask(grid, cfg.s0, cfg.s1)
     truth = _truth_series(cfg, grid)
-    if cfg.scenario == "forward_convergence":
-        family = None
-    else:
-        size = cfg.kmax if cfg.scenario == "linearization_check" else cfg.family_size
-        family = arc_supported_family(mask, size, grid)
+    try:
+        mask = arc_mask(grid, cfg.s0, cfg.s1)
+        if cfg.scenario == "forward_convergence":
+            family = None
+        else:
+            size = cfg.kmax if cfg.scenario == "linearization_check" else cfg.family_size
+            family = arc_supported_family(mask, size, grid)
+    except ValueError as exc:
+        raise ConfigError(f"[arc] s0 = {cfg.s0!r}, s1 = {cfg.s1!r} with [grid] n = {cfg.n}: "
+                          f"{exc}") from None
     if cfg.scenario == "linearization_check":
-        for _, fs, eps in _linearization_differences(cfg, family):
-            check_difference_gate(fs, eps)
+        for m, fs, eps in _linearization_differences(cfg, family):
+            try:
+                check_difference_gate(fs, eps)
+            except ValueError as exc:
+                raise ConfigError(f"[measurement] eps = {cfg.eps!r}: order-{m} difference: "
+                                  f"{exc}") from None
     if cfg.scenario == "reconstruction" and cfg.noise_sigma > 0.0:
         print(json.dumps({"warning": NOISE_WARNING, "noise_sigma": cfg.noise_sigma}),
               file=sys.stderr)

@@ -20,6 +20,7 @@ coefficient fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,11 @@ DEFAULT_MAX_NEWTON = 25
 # to the cascade grew from 2.3e-3 to 8.4e-3 at m=4 and from 4.9e-11 to
 # 1.1e-9 at m=2, past the bounds of 5e-3 and 1e-9 that the tests hold.
 LINEAR_TOL = 1e-12
-# Free sets of Newton work arrays (the stencil's rows and two residuals) by
-# grid size, taken for one solve as sparse_linalg takes CG's.
-_newton_work: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+# Free sets of Newton work arrays by grid size (the stencil's rows, two
+# residuals, each evaluating its Horner polynomial in place, and the
+# Jacobian's slope field), taken for one solve as sparse_linalg takes CG's.
+_newton_work: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = {}
+_lift_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class SmallnessError(ValueError):
@@ -94,11 +97,12 @@ def stencil_laplacian(u: np.ndarray, grid: Grid2D) -> np.ndarray:
 def _residual_into(P: PotentialSeries, u: np.ndarray, grid: Grid2D, rows: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
     """-Lap u + V(x,u) on interior nodes into the flat (n-1)^2 array ``out``,
-    with ``rows`` as the stencil's work array; returns ``out``."""
+    with ``rows`` as the stencil's work array; returns ``out``. V goes into
+    ``out`` first and the stencil is added to it (addition commutes)."""
     m = grid.n - 1
     field = out.reshape(m, m)
-    np.copyto(field, _stencil_rows(u, grid, rows))
-    field += P.interior_value(u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1])
+    P.interior_value(u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1], field)
+    field += _stencil_rows(u, grid, rows)
     return out
 
 
@@ -109,7 +113,23 @@ def semilinear_residual(P: PotentialSeries, u: np.ndarray, grid: Grid2D) -> np.n
 
 
 def _l2(r: np.ndarray, grid: Grid2D) -> float:
-    return float(grid.h * np.linalg.norm(r))
+    """h ||r|| for flat r; the root of r @ r is np.linalg.norm(r) exactly."""
+    return grid.h * math.sqrt(r @ r)
+
+
+def _lift_parts(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """Flat node indices of the bottom, top, left and right sides' interior
+    nodes as the columns of an (n-1, 4) array, and the first and last
+    columns of S as one (n-1, 2) array; cached per grid size, read-only."""
+    parts = _lift_cache.get(grid.n)
+    if parts is None:
+        n, k = grid.n, np.arange(1, grid.n)
+        index = np.stack([k, n * (n + 1) + k, k * (n + 1), k * (n + 1) + n], axis=1)
+        parts = (index, _sine_modes(grid)[0][:, [0, -1]])
+        for a in parts:
+            a.flags.writeable = False
+        _lift_cache[n] = parts
+    return parts
 
 
 def _lift_transform(u2: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -118,10 +138,10 @@ def _lift_transform(u2: np.ndarray, grid: Grid2D) -> np.ndarray:
     holds its side's values over h^2, so with s_0, s_last the first and last
     columns of S, S B S = s_0 (S b)^T + s_last (S t)^T + (S l) s_0^T
     + (S r) s_last^T for the bottom, top, left and right sides b, t, l, r."""
-    sine = _sine_modes(grid)[0]
-    edges = sine[:, [0, -1]]
-    strips = np.stack([u2[0, 1:-1], u2[-1, 1:-1], u2[1:-1, 0], u2[1:-1, -1]], axis=1)
-    hat = sine @ (strips / (grid.h * grid.h))
+    index, edges = _lift_parts(grid)
+    strips = u2.take(index)
+    strips /= grid.h * grid.h
+    hat = _sine_modes(grid)[0] @ strips
     return edges @ hat[:, :2].T + hat[:, 2:] @ edges.T
 
 
@@ -168,7 +188,7 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
     read at call time.
     """
     f = check_trace(f, grid)
-    fnorm = float(np.max(np.abs(f))) if f.size else 0.0
+    fnorm = float(np.abs(f).max()) if f.size else 0.0
     if fnorm > DEFAULT_SMALLNESS_RADIUS:
         raise SmallnessError(f"boundary data max-norm {fnorm:.4g} exceeds smallness "
                              f"radius {DEFAULT_SMALLNESS_RADIUS}")
@@ -177,17 +197,18 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
     inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]  # a view: steps update u
     m = grid.n - 1
     free = _newton_work.setdefault(grid.n, [])
-    work = rows, res, new_res = (free.pop() if free else
-                                 (np.empty(m * (grid.n + 1)), np.empty(m * m), np.empty(m * m)))
+    work = rows, res, new_res, slope = (
+        free.pop() if free else
+        (np.empty(m * (grid.n + 1)), np.empty(m * m), np.empty(m * m), np.empty((m, m))))
     try:
         res_norm = _l2(_residual_into(P, u, grid, rows, res), grid)
         history = [res_norm]
         increases = 0
         for it in range(DEFAULT_MAX_NEWTON):
             if res_norm <= DEFAULT_NEWTON_TOL:
-                return u, SolveReport(it, res_norm, fnorm, float(np.max(np.abs(u))), True,
+                return u, SolveReport(it, res_norm, fnorm, float(np.abs(u).max()), True,
                                       tuple(history))
-            A = assemble(P.interior_slope(inner), grid)
+            A = assemble(P.interior_slope(inner, slope), grid)
             inner -= from_sine(solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL), grid)
             new_norm = _l2(_residual_into(P, u, grid, rows, new_res), grid)
             history.append(new_norm)
@@ -199,7 +220,7 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
     finally:
         free.append(work)
     if res_norm <= DEFAULT_NEWTON_TOL:
-        return u, SolveReport(DEFAULT_MAX_NEWTON, res_norm, fnorm, float(np.max(np.abs(u))),
+        return u, SolveReport(DEFAULT_MAX_NEWTON, res_norm, fnorm, float(np.abs(u).max()),
                               True, tuple(history))
     raise NewtonError(f"Newton did not reach {DEFAULT_NEWTON_TOL} in {DEFAULT_MAX_NEWTON} "
                       f"iterations (residual {res_norm:.3e})", residual=res_norm)

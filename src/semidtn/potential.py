@@ -87,27 +87,28 @@ class PotentialSeries:
                 out.append(a)
         return tuple(value), tuple(slope)
 
-    def interior_value(self, U: np.ndarray) -> np.ndarray:
+    def interior_value(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """V(x, U(x)) on the interior nodes, for the (n-1, n-1) array U of
-        interior values; Horner in z from the highest order down."""
-        acc = _horner(U, self._interior_factors[0])
+        interior values; Horner in z from the highest order down, into
+        ``out`` (U's shape) when given, else a new array."""
+        acc = _horner(U, self._interior_factors[0], out)
         acc *= U  # series starts at z^2
         return acc
 
-    def interior_slope(self, U: np.ndarray) -> np.ndarray:
+    def interior_slope(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """d/dz V(x, z) at z = U(x) on the interior nodes, for the (n-1, n-1)
-        array U of interior values."""
-        return _horner(U, self._interior_factors[1])
+        array U of interior values; into ``out`` when given, else new."""
+        return _horner(U, self._interior_factors[1], out)
 
     @property
     def is_zero(self) -> bool:
         return all(not a.any() for a in self.coeffs)
 
 
-def _horner(z: np.ndarray, factors) -> np.ndarray:
-    """((a_0 z + a_1) z + ... + a_last) z for the factor fields a_i, in a
-    fresh array."""
-    acc = factors[0] * z
+def _horner(z: np.ndarray, factors, out: np.ndarray | None) -> np.ndarray:
+    """((a_0 z + a_1) z + ... + a_last) z for the factor fields a_i, into
+    ``out`` (a new array for None)."""
+    acc = np.multiply(factors[0], z, out=out)
     for a in factors[1:]:
         acc += a
         acc *= z

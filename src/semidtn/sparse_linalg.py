@@ -237,7 +237,7 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
 
 
 def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> np.ndarray:
-    """Conjugate gradient for a symmetric positive definite A.
+    """Conjugate gradient for a symmetric positive definite A and flat b.
 
     ``A(x)`` applies the operator. Returns x with relative residual
     ||Ax - b|| / ||b|| <= tol, within 10 * len(b) iterations; b = 0 short
@@ -251,7 +251,8 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
     if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float)
-    norm_b = np.linalg.norm(b)
+    # each norm is the root of a dot product, which is np.linalg.norm exactly
+    norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
         return np.zeros(b.size)
 
@@ -264,13 +265,13 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
         rr = r @ r
         max_iter = 10 * b.size
         for _ in range(max_iter):
-            if np.sqrt(rr) <= tol * norm_b:  # the root of r @ r is norm(r) exactly
+            if math.sqrt(rr) <= tol * norm_b:
                 return x
             Ap = A(p)
             pAp = p @ Ap
             if pAp <= 0.0:
                 raise SolverError("CG breakdown: operator not positive definite",
-                                  residual=float(np.linalg.norm(r) / norm_b))
+                                  residual=math.sqrt(rr) / norm_b)
             alpha = rr / pAp
             x += np.multiply(alpha, p, out=step)
             r -= np.multiply(alpha, Ap, out=step)
@@ -282,7 +283,8 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
                 callback(x)
     finally:
         free.append(work)
-    res = float(np.linalg.norm(A(x) - b) / norm_b)
+    d = A(x) - b
+    res = math.sqrt(d @ d) / norm_b
     if res <= tol:
         return x
     raise SolverError(f"CG did not reach tol={tol} in {max_iter} iterations "

@@ -370,18 +370,19 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path, capsys):
     # negative seeds after them (they failed after writing the manifest);
     # the noise levels of the two noise-free scenarios were ignored, and a
     # '%' in a value raised configparser's interpolation error uncaught.
-    # Each case names what its error names: the key, or for the checks made
-    # after parsing, the expression, the arc or the step
+    # Each error names the key it comes from, the checks made after parsing
+    # (the expression, the arc, the linearization_check gate) included
     for scenario, edits, named in (
-            ("identity_check", [("k2 = 1 + x", "k2 = 9**9**9")], "9**9**9"),
+            ("identity_check", [("k2 = 1 + x", "k2 = 9**9**9")], "[potential] k2 = '9**9**9'"),
             ("identity_check", [("tuples = 3", "tuples = abc")], "[extras] tuples"),
             ("forward_convergence", [("bump_amplitude = 0.05", "bump_amplitude = -5")],
              "[extras] bump_amplitude"),
             ("identity_check", [("kmax = 2", "kmax = 1000000")], "[reconstruction] kmax"),
             ("identity_check", [("k2 = 1 + x", "k1000000 = x")], "[potential] k1000000"),
-            ("identity_check", [("k2 = 1 + x", "k2 = zebra")], "zebra"),
+            ("identity_check", [("k2 = 1 + x", "k2 = zebra")], "[potential] k2 = 'zebra'"),
             ("forward_convergence", [("n = 8", "n = 128")], "[grid] n"),
-            ("reconstruction", [("n = 16", "n = 64"), ("s1 = 4.0", "s1 = 0.1")], "arc too small"),
+            ("reconstruction", [("n = 16", "n = 64"), ("s1 = 4.0", "s1 = 0.1")],
+             "[arc] s0 = 0.0, s1 = 0.1 with [grid] n = 64"),
             ("identity_check", [("eps = 0.01", "eps = 0.01\nnoise_sigma = nan")],
              "[measurement] noise_sigma"),
             ("identity_check", [("eps = 0.01", "eps = 0.01\nnoise_sigma = inf")],
@@ -396,7 +397,7 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path, capsys):
              "[measurement] eps"),
             ("reconstruction", [("eps = 0.01", "eps = 0.04")], "[measurement] eps"),
             ("linearization_check", [("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.03")],
-             "eps=0.06 pushes evaluation points outside the smallness gate"),
+             "[measurement] eps = 0.03:"),
             ("identity_check", [("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 0.05")],
              "[measurement] eps"),
             ("identity_check", [("seed = 11", "seed = -5")], "[experiment] seed"),
@@ -406,7 +407,8 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path, capsys):
             ("forward_convergence", [("[potential]",
                                       "[measurement]\nnoise_sigma = 1e-6\n\n[potential]")],
              "[measurement] noise_sigma is not read by scenario forward_convergence"),
-            ("identity_check", [("k2 = 1 + x", "k2 = 50%")], "'%' must be followed by")):
+            ("identity_check", [("k2 = 1 + x", "k2 = 50%")],
+             "[potential] k2: '%' must be followed by")):
         out = tmp_path / "out"
         path = write_config(tmp_path, edited(CONFIGS[scenario].format(out=out), *edits))
         _exits_2_without_outputs(capsys, path, out, named)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,12 @@ def half_arc_series(grid):
     return PotentialSeries.from_coefficients(grid, {
         2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", grid),
         3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", grid)})
+
+
+def full_k4_series(grid):
+    """V2, V3 and V4 of perfbench's full-arc K=4 reconstruction
+    (perfbench/configs/recon_full_k4_n32.cfg)."""
+    return half_arc_series(grid).with_coefficient(4, sample_expression("1 + x*y", grid))
 
 
 def torsion_center_value(terms: int = 199) -> float:
@@ -118,17 +126,30 @@ def test_newton_step_cg_converges_in_few_iterations(monkeypatch):
     assert max(counts) <= 5
 
 
-@pytest.mark.parametrize("n", [16, 32, 128])
-def test_newton_with_work_arrays_is_exact(n):
-    # the residuals in reused work arrays, the Jacobian's reused
-    # intermediates and CG's reused vectors make the same operations in the
-    # same order as a Newton loop that makes a new array at every update:
-    # the field, the whole report and the measurement match bit for bit, on
-    # divided-difference inputs and on data at the smallness gate
+HALF_ARC_BUMPS = ((0.5, 0.5), (1.25, 0.25), (1.5, 0.5))  # (center, width) on [0, 2)
+
+
+@pytest.mark.parametrize("n, s1, series, bumps", [
+    pytest.param(16, 2.0, half_arc_series, HALF_ARC_BUMPS, id="16"),
+    pytest.param(32, 2.0, half_arc_series, HALF_ARC_BUMPS, id="32"),
+    pytest.param(128, 2.0, half_arc_series, HALF_ARC_BUMPS, id="128"),
+    # the benchmark's shapes: recon_half_k3's grid, and recon_full_k4_n32's
+    # arc and three factor fields, with bumps on all four sides
+    pytest.param(64, 2.0, half_arc_series, HALF_ARC_BUMPS, id="half-k3-64"),
+    pytest.param(32, 4.0, full_k4_series, ((0.5, 0.5), (1.75, 0.25), (3.0, 1.0)),
+                 id="full-k4-32")])
+def test_newton_with_work_arrays_is_exact(n, s1, series, bumps):
+    # the residuals and the slope in reused work arrays, with their Horner
+    # polynomials evaluated in place, the lift's cached gather, the
+    # Jacobian's reused intermediates and CG's reused vectors make the same
+    # operations in the same order as a Newton loop that makes a new array
+    # at every update: the field, the whole report and the measurement match
+    # bit for bit, on divided-difference inputs and on data at the
+    # smallness gate
     g = make_grid(n)
-    mask = arc_mask(g, 0.0, 2.0)
-    P = half_arc_series(g)
-    a, b, c = (bump_trace(g, s, w) for s, w in ((0.5, 0.5), (1.25, 0.25), (1.5, 0.5)))
+    mask = arc_mask(g, 0.0, s1)
+    P = series(g)
+    a, b, c = (bump_trace(g, s, w) for s, w in bumps)
     for f in (0.01 * (a + b - c), 0.01 * (-a + b + c), 0.1 * a, -0.1 * c):
         sample = dtn_apply(P, f, mask, g)
         u, report = solve_semilinear(P, f, g)
@@ -143,20 +164,23 @@ def test_newton_with_work_arrays_is_exact(n):
 
 @pytest.mark.parametrize("n", [32, 128])
 def test_returned_arrays_survive_next_measurement(n):
-    # no returned u or measurement is a view of a work array, the folded
-    # kernel's included: the next solve on the same grid leaves both as
-    # they were
+    # no returned u, report or measurement holds a work array, the folded
+    # kernel's and the Newton pool's included: the next solves on the same
+    # grid, with the same series and with another one, leave all as they were
     g = make_grid(n)
     mask = arc_mask(g, 0.0, 2.0)
     P = half_arc_series(g)
     first, second = bump_trace(g, 0.5, 0.4, 0.05), bump_trace(g, 1.4, 0.3, -0.08)
-    u, _ = solve_semilinear(P, first, g)
+    u, report = solve_semilinear(P, first, g)
     sample = dtn_apply(P, first, mask, g)
     kept_u, kept_out = u.copy(), sample.output.copy()
-    solve_semilinear(P, second, g)
-    dtn_apply(P, second, mask, g)
+    kept_report, kept_sample_report = copy.deepcopy(report), copy.deepcopy(sample.report)
+    for Q in (P, full_k4_series(g)):
+        solve_semilinear(Q, second, g)
+        dtn_apply(Q, second, mask, g)
     assert np.array_equal(u, kept_u)
     assert np.array_equal(sample.output, kept_out)
+    assert report == kept_report and sample.report == kept_sample_report
 
 
 @pytest.mark.parametrize("n", [128, 256])
