@@ -185,8 +185,7 @@ def _truth_series(cfg: ExperimentConfig, grid: Grid2D) -> PotentialSeries:
             fields[k] = sample_expression(expr, grid)
         except ValueError as exc:
             raise ConfigError(f"[potential] k{k} = {expr!r}: {exc}") from None
-    return PotentialSeries.from_coefficients(grid, fields) if fields \
-        else PotentialSeries.zero(grid)
+    return PotentialSeries.from_coefficients(grid, fields)
 
 
 @dataclass(frozen=True)

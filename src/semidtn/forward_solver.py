@@ -20,6 +20,7 @@ coefficient fields.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,6 @@ LINEAR_TOL = 1e-12
 # residuals, each evaluating its Horner polynomial in place, and the
 # Jacobian's slope field), taken for one solve as sparse_linalg takes CG's.
 _newton_work: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = {}
-_lift_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class SmallnessError(ValueError):
@@ -117,18 +117,17 @@ def _l2(r: np.ndarray, grid: Grid2D) -> float:
     return grid.h * math.sqrt(r @ r)
 
 
-def _lift_parts(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _lift_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat node indices of the bottom, top, left and right sides' interior
-    nodes as the columns of an (n-1, 4) array, and the first and last
-    columns of S as one (n-1, 2) array; cached per grid size, read-only."""
-    parts = _lift_cache.get(grid.n)
-    if parts is None:
-        n, k = grid.n, np.arange(1, grid.n)
-        index = np.stack([k, n * (n + 1) + k, k * (n + 1), k * (n + 1) + n], axis=1)
-        parts = (index, _sine_modes(grid)[0][:, [0, -1]])
-        for a in parts:
-            a.flags.writeable = False
-        _lift_cache[n] = parts
+    nodes of an n-cell grid as the columns of an (n-1, 4) array, and the
+    first and last columns of S as one (n-1, 2) array; built once per size,
+    read-only."""
+    k = np.arange(1, n)
+    index = np.stack([k, n * (n + 1) + k, k * (n + 1), k * (n + 1) + n], axis=1)
+    parts = (index, _sine_modes(n)[0][:, [0, -1]])
+    for a in parts:
+        a.flags.writeable = False
     return parts
 
 
@@ -138,10 +137,10 @@ def _lift_transform(u2: np.ndarray, grid: Grid2D) -> np.ndarray:
     holds its side's values over h^2, so with s_0, s_last the first and last
     columns of S, S B S = s_0 (S b)^T + s_last (S t)^T + (S l) s_0^T
     + (S r) s_last^T for the bottom, top, left and right sides b, t, l, r."""
-    index, edges = _lift_parts(grid)
+    index, edges = _lift_parts(grid.n)
     strips = u2.take(index)
     strips /= grid.h * grid.h
-    hat = _sine_modes(grid)[0] @ strips
+    hat = _sine_modes(grid.n)[0] @ strips
     return edges @ hat[:, :2].T + hat[:, 2:] @ edges.T
 
 
@@ -154,7 +153,7 @@ def solve_linear(g: np.ndarray | None, f: np.ndarray, grid: Grid2D) -> np.ndarra
     the sine-basis kernel.
     Returns the full nodal field; boundary nodes carry f exactly.
     """
-    sine, inverse, _ = _sine_modes(grid)
+    sine, inverse, _ = _sine_modes(grid.n)
     v = trace_to_field(f, grid)
     v2 = v.reshape(grid.n + 1, grid.n + 1)
     if g is None:

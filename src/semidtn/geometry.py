@@ -34,6 +34,7 @@ class Grid2D:
     boundary_nodes: np.ndarray = field(init=False, repr=False)   # (4n,) flat node indices, walk order
     boundary_s: np.ndarray = field(init=False, repr=False)       # (4n,) arclength parameter
     boundary_normals: np.ndarray = field(init=False, repr=False) # (4n, 2) outward unit normals (ints)
+    boundary_inward: np.ndarray = field(init=False, repr=False)  # (2, 4n) 1st, 2nd nodes along -normal
 
     def __post_init__(self) -> None:
         if self.n < 4:
@@ -58,9 +59,11 @@ class Grid2D:
         normals[n] = (0, -1)
         normals[2 * n] = (1, 0)
         normals[3 * n] = (0, 1)
+        inward = np.stack([(iy - j * normals[:, 1]) * (n + 1) + ix - j * normals[:, 0]
+                           for j in (1, 2)])
 
         for name, arr in (("boundary_nodes", nodes), ("boundary_s", s),
-                          ("boundary_normals", normals)):
+                          ("boundary_normals", normals), ("boundary_inward", inward)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -17,6 +17,7 @@ maps a boundary trace to its flux array (``dtn.measurement``).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,42 +35,30 @@ MAX_PARTITION_SIZE = 8
 MAX_ORDER = 4
 
 
-def _growth_strings(size: int):
-    """Restricted-growth strings of the given length, lexicographic order."""
-    a = [0] * size
-    while True:
-        yield tuple(a)
-        # increment the rightmost position that can still grow
-        i = size - 1
-        while i > 0:
-            if a[i] <= max(a[:i]):
-                break
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        for j in range(i + 1, size):
-            a[j] = 0
-
-
-_partition_cache: dict[tuple, tuple[tuple[tuple[int, ...], ...], ...]] = {}
+@functools.cache
+def _position_partitions(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The set partitions of the positions 0..m-1, each a tuple of sorted
+    blocks, in restricted-growth-string order: from each partition of
+    0..m-2 in turn, m-1 joins each of its blocks, then forms a block of its
+    own. Built once per m."""
+    if m == 0:
+        return ((),)
+    last = m - 1
+    return tuple(grown for part in _position_partitions(last)
+                 for grown in (*(part[:i] + (block + (last,),) + part[i + 1:]
+                                 for i, block in enumerate(part)),
+                               part + ((last,),)))
 
 
 def partitions(S) -> list[tuple[tuple[int, ...], ...]]:
     """All set partitions of S, each a tuple of blocks, deterministic
-    restricted-growth-string order, in a fresh list; enumerated once per
-    sorted S. Guards |S| <= 8."""
+    restricted-growth-string order, in a fresh list. Guards |S| <= 8."""
     elems = tuple(sorted(S))
     if not 1 <= len(elems) <= MAX_PARTITION_SIZE:
         raise ValueError(f"partition enumeration supports 1..{MAX_PARTITION_SIZE} "
                          f"elements, got {len(elems)}")
-    found = _partition_cache.get(elems)
-    if found is None:
-        found = _partition_cache[elems] = tuple(
-            tuple(tuple(e for e, label in zip(elems, rgs) if label == block)
-                  for block in range(max(rgs) + 1))
-            for rgs in _growth_strings(len(elems)))
-    return list(found)
+    return [tuple(tuple(elems[i] for i in block) for block in part)
+            for part in _position_partitions(len(elems))]
 
 
 @dataclass(frozen=True)
@@ -100,12 +89,11 @@ def nonlinearity_derivative(P: PotentialSeries, S, derivs: dict) -> np.ndarray:
     has a two-block partition, so the sum is never empty.
     """
     S = tuple(sorted(S))
-    if len(S) < 2:
-        raise ValueError("nonlinearity derivative needs at least 2 slots")
+    if not 2 <= len(S) <= MAX_PARTITION_SIZE:
+        raise ValueError(f"nonlinearity derivative needs 2..{MAX_PARTITION_SIZE} slots, "
+                         f"got {len(S)}")
     out = None
-    # partitions of the positions, so that the enumeration is cached per size
-    # and not per multiset
-    for part in partitions(range(len(S))):
+    for part in _position_partitions(len(S)):
         nblocks = len(part)
         if nblocks < 2 or nblocks > P.kmax:
             continue

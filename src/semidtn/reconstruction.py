@@ -143,8 +143,7 @@ def _truncated(known: PotentialSeries | None, m: int, grid: Grid2D) -> Potential
     if known is None or m <= 2:
         return PotentialSeries.zero(grid)
     fields = {k: known.coefficient(k) for k in range(2, m) if known.coefficient(k).any()}
-    return PotentialSeries.from_coefficients(grid, fields) if fields \
-        else PotentialSeries.zero(grid)
+    return PotentialSeries.from_coefficients(grid, fields)
 
 
 def measured_moment(measure, members, eps: float, mask: ArcMask, grid: Grid2D,
@@ -225,7 +224,7 @@ def _arc_readout(grid: Grid2D, axis: np.ndarray,
     corner, which reads boundary nodes, so its row is exactly zero.
     """
     n, q = grid.n, axis.shape[1]
-    sine, inverse, _ = _sine_modes(grid)
+    sine, inverse, _ = _sine_modes(n)
     factors = axis[1:-1]  # interior samples, (n - 1, q)
     near = sine @ ((-4.0 * sine[0] + sine[1])[:, None] / (2.0 * grid.h) * inverse)
     # a_i(x) S[x, l] and a_j(y) D[y, l], laid out (l, (side, j), y), serve

@@ -22,6 +22,7 @@ coordinates are then in odd-then-even mode order, a private order that only
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -48,8 +49,6 @@ class SolverError(Exception):
 # 1033 / 871.
 FOLD_MIN_N = 104
 
-_sine_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_kernel_cache: dict[tuple[int, type], _Dense | _Fold] = {}
 # Free sets of CG work arrays (residual, search direction, step vector) by
 # system size. A set is popped for one solve and appended back after it, so a
 # solve nested inside another (an operator or callback that solves again)
@@ -57,21 +56,18 @@ _kernel_cache: dict[tuple[int, type], _Dense | _Fold] = {}
 _cg_work: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
 
-def _sine_modes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal sine basis S of the interior nodes (symmetric, S S = I),
-    and Lam^-1 and Lam^(-1/2) for the eigenvalues Lam of -Lap_h in it, as
-    (n-1, n-1) arrays; cached per grid size, read-only."""
-    modes = _sine_cache.get(grid.n)
-    if modes is None:
-        n = grid.n
-        k = np.arange(1, n)
-        sine = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
-        eig = (2.0 * np.sin(0.5 * np.pi * k / n) / grid.h) ** 2
-        inverse = 1.0 / (eig[:, None] + eig[None, :])
-        modes = (sine, inverse, np.sqrt(inverse))
-        for a in modes:
-            a.flags.writeable = False
-        _sine_cache[n] = modes
+@functools.cache
+def _sine_modes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal sine basis S of the interior nodes of an n-cell grid
+    (symmetric, S S = I), and Lam^-1 and Lam^(-1/2) for the eigenvalues Lam
+    of -Lap_h in it, as (n-1, n-1) arrays; built once per size, read-only."""
+    k, h = np.arange(1, n), 1.0 / n  # h as Grid2D has it
+    sine = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
+    eig = (2.0 * np.sin(0.5 * np.pi * k / n) / h) ** 2
+    inverse = 1.0 / (eig[:, None] + eig[None, :])
+    modes = (sine, inverse, np.sqrt(inverse))
+    for a in modes:
+        a.flags.writeable = False
     return modes
 
 
@@ -83,9 +79,9 @@ class _Dense:
 
     __slots__ = ("sine", "scale", "_mid")
 
-    def __init__(self, grid: Grid2D):
-        self.sine, _, self.scale = _sine_modes(grid)
-        self._mid = np.empty((grid.n - 1, grid.n - 1))
+    def __init__(self, n: int):
+        self.sine, _, self.scale = _sine_modes(n)
+        self._mid = np.empty((n - 1, n - 1))
 
     def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.matmul(self.sine, x, self._mid)
@@ -113,9 +109,9 @@ class _Fold:
 
     __slots__ = ("odd", "even", "scale", "_rows", "_mid")
 
-    def __init__(self, grid: Grid2D):
-        sine, _, scale = _sine_modes(grid)
-        m, half = grid.n - 1, grid.n // 2  # half: the odd modes and folded rows
+    def __init__(self, n: int):
+        sine, _, scale = _sine_modes(n)
+        m, half = n - 1, n // 2  # half: the odd modes and folded rows
         order = np.r_[0:m:2, 1:m:2]  # mode k at index k - 1
         self.odd = sine[0::2, :half].copy()
         self.even = sine[1::2, :m - half].copy()
@@ -166,12 +162,14 @@ class _Fold:
 
 def _kernel(grid: Grid2D) -> _Dense | _Fold:
     """The Newton step's transform kernel of a grid: folded from FOLD_MIN_N
-    up, dense below; cached by size and kind, as the switch is read here."""
-    kind = _Fold if grid.n >= FOLD_MIN_N else _Dense
-    kernel = _kernel_cache.get((grid.n, kind))
-    if kernel is None:
-        kernel = _kernel_cache[grid.n, kind] = kind(grid)
-    return kernel
+    up, dense below. The switch is read here, at call time, so the kernels
+    are built once per kind and size."""
+    return _built_kernel(_Fold if grid.n >= FOLD_MIN_N else _Dense, grid.n)
+
+
+@functools.cache
+def _built_kernel(kind: type[_Dense | _Fold], n: int) -> _Dense | _Fold:
+    return kind(n)
 
 
 def to_sine(r: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -240,8 +238,10 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
     """Conjugate gradient for a symmetric positive definite A and flat b.
 
     ``A(x)`` applies the operator. Returns x with relative residual
-    ||Ax - b|| / ||b|| <= tol, within 10 * len(b) iterations; b = 0 short
-    circuits to x = 0; b itself is left unchanged. Deterministic for fixed
+    ||Ax - b|| / ||b|| <= tol, within 10 * len(b) iterations, or raises
+    SolverError at the first curvature p.Ap that is not positive and finite
+    (an overflowing or NaN operator); b = 0 short circuits to x = 0; b
+    itself is left unchanged. Deterministic for fixed
     inputs (fixed reduction order). The iterate and residual are updated in
     place, so ``callback(x_k)``, invoked once per accepted iterate when
     given, sees the live iterate: copy it to keep it. The returned x is a
@@ -269,9 +269,9 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
                 return x
             Ap = A(p)
             pAp = p @ Ap
-            if pAp <= 0.0:
-                raise SolverError("CG breakdown: operator not positive definite",
-                                  residual=math.sqrt(rr) / norm_b)
+            if not 0.0 < pAp < math.inf:  # NaN too
+                raise SolverError(f"CG breakdown: curvature p.Ap = {pAp:.3e} is not positive "
+                                  "and finite", residual=math.sqrt(rr) / norm_b)
             alpha = rr / pAp
             x += np.multiply(alpha, p, out=step)
             r -= np.multiply(alpha, Ap, out=step)

@@ -2,14 +2,15 @@
 operator as a scipy sparse matrix, the Dirichlet lift by scatter and
 neighbour sum, and Newton with Poisson-preconditioned CG on the stencil.
 Also exact references for the in-place kernels: CG with a new array at
-every update, the stencil by 2-D slices, the linear solve that always
-transforms its lift, and Newton with a new array at every step."""
+every update, the stencil by 2-D slices, the rank-4 lift from edge strips
+cut by 2-D slices, the linear solve that always transforms its lift, and
+Newton with a new array at every step."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from semidtn import forward_solver
-from semidtn.forward_solver import (LINEAR_TOL, SolveReport, _lift_transform, harmonic_extension,
+from semidtn.forward_solver import (LINEAR_TOL, SolveReport, harmonic_extension,
                                     semilinear_residual)
 from semidtn.geometry import check_field, check_trace, trace_to_field
 from semidtn.sparse_linalg import SolverError, _Fold, _kernel, _sine_modes, from_sine, to_sine
@@ -122,15 +123,28 @@ def slice_stencil(u, g):
     return lap.ravel()
 
 
+def slice_lift(u2, g):
+    """S B S for the right-hand side B that the boundary values of the
+    (n+1, n+1) field u2 give the interior equations, as a rank-4 product:
+    the bottom, top, left and right edge strips cut by 2-D slices, over h^2,
+    transformed by S, and spread by the first and last columns of S."""
+    sine, _ = sine_basis(g)
+    strips = np.stack([u2[0, 1:-1], u2[-1, 1:-1], u2[1:-1, 0], u2[1:-1, -1]], axis=1)
+    strips /= g.h * g.h
+    hat = sine @ strips
+    edges = sine[:, [0, -1]]
+    return edges @ hat[:, :2].T + hat[:, 2:] @ edges.T
+
+
 def lifted_solve(src, f, g):
     """-Lap_h v = src with v = f on the boundary, always transforming the
-    lift of f, then adding the source's transform."""
-    sine, inverse, _ = _sine_modes(g)
+    lift of f by ``slice_lift``, then adding the source's transform."""
+    sine, eig = sine_basis(g)
     v = trace_to_field(f, g)
     v2 = v.reshape(g.n + 1, g.n + 1)
-    hat = _lift_transform(v2, g)
+    hat = slice_lift(v2, g)
     hat += sine @ check_field(src, g).reshape(v2.shape)[1:-1, 1:-1] @ sine
-    hat *= inverse
+    hat *= 1.0 / eig
     v2[1:-1, 1:-1] = sine @ hat @ sine
     return v
 
@@ -147,7 +161,7 @@ def allocating_newton(P, f, g):
     f = check_trace(f, g)
     kernel = _kernel(g)
     fold = kernel if isinstance(kernel, _Fold) else None
-    sine, _, scale = _sine_modes(g)
+    sine, _, scale = _sine_modes(g.n)
     if fold is not None:
         scale = fold.scale
     m = g.n - 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from five_point import (allocating_newton, five_point_operator, harmonic_reference, lift_rhs,
-                        lifted_solve, sine_basis, slice_stencil)
+                        lifted_solve, sine_basis, slice_lift, slice_stencil)
 from semidtn.dtn import bump_trace, dtn_apply, normal_derivative
 from semidtn import forward_solver, sparse_linalg
 from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
@@ -237,6 +237,20 @@ def test_rank4_lift_matches_dense_lift(n):
     assert np.max(np.abs(hat - sine @ dense @ sine)) <= 1e-13 * np.max(np.abs(hat))
     u = harmonic_extension(f, g)
     assert np.max(np.abs(u - harmonic_reference(f, g))) <= 1e-13 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("n", [8, 16, 33, 128])
+def test_rank4_lift_is_exact(n):
+    # the lift's cached gather of the four edge strips, its division by h^2
+    # and its two products give the strips cut by 2-D slices bit for bit,
+    # and so does the harmonic start built on it; on n=33, h^2 is not a
+    # power of two, so a multiplication by 1/h^2 in place of the division
+    # would change the last bits
+    g = make_grid(n)
+    f = np.random.default_rng(n).normal(size=g.num_boundary)
+    u2 = trace_to_field(f, g).reshape(n + 1, n + 1)
+    assert np.array_equal(forward_solver._lift_transform(u2, g), slice_lift(u2, g))
+    assert np.array_equal(harmonic_extension(f, g), lifted_solve(np.zeros(g.num_nodes), f, g))
 
 
 @pytest.mark.parametrize("n", [8, 16, 33])

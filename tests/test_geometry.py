@@ -52,6 +52,19 @@ def test_every_boundary_node_has_unit_normal():
     assert np.all(norms == 1)
 
 
+def test_inward_nodes_step_against_the_normal():
+    # the first and second inward node of each boundary node sit one and two
+    # cells along -normal, so corners step along their preceding side; every
+    # array the grid derives is read-only
+    g = make_grid(7)
+    x, y = g.node_coords()
+    for steps, nodes in zip((1, 2), g.boundary_inward):
+        assert np.allclose(x[nodes], x[g.boundary_nodes] - steps * g.h * g.boundary_normals[:, 0])
+        assert np.allclose(y[nodes], y[g.boundary_nodes] - steps * g.h * g.boundary_normals[:, 1])
+    for a in (g.boundary_nodes, g.boundary_s, g.boundary_normals, g.boundary_inward):
+        assert not a.flags.writeable
+
+
 def test_boundary_integral_perimeter():
     for n in (4, 16, 33):
         g = make_grid(n)

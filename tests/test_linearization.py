@@ -67,8 +67,32 @@ def test_partitions_deterministic_order():
     assert partitions((3, 1, 2)) == partitions([1, 2, 3])
 
 
+def growth_string_partitions(size):
+    """Partitions of 0..size-1 from their restricted-growth strings, in
+    lexicographic order of the strings: position i is labelled with a block
+    number at most one above every label before it, and block b holds the
+    positions labelled b."""
+    def grow(labels, top):
+        if len(labels) == size:
+            yield labels
+            return
+        for label in range(top + 2):
+            yield from grow(labels + (label,), max(top, label))
+
+    return [tuple(tuple(i for i, label in enumerate(labels) if label == b)
+                  for b in range(max(labels) + 1))
+            for labels in grow((0,), 0)]
+
+
+def test_partitions_come_in_growth_string_order():
+    # the cascade sums its partition terms in this order, so its fields are
+    # bit for bit those of this order only
+    for size in range(1, 9):
+        assert partitions(range(size)) == growth_string_partitions(size)
+
+
 def test_partitions_returns_a_fresh_list():
-    # the enumeration is kept per sorted tuple; what a caller does to the
+    # the enumeration is kept per size; what a caller does to the
     # list it got does not reach the next call
     first = partitions((0, 1, 2))
     expected = list(first)

@@ -184,7 +184,7 @@ def test_folded_kernel_matches_dense_products(n, kind):
     m = n - 1
     folded = kind is _Fold
     sine, eig = sine_basis(g)
-    kernel = kind(g)
+    kernel = kind(n)
     rng = np.random.default_rng(n)
     x, y = rng.normal(size=(2, m, m))
     order = mode_order(g, folded)
@@ -358,6 +358,18 @@ def test_breakdown_on_indefinite_matrix():
     M = np.diag([1.0, -1.0])
     with pytest.raises(SolverError, match="breakdown"):
         solve_spd(lambda x: M @ x, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("scale", [1e300, np.nan], ids=["overflow", "nan"])
+def test_breakdown_on_non_finite_curvature(scale):
+    # an operator whose p @ A p overflows or is NaN stops CG at once,
+    # not after its 10 * len(b) iterations
+    b = np.full(100, 1e5)
+    steps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="breakdown"):
+            solve_spd(lambda x: scale * x, b, callback=steps.append)
+    assert len(steps) <= 2
 
 
 def test_iteration_cap_error_carries_residual():
