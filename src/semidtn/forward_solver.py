@@ -59,15 +59,8 @@ class SolveReport:
     iterations: int
     final_residual: float   # discrete L2 norm of -Lap u + V(x,u) on interior nodes
     boundary_norm: float    # max-norm of the Dirichlet data
-    solution_norm: float    # max-norm of the computed solution
     converged: bool
     residual_history: tuple[float, ...] = ()  # per-iterate residual norms, initial first
-
-
-def _with_interior(boundary_field: np.ndarray, interior: np.ndarray, grid: Grid2D) -> np.ndarray:
-    out = boundary_field.copy().reshape(grid.n + 1, grid.n + 1)
-    out[1:-1, 1:-1] = interior.reshape(grid.n - 1, grid.n - 1)
-    return out.ravel()
 
 
 def _stencil_rows(u: np.ndarray, grid: Grid2D, rows: np.ndarray) -> np.ndarray:
@@ -89,11 +82,6 @@ def _stencil_rows(u: np.ndarray, grid: Grid2D, rows: np.ndarray) -> np.ndarray:
     return rows.reshape(grid.n - 1, row)[:, 1:-1]
 
 
-def stencil_laplacian(u: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """(-Lap_h u) on interior nodes, using all stored node values."""
-    return _stencil_rows(u, grid, np.empty((grid.n - 1) * (grid.n + 1))).ravel()
-
-
 def _residual_into(P: PotentialSeries, u: np.ndarray, grid: Grid2D, rows: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
     """-Lap u + V(x,u) on interior nodes into the flat (n-1)^2 array ``out``,
@@ -104,12 +92,6 @@ def _residual_into(P: PotentialSeries, u: np.ndarray, grid: Grid2D, rows: np.nda
     P.interior_value(u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1], field)
     field += _stencil_rows(u, grid, rows)
     return out
-
-
-def semilinear_residual(P: PotentialSeries, u: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Interior residual field of -Lap u + V(x,u)."""
-    m = grid.n - 1
-    return _residual_into(P, u, grid, np.empty(m * (grid.n + 1)), np.empty(m * m))
 
 
 def _l2(r: np.ndarray, grid: Grid2D) -> float:
@@ -205,8 +187,7 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
         increases = 0
         for it in range(DEFAULT_MAX_NEWTON):
             if res_norm <= DEFAULT_NEWTON_TOL:
-                return u, SolveReport(it, res_norm, fnorm, float(np.abs(u).max()), True,
-                                      tuple(history))
+                return u, SolveReport(it, res_norm, fnorm, True, tuple(history))
             A = assemble(P.interior_slope(inner, slope), grid)
             inner -= from_sine(solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL), grid)
             new_norm = _l2(_residual_into(P, u, grid, rows, new_res), grid)
@@ -219,37 +200,7 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
     finally:
         free.append(work)
     if res_norm <= DEFAULT_NEWTON_TOL:
-        return u, SolveReport(DEFAULT_MAX_NEWTON, res_norm, fnorm, float(np.abs(u).max()),
-                              True, tuple(history))
+        return u, SolveReport(DEFAULT_MAX_NEWTON, res_norm, fnorm, True, tuple(history))
     raise NewtonError(f"Newton did not reach {DEFAULT_NEWTON_TOL} in {DEFAULT_MAX_NEWTON} "
                       f"iterations (residual {res_norm:.3e})", residual=res_norm)
 
-
-def newton_jacobian_check(P: PotentialSeries, u: np.ndarray, grid: Grid2D,
-                          relative: bool = False, n_directions: int = 10,
-                          tau: float = 1e-4, seed: int = 0) -> float:
-    """Certify the analytic Jacobian -Lap + dV/dz against finite differences.
-
-    Default mode returns the worst Taylor-remainder curvature
-    max ||R(u + tau d) - R(u) - tau J d||_inf / tau^2 over unit max-norm
-    interior directions d (bounded by half the second z-derivative of V).
-    ``relative`` instead returns the worst relative gap between the
-    divided difference (R(u + tau d) - R(u)) / tau and J d.
-    """
-    u = check_field(u, grid)
-    rng = np.random.default_rng(seed)
-    res0 = semilinear_residual(P, u, grid)
-    slope = P.interior_slope(u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]).ravel()
-    worst = 0.0
-    for _ in range(n_directions):
-        d_int = rng.uniform(-1.0, 1.0, grid.num_interior)
-        d_int /= np.max(np.abs(d_int))
-        d_field = _with_interior(np.zeros(grid.num_nodes), d_int, grid)
-        jd = stencil_laplacian(d_field, grid) + slope * d_int
-        res1 = semilinear_residual(P, u + tau * d_field, grid)
-        if relative:
-            gap = np.max(np.abs((res1 - res0) / tau - jd)) / max(np.max(np.abs(jd)), 1e-300)
-        else:
-            gap = np.max(np.abs(res1 - res0 - tau * jd)) / (tau * tau)
-        worst = max(worst, float(gap))
-    return worst

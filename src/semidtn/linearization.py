@@ -50,17 +50,6 @@ def _position_partitions(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
                                part + ((last,),)))
 
 
-def partitions(S) -> list[tuple[tuple[int, ...], ...]]:
-    """All set partitions of S, each a tuple of blocks, deterministic
-    restricted-growth-string order, in a fresh list. Guards |S| <= 8."""
-    elems = tuple(sorted(S))
-    if not 1 <= len(elems) <= MAX_PARTITION_SIZE:
-        raise ValueError(f"partition enumeration supports 1..{MAX_PARTITION_SIZE} "
-                         f"elements, got {len(elems)}")
-    return [tuple(tuple(elems[i] for i in block) for block in part)
-            for part in _position_partitions(len(elems))]
-
-
 @dataclass(frozen=True)
 class CascadeState:
     """Mixed amplitude-derivatives of the solution at zero boundary data.

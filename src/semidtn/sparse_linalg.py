@@ -160,16 +160,11 @@ class _Fold:
         return out
 
 
-def _kernel(grid: Grid2D) -> _Dense | _Fold:
-    """The Newton step's transform kernel of a grid: folded from FOLD_MIN_N
-    up, dense below. The switch is read here, at call time, so the kernels
-    are built once per kind and size."""
-    return _built_kernel(_Fold if grid.n >= FOLD_MIN_N else _Dense, grid.n)
-
-
 @functools.cache
-def _built_kernel(kind: type[_Dense | _Fold], n: int) -> _Dense | _Fold:
-    return kind(n)
+def _kernel(n: int) -> _Dense | _Fold:
+    """The Newton step's transform kernel of an n-cell grid: folded from
+    FOLD_MIN_N up, dense below; built once per size."""
+    return _Fold(n) if n >= FOLD_MIN_N else _Dense(n)
 
 
 def to_sine(r: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -177,7 +172,7 @@ def to_sine(r: np.ndarray, grid: Grid2D) -> np.ndarray:
     of a Newton step in scaled sine coordinates, flat, with modes in
     odd-then-even order from FOLD_MIN_N up."""
     m = grid.n - 1
-    kernel = _kernel(grid)
+    kernel = _kernel(grid.n)
     out = kernel.forward(r.reshape(m, m), np.empty((m, m)))
     out *= kernel.scale
     return out.ravel()
@@ -187,7 +182,7 @@ def from_sine(y: np.ndarray, grid: Grid2D) -> np.ndarray:
     """S (Lam^(-1/2) o y) S: the interior values, (n-1, n-1), of scaled sine
     coordinates y; the inverse of ``to_sine``."""
     m = grid.n - 1
-    kernel = _kernel(grid)
+    kernel = _kernel(grid.n)
     return kernel.inverse(kernel.scale * y.reshape(m, m), np.empty((m, m)))
 
 
@@ -218,7 +213,7 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
     # positional outputs and methods bound once cost less per call than the
     # out= keyword and attribute lookups on the small grids
     front, back = np.empty((m, m)), np.empty((m, m))
-    kernel = _kernel(grid)
+    kernel = _kernel(grid.n)
     scale, forward, inverse = kernel.scale, kernel.forward, kernel.inverse
 
     def apply(y: np.ndarray) -> np.ndarray:
@@ -264,23 +259,27 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
         np.copyto(p, r)
         rr = r @ r
         max_iter = 10 * b.size
-        for _ in range(max_iter):
-            if math.sqrt(rr) <= tol * norm_b:
-                return x
-            Ap = A(p)
-            pAp = p @ Ap
-            if not 0.0 < pAp < math.inf:  # NaN too
-                raise SolverError(f"CG breakdown: curvature p.Ap = {pAp:.3e} is not positive "
-                                  "and finite", residual=math.sqrt(rr) / norm_b)
-            alpha = rr / pAp
-            x += np.multiply(alpha, p, out=step)
-            r -= np.multiply(alpha, Ap, out=step)
-            rr_new = r @ r
-            p *= rr_new / rr
-            p += r
-            rr = rr_new
-            if callback is not None:
-                callback(x)
+        # an overflowing operator reaches the curvature test as inf or NaN,
+        # which raises SolverError; numpy's warnings on the way would only
+        # print that error's cause ahead of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(max_iter):
+                if math.sqrt(rr) <= tol * norm_b:
+                    return x
+                Ap = A(p)
+                pAp = p @ Ap
+                if not 0.0 < pAp < math.inf:  # NaN too
+                    raise SolverError(f"CG breakdown: curvature p.Ap = {pAp:.3e} is not positive "
+                                      "and finite", residual=math.sqrt(rr) / norm_b)
+                alpha = rr / pAp
+                x += np.multiply(alpha, p, out=step)
+                r -= np.multiply(alpha, Ap, out=step)
+                rr_new = r @ r
+                p *= rr_new / rr
+                p += r
+                rr = rr_new
+                if callback is not None:
+                    callback(x)
     finally:
         free.append(work)
     d = A(x) - b

@@ -2,18 +2,19 @@
 operator as a scipy sparse matrix, the Dirichlet lift by scatter and
 neighbour sum, and Newton with Poisson-preconditioned CG on the stencil.
 Also exact references for the in-place kernels: CG with a new array at
-every update, the stencil by 2-D slices, the rank-4 lift from edge strips
-cut by 2-D slices, the linear solve that always transforms its lift, and
-Newton with a new array at every step."""
+every update, the stencil and the semilinear residual by 2-D slices, the
+rank-4 lift from edge strips cut by 2-D slices, the linear solve that always
+transforms its lift, and Newton with a new array at every step. And the
+Jacobian certificate: the analytic Jacobian against finite differences of
+that residual."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from semidtn import forward_solver
-from semidtn.forward_solver import (LINEAR_TOL, SolveReport, harmonic_extension,
-                                    semilinear_residual)
+from semidtn.forward_solver import LINEAR_TOL, SolveReport, harmonic_extension
 from semidtn.geometry import check_field, check_trace, trace_to_field
-from semidtn.sparse_linalg import SolverError, _Fold, _kernel, _sine_modes, from_sine, to_sine
+from semidtn.sparse_linalg import SolverError, _Fold, _kernel
 
 
 def sine_basis(g):
@@ -64,7 +65,7 @@ def pcg_newton(P, f, g, newton_tol=1e-11, max_newton=25):
     u = harmonic_reference(f, g)
     inner = u.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]
     for it in range(max_newton + 1):
-        res = semilinear_residual(P, u, g)
+        res = residual(P, u, g)
         if g.h * np.linalg.norm(res) <= newton_tol:
             return u, it
         jacobian = five_point_operator(P.interior_slope(inner), g)
@@ -123,6 +124,42 @@ def slice_stencil(u, g):
     return lap.ravel()
 
 
+def residual(P, u, g):
+    """-Lap_h u + V(x,u) on interior nodes, flat, by ``slice_stencil``."""
+    interior = u.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]
+    return slice_stencil(u, g) + P.interior_value(interior).ravel()
+
+
+def jacobian_check(P, u, g, relative=False, n_directions=10, tau=1e-4, seed=0):
+    """Certify the analytic Jacobian -Lap_h + dV/dz at u against finite
+    differences of ``residual``.
+
+    Default mode returns the worst Taylor-remainder curvature
+    max ||R(u + tau d) - R(u) - tau J d||_inf / tau^2 over unit max-norm
+    interior directions d (bounded by half the second z-derivative of V).
+    ``relative`` instead returns the worst relative gap between the
+    divided difference (R(u + tau d) - R(u)) / tau and J d."""
+    u = check_field(u, g)
+    rng = np.random.default_rng(seed)
+    res0 = residual(P, u, g)
+    slope = P.interior_slope(u.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]).ravel()
+    worst = 0.0
+    for _ in range(n_directions):
+        d_int = rng.uniform(-1.0, 1.0, (g.n - 1) ** 2)
+        d_int /= np.max(np.abs(d_int))
+        d = np.zeros((g.n + 1, g.n + 1))
+        d[1:-1, 1:-1] = d_int.reshape(g.n - 1, g.n - 1)
+        d = d.ravel()
+        jd = slice_stencil(d, g) + slope * d_int
+        res1 = residual(P, u + tau * d, g)
+        if relative:
+            gap = np.max(np.abs((res1 - res0) / tau - jd)) / max(np.max(np.abs(jd)), 1e-300)
+        else:
+            gap = np.max(np.abs(res1 - res0 - tau * jd)) / (tau * tau)
+        worst = max(worst, float(gap))
+    return worst
+
+
 def slice_lift(u2, g):
     """S B S for the right-hand side B that the boundary values of the
     (n+1, n+1) field u2 give the interior equations, as a rank-4 product:
@@ -149,56 +186,58 @@ def lifted_solve(src, f, g):
     return v
 
 
-def allocating_newton(P, f, g):
+def allocating_newton(P, f, g, kernel=None):
     """``solve_semilinear``'s Newton loop with a new array at every update:
-    the residual from the 2-D-slice stencil, the sine-coordinate Jacobian
-    applied by transforms that each make a new array (dense products of its
-    own below FOLD_MIN_N, the grid's folded kernel from there up, as
-    ``to_sine`` hands it folded coordinates), and ``allocating_cg``. The
-    same operations in the same order as the loop with work arrays, which
-    must match it bit for bit; returns u and its SolveReport. Only for data
-    that converge: it has no divergence test."""
+    the residual from the 2-D-slice stencil, the sine-coordinate right-hand
+    side, step and Jacobian by transforms that each make a new array (dense
+    products of its own with a dense kernel's S, a folded kernel's own
+    methods, as they read folded coordinates), and ``allocating_cg``.
+    ``kernel`` is the grid's (``_kernel``) unless given. With the grid's
+    kernel, the same operations in the same order as the loop with work
+    arrays, which must match it bit for bit; returns u and its SolveReport.
+    Only for data that converge: it has no divergence test."""
     f = check_trace(f, g)
-    kernel = _kernel(g)
-    fold = kernel if isinstance(kernel, _Fold) else None
-    sine, _, scale = _sine_modes(g.n)
-    if fold is not None:
-        scale = fold.scale
-    m = g.n - 1
+    kernel = _kernel(g.n) if kernel is None else kernel
+    scale, m = kernel.scale, g.n - 1
 
-    def residual(u):
-        interior = u.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]
-        return slice_stencil(u, g) + P.interior_value(interior).ravel()
+    if isinstance(kernel, _Fold):
+        def forward(x):
+            return kernel.forward(x, np.empty((m, m)))
+
+        def inverse(y):
+            return kernel.inverse(y, np.empty((m, m)))
+    else:
+        def forward(x):
+            return kernel.sine @ x @ kernel.sine
+
+        inverse = forward
+
+    def to_sine(r):
+        w = forward(r.reshape(m, m))
+        w *= scale
+        return w.ravel()
 
     def jacobian(c):
         c = c.reshape(m, m)
 
         def apply(y):
-            y = y.reshape(m, m)
-            if fold is None:
-                w = sine @ (scale * y) @ sine
-                w *= c
-                w = sine @ w @ sine
-            else:
-                w = fold.inverse(scale * y, np.empty((m, m)))
-                w *= c
-                w = fold.forward(w, np.empty((m, m)))
-            w *= scale
-            w += y
-            return w.ravel()
+            w = inverse(scale * y.reshape(m, m))
+            w *= c
+            return to_sine(w) + y
 
         return apply
 
     u = harmonic_extension(f, g)
     inner = u.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]
-    res = residual(u)
+    res = residual(P, u, g)
     history = [float(g.h * np.linalg.norm(res))]
     for it in range(forward_solver.DEFAULT_MAX_NEWTON + 1):
         if history[-1] <= forward_solver.DEFAULT_NEWTON_TOL:
-            return u, SolveReport(it, history[-1], float(np.max(np.abs(f))),
-                                  float(np.max(np.abs(u))), True, tuple(history))
+            return u, SolveReport(it, history[-1], float(np.max(np.abs(f))), True,
+                                  tuple(history))
         A = jacobian(P.interior_slope(inner))
-        inner -= from_sine(allocating_cg(A, to_sine(res, g), tol=LINEAR_TOL), g)
-        res = residual(u)
+        step = allocating_cg(A, to_sine(res), tol=LINEAR_TOL)
+        inner -= inverse(scale * step.reshape(m, m))
+        res = residual(P, u, g)
         history.append(float(g.h * np.linalg.norm(res)))
     raise AssertionError("reference Newton did not converge")

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from semidtn import cli
 from semidtn.cli import ConfigError, _field_csv, load_config, main, run, validate
 from semidtn.geometry import make_grid
 from semidtn.harmonic import arc_supported_family
+from semidtn.reconstruction import ReconstructionConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -186,6 +188,24 @@ def test_readme_key_table_matches_keys():
         for name in names:
             assert readers == {s for s, keys in cli.READS.items() if name in keys}, name
     assert documented == set(cli.KEYS)
+
+
+def test_experiment_config_fields_are_the_keys():
+    # load_config passes every KEYS name to ExperimentConfig, k2..k8 as
+    # potential_exprs and lambda as lam, so a new KEYS row needs a field
+    names = {key for _, key in cli.KEYS} - {f"k{k}" for k in cli.POTENTIAL_ORDERS} - {"lambda"}
+    assert ({f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+            == names | {"potential_exprs", "lam", "manifest"})
+
+
+def test_reconstruction_defaults_are_the_keys_defaults():
+    # ReconstructionConfig repeats the KEYS defaults of the six keys it takes
+    defaults = {key: default for (_, key), (_, default, _, _) in cli.KEYS.items()}
+    given = {f.name: f.default for f in dataclasses.fields(ReconstructionConfig)
+             if f.default is not dataclasses.MISSING}
+    assert sorted(given) == ["basis_per_side", "eps", "family_size", "lam", "rows_factor",
+                             "seed"]
+    assert given == {name: defaults["lambda" if name == "lam" else name] for name in given}
 
 
 def _rejected(tmp_path, text, named):
@@ -638,6 +658,24 @@ def test_reconstruction_with_noise_stays_finite(tmp_path, capsys):
     other = edited(GOOD_CONFIG.format(out=out), ("eps = 0.01", "eps = 0.01\nnoise_sigma = 0.001"))
     assert validate(write_config(tmp_path, other, "other.cfg")) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_overflowing_newton_step_exits_1_with_one_error_line(tmp_path):
+    # k2 = 1e150 overflows the Newton step's curvature p.Ap, and CG stops at
+    # it; stderr holds the JSON error line alone, no numpy warning before it.
+    # A fresh interpreter shows warnings as a shipped run does, where pytest
+    # would turn them into errors
+    cfg = edited((ROOT / "configs" / "reconstruction_half_boundary.cfg").read_text(),
+                 ("n = 64", "n = 32"),
+                 ("k2 = exp(-4*((x-0.4)**2 + (y-0.6)**2))", "k2 = 1e150"))
+    env = dict(os.environ, SEMIDTN_OUTPUT_DIR=str(tmp_path / "out"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "semidtn.cli", "run", str(write_config(tmp_path, cfg))],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "CG breakdown" in json.loads(lines[0])["error"]
 
 
 def test_console_entry_point(tmp_path):

@@ -3,13 +3,14 @@ import copy
 import numpy as np
 import pytest
 
-from five_point import (allocating_newton, five_point_operator, harmonic_reference, lift_rhs,
-                        lifted_solve, sine_basis, slice_lift, slice_stencil)
+import five_point
+from five_point import (allocating_cg, allocating_newton, five_point_operator, harmonic_reference,
+                        jacobian_check, lift_rhs, lifted_solve, residual, sine_basis, slice_lift,
+                        slice_stencil)
 from semidtn.dtn import bump_trace, dtn_apply, normal_derivative
 from semidtn import forward_solver, sparse_linalg
 from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
-                                    newton_jacobian_check, semilinear_residual,
-                                    solve_linear, solve_semilinear, stencil_laplacian)
+                                    solve_linear, solve_semilinear)
 from semidtn.geometry import arc_mask, make_grid, trace_to_field
 from semidtn.potential import PotentialSeries, sample_expression
 from semidtn.sparse_linalg import assemble, from_sine, solve_spd, to_sine
@@ -31,6 +32,17 @@ def full_k4_series(grid):
     """V2, V3 and V4 of perfbench's full-arc K=4 reconstruction
     (perfbench/configs/recon_full_k4_n32.cfg)."""
     return half_arc_series(grid).with_coefficient(4, sample_expression("1 + x*y", grid))
+
+
+def counting(solve, counts):
+    """``solve`` that appends each call's CG iteration count to ``counts``."""
+    def counted(A, b, tol=1e-10, callback=None):
+        steps = []
+        x = solve(A, b, tol=tol, callback=steps.append)
+        counts.append(len(steps))
+        return x
+
+    return counted
 
 
 def torsion_center_value(terms: int = 199) -> float:
@@ -63,7 +75,7 @@ def test_constant_solution_with_reaction():
     # system is solved in scaled sine coordinates
     g = make_grid(8)
     lift = trace_to_field(np.ones(g.num_boundary), g)
-    b = 1.0 - stencil_laplacian(lift, g)
+    b = 1.0 - slice_stencil(lift, g)
     y = solve_spd(assemble(np.ones(g.num_interior), g), to_sine(b, g), tol=LINEAR_TOL)
     assert np.max(np.abs(from_sine(y, g) - 1.0)) <= 1e-9
 
@@ -99,7 +111,7 @@ def test_poisson_direct_solve_matches_iterative():
     reference = solve_spd(lambda x: A @ x, interior, tol=LINEAR_TOL)
     v_int = v.reshape(17, 17)[1:-1, 1:-1].ravel()
     assert np.max(np.abs(v_int - reference)) <= 1e-10 * np.max(np.abs(reference))
-    assert np.max(np.abs(stencil_laplacian(v, g) - interior)) <= 1e-10 * np.max(np.abs(interior))
+    assert np.max(np.abs(slice_stencil(v, g) - interior)) <= 1e-10 * np.max(np.abs(interior))
 
 
 def test_newton_step_cg_converges_in_few_iterations(monkeypatch):
@@ -110,14 +122,7 @@ def test_newton_step_cg_converges_in_few_iterations(monkeypatch):
     g = make_grid(64)
     P = half_arc_series(g)
     counts = []
-
-    def counting_solve(A, b, tol=1e-10, callback=None):
-        steps = []
-        x = solve_spd(A, b, tol=tol, callback=steps.append)
-        counts.append(len(steps))
-        return x
-
-    monkeypatch.setattr(forward_solver, "solve_spd", counting_solve)
+    monkeypatch.setattr(forward_solver, "solve_spd", counting(solve_spd, counts))
     for f in (np.full(g.num_boundary, 0.1), np.full(g.num_boundary, -0.1),
               bump_trace(g, 0.5, 0.3, 0.1), bump_trace(g, 1.5, 0.5, -0.1)):
         _, report = solve_semilinear(P, f, g)
@@ -186,39 +191,28 @@ def test_returned_arrays_survive_next_measurement(n):
 @pytest.mark.parametrize("n", [128, 256])
 def test_folded_newton_step_matches_dense_products(n, monkeypatch):
     # from FOLD_MIN_N up the Newton step transforms through the folded
-    # kernel; with the switch moved above the grid it runs the dense
-    # products (the two runs must see different kernels, not one cached
-    # per size). On divided-difference inputs with the half-arc V2 and V3
-    # both make the same Newton steps, 3 CG iterations each, and the same
-    # measurement to rounding of its largest value
-    assert n >= sparse_linalg.FOLD_MIN_N
+    # kernel; the reference Newton given a dense kernel of the same size runs
+    # the dense products. On divided-difference inputs with the half-arc V2
+    # and V3 both make the same Newton steps, 3 CG iterations each, and the
+    # same measurement to rounding of its largest value
+    assert isinstance(sparse_linalg._kernel(n), sparse_linalg._Fold)
     g = make_grid(n)
     mask = arc_mask(g, 0.0, 2.0)
     P = half_arc_series(g)
     a, b, c = (bump_trace(g, s, w) for s, w in ((0.5, 0.5), (1.25, 0.25), (1.5, 0.5)))
     traces = (0.01 * (a + b - c), 0.01 * (-a + b + c))
-    counts = []
-
-    def counting_solve(A, b, tol=1e-10, callback=None):
-        steps = []
-        x = solve_spd(A, b, tol=tol, callback=steps.append)
-        counts.append(len(steps))
-        return x
-
-    monkeypatch.setattr(forward_solver, "solve_spd", counting_solve)
+    folded_counts, counts = [], []
+    monkeypatch.setattr(forward_solver, "solve_spd", counting(solve_spd, folded_counts))
     folded = [dtn_apply(P, f, mask, g) for f in traces]
-    folded_counts = counts[:]
-    kinds = [type(sparse_linalg._kernel(g))]
-    counts.clear()
-    monkeypatch.setattr(sparse_linalg, "FOLD_MIN_N", n + 1)
-    dense = [dtn_apply(P, f, mask, g) for f in traces]
-    kinds.append(type(sparse_linalg._kernel(g)))
-    assert kinds == [sparse_linalg._Fold, sparse_linalg._Dense]
+    monkeypatch.setattr(five_point, "allocating_cg", counting(allocating_cg, counts))
+    dense = [allocating_newton(P, f, g, sparse_linalg._Dense(n)) for f in traces]
     assert counts == folded_counts
     assert len(counts) >= 2 and set(counts) == {3}
-    for fs, ds in zip(folded, dense):
-        assert fs.report.iterations == ds.report.iterations
-        assert np.max(np.abs(fs.output - ds.output)) <= 1e-15 * np.max(np.abs(ds.output))
+    for fs, (u, report) in zip(folded, dense):
+        assert fs.report.iterations == report.iterations
+        out = normal_derivative(u, g)
+        out[~mask.flags] = 0.0
+        assert np.max(np.abs(fs.output - out)) <= 1e-15 * np.max(np.abs(out))
 
 
 @pytest.mark.parametrize("n", [8, 16, 33])
@@ -259,7 +253,8 @@ def test_contiguous_stencil_is_exact(n):
     # the 2-D-slice stencil bit for bit
     g = make_grid(n)
     u = np.random.default_rng(n).normal(size=g.num_nodes)
-    assert np.array_equal(stencil_laplacian(u, g), slice_stencil(u, g))
+    rows = forward_solver._stencil_rows(u, g, np.empty((n - 1) * (n + 1)))
+    assert np.array_equal(rows.ravel(), slice_stencil(u, g))
 
 
 def test_zero_trace_solve_skips_lift_exactly():
@@ -366,11 +361,10 @@ def test_maximum_principle_smoke():
     assert np.min(u) >= -10.0 * 1e-11
 
 
-def test_report_solution_norm_tracked():
+def test_report_boundary_norm_tracked():
     g = make_grid(16)
     P = const_series(g, k2=1.0)
-    u, report = solve_semilinear(P, np.full(g.num_boundary, 0.05), g)
-    assert report.solution_norm == pytest.approx(np.max(np.abs(u)))
+    _, report = solve_semilinear(P, np.full(g.num_boundary, 0.05), g)
     assert report.boundary_norm == pytest.approx(0.05)
 
 
@@ -380,7 +374,7 @@ def test_jacobian_check_linear_case_is_roundoff():
     u = harmonic_extension(f, g)
     # residual is linear in u; the remainder is floating-point noise divided
     # by tau^2 = 1e-8, so "round-off" lands well below 1e-4
-    assert newton_jacobian_check(PotentialSeries.zero(g), u, g) <= 1e-4
+    assert jacobian_check(PotentialSeries.zero(g), u, g) <= 1e-4
 
 
 def test_jacobian_check_curvature_bound():
@@ -389,7 +383,7 @@ def test_jacobian_check_curvature_bound():
     f = bump_trace(g, 0.5, 0.3, 0.05)
     u, _ = solve_semilinear(P, f, g)
     # second z-derivative of z^2/2 is 1, so the curvature ratio is at most 1/2
-    assert newton_jacobian_check(P, u, g) <= 0.5 + 1e-3
+    assert jacobian_check(P, u, g) <= 0.5 + 1e-3
 
 
 def test_jacobian_check_independent_of_state_for_quadratic():
@@ -397,8 +391,8 @@ def test_jacobian_check_independent_of_state_for_quadratic():
     P = const_series(g, k2=1.0)
     f = bump_trace(g, 0.5, 0.3, 0.05)
     u, _ = solve_semilinear(P, f, g)
-    a = newton_jacobian_check(P, u, g)
-    b = newton_jacobian_check(P, 0.5 * u, g)
+    a = jacobian_check(P, u, g)
+    b = jacobian_check(P, 0.5 * u, g)
     assert a == pytest.approx(b, abs=2e-4)
 
 
@@ -408,7 +402,7 @@ def test_residual_field_vanishes_at_solution():
     P = PotentialSeries.from_coefficients(g, {2: 1.0 + g_x})
     f = bump_trace(g, 0.5, 0.3, 0.05)
     u, report = solve_semilinear(P, f, g)
-    res = semilinear_residual(P, u, g)
+    res = residual(P, u, g)
     assert g.h * np.linalg.norm(res) <= 1e-11
 
 
@@ -418,8 +412,7 @@ def test_interior_forcing_consistency():
     g = make_grid(16)
     x, y = g.node_coords()
     v_exact = np.sin(np.pi * x) * np.sin(np.pi * y)
-    from semidtn.forward_solver import stencil_laplacian
-    rhs_int = stencil_laplacian(v_exact, g)
+    rhs_int = slice_stencil(v_exact, g)
     rhs = np.zeros(g.num_nodes)
     rhs.reshape(17, 17)[1:-1, 1:-1] = rhs_int.reshape(15, 15)
     v = solve_linear(rhs, v_exact[g.boundary_nodes], g)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from semidtn.dtn import bump_trace, dtn_apply, measurement, normal_derivative
-from semidtn.forward_solver import harmonic_extension, solve_linear, stencil_laplacian
+from five_point import slice_stencil
+from semidtn.forward_solver import harmonic_extension, solve_linear
 from semidtn.geometry import arc_mask, full_mask, make_grid
 from semidtn.harmonic import arc_supported_family
-from semidtn.linearization import (DirectionStore, check_difference_gate,
+from semidtn.linearization import (DirectionStore, _position_partitions, check_difference_gate,
                                    measured_linearized_flux, nonlinearity_derivative,
-                                   partitions, run_cascade)
+                                   run_cascade)
 from semidtn.potential import PotentialSeries, sample_expression
 from semidtn.reconstruction import ReconstructionConfig, reconstruct_all
 
@@ -42,29 +43,25 @@ def brute_force_partitions(elems):
 # ---------- partitions ----------
 
 def test_partitions_singleton():
-    assert partitions([1]) == [((1,),)]
+    assert _position_partitions(1) == (((0,),),)
 
 
 def test_partitions_pair():
-    got = partitions([1, 2])
+    got = _position_partitions(2)
     assert len(got) == 2
-    assert ((1, 2),) in got
-    assert ((1,), (2,)) in got
+    assert ((0, 1),) in got
+    assert ((0,), (1,)) in got
 
 
 def test_partition_counts_match_bell_numbers():
     for size in range(1, 6):
-        assert len(partitions(range(size))) == BELL[size]
+        assert len(_position_partitions(size)) == BELL[size]
 
 
 def test_partitions_match_brute_force_oracle():
-    got = {frozenset(frozenset(b) for b in p) for p in partitions(range(4))}
+    got = {frozenset(frozenset(b) for b in p) for p in _position_partitions(4)}
     assert got == brute_force_partitions(range(4))
     assert len(got) == 15
-
-
-def test_partitions_deterministic_order():
-    assert partitions((3, 1, 2)) == partitions([1, 2, 3])
 
 
 def growth_string_partitions(size):
@@ -88,28 +85,18 @@ def test_partitions_come_in_growth_string_order():
     # the cascade sums its partition terms in this order, so its fields are
     # bit for bit those of this order only
     for size in range(1, 9):
-        assert partitions(range(size)) == growth_string_partitions(size)
-
-
-def test_partitions_returns_a_fresh_list():
-    # the enumeration is kept per size; what a caller does to the
-    # list it got does not reach the next call
-    first = partitions((0, 1, 2))
-    expected = list(first)
-    first.pop()
-    first[0] = None
-    assert partitions([2, 1, 0]) == expected
-    assert len(expected) == BELL[3]
-
-
-def test_partitions_guard():
-    with pytest.raises(ValueError):
-        partitions(range(9))
-    with pytest.raises(ValueError):
-        partitions([])
+        assert list(_position_partitions(size)) == growth_string_partitions(size)
 
 
 # ---------- nonlinearity derivative ----------
+
+def test_nonlinearity_derivative_guard():
+    # the partition sum runs over 2..MAX_PARTITION_SIZE labels only
+    P = const_series(make_grid(8), k2=1.0)
+    for labels in ((), (0,), tuple(range(9))):
+        with pytest.raises(ValueError, match="needs 2..8 slots"):
+            nonlinearity_derivative(P, labels, {})
+
 
 def test_pair_derivative_is_quadratic_coefficient_times_product():
     g = make_grid(8)
@@ -166,7 +153,7 @@ def test_cascade_pair_solves_stated_equation():
     w = state.field((0, 1))
     assert not w[g.boundary_nodes].any()
     v1v2 = state.field([0]) * state.field([1])
-    res = stencil_laplacian(w, g) + (P.coefficient(2) * v1v2).reshape(17, 17)[1:-1, 1:-1].ravel()
+    res = slice_stencil(w, g) + (P.coefficient(2) * v1v2).reshape(17, 17)[1:-1, 1:-1].ravel()
     assert g.h * np.linalg.norm(res) <= 1e-9
 
 
@@ -197,7 +184,7 @@ def test_cascade_singletons_are_harmonic_with_given_trace():
     state = run_cascade(const_series(g, k2=1.0), [f], g)
     v = state.field([0])
     assert np.allclose(v[g.boundary_nodes], f, atol=1e-14)
-    assert g.h * np.linalg.norm(stencil_laplacian(v, g)) <= 1e-9
+    assert g.h * np.linalg.norm(slice_stencil(v, g)) <= 1e-9
 
 
 def test_cascade_multi_slot_fields_vanish_on_boundary():
