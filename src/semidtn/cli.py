@@ -17,7 +17,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,32 +38,37 @@ OUTPUT_DIR_ENV = "SEMIDTN_OUTPUT_DIR"
 # solves any order; kmax, the highest order differentiated, stops at MAX_ORDER).
 POTENTIAL_ORDERS = range(2, 9)
 REQUIRED = object()
+EVERY_SCENARIO = object()  # the readers of a key that every scenario reads
 
 # Every config key, in the order load_config reads them (the README key
-# table): (section, key) -> (cast, default, check, rule). A REQUIRED key
-# has no default; a callable default is computed from the values read
-# before it. A check is a predicate on the value and the values read before
-# it (None accepts any), and rule says what it accepts. The caps keep a
-# config from making a run allocate or measure without limit (the shipped
-# configs use family_size 12, basis_per_side 6 and rows_factor 3), and every
-# sample a scenario takes stays within the smallness radius.
+# table): (section, key) -> (cast, default, check, rule, readers). A
+# REQUIRED key has no default; a callable default is computed from the
+# values read before it. A check is a predicate on the value and the values
+# read before it (None accepts any), and rule says what it accepts. readers
+# are the scenarios that read the key (READS): a config may set no other.
+# The caps keep a config from making a run allocate or measure without limit
+# (the shipped configs use family_size 12, basis_per_side 6 and rows_factor
+# 3), and every sample a scenario takes stays within the smallness radius.
 KEYS = {
     ("experiment", "scenario"): (str, REQUIRED, lambda s, _: s in SCENARIOS,
-                                 "a name that `semidtn list-scenarios` prints"),
-    ("experiment", "output_dir"): (str, REQUIRED, None, "a directory"),
-    ("experiment", "seed"): (int, 0, lambda s, _: s >= 0, "an integer >= 0"),
+                                 "a name that `semidtn list-scenarios` prints", EVERY_SCENARIO),
+    ("experiment", "output_dir"): (str, REQUIRED, None, "a directory", EVERY_SCENARIO),
+    ("experiment", "seed"): (int, 0, lambda s, _: s >= 0, "an integer >= 0",
+                             ("identity_check", "reconstruction")),
     ("grid", "n"): (int, 64, lambda n, v: 8 <= n <= (
         64 if v["scenario"] == "forward_convergence" else 256),
         "an integer in [8, 256], and at most 64 for forward_convergence, "
-        "which also solves on 2n and 4n"),
-    ("arc", "s0"): (float, 0.0, lambda s, _: 0.0 <= s < 4.0, "in [0, 4)"),
-    ("arc", "s1"): (float, 4.0, lambda s, v: 0.0 < s - v["s0"] <= 4.0, "above s0 by at most 4"),
-    **{("potential", f"k{k}"): (str, None, None, "a coefficient expression")
+        "which also solves on 2n and 4n", EVERY_SCENARIO),
+    ("arc", "s0"): (float, 0.0, lambda s, _: 0.0 <= s < 4.0, "in [0, 4)", EVERY_SCENARIO),
+    ("arc", "s1"): (float, 4.0, lambda s, v: 0.0 < s - v["s0"] <= 4.0, "above s0 by at most 4",
+                    EVERY_SCENARIO),
+    **{("potential", f"k{k}"): (str, None, None, "a coefficient expression", EVERY_SCENARIO)
        for k in POTENTIAL_ORDERS},
     ("reconstruction", "kmax"): (
         int, lambda v: min(max((k for k in POTENTIAL_ORDERS if v[f"k{k}"] is not None),
                                default=2), MAX_ORDER),
-        lambda k, _: 2 <= k <= MAX_ORDER, f"an integer in [2, {MAX_ORDER}]"),
+        lambda k, _: 2 <= k <= MAX_ORDER, f"an integer in [2, {MAX_ORDER}]",
+        ("linearization_check", "identity_check", "reconstruction")),
     # identity_check may repeat a member kmax times, so an order-kmax
     # difference (a bump of peak 1) reaches kmax eps; the reconstruction
     # measures along mean directions up to t = 3 eps
@@ -70,26 +76,31 @@ KEYS = {
         float, 0.01, lambda e, v: 0.0 < e <= 0.05 and DEFAULT_SMALLNESS_RADIUS >= e * {
             "identity_check": v["kmax"], "reconstruction": 3}.get(v["scenario"], 1),
         f"in (0, 0.05], with kmax eps (identity_check) and 3 eps (reconstruction) "
-        f"at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}"),
+        f"at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}",
+        ("linearization_check", "identity_check", "reconstruction")),
     ("measurement", "noise_sigma"): (float, 0.0, lambda s, _: 0.0 <= s < math.inf,
-                                     "finite and >= 0"),
+                                     "finite and >= 0", ("identity_check", "reconstruction")),
     ("reconstruction", "family_size"): (int, 12, lambda k, _: 1 <= k <= 32,
-                                        "an integer in [1, 32]"),
+                                        "an integer in [1, 32]",
+                                        ("identity_check", "reconstruction")),
     ("reconstruction", "basis_per_side"): (int, 6, lambda k, _: 2 <= k <= 12,
-                                           "an integer in [2, 12]"),
+                                           "an integer in [2, 12]", ("reconstruction",)),
     ("reconstruction", "rows_factor"): (int, 3, lambda k, _: 1 <= k <= 10,
-                                        "an integer in [1, 10]"),
+                                        "an integer in [1, 10]", ("reconstruction",)),
     ("reconstruction", "lambda"): (lambda raw: None if raw in ("auto", "") else float(raw),
                                    None, lambda w, _: w is None or 0.0 <= w < math.inf,
-                                   "'auto' or a finite number >= 0"),
-    ("extras", "tuples"): (int, 20, lambda t, _: 1 <= t <= 1000, "an integer in [1, 1000]"),
+                                   "'auto' or a finite number >= 0", ("reconstruction",)),
+    ("extras", "tuples"): (int, 20, lambda t, _: 1 <= t <= 1000, "an integer in [1, 1000]",
+                           ("identity_check",)),
     ("extras", "bump_amplitude"): (
         float, 0.05, lambda a, _: 0.0 < abs(a) <= DEFAULT_SMALLNESS_RADIUS,
-        f"nonzero with magnitude at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}"),
+        f"nonzero with magnitude at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}",
+        ("forward_convergence",)),
     # 0.3 of the arc keeps the bump shoulders resolved on the coarsest grid;
     # the width is capped at half the boundary walk
     ("extras", "bump_width"): (float, lambda v: min(0.3 * (v["s1"] - v["s0"]), 0.45),
-                               lambda w, _: 0.0 < w <= 2.0, "in (0, 2]"),
+                               lambda w, _: 0.0 < w <= 2.0, "in (0, 2]",
+                               ("forward_convergence",)),
 }
 
 # Printed by run and validate for a reconstruction config with noise_sigma > 0;
@@ -105,29 +116,18 @@ class ConfigError(ValueError):
     """Config file failed to parse or validate."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The values of the KEYS table, and as ``manifest`` those of the keys
-    the scenario reads, under their KEYS names."""
+def _field(section: str, key: str) -> str:
+    """The ExperimentConfig field that holds a key's value: the orders
+    k2..k8 are gathered as potential_exprs (order -> expression, for the
+    orders the config gives), and lambda, a Python keyword, is read as lam."""
+    return "potential_exprs" if section == "potential" else "lam" if key == "lambda" else key
 
-    scenario: str
-    output_dir: str
-    seed: int
-    n: int
-    s0: float
-    s1: float
-    potential_exprs: dict[int, str]
-    kmax: int
-    eps: float
-    noise_sigma: float
-    family_size: int
-    basis_per_side: int
-    rows_factor: int
-    lam: float | None
-    tuples: int
-    bump_amplitude: float
-    bump_width: float
-    manifest: dict[str, object]
+
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig", [*dict.fromkeys(_field(*name) for name in KEYS), "manifest"],
+    frozen=True, namespace={"__module__": __name__, "__doc__": (
+        "The values of the KEYS table, one field per key (see _field), and as "
+        "``manifest`` those of the keys the scenario reads, under their KEYS names.")})
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -155,7 +155,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         given["experiment", "output_dir"] = env_dir
 
     values: dict[str, object] = {}
-    for (section, key), (cast, default, check, rule) in KEYS.items():
+    for (section, key), (cast, default, check, rule, _) in KEYS.items():
         raw = given.get((section, key))
         if raw is None and default is REQUIRED:
             raise ConfigError(f"missing required key [{section}] {key}")
@@ -172,10 +172,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if ignored := [f"[{s}] {k}" for s, k in given if k not in READS[value]]:
                 raise ConfigError(f"{ignored[0]} is not read by scenario {value}")
     manifest = {key: value for key, value in values.items() if key in READS[values["scenario"]]}
-    exprs = {k: values.pop(f"k{k}") for k in POTENTIAL_ORDERS}
-    return ExperimentConfig(
-        potential_exprs={k: expr for k, expr in exprs.items() if expr is not None},
-        lam=values.pop("lambda"), manifest=manifest, **values)
+    fields = {"potential_exprs": {}, "manifest": manifest}
+    for (section, key), value in zip(KEYS, values.values()):
+        if section != "potential":
+            fields[_field(section, key)] = value
+        elif value is not None:
+            fields["potential_exprs"][int(key[1:])] = value
+    return ExperimentConfig(**fields)
 
 
 def _truth_series(cfg: ExperimentConfig, grid: Grid2D) -> PotentialSeries:
@@ -190,13 +193,14 @@ def _truth_series(cfg: ExperimentConfig, grid: Grid2D) -> PotentialSeries:
 
 @dataclass(frozen=True)
 class _Setup:
-    """The grid, arc, truth and harmonic family (None for forward_convergence,
-    which uses none) that a scenario runs on."""
+    """The grid, arc, truth, harmonic family (None for forward_convergence,
+    which uses none) and measurement device that a scenario runs on."""
 
     grid: Grid2D
     mask: ArcMask
     truth: PotentialSeries
     family: tuple[HarmonicMember, ...] | None
+    measure: Callable[[np.ndarray], np.ndarray]
 
 
 def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
@@ -205,7 +209,9 @@ def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
     Raises ConfigError, naming the keys behind each check made here: the
     expression, arc and family builders' own checks, and the smallness gate
     of every linearization_check difference. A noisy reconstruction config
-    passes with ``NOISE_WARNING`` on stderr."""
+    passes with ``NOISE_WARNING`` on stderr, and one with a small family
+    with a warning line. The device's noise is seeded with the config seed +
+    10000; noise_sigma is 0 in the scenarios that do not read it."""
     cfg = load_config(config_path)
     grid = make_grid(cfg.n)
     truth = _truth_series(cfg, grid)
@@ -229,7 +235,12 @@ def _prepare(config_path: str | Path) -> tuple[ExperimentConfig, _Setup]:
     if cfg.scenario == "reconstruction" and cfg.noise_sigma > 0.0:
         print(json.dumps({"warning": NOISE_WARNING, "noise_sigma": cfg.noise_sigma}),
               file=sys.stderr)
-    return cfg, _Setup(grid, mask, truth, family)
+    if cfg.scenario == "reconstruction" and cfg.family_size < cfg.basis_per_side ** 2 / 3:
+        print(json.dumps({"warning": "family_size is below basis_per_side^2 / 3, small for "
+                          "the order-2 basis", "family_size": cfg.family_size,
+                          "basis_per_side": cfg.basis_per_side}), file=sys.stderr)
+    measure = measurement(truth, mask, grid, cfg.noise_sigma, cfg.seed + 10_000)
+    return cfg, _Setup(grid, mask, truth, family, measure)
 
 
 def _write_json(path: Path, value) -> None:
@@ -284,11 +295,10 @@ def _linearization_differences(cfg: ExperimentConfig, family: tuple[HarmonicMemb
 
 def _scenario_linearization_check(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
     grid, mask, truth = setup.grid, setup.mask, setup.truth
-    measure = measurement(truth, mask, grid)  # noise-free: the check reads truncation
     summary = {}
     rows = []
     for m, fs, eps in _linearization_differences(cfg, setup.family):
-        dd = measured_linearized_flux(measure, fs, eps, mask, grid)
+        dd = measured_linearized_flux(setup.measure, fs, eps, mask, grid)
         state = run_cascade(truth, fs, grid)
         flux = normal_derivative(state.field(range(m)), grid)
         flux[~mask.flags] = 0.0
@@ -307,7 +317,6 @@ def _scenario_linearization_check(cfg: ExperimentConfig, setup: _Setup, out: Pat
 
 def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
     grid, mask, truth, family = setup.grid, setup.mask, setup.truth, setup.family
-    measure = measurement(truth, mask, grid, cfg.noise_sigma, cfg.seed + 10_000)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     max_gap = 0.0
@@ -318,7 +327,7 @@ def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
         for t in range(cfg.tuples):
             idx = rng.integers(0, len(family), size=m + 1)
             members = [family[i] for i in idx]
-            value = measured_moment(measure, members, cfg.eps, mask, grid, known)
+            value = measured_moment(setup.measure, members, cfg.eps, mask, grid, known)
             prod = truth.coefficient(m).copy()
             for mem in members:
                 prod *= mem.field
@@ -342,12 +351,11 @@ def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
 
 def _scenario_reconstruction(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
     grid, mask, truth = setup.grid, setup.mask, setup.truth
-    measure = measurement(truth, mask, grid, cfg.noise_sigma, cfg.seed + 10_000)
     rconf = ReconstructionConfig(grid, mask, eps=cfg.eps, family_size=cfg.family_size,
                                  basis_per_side=cfg.basis_per_side,
                                  rows_factor=cfg.rows_factor, lam=cfg.lam,
                                  seed=cfg.seed)
-    result = reconstruct_all(measure, cfg.kmax, rconf, truth=truth, family=setup.family)
+    result = reconstruct_all(setup.measure, cfg.kmax, rconf, truth=truth, family=setup.family)
     _write_json(out / "stages.json", [s.to_dict() for s in result.stages])
     for m in range(2, cfg.kmax + 1):
         _field_csv(out / f"coefficient_k{m}.csv", grid,
@@ -361,17 +369,10 @@ SCENARIOS = {
     "reconstruction": _scenario_reconstruction,
 }
 
-# The KEYS names each scenario reads: every one reads the grid, the arc, the
-# coefficient expressions and its own name and output directory
-READ_BY_ALL = ("scenario", "output_dir", "n", "s0", "s1", *(f"k{k}" for k in POTENTIAL_ORDERS))
-READS = {
-    "forward_convergence": {*READ_BY_ALL, "bump_amplitude", "bump_width"},
-    "linearization_check": {*READ_BY_ALL, "kmax", "eps"},
-    "identity_check": {*READ_BY_ALL, "seed", "kmax", "eps", "noise_sigma", "family_size",
-                       "tuples"},
-    "reconstruction": {*READ_BY_ALL, "seed", "kmax", "eps", "noise_sigma", "family_size",
-                       "basis_per_side", "rows_factor", "lambda"},
-}
+# The KEYS names each scenario reads, from the readers of each KEYS row
+READS = {scenario: {key for (_, key), (*_, readers) in KEYS.items()
+                    if readers is EVERY_SCENARIO or scenario in readers}
+         for scenario in SCENARIOS}
 
 
 def run(config_path: str | Path) -> int:

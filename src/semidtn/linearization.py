@@ -29,7 +29,6 @@ from .forward_solver import DEFAULT_SMALLNESS_RADIUS, harmonic_extension, solve_
 from .geometry import ArcMask, Grid2D, check_trace
 from .potential import PotentialSeries
 
-MAX_PARTITION_SIZE = 8
 # Highest order the program differentiates: a direction's four samples in
 # ``DirectionStore`` resolve the Taylor coefficients F_2..F_4 and no more.
 MAX_ORDER = 4
@@ -78,8 +77,8 @@ def nonlinearity_derivative(P: PotentialSeries, S, derivs: dict) -> np.ndarray:
     has a two-block partition, so the sum is never empty.
     """
     S = tuple(sorted(S))
-    if not 2 <= len(S) <= MAX_PARTITION_SIZE:
-        raise ValueError(f"nonlinearity derivative needs 2..{MAX_PARTITION_SIZE} slots, "
+    if not 2 <= len(S) <= MAX_ORDER:
+        raise ValueError(f"nonlinearity derivative needs 2..{MAX_ORDER} slots, "
                          f"got {len(S)}")
     out = None
     for part in _position_partitions(len(S)):

@@ -47,7 +47,6 @@ stage.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from itertools import combinations_with_replacement
@@ -281,9 +280,6 @@ def assemble_system(family: tuple[HarmonicMember, ...], m: int, basis: CoeffBasi
         raise ValueError("moment systems start at order 2")
     if len(family) == 0:
         raise ValueError("family is empty")
-    if len(family) < basis.size / (m + 1):
-        warnings.warn(f"family of {len(family)} is small for a {basis.size}-dim basis",
-                      stacklevel=2)
     low = _truncated(known, m, grid)
     arc = np.flatnonzero(mask.flags)
     p = basis.size

@@ -190,9 +190,22 @@ def test_readme_key_table_matches_keys():
     assert documented == set(cli.KEYS)
 
 
+def test_every_reader_is_a_scenario():
+    # a misspelt reader would make its key exit 2 in every config that sets
+    # it; the grid, the arc, the orders and the scenario's own name and
+    # output directory are read by every scenario
+    for name, (*_, readers) in cli.KEYS.items():
+        if readers is not cli.EVERY_SCENARIO:
+            assert readers and set(readers) <= set(cli.SCENARIOS), name
+    every = {"scenario", "output_dir", "n", "s0", "s1", *(f"k{k}" for k in range(2, 9))}
+    assert set.intersection(*cli.READS.values()) == every
+    assert {key for (_, key), (*_, readers) in cli.KEYS.items()
+            if readers is cli.EVERY_SCENARIO} == every
+
+
 def test_experiment_config_fields_are_the_keys():
-    # load_config passes every KEYS name to ExperimentConfig, k2..k8 as
-    # potential_exprs and lambda as lam, so a new KEYS row needs a field
+    # ExperimentConfig has a field per KEYS name but for its two renames:
+    # k2..k8 are gathered as potential_exprs and lambda is read as lam
     names = {key for _, key in cli.KEYS} - {f"k{k}" for k in cli.POTENTIAL_ORDERS} - {"lambda"}
     assert ({f.name for f in dataclasses.fields(cli.ExperimentConfig)}
             == names | {"potential_exprs", "lam", "manifest"})
@@ -200,7 +213,7 @@ def test_experiment_config_fields_are_the_keys():
 
 def test_reconstruction_defaults_are_the_keys_defaults():
     # ReconstructionConfig repeats the KEYS defaults of the six keys it takes
-    defaults = {key: default for (_, key), (_, default, _, _) in cli.KEYS.items()}
+    defaults = {key: default for (_, key), (_, default, *_) in cli.KEYS.items()}
     given = {f.name: f.default for f in dataclasses.fields(ReconstructionConfig)
              if f.default is not dataclasses.MISSING}
     assert sorted(given) == ["basis_per_side", "eps", "family_size", "lam", "rows_factor",
@@ -676,6 +689,33 @@ def test_overflowing_newton_step_exits_1_with_one_error_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert "CG breakdown" in json.loads(lines[0])["error"]
+
+
+def test_small_family_warns_as_one_json_line(tmp_path, capsys):
+    # a family below a third of the order-2 basis size is known from the
+    # config alone, so validate and run say so as one JSON line naming both
+    # keys; a fresh interpreter under PYTHONWARNINGS=error, as the shipped
+    # configs run in CI, still runs to exit 0 and writes the artifacts
+    out = tmp_path / "out"
+    cfg = edited(RECON_CONFIG.format(out=out), ("family_size = 6", "family_size = 2"),
+                 ("basis_per_side = 3", "basis_per_side = 4"))
+    env = dict(os.environ, SEMIDTN_OUTPUT_DIR=str(out), PYTHONWARNINGS="error")
+    for command in ("validate", "run"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "semidtn.cli", command, str(write_config(tmp_path, cfg))],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        warning = json.loads(lines[0])
+        assert (warning["family_size"], warning["basis_per_side"]) == (2, 4)
+    assert json.loads((out / "stages.json").read_text())[0]["m"] == 2
+    assert (out / "coefficient_k2.csv").exists()
+    # the bound is a third of the basis size: 3 of 9 passes silently, 2 warns
+    for size, warnings in (("3", 0), ("2", 1)):
+        edit = ("family_size = 6", f"family_size = {size}")
+        assert validate(write_config(tmp_path, edited(RECON_CONFIG.format(out=out), edit))) == 0
+        assert len(capsys.readouterr().err.splitlines()) == warnings
 
 
 def test_console_entry_point(tmp_path):

@@ -91,10 +91,11 @@ def test_partitions_come_in_growth_string_order():
 # ---------- nonlinearity derivative ----------
 
 def test_nonlinearity_derivative_guard():
-    # the partition sum runs over 2..MAX_PARTITION_SIZE labels only
+    # the partition sum runs over 2..MAX_ORDER labels only, the orders the
+    # program differentiates
     P = const_series(make_grid(8), k2=1.0)
-    for labels in ((), (0,), tuple(range(9))):
-        with pytest.raises(ValueError, match="needs 2..8 slots"):
+    for labels in ((), (0,), tuple(range(5))):
+        with pytest.raises(ValueError, match="needs 2..4 slots"):
             nonlinearity_derivative(P, labels, {})
 
 
