@@ -127,15 +127,16 @@ def sample_expression(expr: str, grid: Grid2D) -> np.ndarray:
 
     Vocabulary: numeric literals (evaluated as floats), x, y, pi, the binary
     operators + - * / **, unary + and -, parentheses, and one-argument
-    sin, cos and exp. Anything else, and any arithmetic that overflows or
-    leaves a non-finite value, raises ValueError.
+    sin, cos and exp, all in float64. Anything else, and any step that
+    overflows, divides by zero or leaves the reals (a negative base to a
+    fractional power), raises ValueError; underflow to zero is kept.
     """
     x, y = grid.node_coords()
-    names = {"x": x, "y": y, "pi": np.pi}
+    names = {"x": x, "y": y, "pi": np.float64(np.pi)}
 
     def walk(node: ast.AST):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return float(node.value)
+            return np.float64(node.value)
         if isinstance(node, ast.Name) and node.id in names:
             return names[node.id]
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
@@ -148,7 +149,8 @@ def sample_expression(expr: str, grid: Grid2D) -> np.ndarray:
         raise ValueError(f"expression {expr!r} leaves the vocabulary at {ast.unparse(node)!r}")
 
     try:
-        val = walk(ast.parse(expr, mode="eval").body)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            val = walk(ast.parse(expr, mode="eval").body)
     except (SyntaxError, ArithmeticError, RecursionError, MemoryError) as exc:
         raise ValueError(f"cannot evaluate expression {expr!r}: {exc}") from exc
     out = np.broadcast_to(np.asarray(val, dtype=float), (grid.num_nodes,)).copy()

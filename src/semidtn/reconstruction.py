@@ -419,7 +419,6 @@ class StageDiagnostics:
     residual: float
     cond_estimate: float
     noise_ceiling_per_unit_gap: float
-    rel_error_vs_truth: float | None = None
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -447,7 +446,6 @@ class ReconstructionResult:
 
 
 def reconstruct_all(measure, K: int, config: ReconstructionConfig,
-                    truth: PotentialSeries | None = None,
                     family: tuple[HarmonicMember, ...] | None = None) -> ReconstructionResult:
     """Recover coefficient fields for orders 2..K, inductively.
 
@@ -460,8 +458,8 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
     equilibrated rows into a triangular factor and
     solves the Tikhonov problem at the L-curve weight (or at
     ``config.lam``). The lower-order correction is built from the previous
-    stages' outputs, never from the ground truth, which enters only
-    ``rel_error_vs_truth``. The harmonic family is deterministic in (arc,
+    stages' outputs: no truth is passed in, so ``measure`` is the only way
+    to it, and callers score the result. The family is deterministic in (arc,
     size, grid), so it is built once, or passed in by a caller that has
     built it, and shared across stages.
     """
@@ -483,13 +481,12 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
                                  seed=config.seed + m, lam=config.lam)
         coeff_vec = solve_coefficients(system)
         rec = system.basis.synthesize(coeff_vec)
-        rel_err = rel_l2_error(rec, truth.coefficient(m), grid) if truth is not None else None
         stages.append(StageDiagnostics(
             m, system.rows, len(system.heads), directions.calls - calls, basis.size,
             system.lam,
             float(np.linalg.norm(system.matrix @ coeff_vec - system.rhs)),
             float(np.linalg.cond(_stacked(system.matrix, system.lam, penalty))),
-            solution_operator_norm(system, grid), rel_err))
+            solution_operator_norm(system, grid)))
         systems.append(system)
         known = known.with_coefficient(m, rec)
     return ReconstructionResult(known, tuple(stages), tuple(systems))

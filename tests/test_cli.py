@@ -15,7 +15,7 @@ from semidtn import cli
 from semidtn.cli import ConfigError, _field_csv, load_config, main, run, validate
 from semidtn.geometry import make_grid
 from semidtn.harmonic import arc_supported_family
-from semidtn.reconstruction import ReconstructionConfig
+from semidtn.reconstruction import ReconstructionConfig, rel_l2_error
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -245,14 +245,17 @@ def test_validate_ranges(tmp_path):
     for text in (edited(recon, ("eps = 0.01", "eps = 0.0333")),
                  edited(good, ("eps = 0.01", "eps = 0.05"))):
         load_config(write_config(tmp_path, text))
-    # the Tikhonov weight and the noise level: negative or not finite
+    # the Tikhonov weight: negative or not finite
     for value in ("-1", "inf", "nan"):
         _rejected(tmp_path, edited(recon, ("basis_per_side = 3",
                                            f"basis_per_side = 3\nlambda = {value}")),
                   "[reconstruction] lambda")
-    for value in ("-0.1", "nan", "inf"):
+    # the noise level: negative, not finite, or above 1, which buries the flux
+    for value in ("-0.1", "nan", "inf", "1.5", "1e100"):
         _rejected(tmp_path, edited(good, ("eps = 0.01", f"eps = 0.01\nnoise_sigma = {value}")),
                   "[measurement] noise_sigma")
+    load_config(write_config(tmp_path, edited(recon, ("eps = 0.01",
+                                                      "eps = 0.01\nnoise_sigma = 1"))))
     # reconstruction knobs: below the useful range, and above the caps
     for text, named in ((edited(good, ("family_size = 6", "family_size = 0")), "family_size"),
                         (edited(good, ("family_size = 6", "family_size = 33")), "family_size"),
@@ -641,18 +644,28 @@ def test_check_scenarios_check_every_order(tmp_path, monkeypatch):
 
 def test_reconstruction_scenario_cheap(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg = RECON_CONFIG.format(out=out)
+    cfg = edited(RECON_CONFIG.format(out=out), ("kmax = 2", "kmax = 3"),
+                 ("\n\n[measurement]", "\nk3 = sin(pi*x)*sin(pi*y)\n\n[measurement]"))
     assert run(write_config(tmp_path, cfg)) == 0
     assert capsys.readouterr().err == ""  # no noise, no warning
     stages = json.loads((out / "stages.json").read_text())
     assert sorted(stages[0]) == ["basis_size", "cond_estimate", "heads", "lambda", "m",
                                  "measurements", "noise_ceiling_per_unit_gap",
                                  "rel_error_vs_truth", "residual", "rows"]
-    assert stages[0]["m"] == 2
-    assert np.isfinite(stages[0]["rel_error_vs_truth"])
+    assert [stage["m"] for stage in stages] == [2, 3]
     field_lines = (out / "coefficient_k2.csv").read_text().splitlines()
     assert field_lines[0] == "x,y,value,truth_value"
     assert len(field_lines) == 1 + 17 * 17
+    # the scenario is the one place a reconstruction meets its truth: each
+    # stage's rel_error_vs_truth is rel_l2_error of its coefficient file's
+    # value and truth_value columns, bit for bit (%.17g round-trips a float64)
+    for stage in stages:
+        with open(out / f"coefficient_k{stage['m']}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        value, truth = (np.array([float(row[key]) for row in rows])
+                        for key in ("value", "truth_value"))
+        assert truth.any()
+        assert stage["rel_error_vs_truth"] == rel_l2_error(value, truth, make_grid(16))
 
 
 def test_reconstruction_with_noise_stays_finite(tmp_path, capsys):
@@ -689,6 +702,29 @@ def test_overflowing_newton_step_exits_1_with_one_error_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert "CG breakdown" in json.loads(lines[0])["error"]
+
+
+def test_unsampleable_expression_exits_2_with_one_error_line(tmp_path, capsys):
+    # an expression that overflows, divides by zero or leaves the reals fails
+    # validation with one JSON line naming its key, also where a later step
+    # would hide the fault; a fresh interpreter under PYTHONWARNINGS=error, as
+    # the shipped configs run in CI, shows no numpy warning or traceback first
+    exprs = ("exp(1000*x)", "1/exp(1000*x)", "(-1)**0.5", "x*(-1)**0.5", "1/(x-x)",
+             "(x-2)**0.5")
+    for expr in exprs:
+        cfg = edited(FORWARD_CONFIG.format(out=tmp_path / "out"), ("k2 = 1 + x", f"k2 = {expr}"))
+        assert validate(write_config(tmp_path, cfg)) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"].startswith(f"[potential] k2 = {expr!r}: cannot evaluate")
+    cfg = edited(FORWARD_CONFIG.format(out=tmp_path / "out"), ("k2 = 1 + x", "k2 = exp(1000*x)"))
+    env = dict(os.environ, PYTHONWARNINGS="error")
+    proc = subprocess.run(
+        [sys.executable, "-m", "semidtn.cli", "validate", str(write_config(tmp_path, cfg))],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "[potential] k2" in json.loads(lines[0])["error"]
 
 
 def test_small_family_warns_as_one_json_line(tmp_path, capsys):

@@ -154,9 +154,16 @@ def test_sample_expression_rejects_unknown_names(grid):
 
 def test_sample_expression_overflow_is_rejected_at_once(grid):
     # literals are floats, so a tower of powers overflows instead of growing
-    # a big integer for seconds or hours
-    with pytest.raises(ValueError):
-        sample_expression("9**9**9", grid)
+    # a big integer for seconds or hours. An overflow, a division by zero or
+    # a step out of the reals is rejected where it happens, also where a later
+    # step would hide it (1/inf is 0) or keep only a real part (x*(-1)**0.5)
+    for expr in ("9**9**9", "exp(1000*x)", "1/exp(1000*x)", "1e308*10", "1/(1e308*10)",
+                 "(-1)**0.5", "x*(-1)**0.5", "(-pi)**pi", "1/(x-x)", "(x-2)**0.5", "0/0"):
+        with pytest.raises(ValueError, match="cannot evaluate"):
+            sample_expression(expr, grid)
+    # underflow to zero is kept
+    x, _ = grid.node_coords()
+    assert np.array_equal(sample_expression("exp(-1000*x)", grid), np.exp(-1000.0 * x))
 
 
 def test_series_shape_validation(grid):
