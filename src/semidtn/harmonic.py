@@ -20,9 +20,15 @@ from .geometry import ArcMask, Grid2D
 
 @dataclass(frozen=True)
 class HarmonicMember:
+    """A harmonic field with its boundary trace, both made read-only."""
+
     field: np.ndarray
     trace: np.ndarray
     provenance: str
+
+    def __post_init__(self) -> None:
+        self.field.flags.writeable = False
+        self.trace.flags.writeable = False
 
 
 def arc_supported_family(mask: ArcMask, count: int,

@@ -85,13 +85,19 @@ def nonlinearity_derivative(P: PotentialSeries, S, derivs: dict) -> np.ndarray:
         nblocks = len(part)
         if nblocks < 2 or nblocks > P.kmax:
             continue
-        term = P.coefficient(nblocks).copy()
+        factors = []
         for positions in part:
             block = tuple(S[i] for i in positions)
             if block not in derivs:
                 raise KeyError(f"missing lower-order derivative for slots {block}")
-            term *= derivs[block]
-        out = term if out is None else out + term
+            factors.append(derivs[block])
+        term = P.coefficient(nblocks) * factors[0]
+        for f in factors[1:]:
+            term *= f
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 
@@ -177,8 +183,8 @@ class DirectionStore:
     such as (0,) and (0, 0), share one direction, and a direction's four
     measurements serve every head and every order that contains it. Each
     direction keeps E(s), E(2s), O(s) and O(2s) at the arc nodes, from which
-    ``taylor`` forms the coefficient it is asked for; ``calls`` counts the
-    measurements.
+    ``taylor`` forms the coefficient it is asked for, once per multiset and
+    order, and keeps it read-only; ``calls`` counts the measurements.
     """
 
     def __init__(self, measure, traces, eps: float, mask: ArcMask, grid: Grid2D):
@@ -191,11 +197,17 @@ class DirectionStore:
         self.calls = 0
         # direction -> (E(s), E(2s), O(s), O(2s)) of F(t g) at the arc nodes
         self._parts: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        # (sorted multiset, order) -> F_m(f_S) at the arc nodes
+        self._coeffs: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
     def taylor(self, S, m: int) -> np.ndarray:
-        """F_m(f_S), the t^m coefficient of F(t f_S), at the arc nodes."""
+        """F_m(f_S), the t^m coefficient of F(t f_S), at the arc nodes, as a
+        read-only array formed once per sorted multiset and order."""
         if not 2 <= m <= MAX_ORDER:
             raise ValueError(f"directional coefficients cover orders 2..{MAX_ORDER}, got {m}")
+        S = tuple(sorted(S))
+        if (S, m) in self._coeffs:
+            return self._coeffs[S, m]
         counts = Counter(S)
         common = math.gcd(*counts.values())
         key = tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
@@ -213,7 +225,10 @@ class DirectionStore:
             coeff = (odd2 - 2.0 * odd1) / (6.0 * s ** 3)
         else:
             coeff = (even2 - 4.0 * even1) / (12.0 * s ** 4)
-        return len(S) ** m * coeff
+        coeff = len(S) ** m * coeff
+        coeff.flags.writeable = False
+        self._coeffs[S, m] = coeff
+        return coeff
 
     def flux(self, head) -> np.ndarray:
         """The mixed flux D^m F[f_1..f_m] of the head's m traces at the arc
@@ -224,7 +239,11 @@ class DirectionStore:
         acc = np.zeros(self._arc.size)
         for size in range(1, m + 1):
             for positions in combinations(range(m), size):
-                acc += (-1) ** (m - size) * self.taylor([head[i] for i in positions], m)
+                coeff = self.taylor([head[i] for i in positions], m)
+                if (m - size) % 2:
+                    acc -= coeff
+                else:
+                    acc += coeff
         return acc
 
 

@@ -127,16 +127,21 @@ def sample_expression(expr: str, grid: Grid2D) -> np.ndarray:
 
     Vocabulary: numeric literals (evaluated as floats), x, y, pi, the binary
     operators + - * / **, unary + and -, parentheses, and one-argument
-    sin, cos and exp, all in float64. Anything else, and any step that
-    overflows, divides by zero or leaves the reals (a negative base to a
-    fractional power), raises ValueError; underflow to zero is kept.
+    sin, cos and exp, all in float64. Anything else, a literal beyond
+    float64's range, and any step that overflows, divides by zero or leaves
+    the reals (a negative base to a fractional power), raises ValueError;
+    underflow to zero, of a literal or a step, is kept.
     """
     x, y = grid.node_coords()
     names = {"x": x, "y": y, "pi": np.float64(np.pi)}
 
     def walk(node: ast.AST):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return np.float64(node.value)
+            value = np.float64(node.value)
+            if not np.isfinite(value):  # the parser made it inf, raising nothing
+                raise FloatingPointError(f"literal {ast.get_source_segment(expr, node)} "
+                                         f"overflows float64")
+            return value
         if isinstance(node, ast.Name) and node.id in names:
             return names[node.id]
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:

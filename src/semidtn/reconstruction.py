@@ -220,30 +220,41 @@ def _arc_readout(grid: Grid2D, axis: np.ndarray,
     Each orientation thus costs one product P @ (a_i(x) S[x, l]), shared by
     its two sides. Arc node k sits at offset k mod n of side k // n of the
     walk, the top and left sides running against the axes; offset 0 is a
-    corner, which reads boundary nodes, so its row is exactly zero.
+    corner, which reads boundary nodes, so its row is exactly zero. Each
+    call writes both orientations' rows into one work array, kept with a
+    zero row after them, and gathers the arc nodes' rows from it into a new
+    array by one index built here.
     """
     n, q = grid.n, axis.shape[1]
     sine, inverse, _ = _sine_modes(n)
     factors = axis[1:-1]  # interior samples, (n - 1, q)
     near = sine @ ((-4.0 * sine[0] + sine[1])[:, None] / (2.0 * grid.h) * inverse)
-    # a_i(x) S[x, l] and a_j(y) D[y, l], laid out (l, (side, j), y), serve
+    # a_i(x) S[x, l] and a_j(y) D[y, l], laid out (l, (kernel, j), y), serve
     # both orientations
     mixer = (factors[:, :, None] * sine[:, None, :]).reshape(n - 1, q * (n - 1))
     weights = np.einsum("yj,kyl->lkjy", factors, np.stack([near, near[::-1]]),
                         order="C").reshape(n - 1, 2 * q, n - 1)
+    # rows (orientation, position, kernel) with columns j * q + i, then a zero row
+    rows = np.zeros((4 * (n - 1) + 1, q * q))
+    blocks = rows[:-1].reshape(2, n - 1, 2, q, q)
+    # walk side -> (orientation, kernel, position of offset 1..n-1): the top
+    # and left sides run backwards
+    offsets = np.arange(n - 1)
+    sides = [(0, 0, offsets), (1, 1, offsets), (0, 1, offsets[::-1]), (1, 0, offsets[::-1])]
+    walk = np.full((4, n), rows.shape[0] - 1)
+    for side, (orientation, kernel, position) in enumerate(sides):
+        walk[side, 1:] = (orientation * (n - 1) + position) * 2 + kernel
+    index = walk.ravel()[arc]
 
     def readout(field: np.ndarray) -> np.ndarray:
         P = check_field(field, grid).reshape(n + 1, n + 1)[1:-1, 1:-1]
-        out = np.zeros((4, n, q, q))  # (side, offset, j, i)
-        for transpose, sides in ((False, [0, 2]), (True, [3, 1])):
-            modes = ((P.T if transpose else P) @ mixer).reshape(n - 1, q, n - 1) \
+        for orientation, side_P in enumerate((P, P.T)):
+            modes = (side_P @ mixer).reshape(n - 1, q, n - 1) \
                 .transpose(2, 0, 1)  # (l, y, i)
             block = (sine @ (weights @ modes).reshape(n - 1, 2 * q * q)) \
-                .reshape(n - 1, 2, q, q)  # (position, side, j, i)
-            out[sides, 1:] = block.transpose(1, 0, 3, 2) if transpose \
-                else block.swapaxes(0, 1)
-        out[2:, 1:] = out[2:, :0:-1].copy()  # the top and left sides run backwards
-        return out.reshape(4 * n, q * q)[arc]
+                .reshape(n - 1, 2, q, q)  # (position, kernel, j, i)
+            blocks[orientation] = block.swapaxes(2, 3) if orientation else block
+        return rows.take(index, axis=0)
 
     return readout
 
@@ -284,7 +295,8 @@ def assemble_system(family: tuple[HarmonicMember, ...], m: int, basis: CoeffBasi
     arc = np.flatnonzero(mask.flags)
     p = basis.size
     model_readout = _arc_readout(grid, basis.axis, arc)
-    if not low.is_zero:
+    corrected = not low.is_zero
+    if corrected:
         source_readout = _arc_readout(grid, np.ones((grid.n + 1, 1)), arc)
 
     # the stage's cascade memo, keyed by member multisets
@@ -293,13 +305,15 @@ def assemble_system(family: tuple[HarmonicMember, ...], m: int, basis: CoeffBasi
     count = 0
     factor = np.zeros((0, p + 1))
     for head in _choose_heads(len(family), m, heads, np.random.default_rng(seed)):
-        prod = np.prod([family[i].field for i in head], axis=0)
+        prod = family[head[0]].field * family[head[1]].field
+        for i in head[2:]:
+            prod *= family[i].field
         model = -grid.h * model_readout(prod)
         norms = np.linalg.norm(model, axis=1)
         keep = np.flatnonzero(norms > ZERO_ROW * norms.max())
         if keep.size:
             data = grid.h * directions.flux(head)
-            if not low.is_zero:
+            if corrected:
                 source = _lower_order_source(low, head, fields, grid)
                 data += grid.h * source_readout(source)[:, 0]
             block = np.column_stack([model, data])[keep] / norms[keep, None]

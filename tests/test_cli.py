@@ -705,12 +705,13 @@ def test_overflowing_newton_step_exits_1_with_one_error_line(tmp_path):
 
 
 def test_unsampleable_expression_exits_2_with_one_error_line(tmp_path, capsys):
-    # an expression that overflows, divides by zero or leaves the reals fails
-    # validation with one JSON line naming its key, also where a later step
-    # would hide the fault; a fresh interpreter under PYTHONWARNINGS=error, as
-    # the shipped configs run in CI, shows no numpy warning or traceback first
+    # an expression that overflows, divides by zero or leaves the reals, or
+    # holds a literal beyond float64, fails validation with one JSON line
+    # naming its key, also where a later step would hide the fault; a fresh
+    # interpreter under PYTHONWARNINGS=error, as the shipped configs run in
+    # CI, shows no numpy warning or traceback first
     exprs = ("exp(1000*x)", "1/exp(1000*x)", "(-1)**0.5", "x*(-1)**0.5", "1/(x-x)",
-             "(x-2)**0.5")
+             "(x-2)**0.5", "1/1e400")
     for expr in exprs:
         cfg = edited(FORWARD_CONFIG.format(out=tmp_path / "out"), ("k2 = 1 + x", f"k2 = {expr}"))
         assert validate(write_config(tmp_path, cfg)) == 2

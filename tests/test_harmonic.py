@@ -86,3 +86,14 @@ def test_mean_value_identity_from_harmonicity():
     u = fam[0].field.reshape(17, 17)
     avg = (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]) / 4.0
     assert np.max(np.abs(u[1:-1, 1:-1] - avg)) <= 1e-10
+
+
+def test_member_arrays_are_read_only():
+    # an in-place product that aliases a member raises instead of changing
+    # the family under a run
+    g = make_grid(16)
+    member = arc_supported_family(arc_mask(g, 0.0, 2.0), 2, g)[0]
+    for a in (member.field, member.trace):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0

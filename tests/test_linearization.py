@@ -395,6 +395,14 @@ def test_polarized_flux_matches_cascade_and_tensor_difference():
         assert np.max(np.abs(polarized - tensor)) <= POLARIZED_VS_TENSOR[m] * scale, head
 
 
+def direction(S):
+    """The direction a DirectionStore measures for the multiset S: its
+    multiplicities divided by their greatest common divisor."""
+    counts = Counter(S)
+    common = math.gcd(*counts.values())
+    return tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
+
+
 def test_polarized_flux_noise_gain():
     # pins how output noise reaches the stage fluxes: on a map that returns
     # only unit Gaussian noise, each head's polarized flux has the RMS its
@@ -415,11 +423,6 @@ def test_polarized_flux_noise_gain():
     weights = {2: np.sqrt(2 * 8.0 ** 2 + 2 * 0.5 ** 2) / (12 * s ** 2),
                3: np.sqrt(2 * 1.0 ** 2 + 2 * 0.5 ** 2) / (6 * s ** 3),
                4: np.sqrt(2 * 2.0 ** 2 + 2 * 0.5 ** 2) / (12 * s ** 4)}
-
-    def direction(S):
-        counts = Counter(S)
-        common = math.gcd(*counts.values())
-        return tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
 
     directions = DirectionStore(noise, [m.trace for m in fam], eps, mask, g)
     heads = {2: ((0, 3), (5, 9), (2, 2)), 3: ((0, 3, 7), (2, 6, 10), (1, 1, 5)),
@@ -473,3 +476,36 @@ def test_direction_store_guards():
         with pytest.raises(ValueError, match="K = 2..4"):
             reconstruct_all(measure, K, conf, family=fam)
     assert len(calls) == 12
+
+
+def test_flux_polarizes_the_stored_coefficients_exactly():
+    # flux adds and subtracts the store's F_m(f_P), formed once per sorted
+    # multiset and order; on heads of orders 2-4 with repeated members it is
+    # bit-identical to the explicit sum of (-1)^(m-|P|) F_m(f_P) over a
+    # second store's coefficients, each direction is still measured four
+    # times, and a repeated flux measures nothing and returns an equal array
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 2.0)
+    fam = arc_supported_family(mask, 8, g)
+    measure = measurement(const_series(g, k2=1.0, k3=-0.5, k4=0.25), mask, g)
+    traces = [m.trace for m in fam]
+    directions = DirectionStore(measure, traces, 1e-2, mask, g)
+    seen = set()
+    for head in ((0, 0), (3, 6), (0, 0, 1), (1, 4, 4), (2, 2, 5, 7), (0, 0, 0, 1)):
+        m = len(head)
+        fresh = DirectionStore(measure, traces, 1e-2, mask, g)
+        expected = np.zeros(np.count_nonzero(mask.flags))
+        for size in range(1, m + 1):
+            for positions in combinations(range(m), size):
+                S = [head[i] for i in positions]
+                expected += (-1) ** (m - size) * fresh.taylor(S, m)
+                seen.add(direction(S))
+        flux = directions.flux(head)
+        assert np.array_equal(flux, expected), head
+        assert directions.calls == 4 * len(seen), head
+        assert np.array_equal(directions.flux(head), flux), head
+        assert directions.calls == 4 * len(seen), head
+    coeff = directions.taylor((5, 2, 2, 7), 4)
+    assert coeff is directions.taylor((2, 2, 5, 7), 4)
+    with pytest.raises(ValueError, match="read-only"):
+        coeff[0] = 1.0

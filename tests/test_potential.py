@@ -161,9 +161,15 @@ def test_sample_expression_overflow_is_rejected_at_once(grid):
                  "(-1)**0.5", "x*(-1)**0.5", "(-pi)**pi", "1/(x-x)", "(x-2)**0.5", "0/0"):
         with pytest.raises(ValueError, match="cannot evaluate"):
             sample_expression(expr, grid)
-    # underflow to zero is kept
+    # a literal beyond float64's range parses to inf without any arithmetic,
+    # so it is rejected as a literal, also where a later step would make it 0
+    for expr in ("1e400", "1/1e400", "x/1e400", "exp(-1e400)"):
+        with pytest.raises(ValueError, match="literal 1e400 overflows float64"):
+            sample_expression(expr, grid)
+    # underflow to zero is kept, of a step and of a literal
     x, _ = grid.node_coords()
     assert np.array_equal(sample_expression("exp(-1000*x)", grid), np.exp(-1000.0 * x))
+    assert not sample_expression("1e-400", grid).any()
 
 
 def test_series_shape_validation(grid):

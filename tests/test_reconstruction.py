@@ -259,7 +259,14 @@ def test_arc_readout_matches_poisson_solves(n, s0, s1):
             basis = make_basis(nb, g)
             ref = reference(prod, basis.fields)
             assert not ref[corners].any()
-            assert_agrees(_arc_readout(g, basis.axis, arc)(prod), ref)
+            readout = _arc_readout(g, basis.axis, arc)
+            model = readout(prod)
+            assert_agrees(model, ref)
+            # each call returns a new array: the next call, which reuses the
+            # stage's work array, leaves the first one as it was
+            kept = model.copy()
+            readout(2.0 * prod)
+            assert np.array_equal(model, kept)
         # unit axis factors: the read-out of the field itself
         assert_agrees(_arc_readout(g, np.ones((n + 1, 1)), arc)(prod),
                       reference(prod, np.ones((g.num_nodes, 1))))
@@ -318,6 +325,27 @@ def test_stage_solves_each_lower_order_field_once(monkeypatch, m, s1):
     for head, data in sources:
         fresh = {(i,): fam[label].field for i, label in enumerate(head)}
         assert np.array_equal(data, source(low, tuple(range(m)), fresh, g))
+
+
+def test_assemble_system_leaves_the_family_untouched():
+    # a stage forms each head's product in place, and the fields of the
+    # family are read-only: after an order-4 stage with a lower-order
+    # correction and repeated members, every field and trace is bit-identical
+    g = make_grid(16)
+    mask = full_mask(g)
+    fam = arc_supported_family(mask, 6, g)
+    before = [(m.field.copy(), m.trace.copy()) for m in fam]
+    truth = PotentialSeries.from_coefficients(g, {2: sample_expression("1 + x", g),
+                                                  4: sample_expression("1 + x*y", g)})
+    known = PotentialSeries.from_coefficients(g, {2: truth.coefficient(2)})
+    directions = DirectionStore(measurement(truth, mask, g), [m.trace for m in fam], 1e-2,
+                                mask, g)
+    system = assemble_system(fam, 4, make_basis(3, g), directions, mask, g, known=known,
+                             heads=12, seed=4, lam=1.0)
+    assert any(len(set(head)) < 4 for head in system.heads)
+    for member, (field, trace) in zip(fam, before):
+        assert np.array_equal(member.field, field)
+        assert np.array_equal(member.trace, trace)
 
 
 def test_folding_is_exact():
