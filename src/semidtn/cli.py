@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dtn import bump_trace, measurement, normal_derivative
-from .forward_solver import DEFAULT_SMALLNESS_RADIUS, solve_semilinear
+from .forward_solver import DEFAULT_NEWTON_TOL, DEFAULT_SMALLNESS_RADIUS, solve_semilinear
 from .geometry import ArcMask, Grid2D, arc_mask, interior_integral, make_grid
 from .harmonic import HarmonicMember, arc_supported_family
 from .linearization import (MAX_ORDER, check_difference_gate, measured_linearized_flux,
@@ -71,12 +71,16 @@ KEYS = {
         ("linearization_check", "identity_check", "reconstruction")),
     # identity_check may repeat a member kmax times, so an order-kmax
     # difference (a bump of peak 1) reaches kmax eps; the reconstruction
-    # measures along mean directions up to t = 3 eps
+    # measures along mean directions up to t = 3 eps. The order-kmax
+    # response scales as (1.5 eps)^kmax: below the floor Newton's stopping
+    # error swamps it, and near eps 3e-6 every field reads zero
     ("measurement", "eps"): (
         float, 0.01, lambda e, v: 0.0 < e <= 0.05 and DEFAULT_SMALLNESS_RADIUS >= e * {
-            "identity_check": v["kmax"], "reconstruction": 3}.get(v["scenario"], 1),
+            "identity_check": v["kmax"], "reconstruction": 3}.get(v["scenario"], 1)
+        and (1.5 * e) ** v["kmax"] >= 1e3 * DEFAULT_NEWTON_TOL,
         f"in (0, 0.05], with kmax eps (identity_check) and 3 eps (reconstruction) "
-        f"at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}",
+        f"at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}, and (1.5 eps)^kmax "
+        f"at least 1e3 times the Newton tolerance {DEFAULT_NEWTON_TOL}",
         ("linearization_check", "identity_check", "reconstruction")),
     # the shipped configs measure fluxes below 0.3: noise above 1 leaves no data
     ("measurement", "noise_sigma"): (float, 0.0, lambda s, _: 0.0 <= s <= 1.0, "in [0, 1]",

@@ -46,7 +46,6 @@ stage.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from itertools import combinations_with_replacement
@@ -185,23 +184,6 @@ def _lower_order_source(low: PotentialSeries, S: tuple[int, ...], fields: dict,
     return nonlinearity_derivative(low, S, fields)
 
 
-def _choose_heads(family_size: int, m: int, cap: int,
-                  rng: np.random.Generator) -> list[tuple[int, ...]]:
-    """Up to ``cap`` distinct sorted m-multisets of family indices, seeded order."""
-    total = math.comb(family_size + m - 1, m)
-    if total <= 4 * cap:
-        pool = list(combinations_with_replacement(range(family_size), m))
-        return [pool[i] for i in rng.permutation(total)[:cap]]
-    chosen: list[tuple[int, ...]] = []
-    seen = set()
-    while len(chosen) < cap:  # each draw is new with probability > 3/4
-        head = tuple(sorted(rng.integers(0, family_size, size=m).tolist()))
-        if head not in seen:
-            seen.add(head)
-            chosen.append(head)
-    return chosen
-
-
 def _arc_readout(grid: Grid2D, axis: np.ndarray,
                  arc: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The map from a field P to the ``normal_derivative`` read-out, at the
@@ -265,12 +247,13 @@ def assemble_system(family: tuple[HarmonicMember, ...], m: int, basis: CoeffBasi
                     seed: int = 0, lam: float | None = None) -> MomentSystem:
     """Build the order-m moment system: one row per (head, arc node) pair.
 
-    A head is a sorted m-multiset of family members. Up to ``heads`` of
-    them, in a seeded order, are used, each once. A head's mixed flux is the
-    polarization of the order-m Taylor coefficients along the sums of its
-    sub-multisets, read from ``directions``, the run's store over the
-    family's traces, which measures each direction (four measurements) the
-    first time any head of any stage needs it. A row reads the head's flux at
+    A head is a sorted m-multiset of family members. The first ``heads`` of
+    a seeded permutation of all of them are used, each once, so every head
+    is equally likely. A head's mixed flux is the polarization of the
+    order-m Taylor coefficients along the sums of its sub-multisets, read
+    from ``directions``, the run's store over the family's traces, which
+    measures each direction (four measurements) the first time any head of
+    any stage needs it. A row reads the head's flux at
     one arc node: its data is h * flux there, with the lower-order source's
     read-out removed; its model is minus h times the read-out there of each
     basis function times the head's product, solved on the grid, which is
@@ -304,7 +287,9 @@ def assemble_system(family: tuple[HarmonicMember, ...], m: int, basis: CoeffBasi
     measured: list[tuple[int, ...]] = []
     count = 0
     factor = np.zeros((0, p + 1))
-    for head in _choose_heads(len(family), m, heads, np.random.default_rng(seed)):
+    pool = list(combinations_with_replacement(range(len(family)), m))
+    for k in np.random.default_rng(seed).permutation(len(pool))[:heads]:
+        head = pool[k]
         prod = family[head[0]].field * family[head[1]].field
         for i in head[2:]:
             prod *= family[i].field

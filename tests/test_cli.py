@@ -245,6 +245,13 @@ def test_validate_ranges(tmp_path):
     for text in (edited(recon, ("eps = 0.01", "eps = 0.0333")),
                  edited(good, ("eps = 0.01", "eps = 0.05"))):
         load_config(write_config(tmp_path, text))
+    # the floor (1.5 eps)^kmax >= 1e-8: 6.7e-5, 1.4e-3 and 6.7e-3 at K = 2, 3, 4
+    for kmax, eps in (("2", "7e-5"), ("3", "1.5e-3"), ("4", "6.7e-3")):
+        load_config(write_config(tmp_path, edited(recon, ("kmax = 2", f"kmax = {kmax}"),
+                                                  ("eps = 0.01", f"eps = {eps}"))))
+    for kmax, eps in (("2", "6.6e-5"), ("3", "1.3e-3"), ("4", "6.6e-3")):
+        _rejected(tmp_path, edited(recon, ("kmax = 2", f"kmax = {kmax}"),
+                                   ("eps = 0.01", f"eps = {eps}")), "[measurement] eps")
     # the Tikhonov weight: negative or not finite
     for value in ("-1", "inf", "nan"):
         _rejected(tmp_path, edited(recon, ("basis_per_side = 3",
@@ -406,8 +413,13 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path, capsys):
     # negative seeds after them (they failed after writing the manifest);
     # the noise levels of the two noise-free scenarios were ignored, and a
     # '%' in a value raised configparser's interpolation error uncaught.
-    # Each error names the key it comes from, the checks made after parsing
-    # (the expression, the arc, the linearization_check gate) included
+    # The steps below the Newton floor (1.5 eps)^kmax >= 1e-8 after them
+    # also passed validate: on a full-arc n = 32 run at K = 4, eps 1e-4
+    # exited 0 with a V4 error of 53 and eps 1e-100 failed with a numpy
+    # warning after writing the manifest; eps 1e-6 at K = 2 returned
+    # all-zero fields. Each error names the key it comes from, the checks
+    # made after parsing (the expression, the arc, the linearization_check
+    # gate) included
     for scenario, edits, named in (
             ("identity_check", [("k2 = 1 + x", "k2 = 9**9**9")], "[potential] k2 = '9**9**9'"),
             ("identity_check", [("tuples = 3", "tuples = abc")], "[extras] tuples"),
@@ -444,7 +456,15 @@ def test_unbounded_inputs_exit_2_without_outputs(tmp_path, capsys):
                                       "[measurement]\nnoise_sigma = 1e-6\n\n[potential]")],
              "[measurement] noise_sigma is not read by scenario forward_convergence"),
             ("identity_check", [("k2 = 1 + x", "k2 = 50%")],
-             "[potential] k2: '%' must be followed by")):
+             "[potential] k2: '%' must be followed by"),
+            ("reconstruction", [("kmax = 2", "kmax = 4"), ("eps = 0.01", "eps = 1e-100")],
+             "[measurement] eps"),
+            ("reconstruction", [("kmax = 2", "kmax = 4"), ("eps = 0.01", "eps = 1e-4")],
+             "[measurement] eps"),
+            ("reconstruction", [("eps = 0.01", "eps = 1e-6")], "[measurement] eps"),
+            ("linearization_check", [("kmax = 2", "kmax = 3"), ("eps = 0.01", "eps = 1e-3")],
+             "[measurement] eps"),
+            ("identity_check", [("eps = 0.01", "eps = 5e-5")], "[measurement] eps")):
         out = tmp_path / "out"
         path = write_config(tmp_path, edited(CONFIGS[scenario].format(out=out), *edits))
         _exits_2_without_outputs(capsys, path, out, named)

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -178,6 +178,23 @@ def test_assemble_collapses_when_only_one_tuple_exists():
     system = assemble_system(fam_all, 2, basis, directions, mask, g, heads=12)
     assert system.heads == ((0, 0),)
     assert system.rows == mask.flags.sum() - 2
+
+
+@pytest.mark.parametrize("size, m", [(12, 4), (13, 3)])
+def test_heads_are_a_seeded_permutation_of_the_multiset_pool(size, m):
+    # a stage's heads are the first `heads` entries of one seeded
+    # permutation of all sorted m-multisets (1365 and 455 here), so each is
+    # equally likely
+    g = make_grid(16)
+    mask = full_mask(g)
+    fam = arc_supported_family(mask, size, g)
+    directions = DirectionStore(lambda trace: np.zeros(g.num_boundary),
+                                [member.trace for member in fam], 1e-2, mask, g)
+    system = assemble_system(fam, m, make_basis(2, g), directions, mask, g,
+                             heads=108, seed=m)
+    pool = list(combinations_with_replacement(range(size), m))
+    order = np.random.default_rng(m).permutation(len(pool))[:108]
+    assert system.heads == tuple(pool[k] for k in order)
 
 
 def test_assemble_drops_zero_product_rows():
