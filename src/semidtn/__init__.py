@@ -11,9 +11,8 @@ from .dtn import DtnSample, bump_trace, dtn_apply, measurement, normal_derivativ
 from .linearization import (CascadeState, measured_linearized_flux, nonlinearity_derivative,
                             run_cascade)
 from .harmonic import arc_supported_family
-from .reconstruction import (CoeffBasis, MomentSystem, ReconstructionConfig,
-                             ReconstructionResult, assemble_system, make_basis,
-                             measured_moment, reconstruct_all, rel_l2_error)
+from .reconstruction import (CoeffBasis, MomentSystem, ReconstructionResult, assemble_system,
+                             make_basis, measured_moment, reconstruct_all, rel_l2_error)
 
 __all__ = [
     "ArcMask", "Grid2D", "arc_mask", "boundary_integral", "full_mask",
@@ -25,7 +24,7 @@ __all__ = [
     "DtnSample", "bump_trace", "dtn_apply", "measurement", "normal_derivative",
     "CascadeState", "measured_linearized_flux", "nonlinearity_derivative", "run_cascade",
     "arc_supported_family",
-    "CoeffBasis", "MomentSystem", "ReconstructionConfig", "ReconstructionResult",
+    "CoeffBasis", "MomentSystem", "ReconstructionResult",
     "assemble_system", "make_basis", "measured_moment", "reconstruct_all",
     "rel_l2_error",
 ]

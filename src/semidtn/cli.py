@@ -28,9 +28,9 @@ from .forward_solver import DEFAULT_NEWTON_TOL, DEFAULT_SMALLNESS_RADIUS, solve_
 from .geometry import ArcMask, Grid2D, arc_mask, interior_integral, make_grid
 from .harmonic import HarmonicMember, arc_supported_family
 from .linearization import (MAX_ORDER, check_difference_gate, measured_linearized_flux,
-                            run_cascade)
+                            resolves_order, run_cascade)
 from .potential import PotentialSeries, sample_expression
-from .reconstruction import ReconstructionConfig, measured_moment, reconstruct_all, rel_l2_error
+from .reconstruction import measured_moment, reconstruct_all, rel_l2_error
 
 OUTPUT_DIR_ENV = "SEMIDTN_OUTPUT_DIR"
 
@@ -71,13 +71,13 @@ KEYS = {
         ("linearization_check", "identity_check", "reconstruction")),
     # identity_check may repeat a member kmax times, so an order-kmax
     # difference (a bump of peak 1) reaches kmax eps; the reconstruction
-    # measures along mean directions up to t = 3 eps. The order-kmax
-    # response scales as (1.5 eps)^kmax: below the floor Newton's stopping
-    # error swamps it, and near eps 3e-6 every field reads zero
+    # measures along mean directions up to t = 3 eps. Below the Newton floor
+    # (``resolves_order``, which reconstruct_all checks too) Newton's stopping
+    # error swamps the order-kmax response: near eps 3e-6 every field reads zero
     ("measurement", "eps"): (
         float, 0.01, lambda e, v: 0.0 < e <= 0.05 and DEFAULT_SMALLNESS_RADIUS >= e * {
             "identity_check": v["kmax"], "reconstruction": 3}.get(v["scenario"], 1)
-        and (1.5 * e) ** v["kmax"] >= 1e3 * DEFAULT_NEWTON_TOL,
+        and resolves_order(e, v["kmax"]),
         f"in (0, 0.05], with kmax eps (identity_check) and 3 eps (reconstruction) "
         f"at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}, and (1.5 eps)^kmax "
         f"at least 1e3 times the Newton tolerance {DEFAULT_NEWTON_TOL}",
@@ -355,12 +355,10 @@ def _scenario_identity_check(cfg: ExperimentConfig, setup: _Setup, out: Path) ->
 
 
 def _scenario_reconstruction(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
-    grid, mask, truth = setup.grid, setup.mask, setup.truth
-    rconf = ReconstructionConfig(grid, mask, eps=cfg.eps, family_size=cfg.family_size,
-                                 basis_per_side=cfg.basis_per_side,
-                                 rows_factor=cfg.rows_factor, lam=cfg.lam,
-                                 seed=cfg.seed)
-    result = reconstruct_all(setup.measure, cfg.kmax, rconf, family=setup.family)
+    grid, truth = setup.grid, setup.truth
+    result = reconstruct_all(setup.measure, cfg.kmax, setup.family, setup.mask, grid,
+                             eps=cfg.eps, basis_per_side=cfg.basis_per_side,
+                             rows_factor=cfg.rows_factor, lam=cfg.lam, seed=cfg.seed)
     # the one place a reconstruction meets its truth: each stage is scored here
     _write_json(out / "stages.json", [{**s.to_dict(), "rel_error_vs_truth": rel_l2_error(
         result.series.coefficient(s.m), truth.coefficient(s.m), grid)} for s in result.stages])

@@ -25,7 +25,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .forward_solver import DEFAULT_SMALLNESS_RADIUS, harmonic_extension, solve_linear
+from .forward_solver import (DEFAULT_NEWTON_TOL, DEFAULT_SMALLNESS_RADIUS, harmonic_extension,
+                             solve_linear)
 from .geometry import ArcMask, Grid2D, check_trace
 from .potential import PotentialSeries
 
@@ -165,6 +166,18 @@ def measured_linearized_flux(measure, fs, eps: float, mask: ArcMask,
     return acc
 
 
+# ``DirectionStore``'s step per unit eps, and the least order-K response
+# (step)^K that Newton's stopping error leaves readable
+STEP_PER_EPS = 1.5
+NEWTON_FLOOR = 1e3 * DEFAULT_NEWTON_TOL
+
+
+def resolves_order(eps: float, K: int) -> bool:
+    """(STEP_PER_EPS eps)^K >= NEWTON_FLOOR: true from eps 6.7e-5 / 1.4e-3 /
+    6.7e-3 at K = 2 / 3 / 4."""
+    return (STEP_PER_EPS * eps) ** K >= NEWTON_FLOOR
+
+
 class DirectionStore:
     """Directional Taylor coefficients of an opaque measurement map F along
     sums of the given traces, each direction measured once.
@@ -193,7 +206,7 @@ class DirectionStore:
         self._measure = measure
         self._traces = tuple(check_trace(f, grid) for f in traces)
         self._arc = np.flatnonzero(mask.flags)
-        self.step = 1.5 * eps
+        self.step = STEP_PER_EPS * eps
         self.calls = 0
         # direction -> (E(s), E(2s), O(s), O(2s)) of F(t g) at the arc nodes
         self._parts: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}

@@ -54,17 +54,6 @@ class PotentialSeries:
                           else np.zeros(grid.num_nodes))
         return cls(kmax, tuple(coeffs))
 
-    def with_coefficient(self, k: int, a: np.ndarray) -> "PotentialSeries":
-        """Return a copy with V_k replaced (extending kmax if needed)."""
-        if k < 2:
-            raise ValueError("coefficient orders start at k = 2")
-        size = self.coeffs[0].size
-        fields = [c.copy() for c in self.coeffs]
-        while len(fields) < k - 1:
-            fields.append(np.zeros(size))
-        fields[k - 2] = np.asarray(a, dtype=float).copy()
-        return PotentialSeries(max(self.kmax, k), tuple(fields))
-
     def coefficient(self, k: int) -> np.ndarray:
         """V_k as a field; zero beyond the truncation order."""
         if k < 2:

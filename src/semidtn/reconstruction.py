@@ -56,9 +56,10 @@ from .dtn import check_support
 from .sparse_linalg import _sine_modes
 from .geometry import (ArcMask, Grid2D, boundary_integral, check_field, full_mask,
                        interior_integral)
-from .harmonic import HarmonicMember, arc_supported_family
-from .linearization import (MAX_ORDER, DirectionStore, cascade_fields,
-                            measured_linearized_flux, nonlinearity_derivative)
+from .harmonic import HarmonicMember
+from .linearization import (MAX_ORDER, NEWTON_FLOOR, STEP_PER_EPS, DirectionStore,
+                            cascade_fields, measured_linearized_flux,
+                            nonlinearity_derivative, resolves_order)
 from .potential import PotentialSeries
 
 # L-curve search grid for the Tikhonov weight, relative to sigma_max(A)^2
@@ -426,60 +427,49 @@ class StageDiagnostics:
 
 
 @dataclass(frozen=True)
-class ReconstructionConfig:
-    grid: Grid2D
-    mask: ArcMask
-    eps: float = 1e-2
-    family_size: int = 12
-    basis_per_side: int = 6
-    rows_factor: int = 3
-    lam: float | None = None
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class ReconstructionResult:
     series: PotentialSeries
     stages: tuple[StageDiagnostics, ...]
     systems: tuple[MomentSystem, ...] = field(repr=False, default=())
 
 
-def reconstruct_all(measure, K: int, config: ReconstructionConfig,
-                    family: tuple[HarmonicMember, ...] | None = None) -> ReconstructionResult:
-    """Recover coefficient fields for orders 2..K, inductively.
+def reconstruct_all(measure, K: int, family: tuple[HarmonicMember, ...], mask: ArcMask,
+                    grid: Grid2D, *, eps: float, basis_per_side: int, rows_factor: int,
+                    lam: float | None, seed: int) -> ReconstructionResult:
+    """Recover coefficient fields for orders 2..K, inductively, from the
+    caller's harmonic ``family`` on the arc ``mask``.
 
-    Each stage uses ``rows_factor * basis size`` heads (fewer when the
-    family has fewer distinct m-multisets) and takes each head's flux by
-    polarization from one ``DirectionStore`` that the stages share, so that a
-    direction is measured once per run. It pairs each head's flux with the
-    unit trace of every arc node, models each pairing with the same discrete
-    Poisson solve and read-out (see the module docstring), folds the
-    equilibrated rows into a triangular factor and
-    solves the Tikhonov problem at the L-curve weight (or at
-    ``config.lam``). The lower-order correction is built from the previous
+    Stage m draws ``rows_factor * basis size`` heads with seed ``seed + m``
+    (fewer when the family has fewer distinct m-multisets) and takes each
+    head's flux by polarization from one ``DirectionStore`` at ``eps`` that
+    the stages share, so that a direction is measured once per run. It pairs
+    each head's flux with the unit trace of every arc node, models each
+    pairing with the same discrete Poisson solve and read-out (see the module
+    docstring), folds the equilibrated rows into a triangular factor and
+    solves the Tikhonov problem at ``lam``, or at the L-curve weight for
+    ``lam`` None. The lower-order correction is built from the previous
     stages' outputs: no truth is passed in, so ``measure`` is the only way
-    to it, and callers score the result. The family is deterministic in (arc,
-    size, grid), so it is built once, or passed in by a caller that has
-    built it, and shared across stages.
+    to it, and callers score the result. K outside 2..MAX_ORDER and an eps
+    below the Newton floor (``resolves_order``) raise before any measurement.
     """
     if not 2 <= K <= MAX_ORDER:
         raise ValueError(f"reconstruction covers orders K = 2..{MAX_ORDER}, got {K}")
-    grid, mask = config.grid, config.mask
-    if family is None:
-        family = arc_supported_family(mask, config.family_size, grid)
-    basis = make_basis(config.basis_per_side, grid)
+    if not resolves_order(eps, K):
+        raise ValueError(f"eps = {eps} at K = {K} is below the floor "
+                         f"{NEWTON_FLOOR ** (1.0 / K) / STEP_PER_EPS:.2g}: "
+                         f"({STEP_PER_EPS} eps)^K must be at least {NEWTON_FLOOR:g}")
+    basis = make_basis(basis_per_side, grid)
     penalty = gradient_penalty(basis.nodes_per_side)
-    directions = DirectionStore(measure, [m.trace for m in family], config.eps, mask, grid)
-    known = PotentialSeries.zero(grid)
+    directions = DirectionStore(measure, [m.trace for m in family], eps, mask, grid)
+    fields: dict[int, np.ndarray] = {}
     stages: list[StageDiagnostics] = []
     systems: list[MomentSystem] = []
     for m in range(2, K + 1):
         calls = directions.calls
-        system = assemble_system(family, m, basis, directions, mask, grid, known,
-                                 heads=config.rows_factor * basis.size,
-                                 seed=config.seed + m, lam=config.lam)
+        system = assemble_system(family, m, basis, directions, mask, grid,
+                                 PotentialSeries.from_coefficients(grid, fields),
+                                 heads=rows_factor * basis.size, seed=seed + m, lam=lam)
         coeff_vec = solve_coefficients(system)
-        rec = system.basis.synthesize(coeff_vec)
         stages.append(StageDiagnostics(
             m, system.rows, len(system.heads), directions.calls - calls, basis.size,
             system.lam,
@@ -487,5 +477,6 @@ def reconstruct_all(measure, K: int, config: ReconstructionConfig,
             float(np.linalg.cond(_stacked(system.matrix, system.lam, penalty))),
             solution_operator_norm(system, grid)))
         systems.append(system)
-        known = known.with_coefficient(m, rec)
-    return ReconstructionResult(known, tuple(stages), tuple(systems))
+        fields[m] = system.basis.synthesize(coeff_vec)
+    return ReconstructionResult(PotentialSeries.from_coefficients(grid, fields), tuple(stages),
+                                tuple(systems))

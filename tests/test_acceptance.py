@@ -138,9 +138,9 @@ def test_criterion_5_end_to_end_reconstruction():
     for label, (s0, s1) in (("half", (0.0, 2.0)), ("full", (0.0, 4.0))):
         mask = sd.arc_mask(g, s0, s1)
         measure = sd.measurement(truth, mask, g)
-        conf = sd.ReconstructionConfig(g, mask, eps=1e-2, family_size=12,
-                                       basis_per_side=6, seed=0)
-        res = sd.reconstruct_all(measure, 3, conf)
+        res = sd.reconstruct_all(measure, 3, sd.arc_supported_family(mask, 12, g), mask, g,
+                                 eps=1e-2, basis_per_side=6, rows_factor=3, lam=None,
+                                 seed=0)
         for m, err in stage_errors(res, truth, g).items():
             errs[(label, m)] = err
     elapsed = time.perf_counter() - start
@@ -164,9 +164,8 @@ def test_criterion_6_power_nonlinearity(criterion4_stats):
     truth = sd.PotentialSeries.from_coefficients(g, {3: q})
     mask = sd.full_mask(g)
     measure = sd.measurement(truth, mask, g)
-    conf = sd.ReconstructionConfig(g, mask, eps=1e-2, family_size=12,
-                                   basis_per_side=6, seed=0)
-    res = sd.reconstruct_all(measure, 3, conf)
+    res = sd.reconstruct_all(measure, 3, sd.arc_supported_family(mask, 12, g), mask, g,
+                             eps=1e-2, basis_per_side=6, rows_factor=3, lam=None, seed=0)
     v2_norm = float(np.sqrt(interior_integral(res.series.coefficient(2) ** 2, g)))
     gap_ceiling = max(criterion4_stats["gaps"])
     sys2 = res.systems[0]

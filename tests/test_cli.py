@@ -1,6 +1,7 @@
 import configparser
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from semidtn import cli
 from semidtn.cli import ConfigError, _field_csv, load_config, main, run, validate
 from semidtn.geometry import make_grid
 from semidtn.harmonic import arc_supported_family
-from semidtn.reconstruction import ReconstructionConfig, rel_l2_error
+from semidtn.reconstruction import reconstruct_all, rel_l2_error
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -211,14 +212,13 @@ def test_experiment_config_fields_are_the_keys():
             == names | {"potential_exprs", "lam", "manifest"})
 
 
-def test_reconstruction_defaults_are_the_keys_defaults():
-    # ReconstructionConfig repeats the KEYS defaults of the six keys it takes
-    defaults = {key: default for (_, key), (_, default, *_) in cli.KEYS.items()}
-    given = {f.name: f.default for f in dataclasses.fields(ReconstructionConfig)
-             if f.default is not dataclasses.MISSING}
-    assert sorted(given) == ["basis_per_side", "eps", "family_size", "lam", "rows_factor",
-                             "seed"]
-    assert given == {name: defaults["lambda" if name == "lam" else name] for name in given}
+def test_reconstruct_all_has_no_defaults():
+    # KEYS holds every default: reconstruct_all takes each value it reads,
+    # the family included, from its caller
+    params = inspect.signature(reconstruct_all).parameters
+    assert list(params) == ["measure", "K", "family", "mask", "grid", "eps", "basis_per_side",
+                            "rows_factor", "lam", "seed"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
 
 
 def _rejected(tmp_path, text, named):
@@ -686,6 +686,22 @@ def test_reconstruction_scenario_cheap(tmp_path, capsys):
                         for key in ("value", "truth_value"))
         assert truth.any()
         assert stage["rel_error_vs_truth"] == rel_l2_error(value, truth, make_grid(16))
+
+
+def test_reconstruction_on_an_arc_that_wraps_the_walk_origin(tmp_path, monkeypatch, capsys):
+    # [3.5, 5.5) runs from the middle of the left side through the corner
+    # (0,0) to the middle of the right side; at n = 16, seeds 0-2 read V2
+    # 0.124 and V3 0.202-0.208
+    out = tmp_path / "out"
+    monkeypatch.setenv("SEMIDTN_OUTPUT_DIR", str(out))
+    cfg = edited((ROOT / "configs" / "reconstruction_half_boundary.cfg").read_text(),
+                 ("n = 64", "n = 16"), ("s0 = 0.0", "s0 = 3.5"), ("s1 = 2.0", "s1 = 5.5"))
+    assert run(write_config(tmp_path, cfg)) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "manifest.json").read_text())["s1"] == 5.5
+    errors = [stage["rel_error_vs_truth"]
+              for stage in json.loads((out / "stages.json").read_text())]
+    assert len(errors) == 2 and errors[0] <= 0.14 and errors[1] <= 0.23
 
 
 def test_reconstruction_with_noise_stays_finite(tmp_path, capsys):

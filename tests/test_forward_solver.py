@@ -31,7 +31,9 @@ def half_arc_series(grid):
 def full_k4_series(grid):
     """V2, V3 and V4 of perfbench's full-arc K=4 reconstruction
     (perfbench/configs/recon_full_k4_n32.cfg)."""
-    return half_arc_series(grid).with_coefficient(4, sample_expression("1 + x*y", grid))
+    half = half_arc_series(grid)
+    return PotentialSeries.from_coefficients(grid, {
+        2: half.coefficient(2), 3: half.coefficient(3), 4: sample_expression("1 + x*y", grid)})
 
 
 def counting(solve, counts):

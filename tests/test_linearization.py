@@ -14,7 +14,7 @@ from semidtn.linearization import (DirectionStore, _position_partitions, check_d
                                    measured_linearized_flux, nonlinearity_derivative,
                                    run_cascade)
 from semidtn.potential import PotentialSeries, sample_expression
-from semidtn.reconstruction import ReconstructionConfig, reconstruct_all
+from semidtn.reconstruction import reconstruct_all
 
 
 # the number of set partitions of an n-element set, n = 0..8
@@ -471,10 +471,10 @@ def test_direction_store_guards():
         directions.taylor((0, 0, 1, 1), m)
     assert directions.calls == 12
     # a reconstruction outside orders 2..4 fails before it measures anything
-    conf = ReconstructionConfig(g, mask, family_size=3, basis_per_side=2)
     for K in (1, 5):
         with pytest.raises(ValueError, match="K = 2..4"):
-            reconstruct_all(measure, K, conf, family=fam)
+            reconstruct_all(measure, K, fam, mask, g, eps=1e-2, basis_per_side=2,
+                            rows_factor=3, lam=None, seed=0)
     assert len(calls) == 12
 
 

@@ -117,15 +117,6 @@ def test_value_field_matches_value_at(grid):
                                             rel=1e-12)
 
 
-def test_with_coefficient_extends(grid):
-    P = PotentialSeries.zero(grid)
-    v3 = np.ones(grid.num_nodes)
-    Q = P.with_coefficient(3, v3)
-    assert Q.kmax == 3
-    assert np.array_equal(Q.coefficient(3), v3)
-    assert not P.coefficient(3).any()  # original untouched
-
-
 def test_zero_series_is_zero(grid):
     P = PotentialSeries.zero(grid)
     assert P.is_zero

@@ -10,11 +10,10 @@ from semidtn.geometry import arc_mask, full_mask, interior_integral, make_grid
 from semidtn.harmonic import arc_supported_family
 from semidtn.linearization import DirectionStore, measured_linearized_flux
 from semidtn.potential import PotentialSeries, sample_expression
-from semidtn.reconstruction import (ZERO_ROW, MomentSystem, ReconstructionConfig,
-                                    _arc_readout, assemble_system, gradient_penalty,
-                                    lcurve_weight, make_basis, measured_moment,
-                                    reconstruct_all, rel_l2_error, solve_coefficients,
-                                    solution_operator_norm)
+from semidtn.reconstruction import (ZERO_ROW, MomentSystem, _arc_readout, assemble_system,
+                                    gradient_penalty, lcurve_weight, make_basis,
+                                    measured_moment, reconstruct_all, rel_l2_error,
+                                    solve_coefficients, solution_operator_norm)
 
 
 def poisson_readout(source, g):
@@ -474,9 +473,9 @@ def test_reconstruct_quadratic_only_truth_keeps_cubic_small():
     mask = full_mask(g)
     truth = PotentialSeries.from_coefficients(
         g, {2: sample_expression("exp(-4*((x-0.5)**2 + (y-0.5)**2))", g)})
-    conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=8, basis_per_side=4,
-                                rows_factor=2, seed=1)
-    result = reconstruct_all(measurement(truth, mask, g), 3, conf)
+    result = reconstruct_all(measurement(truth, mask, g), 3, arc_supported_family(mask, 8, g),
+                             mask, g, eps=1e-2, basis_per_side=4, rows_factor=2, lam=None,
+                             seed=1)
     err2 = stage_errors(result, truth, g)[0]
     norm3 = np.sqrt(interior_integral(result.series.coefficient(3) ** 2, g))
     assert err2 <= 0.5
@@ -491,10 +490,10 @@ def test_reconstruct_identical_measures_identical_outputs():
     truth_a = PotentialSeries.from_coefficients(g, base)
     truth_b = PotentialSeries.from_coefficients(g, {2: base[2].copy(),
                                                     3: np.zeros(g.num_nodes)})
-    conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=6, basis_per_side=3,
-                                rows_factor=2, seed=2)
-    res_a = reconstruct_all(measurement(truth_a, mask, g), 2, conf)
-    res_b = reconstruct_all(measurement(truth_b, mask, g), 2, conf)
+    fam = arc_supported_family(mask, 6, g)
+    conf = dict(eps=1e-2, basis_per_side=3, rows_factor=2, lam=None, seed=2)
+    res_a = reconstruct_all(measurement(truth_a, mask, g), 2, fam, mask, g, **conf)
+    res_b = reconstruct_all(measurement(truth_b, mask, g), 2, fam, mask, g, **conf)
     gap = np.max(np.abs(res_a.series.coefficient(2) - res_b.series.coefficient(2)))
     assert gap <= 1e-8
 
@@ -528,9 +527,9 @@ def test_partial_data_ordering_cheap_scenario():
         g, {2: sample_expression("exp(-4*((x-0.5)**2 + (y-0.5)**2))", g)})
     errs = {}
     for label, mask in (("full", full_mask(g)), ("quarter", arc_mask(g, 0.0, 1.0))):
-        conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=8,
-                                    basis_per_side=4, rows_factor=2, seed=3)
-        res = reconstruct_all(measurement(truth, mask, g), 2, conf)
+        res = reconstruct_all(measurement(truth, mask, g), 2, arc_supported_family(mask, 8, g),
+                              mask, g, eps=1e-2, basis_per_side=4, rows_factor=2, lam=None,
+                              seed=3)
         errs[label] = stage_errors(res, truth, g)[0]
     assert errs["full"] <= errs["quarter"]
 
@@ -541,9 +540,9 @@ def test_reconstruct_quartic_bump_induction():
     mask = full_mask(g)
     truth = PotentialSeries.from_coefficients(
         g, {4: sample_expression("exp(-4*((x-0.5)**2 + (y-0.5)**2))", g)})
-    conf = ReconstructionConfig(g, mask, eps=2e-2, family_size=8, basis_per_side=4,
-                                rows_factor=2, seed=4)
-    result = reconstruct_all(measurement(truth, mask, g), 4, conf)
+    result = reconstruct_all(measurement(truth, mask, g), 4, arc_supported_family(mask, 8, g),
+                             mask, g, eps=2e-2, basis_per_side=4, rows_factor=2, lam=None,
+                             seed=4)
     truth_norm = np.sqrt(interior_integral(truth.coefficient(4) ** 2, g))
     for stage in result.stages[:2]:
         rec = result.series.coefficient(stage.m)
@@ -569,9 +568,8 @@ def test_reconstruct_measures_each_direction_once():
         traces.append(trace.copy())
         return device(trace)
 
-    conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=6, basis_per_side=3,
-                                rows_factor=2, seed=0)
-    result = reconstruct_all(measure, 3, conf, family=fam)
+    result = reconstruct_all(measure, 3, fam, mask, g, eps=1e-2, basis_per_side=3,
+                             rows_factor=2, lam=None, seed=0)
     measured = np.array(traces)
     assert len(np.unique(measured, axis=0)) == len(measured)
     needed = {tuple(head[i] for i in positions)
@@ -602,8 +600,7 @@ def test_noisy_reconstruction_is_pinned():
     truth = PotentialSeries.from_coefficients(g, {
         2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", g),
         3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g)})
-    conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=12, basis_per_side=3,
-                                rows_factor=3, seed=0)
+    fam = arc_supported_family(mask, 12, g)
     errors = {}
     for sigma in (0.0, 1e-9):
         rng = np.random.default_rng(10_000)
@@ -612,7 +609,9 @@ def test_noisy_reconstruction_is_pinned():
             out = dtn_apply(truth, trace, mask, g).output
             return np.where(mask.flags, out + sigma * rng.normal(size=out.size), 0.0)
 
-        errors[sigma] = stage_errors(reconstruct_all(measure, 3, conf), truth, g)
+        errors[sigma] = stage_errors(reconstruct_all(
+            measure, 3, fam, mask, g, eps=1e-2, basis_per_side=3, rows_factor=3, lam=None,
+            seed=0), truth, g)
     assert max(errors[0.0]) <= 0.2
     assert 0.1 <= errors[1e-9][0] <= 0.2
     assert 200.0 <= errors[1e-9][1] <= 1000.0
@@ -633,16 +632,42 @@ def test_stage_failure_propagates_measurement_error():
             raise RuntimeError("measurement device unplugged")
         return device(trace)
 
-    conf = ReconstructionConfig(g, mask, eps=1e-2, family_size=6, basis_per_side=3,
-                                rows_factor=2, seed=0)
+    fam = arc_supported_family(mask, 6, g)
     with pytest.raises(RuntimeError, match="measurement device unplugged"):
-        reconstruct_all(flaky_measure, 3, conf)
+        reconstruct_all(flaky_measure, 3, fam, mask, g, eps=1e-2, basis_per_side=3,
+                        rows_factor=2, lam=None, seed=0)
     assert calls["n"] == 41
 
 
 def test_reconstruct_requires_k_at_least_two():
     g = make_grid(32)
     mask = full_mask(g)
-    conf = ReconstructionConfig(g, mask)
     with pytest.raises(ValueError):
-        reconstruct_all(measurement(PotentialSeries.zero(g), mask, g), 1, conf)
+        reconstruct_all(measurement(PotentialSeries.zero(g), mask, g), 1,
+                        arc_supported_family(mask, 12, g), mask, g, eps=1e-2,
+                        basis_per_side=6, rows_factor=3, lam=None, seed=0)
+
+
+def test_reconstruct_rejects_eps_below_the_newton_floor():
+    # below (1.5 eps)^K >= 1e3 * Newton tolerance the order-K response drowns
+    # in Newton's stopping error: at eps 1e-6 and K = 2 the stage returned
+    # V2 = 0 (error 1.0) without an error; now it raises before measuring,
+    # while eps 1e-4 at K = 2 and eps 1e-2 at K = 4 recover every order
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 2.0)
+    truth = PotentialSeries.from_coefficients(g, {
+        2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", g),
+        3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g),
+        4: sample_expression("1 + x*y", g)})
+    fam = arc_supported_family(mask, 6, g)
+    calls = []
+    device = measurement(truth, mask, g)
+    measure = lambda trace: calls.append(trace) or device(trace)
+    conf = dict(basis_per_side=3, rows_factor=2, lam=None, seed=0)
+    with pytest.raises(ValueError, match=r"eps = 1e-06 at K = 2 is below the floor 6\.7e-05"):
+        reconstruct_all(measure, 2, fam, mask, g, eps=1e-6, **conf)
+    assert not calls
+    for K, eps in ((2, 1e-4), (4, 1e-2)):
+        result = reconstruct_all(measure, K, fam, mask, g, eps=eps, **conf)
+        assert max(stage_errors(result, truth, g)) <= 0.2
+    assert calls
