@@ -27,8 +27,8 @@ from .dtn import bump_trace, measurement, normal_derivative
 from .forward_solver import DEFAULT_NEWTON_TOL, DEFAULT_SMALLNESS_RADIUS, solve_semilinear
 from .geometry import ArcMask, Grid2D, arc_mask, interior_integral, make_grid
 from .harmonic import HarmonicMember, arc_supported_family
-from .linearization import (MAX_ORDER, check_difference_gate, measured_linearized_flux,
-                            resolves_order, run_cascade)
+from .linearization import (MAX_ORDER, STEP_PER_EPS, check_difference_gate,
+                            measured_linearized_flux, resolves_order, run_cascade)
 from .potential import PotentialSeries, sample_expression
 from .reconstruction import measured_moment, reconstruct_all, rel_l2_error
 
@@ -71,16 +71,16 @@ KEYS = {
         ("linearization_check", "identity_check", "reconstruction")),
     # identity_check may repeat a member kmax times, so an order-kmax
     # difference (a bump of peak 1) reaches kmax eps; the reconstruction
-    # measures along mean directions up to t = 3 eps. Below the Newton floor
-    # (``resolves_order``, which reconstruct_all checks too) Newton's stopping
-    # error swamps the order-kmax response: near eps 3e-6 every field reads zero
+    # measures along mean directions up to t = 2 STEP_PER_EPS eps. Below the
+    # Newton floor (``resolves_order``, which the library checks too) Newton's
+    # stopping error swamps the order-kmax response: near eps 3e-6 every field reads zero
     ("measurement", "eps"): (
         float, 0.01, lambda e, v: 0.0 < e <= 0.05 and DEFAULT_SMALLNESS_RADIUS >= e * {
-            "identity_check": v["kmax"], "reconstruction": 3}.get(v["scenario"], 1)
+            "identity_check": v["kmax"], "reconstruction": 2 * STEP_PER_EPS}.get(v["scenario"], 1)
         and resolves_order(e, v["kmax"]),
-        f"in (0, 0.05], with kmax eps (identity_check) and 3 eps (reconstruction) "
-        f"at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}, and (1.5 eps)^kmax "
-        f"at least 1e3 times the Newton tolerance {DEFAULT_NEWTON_TOL}",
+        f"in (0, 0.05], with kmax eps (identity_check) and {2 * STEP_PER_EPS:g} eps "
+        f"(reconstruction) at most the smallness radius {DEFAULT_SMALLNESS_RADIUS}, and "
+        f"({STEP_PER_EPS:g} eps)^kmax at least 1e3 times the Newton tolerance {DEFAULT_NEWTON_TOL}",
         ("linearization_check", "identity_check", "reconstruction")),
     # the shipped configs measure fluxes below 0.3: noise above 1 leaves no data
     ("measurement", "noise_sigma"): (float, 0.0, lambda s, _: 0.0 <= s <= 1.0, "in [0, 1]",

@@ -178,14 +178,22 @@ def resolves_order(eps: float, K: int) -> bool:
     return (STEP_PER_EPS * eps) ** K >= NEWTON_FLOOR
 
 
+def check_resolves_order(eps: float, K: int) -> None:
+    """Raise ValueError naming eps, the order K and the floor unless eps resolves K."""
+    if not resolves_order(eps, K):
+        raise ValueError(f"eps = {eps} at K = {K} is below the floor "
+                         f"{NEWTON_FLOOR ** (1.0 / K) / STEP_PER_EPS:.2g}: "
+                         f"({STEP_PER_EPS} eps)^K must be at least {NEWTON_FLOOR:g}")
+
+
 class DirectionStore:
     """Directional Taylor coefficients of an opaque measurement map F along
-    sums of the given traces, each direction measured once.
+    sums of a harmonic family's traces on an arc, each direction measured once.
 
-    A sorted multiset S of trace indices stands for f_S, the sum of its
+    A sorted multiset S of member indices stands for f_S, the sum of their
     traces. Its direction is measured along the mean g_S = f_S / |S|, four
-    times, at t = +-s and +-2s with s = 3 eps / 2, so that no sample exceeds
-    3 eps max|g_S|. With E and O the even and odd parts of t -> F(t g_S),
+    times, at t = +-s and +-2s with s = STEP_PER_EPS eps, so that no sample
+    exceeds 3 eps max|g_S|. With E and O the even and odd parts of t -> F(t g_S),
 
         F_2 = (16 E(s) - E(2s)) / (12 s^2)
         F_3 = (O(2s) - 2 O(s)) / (6 s^3)
@@ -197,21 +205,31 @@ class DirectionStore:
     measurements serve every head and every order that contains it. Each
     direction keeps E(s), E(2s), O(s) and O(2s) at the arc nodes, from which
     ``taylor`` forms the coefficient it is asked for, once per multiset and
-    order, and keeps it read-only; ``calls`` counts the measurements.
+    order once eps resolves it (``resolves_order``), and keeps it read-only;
+    ``calls`` counts the measurements.
     """
 
-    def __init__(self, measure, traces, eps: float, mask: ArcMask, grid: Grid2D):
+    def __init__(self, measure, family, eps: float, mask: ArcMask, grid: Grid2D):
         if not eps > 0.0:
             raise ValueError("eps must be positive")
+        self._family = tuple(family)
+        if not self._family:
+            raise ValueError("family is empty")
         self._measure = measure
-        self._traces = tuple(check_trace(f, grid) for f in traces)
+        self._traces = tuple(check_trace(member.trace, grid) for member in self._family)
         self._arc = np.flatnonzero(mask.flags)
-        self.step = STEP_PER_EPS * eps
-        self.calls = 0
+        self._arc.flags.writeable = False
+        self._grid = grid
+        self._eps = eps
         # direction -> (E(s), E(2s), O(s), O(2s)) of F(t g) at the arc nodes
         self._parts: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
         # (sorted multiset, order) -> F_m(f_S) at the arc nodes
         self._coeffs: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
+
+    family = property(lambda self: self._family, doc="The members, which every stage reads.")
+    arc = property(lambda self: self._arc, doc="The arc's boundary indices, which stages read.")
+    grid = property(lambda self: self._grid, doc="The grid, which every stage reads.")
+    calls = property(lambda self: 4 * len(self._parts), doc="Measurements made so far.")
 
     def taylor(self, S, m: int) -> np.ndarray:
         """F_m(f_S), the t^m coefficient of F(t f_S), at the arc nodes, as a
@@ -221,17 +239,17 @@ class DirectionStore:
         S = tuple(sorted(S))
         if (S, m) in self._coeffs:
             return self._coeffs[S, m]
+        check_resolves_order(self._eps, m)
+        s = STEP_PER_EPS * self._eps
         counts = Counter(S)
         common = math.gcd(*counts.values())
         key = tuple(i for i, c in sorted(counts.items()) for _ in range(c // common))
         if key not in self._parts:
             g = sum(self._traces[i] for i in key) / len(key)
-            a, b, c, d = (self._measure(t * self.step * g)[self._arc]
+            a, b, c, d = (self._measure(t * s * g)[self._arc]
                           for t in (1.0, -1.0, 2.0, -2.0))
-            self.calls += 4
             self._parts[key] = (0.5 * (a + b), 0.5 * (c + d), 0.5 * (a - b), 0.5 * (c - d))
         even1, even2, odd1, odd2 = self._parts[key]
-        s = self.step
         if m == 2:
             coeff = (16.0 * even1 - even2) / (12.0 * s ** 2)
         elif m == 3:

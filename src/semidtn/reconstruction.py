@@ -28,12 +28,12 @@ its whole (arc node x basis function) model with a few small matrix
 products, without a Poisson solve per basis function and without stored
 adjoint fields (see ``_arc_readout``). V_m is sought on tensor Lagrange
 interpolants at Chebyshev-Lobatto nodes, by a row-equilibrated Tikhonov
-least-squares solve with a gradient penalty whose weight is the L-curve
-corner. The stage does not measure a head's flux by its own 2^m-point
-divided difference: it polarizes directional Taylor coefficients along the
-sums of the head's sub-multisets, and each such direction is measured four
-times, once per run, for every head and every order that contains it
-(``DirectionStore``).
+least-squares solve with the basis's gradient penalty, weighted at the
+L-curve corner. The stage does not measure a head's flux by its own
+2^m-point divided difference: it polarizes directional Taylor coefficients
+along the sums of the head's sub-multisets, and each such direction is
+measured four times, once per run, for every head and every order that
+contains it (``DirectionStore``, which also holds the family, arc and grid).
 Lower orders enter only through their already reconstructed fields, which
 keeps the inverse-problem information barrier intact; the cascade fields of
 S are solved once per stage, in one memo keyed by member multisets.
@@ -57,9 +57,8 @@ from .sparse_linalg import _sine_modes
 from .geometry import (ArcMask, Grid2D, boundary_integral, check_field, full_mask,
                        interior_integral)
 from .harmonic import HarmonicMember
-from .linearization import (MAX_ORDER, NEWTON_FLOOR, STEP_PER_EPS, DirectionStore,
-                            cascade_fields, measured_linearized_flux,
-                            nonlinearity_derivative, resolves_order)
+from .linearization import (MAX_ORDER, DirectionStore, cascade_fields, check_resolves_order,
+                            measured_linearized_flux, nonlinearity_derivative)
 from .potential import PotentialSeries
 
 # L-curve search grid for the Tikhonov weight, relative to sigma_max(A)^2
@@ -79,8 +78,9 @@ class CoeffBasis:
     """
 
     nodes_per_side: int
-    axis: np.ndarray    # (n + 1, nodes_per_side)
-    fields: np.ndarray  # (num_grid_nodes, nodes_per_side^2)
+    axis: np.ndarray     # (n + 1, nodes_per_side)
+    fields: np.ndarray   # (num_grid_nodes, nodes_per_side^2)
+    penalty: np.ndarray  # ``gradient_penalty``: the L of every solve on the basis
 
     @property
     def size(self) -> int:
@@ -104,9 +104,10 @@ def make_basis(nodes_per_side: int, grid: Grid2D) -> CoeffBasis:
                 cardinal[:, i] *= (axis - nodes[k]) / (nodes[i] - nodes[k])
     # node (ix, iy) is row iy * (n+1) + ix; column j * nb + i is l_i(x) l_j(y)
     fields = np.einsum("yj,xi->yxji", cardinal, cardinal).reshape(grid.num_nodes, nb * nb)
-    cardinal.flags.writeable = False
-    fields.flags.writeable = False
-    return CoeffBasis(nb, cardinal, fields)
+    penalty = gradient_penalty(nb)
+    for array in (cardinal, fields, penalty):
+        array.flags.writeable = False
+    return CoeffBasis(nb, cardinal, fields, penalty)
 
 
 def gradient_penalty(nb: int) -> np.ndarray:
@@ -242,41 +243,39 @@ def _arc_readout(grid: Grid2D, axis: np.ndarray,
     return readout
 
 
-def assemble_system(family: tuple[HarmonicMember, ...], m: int, basis: CoeffBasis,
-                    directions: DirectionStore, mask: ArcMask, grid: Grid2D,
-                    known: PotentialSeries | None = None, *, heads: int,
-                    seed: int = 0, lam: float | None = None) -> MomentSystem:
+def assemble_system(m: int, basis: CoeffBasis, directions: DirectionStore,
+                    known: PotentialSeries | None, *, heads: int, seed: int,
+                    lam: float | None) -> MomentSystem:
     """Build the order-m moment system: one row per (head, arc node) pair.
 
-    A head is a sorted m-multiset of family members. The first ``heads`` of
-    a seeded permutation of all of them are used, each once, so every head
+    A head is a sorted m-multiset of members of the family of ``directions``,
+    the run's store, which also gives the arc and grid. The first ``heads``
+    of a seeded permutation of all heads are used, each once, so every head
     is equally likely. A head's mixed flux is the polarization of the
     order-m Taylor coefficients along the sums of its sub-multisets, read
-    from ``directions``, the run's store over the family's traces, which
-    measures each direction (four measurements) the first time any head of
-    any stage needs it. A row reads the head's flux at
-    one arc node: its data is h * flux there, with the lower-order source's
-    read-out removed; its model is minus h times the read-out there of each
-    basis function times the head's product, solved on the grid, which is
-    exactly what the measurement applies (see the module docstring). One
-    read-out operator per stage (``_arc_readout``) gives a head's whole
-    model, and the same map with unit axis factors reads the lower-order
-    source. That source's cascade fields are solved once per stage, each
-    under its member sub-multiset in one memo that starts with the family's
-    harmonic fields and is kept until the stage returns (``cascade_fields``).
-    Rows whose model vanishes (a zero member, or a corner, which the read-out
-    does not see) are dropped before anything is measured. Every row is
-    scaled to unit norm, the measured data error being proportional to the
-    row norm, and each head's rows are folded into a running triangular
-    factor, so that the system holds O(basis size^2) numbers (see
-    ``MomentSystem``). ``lam`` None takes the L-curve corner.
+    from the store, which measures each direction (four measurements) the
+    first time any head of any stage needs it. A row reads the head's flux
+    at one arc node: its data is h * flux there, less the read-out of the
+    source of the lower orders ``known`` (None if none); its model is minus h
+    times the read-out there of each basis function times the head's
+    product, solved on the grid, which is exactly what the measurement
+    applies (see the module docstring). One read-out operator per stage
+    (``_arc_readout``) gives a head's whole model, and the same map with
+    unit axis factors reads the lower-order source. That source's cascade
+    fields are solved once per stage, each under its member sub-multiset in
+    one memo that starts with the family's harmonic fields and is kept until
+    the stage returns (``cascade_fields``). Rows whose model vanishes (a
+    zero member, or a corner, which the read-out does not see) are dropped
+    before anything is measured. Every row is scaled to unit norm, the
+    measured data error being proportional to the row norm, and each head's
+    rows are folded into a running triangular factor, so that the system
+    holds O(basis size^2) numbers (``MomentSystem``). ``lam`` None takes the
+    L-curve corner.
     """
     if m < 2:
         raise ValueError("moment systems start at order 2")
-    if len(family) == 0:
-        raise ValueError("family is empty")
+    family, arc, grid = directions.family, directions.arc, directions.grid
     low = _truncated(known, m, grid)
-    arc = np.flatnonzero(mask.flags)
     p = basis.size
     model_readout = _arc_readout(grid, basis.axis, arc)
     corrected = not low.is_zero
@@ -312,20 +311,14 @@ def assemble_system(family: tuple[HarmonicMember, ...], m: int, basis: CoeffBasi
     stacked[:factor.shape[0]] = factor
     matrix, rhs = stacked[:, :p], stacked[:, p]
     if lam is None:
-        lam = lcurve_weight(matrix, rhs, gradient_penalty(basis.nodes_per_side))
+        lam = lcurve_weight(matrix, rhs, basis.penalty)
     return MomentSystem(m, basis, tuple(measured), matrix, rhs, float(lam), count)
 
 
-def _stacked(matrix: np.ndarray, lam: float, penalty: np.ndarray) -> np.ndarray:
-    """[matrix; sqrt(lam) penalty]: the matrix the Tikhonov solve factors."""
-    return np.vstack([matrix, np.sqrt(lam) * penalty])
-
-
-def _tikhonov(matrix: np.ndarray, rhs: np.ndarray, lam: float,
-              penalty: np.ndarray) -> np.ndarray:
+def _tikhonov(matrix: np.ndarray, rhs: np.ndarray, lam: float, penalty: np.ndarray) -> np.ndarray:
     """argmin ||matrix c - rhs||^2 + lam ||penalty c||^2 by QR of the stacked
     system, which keeps the conditioning of ``matrix`` instead of squaring it."""
-    q, r = np.linalg.qr(_stacked(matrix, lam, penalty))
+    q, r = np.linalg.qr(np.vstack([matrix, np.sqrt(lam) * penalty]))
     return np.linalg.solve(r, q[:matrix.shape[0]].T @ rhs)
 
 
@@ -364,14 +357,13 @@ def solve_coefficients(system: MomentSystem) -> np.ndarray:
     """Coefficient vector minimizing ||A c - y||^2 + lam ||L c||^2.
 
     Solved as the stacked least-squares problem [A; sqrt(lam) L] c = [y; 0]
-    by QR.
+    by QR, with L the basis's penalty.
     """
     if system.rows == 0:
         raise ValueError("moment system is empty")
     if not system.rhs.any():
         return np.zeros(system.basis.size)
-    return _tikhonov(system.matrix, system.rhs, system.lam,
-                     gradient_penalty(system.basis.nodes_per_side))
+    return _tikhonov(system.matrix, system.rhs, system.lam, system.basis.penalty)
 
 
 def solution_operator_norm(system: MomentSystem, grid: Grid2D) -> float:
@@ -382,13 +374,11 @@ def solution_operator_norm(system: MomentSystem, grid: Grid2D) -> float:
     rows for an assembled system); used to turn moment-gap statistics into a
     field-level noise ceiling.
     """
-    L = gradient_penalty(system.basis.nodes_per_side)
-    q, r = np.linalg.qr(_stacked(system.matrix, system.lam, L))
-    S = np.linalg.solve(r, q[:system.matrix.shape[0]].T)  # data -> coefficients
+    # data -> coefficients: the Tikhonov solve of each unit right-hand side
+    S = _tikhonov(system.matrix, np.eye(len(system.matrix)), system.lam, system.basis.penalty)
     w = np.full(grid.n + 1, grid.h)
     w[0] = w[-1] = 0.5 * grid.h
-    wflat = np.outer(w, w).ravel()
-    G = system.basis.fields.T @ (wflat[:, None] * system.basis.fields)
+    G = system.basis.fields.T @ (np.outer(w, w).reshape(-1, 1) * system.basis.fields)
     sym = S.T @ G @ S
     return float(np.sqrt(max(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1], 0.0)))
 
@@ -441,40 +431,37 @@ def reconstruct_all(measure, K: int, family: tuple[HarmonicMember, ...], mask: A
 
     Stage m draws ``rows_factor * basis size`` heads with seed ``seed + m``
     (fewer when the family has fewer distinct m-multisets) and takes each
-    head's flux by polarization from one ``DirectionStore`` at ``eps`` that
-    the stages share, so that a direction is measured once per run. It pairs
-    each head's flux with the unit trace of every arc node, models each
-    pairing with the same discrete Poisson solve and read-out (see the module
-    docstring), folds the equilibrated rows into a triangular factor and
-    solves the Tikhonov problem at ``lam``, or at the L-curve weight for
-    ``lam`` None. The lower-order correction is built from the previous
-    stages' outputs: no truth is passed in, so ``measure`` is the only way
-    to it, and callers score the result. K outside 2..MAX_ORDER and an eps
-    below the Newton floor (``resolves_order``) raise before any measurement.
+    head's flux by polarization from one ``DirectionStore`` over the family
+    and arc at ``eps``, which the stages share, so that a direction is
+    measured once per run, and from which they read the family, arc and
+    grid. It pairs each head's flux with the unit trace of every arc node,
+    models each pairing with the same discrete Poisson solve and read-out
+    (see the module docstring), folds the equilibrated rows into a
+    triangular factor and solves the Tikhonov problem with the basis's
+    penalty at ``lam``, or at the L-curve weight for ``lam`` None. The
+    lower-order correction is built from the previous stages' outputs: no
+    truth is passed in, so ``measure`` is the only way to it, and callers
+    score the result. K outside 2..MAX_ORDER and an eps below the Newton
+    floor (``resolves_order``) raise before any measurement.
     """
     if not 2 <= K <= MAX_ORDER:
         raise ValueError(f"reconstruction covers orders K = 2..{MAX_ORDER}, got {K}")
-    if not resolves_order(eps, K):
-        raise ValueError(f"eps = {eps} at K = {K} is below the floor "
-                         f"{NEWTON_FLOOR ** (1.0 / K) / STEP_PER_EPS:.2g}: "
-                         f"({STEP_PER_EPS} eps)^K must be at least {NEWTON_FLOOR:g}")
+    check_resolves_order(eps, K)
     basis = make_basis(basis_per_side, grid)
-    penalty = gradient_penalty(basis.nodes_per_side)
-    directions = DirectionStore(measure, [m.trace for m in family], eps, mask, grid)
+    directions = DirectionStore(measure, family, eps, mask, grid)
     fields: dict[int, np.ndarray] = {}
     stages: list[StageDiagnostics] = []
     systems: list[MomentSystem] = []
     for m in range(2, K + 1):
         calls = directions.calls
-        system = assemble_system(family, m, basis, directions, mask, grid,
+        system = assemble_system(m, basis, directions,
                                  PotentialSeries.from_coefficients(grid, fields),
                                  heads=rows_factor * basis.size, seed=seed + m, lam=lam)
         coeff_vec = solve_coefficients(system)
         stages.append(StageDiagnostics(
-            m, system.rows, len(system.heads), directions.calls - calls, basis.size,
-            system.lam,
+            m, system.rows, len(system.heads), directions.calls - calls, basis.size, system.lam,
             float(np.linalg.norm(system.matrix @ coeff_vec - system.rhs)),
-            float(np.linalg.cond(_stacked(system.matrix, system.lam, penalty))),
+            float(np.linalg.cond(np.vstack([system.matrix, np.sqrt(system.lam) * basis.penalty]))),
             solution_operator_norm(system, grid)))
         systems.append(system)
         fields[m] = system.basis.synthesize(coeff_vec)

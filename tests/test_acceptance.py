@@ -222,9 +222,8 @@ def test_criterion_7_invariant_suite():
     basis2 = make_basis(3, g)
     P0 = sd.PotentialSeries.zero(g)
     meas = sd.measurement(P0, mask2, g)
-    s1, s2 = (sd.assemble_system(fam, 2, basis2,
-                                 DirectionStore(meas, [m.trace for m in fam], 1e-2, mask2, g),
-                                 mask2, g, heads=3, seed=3) for _ in range(2))
+    s1, s2 = (sd.assemble_system(2, basis2, DirectionStore(meas, fam, 1e-2, mask2, g), None,
+                                 heads=3, seed=3, lam=None) for _ in range(2))
     checks.append(np.array_equal(s1.matrix, s2.matrix)
                   and np.array_equal(s1.rhs, s2.rhs)
                   and s1.heads == s2.heads)

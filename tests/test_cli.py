@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,12 @@ import pytest
 
 from semidtn import cli
 from semidtn.cli import ConfigError, _field_csv, load_config, main, run, validate
-from semidtn.geometry import make_grid
+from semidtn.dtn import measurement
+from semidtn.forward_solver import DEFAULT_SMALLNESS_RADIUS
+from semidtn.geometry import arc_mask, make_grid
 from semidtn.harmonic import arc_supported_family
+from semidtn.linearization import STEP_PER_EPS, DirectionStore
+from semidtn.potential import PotentialSeries
 from semidtn.reconstruction import reconstruct_all, rel_l2_error
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -798,3 +803,31 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "identity_check" in proc.stdout
+
+
+def test_largest_reconstruction_eps_keeps_every_sample_in_the_smallness_gate(tmp_path):
+    # the eps row takes the reconstruction's reach from the store's step,
+    # 2 STEP_PER_EPS eps: at the largest eps it accepts, every trace the
+    # store passes to the measurement stays within the smallness radius,
+    # and one part in 1e6 more is rejected
+    recon = CONFIGS["reconstruction"].format(out=tmp_path)
+    eps = DEFAULT_SMALLNESS_RADIUS / (2 * STEP_PER_EPS)
+    for kmax in ("2", "4"):
+        cfg = load_config(write_config(tmp_path, edited(
+            recon, ("kmax = 2", f"kmax = {kmax}"), ("eps = 0.01", f"eps = {eps!r}"))))
+        assert cfg.eps == eps
+        _rejected(tmp_path, edited(recon, ("kmax = 2", f"kmax = {kmax}"),
+                                   ("eps = 0.01", f"eps = {eps * 1.000001!r}")),
+                  "[measurement] eps")
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 4.0)
+    fam = arc_supported_family(mask, 6, g)
+    device = measurement(PotentialSeries.zero(g), mask, g)
+    reach = []
+    directions = DirectionStore(lambda trace: reach.append(np.max(np.abs(trace)))
+                                or device(trace), fam, eps, mask, g)
+    for m in (2, 3, 4):
+        for head in combinations_with_replacement(range(len(fam)), m):
+            directions.flux(head)
+    assert directions.calls == len(reach) > 0
+    assert 0.9 * DEFAULT_SMALLNESS_RADIUS <= max(reach) <= DEFAULT_SMALLNESS_RADIUS

@@ -419,3 +419,21 @@ def test_interior_forcing_consistency():
     rhs.reshape(17, 17)[1:-1, 1:-1] = rhs_int.reshape(15, 15)
     v = solve_linear(rhs, v_exact[g.boundary_nodes], g)
     assert np.max(np.abs(v - v_exact)) <= 1e-9
+
+
+def test_newton_converging_on_its_last_allowed_step_returns(monkeypatch):
+    # with the cap at the step count an uncapped solve needs, the solve
+    # returns the same field and count from the check after the loop; one
+    # step fewer raises
+    g = make_grid(16)
+    P = const_series(g, k2=1.0)
+    f = bump_trace(g, 0.5, 0.25, 0.05)
+    u, report = solve_semilinear(P, f, g)
+    assert report.iterations >= 1
+    monkeypatch.setattr(forward_solver, "DEFAULT_MAX_NEWTON", report.iterations)
+    capped, capped_report = solve_semilinear(P, f, g)
+    assert capped_report.iterations == report.iterations
+    assert np.array_equal(capped, u)
+    monkeypatch.setattr(forward_solver, "DEFAULT_MAX_NEWTON", report.iterations - 1)
+    with pytest.raises(NewtonError, match="did not reach"):
+        solve_semilinear(P, f, g)

@@ -14,7 +14,7 @@ from semidtn.linearization import (DirectionStore, _position_partitions, check_d
                                    measured_linearized_flux, nonlinearity_derivative,
                                    run_cascade)
 from semidtn.potential import PotentialSeries, sample_expression
-from semidtn.reconstruction import reconstruct_all
+from semidtn.reconstruction import assemble_system, make_basis, reconstruct_all
 
 
 # the number of set partitions of an n-element set, n = 0..8
@@ -382,7 +382,7 @@ def test_polarized_flux_matches_cascade_and_tensor_difference():
         4: sample_expression("1 + x*y", g)})
     fam = arc_supported_family(mask, 12, g)
     measure = measurement(P, mask, g)
-    directions = DirectionStore(measure, [m.trace for m in fam], 1e-2, mask, g)
+    directions = DirectionStore(measure, fam, 1e-2, mask, g)
     for head in ((0, 3), (2, 2), (0, 3, 7), (1, 1, 5), (0, 3, 7, 9), (1, 1, 5, 8),
                  (0, 0, 0, 1)):
         m = len(head)
@@ -424,7 +424,7 @@ def test_polarized_flux_noise_gain():
                3: np.sqrt(2 * 1.0 ** 2 + 2 * 0.5 ** 2) / (6 * s ** 3),
                4: np.sqrt(2 * 2.0 ** 2 + 2 * 0.5 ** 2) / (12 * s ** 4)}
 
-    directions = DirectionStore(noise, [m.trace for m in fam], eps, mask, g)
+    directions = DirectionStore(noise, fam, eps, mask, g)
     heads = {2: ((0, 3), (5, 9), (2, 2)), 3: ((0, 3, 7), (2, 6, 10), (1, 1, 5)),
              4: ((0, 3, 7, 9), (2, 4, 6, 11), (1, 1, 5, 8), (0, 0, 0, 1))}
     for m, order_heads in heads.items():
@@ -457,8 +457,8 @@ def test_direction_store_guards():
     measure = lambda trace: calls.append(trace) or device(trace)
     for eps in (float("nan"), 0.0, -0.1):
         with pytest.raises(ValueError, match="eps must be positive"):
-            DirectionStore(measure, [m.trace for m in fam], eps, mask, g)
-    directions = DirectionStore(measure, [m.trace for m in fam], 1e-2, mask, g)
+            DirectionStore(measure, fam, eps, mask, g)
+    directions = DirectionStore(measure, fam, 1e-2, mask, g)
     for m in (1, 5):
         with pytest.raises(ValueError):
             directions.taylor((0,), m)
@@ -488,12 +488,11 @@ def test_flux_polarizes_the_stored_coefficients_exactly():
     mask = arc_mask(g, 0.0, 2.0)
     fam = arc_supported_family(mask, 8, g)
     measure = measurement(const_series(g, k2=1.0, k3=-0.5, k4=0.25), mask, g)
-    traces = [m.trace for m in fam]
-    directions = DirectionStore(measure, traces, 1e-2, mask, g)
+    directions = DirectionStore(measure, fam, 1e-2, mask, g)
     seen = set()
     for head in ((0, 0), (3, 6), (0, 0, 1), (1, 4, 4), (2, 2, 5, 7), (0, 0, 0, 1)):
         m = len(head)
-        fresh = DirectionStore(measure, traces, 1e-2, mask, g)
+        fresh = DirectionStore(measure, fam, 1e-2, mask, g)
         expected = np.zeros(np.count_nonzero(mask.flags))
         for size in range(1, m + 1):
             for positions in combinations(range(m), size):
@@ -509,3 +508,53 @@ def test_flux_polarizes_the_stored_coefficients_exactly():
     assert coeff is directions.taylor((2, 2, 5, 7), 4)
     with pytest.raises(ValueError, match="read-only"):
         coeff[0] = 1.0
+
+
+def test_direction_store_forms_no_order_below_the_newton_floor():
+    # at eps 1e-6 the order-2 response (1.5 eps)^2 drowns in Newton's
+    # stopping error: a stage on such a store read V2 = 0 (error 1.0) with no
+    # error raised. The store now checks each order before it measures for
+    # it: eps 1e-6 fails at order 2, 1e-3 forms order 2 but not 3, and 1e-2
+    # forms orders 2-4
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 2.0)
+    fam = arc_supported_family(mask, 6, g)
+    calls = []
+    device = measurement(PotentialSeries.from_coefficients(
+        g, {2: sample_expression("2 + x", g)}), mask, g)
+    measure = lambda trace: calls.append(trace) or device(trace)
+    directions = DirectionStore(measure, fam, 1e-6, mask, g)
+    with pytest.raises(ValueError, match=r"eps = 1e-06 at K = 2 is below the floor 6\.7e-05"):
+        directions.flux((0, 1))
+    with pytest.raises(ValueError, match="below the floor"):
+        assemble_system(2, make_basis(3, g), directions, None, heads=18, seed=0, lam=None)
+    assert not calls and directions.calls == 0
+    directions = DirectionStore(measure, fam, 1e-3, mask, g)
+    directions.taylor((0, 1), 2)
+    with pytest.raises(ValueError, match=r"eps = 0\.001 at K = 3 is below the floor"):
+        directions.taylor((0, 1), 3)
+    assert len(calls) == directions.calls == 4
+    directions = DirectionStore(measure, fam, 1e-2, mask, g)
+    for m in (2, 3, 4):
+        assert np.all(np.isfinite(directions.taylor((0, 1), m)))
+    assert directions.calls == 4
+
+
+def test_direction_store_owns_its_family_arc_and_grid():
+    # the store is the stages' one source of the family, the arc nodes and
+    # the grid, and none of them can be replaced or written through it; an
+    # empty family has no direction to measure
+    g = make_grid(16)
+    mask = arc_mask(g, 0.5, 2.5)
+    fam = arc_supported_family(mask, 3, g)
+    measure = measurement(PotentialSeries.zero(g), mask, g)
+    directions = DirectionStore(measure, iter(fam), 1e-2, mask, g)
+    assert directions.family == fam and directions.grid is g
+    assert np.array_equal(directions.arc, np.flatnonzero(mask.flags))
+    with pytest.raises(ValueError, match="read-only"):
+        directions.arc[0] = 0
+    for name in ("family", "arc", "grid"):
+        with pytest.raises(AttributeError):
+            setattr(directions, name, None)
+    with pytest.raises(ValueError, match="family is empty"):
+        DirectionStore(measure, (), 1e-2, mask, g)

@@ -1,3 +1,4 @@
+import inspect
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -7,7 +8,7 @@ from semidtn.dtn import dtn_apply, measurement, normal_derivative
 from semidtn.forward_solver import harmonic_extension, solve_linear
 from semidtn import linearization, reconstruction
 from semidtn.geometry import arc_mask, full_mask, interior_integral, make_grid
-from semidtn.harmonic import arc_supported_family
+from semidtn.harmonic import HarmonicMember, arc_supported_family
 from semidtn.linearization import DirectionStore, measured_linearized_flux
 from semidtn.potential import PotentialSeries, sample_expression
 from semidtn.reconstruction import (ZERO_ROW, MomentSystem, _arc_readout, assemble_system,
@@ -157,8 +158,8 @@ def test_assemble_dimensions():
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measurement(P, mask, g), [m.trace for m in fam], 1e-2, mask, g)
-    system = assemble_system(fam, 2, basis, directions, mask, g, heads=3)
+    directions = DirectionStore(measurement(P, mask, g), fam, 1e-2, mask, g)
+    system = assemble_system(2, basis, directions, None, heads=3, seed=0, lam=None)
     assert len(system.heads) == 3
     assert len(set(system.heads)) == 3  # deduplicated
     assert system.rows == 3 * (mask.flags.sum() - 2)  # the two corners are not read out
@@ -172,9 +173,8 @@ def test_assemble_collapses_when_only_one_tuple_exists():
     fam_all = arc_supported_family(mask, 1, g)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measurement(P, mask, g), [m.trace for m in fam_all], 1e-2,
-                                mask, g)
-    system = assemble_system(fam_all, 2, basis, directions, mask, g, heads=12)
+    directions = DirectionStore(measurement(P, mask, g), fam_all, 1e-2, mask, g)
+    system = assemble_system(2, basis, directions, None, heads=12, seed=0, lam=None)
     assert system.heads == ((0, 0),)
     assert system.rows == mask.flags.sum() - 2
 
@@ -187,10 +187,9 @@ def test_heads_are_a_seeded_permutation_of_the_multiset_pool(size, m):
     g = make_grid(16)
     mask = full_mask(g)
     fam = arc_supported_family(mask, size, g)
-    directions = DirectionStore(lambda trace: np.zeros(g.num_boundary),
-                                [member.trace for member in fam], 1e-2, mask, g)
-    system = assemble_system(fam, m, make_basis(2, g), directions, mask, g,
-                             heads=108, seed=m)
+    directions = DirectionStore(lambda trace: np.zeros(g.num_boundary), fam, 1e-2, mask, g)
+    system = assemble_system(m, make_basis(2, g), directions, None, heads=108, seed=m,
+                             lam=None)
     pool = list(combinations_with_replacement(range(size), m))
     order = np.random.default_rng(m).permutation(len(pool))[:108]
     assert system.heads == tuple(pool[k] for k in order)
@@ -205,10 +204,9 @@ def test_assemble_drops_zero_product_rows():
     fam_degenerate = fam + (zero,)
     basis = make_basis(2, g)
     P = PotentialSeries.zero(g)
-    directions = DirectionStore(measurement(P, mask, g),
-                                [m.trace for m in fam_degenerate], 1e-2, mask, g)
-    system = assemble_system(fam_degenerate, 2, basis, directions, mask, g,
-                             heads=15)  # all 15 heads are drawn
+    directions = DirectionStore(measurement(P, mask, g), fam_degenerate, 1e-2, mask, g)
+    system = assemble_system(2, basis, directions, None, heads=15, seed=0,
+                             lam=None)  # all 15 heads are drawn
     for head in system.heads:
         assert len(fam) not in head  # heads containing the zero member were dropped
     assert len(system.heads) == 10  # and only those
@@ -225,8 +223,8 @@ def test_stage_model_matches_measured_pairing():
     c = np.random.default_rng(0).uniform(0.5, 1.5, basis.size)
     truth = PotentialSeries.from_coefficients(g, {2: basis.synthesize(c)})
     measure = measurement(truth, mask, g)
-    directions = DirectionStore(measure, [m.trace for m in fam], 1e-2, mask, g)
-    system = assemble_system(fam, 2, basis, directions, mask, g, heads=1, lam=1.0)
+    directions = DirectionStore(measure, fam, 1e-2, mask, g)
+    system = assemble_system(2, basis, directions, None, heads=1, seed=0, lam=1.0)
     assert len(system.heads) == 1
     assert system.rows == mask.flags.sum() - 2  # the two corners are not read out
     gap = np.linalg.norm(system.matrix @ c - system.rhs) / np.linalg.norm(system.rhs)
@@ -290,10 +288,8 @@ def test_arc_readout_matches_poisson_solves(n, s0, s1):
     basis = make_basis(3, g)
     P = PotentialSeries.zero(g)
     for m in (2, 3):
-        directions = DirectionStore(measurement(P, mask, g), [m.trace for m in fam], 1e-2,
-                                    mask, g)
-        system = assemble_system(fam, m, basis, directions, mask, g, heads=2, seed=m,
-                                 lam=1.0)
+        directions = DirectionStore(measurement(P, mask, g), fam, 1e-2, mask, g)
+        system = assemble_system(m, basis, directions, None, heads=2, seed=m, lam=1.0)
         expected = 0
         for head in system.heads:
             norms = np.linalg.norm(reference(np.prod([fam[i].field for i in head], axis=0),
@@ -316,8 +312,7 @@ def test_stage_solves_each_lower_order_field_once(monkeypatch, m, s1):
     low = reconstruction._truncated(known, m, g)
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(3, g)
-    directions = DirectionStore(lambda trace: np.zeros(g.num_boundary), [m.trace for m in fam],
-                                1e-2, mask, g)
+    directions = DirectionStore(lambda trace: np.zeros(g.num_boundary), fam, 1e-2, mask, g)
     solve, source = linearization.solve_linear, reconstruction._lower_order_source
     solves, sources = [], []
 
@@ -331,8 +326,8 @@ def test_stage_solves_each_lower_order_field_once(monkeypatch, m, s1):
 
     monkeypatch.setattr(linearization, "solve_linear", counting_solve)
     monkeypatch.setattr(reconstruction, "_lower_order_source", recording_source)
-    system = assemble_system(fam, m, basis, directions, mask, g, known=known,
-                             heads=2 * basis.size, seed=m)
+    system = assemble_system(m, basis, directions, known, heads=2 * basis.size, seed=m,
+                             lam=None)
     assert any(len(set(head)) < m for head in system.heads)  # a repeated member
     keys = [{tuple(head[i] for i in positions) for size in range(2, m)
              for positions in combinations(range(m), size)} for head in system.heads]
@@ -354,10 +349,9 @@ def test_assemble_system_leaves_the_family_untouched():
     truth = PotentialSeries.from_coefficients(g, {2: sample_expression("1 + x", g),
                                                   4: sample_expression("1 + x*y", g)})
     known = PotentialSeries.from_coefficients(g, {2: truth.coefficient(2)})
-    directions = DirectionStore(measurement(truth, mask, g), [m.trace for m in fam], 1e-2,
-                                mask, g)
-    system = assemble_system(fam, 4, make_basis(3, g), directions, mask, g, known=known,
-                             heads=12, seed=4, lam=1.0)
+    directions = DirectionStore(measurement(truth, mask, g), fam, 1e-2, mask, g)
+    system = assemble_system(4, make_basis(3, g), directions, known, heads=12, seed=4,
+                             lam=1.0)
     assert any(len(set(head)) < 4 for head in system.heads)
     for member, (field, trace) in zip(fam, before):
         assert np.array_equal(member.field, field)
@@ -374,9 +368,8 @@ def test_folding_is_exact():
     fam = arc_supported_family(mask, 6, g)
     basis = make_basis(3, g)
     truth = PotentialSeries.from_coefficients(g, {2: sample_expression("1 + x*y", g)})
-    directions = DirectionStore(measurement(truth, mask, g), [m.trace for m in fam], 1e-2,
-                                mask, g)
-    system = assemble_system(fam, 2, basis, directions, mask, g, heads=3, lam=1.0)
+    directions = DirectionStore(measurement(truth, mask, g), fam, 1e-2, mask, g)
+    system = assemble_system(2, basis, directions, None, heads=3, seed=0, lam=1.0)
     assert len(system.heads) == 3
     arc = np.flatnonzero(mask.flags)
     blocks = []
@@ -511,10 +504,9 @@ def test_induction_uses_reconstructed_lower_orders():
     errors = []
     for delta in (0.0, 0.05, 0.2):
         known = PotentialSeries.from_coefficients(g, {2: truth.coefficient(2) + delta})
-        directions = DirectionStore(measurement(truth, mask, g), [m.trace for m in fam],
-                                    1e-2, mask, g)
-        system = assemble_system(fam, 3, basis, directions, mask, g, known=known,
-                                 heads=3 * basis.size, seed=5)
+        directions = DirectionStore(measurement(truth, mask, g), fam, 1e-2, mask, g)
+        system = assemble_system(3, basis, directions, known, heads=3 * basis.size, seed=5,
+                                 lam=None)
         rec = system.basis.synthesize(solve_coefficients(system))
         errors.append(rel_l2_error(rec, truth.coefficient(3), g))
     assert errors[0] < errors[1] < errors[2]
@@ -671,3 +663,47 @@ def test_reconstruct_rejects_eps_below_the_newton_floor():
         result = reconstruct_all(measure, K, fam, mask, g, eps=eps, **conf)
         assert max(stage_errors(result, truth, g)) <= 0.2
     assert calls
+
+
+# ---------- one source per input ----------
+
+def test_assemble_system_takes_each_input_once():
+    # the family, the arc and the grid come from the run's DirectionStore,
+    # and cli.KEYS holds every default, so no parameter has one
+    params = inspect.signature(assemble_system).parameters
+    assert list(params) == ["m", "basis", "directions", "known", "heads", "seed", "lam"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
+
+
+def test_basis_carries_its_gradient_penalty():
+    # built once with the basis, read-only, and the L of every solve on it
+    g = make_grid(16)
+    for nb in (2, 3, 6):
+        basis = make_basis(nb, g)
+        assert np.array_equal(basis.penalty, gradient_penalty(nb))
+        assert not basis.penalty.flags.writeable
+    system, _ = synthetic_system(rows=40, nb=3, seed=4, lam=1e-3)
+    A, y, L = system.matrix, system.rhs, system.basis.penalty
+    normal = np.linalg.solve(A.T @ A + system.lam * L.T @ L, A.T @ y)
+    assert np.allclose(solve_coefficients(system), normal, rtol=1e-8, atol=1e-10)
+
+
+def test_a_family_of_one_zero_member_has_no_usable_heads():
+    # the zero member's only head has a vanishing model on every arc node, so
+    # its rows are dropped and nothing is left or measured
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 2.0)
+    zero = HarmonicMember(np.zeros(g.num_nodes), np.zeros(g.num_boundary), "zero")
+    calls = []
+    directions = DirectionStore(lambda trace: calls.append(trace) or np.zeros(g.num_boundary),
+                                (zero,), 1e-2, mask, g)
+    with pytest.raises(ValueError, match="no usable heads"):
+        assemble_system(2, make_basis(2, g), directions, None, heads=3, seed=0, lam=None)
+    assert not calls
+
+
+def test_solve_rejects_an_empty_system():
+    basis = make_basis(2, make_grid(16))
+    empty = MomentSystem(2, basis, (), np.zeros((0, basis.size)), np.zeros(0), 1.0, rows=0)
+    with pytest.raises(ValueError, match="moment system is empty"):
+        solve_coefficients(empty)
