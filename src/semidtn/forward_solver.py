@@ -10,7 +10,11 @@ Newton step solves with the Jacobian -Lap + dV/dz(x, u) in scaled sine
 coordinates (sparse_linalg.assemble) by unpreconditioned CG, which is the
 Poisson-preconditioned CG of Concus & Golub (1973) at one transform round
 trip per iteration; under the smallness gate the reaction term is a small
-perturbation of -Lap and CG converges in a few iterations.
+perturbation of -Lap and CG converges in a few iterations. CG returns the
+step in node values, summed from the node values the Jacobian computes for
+each search direction, so a step makes one forward transform and one round
+trip per CG iteration. The residual's and the slope's Horner polynomials
+read a contiguous copy of the interior values.
 
 The nonlinear solve enforces a smallness gate on the boundary data
 (max-norm radius 0.1) under which Newton, started from the harmonic
@@ -28,7 +32,7 @@ import numpy as np
 
 from .geometry import Grid2D, check_field, check_trace, trace_to_field
 from .potential import PotentialSeries
-from .sparse_linalg import SolverError, _sine_modes, assemble, from_sine, solve_spd, to_sine
+from .sparse_linalg import SolverError, _sine_modes, assemble, solve_spd, to_sine
 
 DEFAULT_SMALLNESS_RADIUS = 0.1
 DEFAULT_NEWTON_TOL = 1e-11
@@ -41,9 +45,11 @@ DEFAULT_MAX_NEWTON = 25
 # 1.1e-9 at m=2, past the bounds of 5e-3 and 1e-9 that the tests hold.
 LINEAR_TOL = 1e-12
 # Free sets of Newton work arrays by grid size (the stencil's rows, two
-# residuals, each evaluating its Horner polynomial in place, and the
-# Jacobian's slope field), taken for one solve as sparse_linalg takes CG's.
-_newton_work: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = {}
+# residuals, each evaluating its Horner polynomial in place, a contiguous
+# copy of the interior values that the residual's and the slope's
+# polynomials read, and the Jacobian's slope field), taken for one solve as
+# sparse_linalg takes CG's.
+_newton_work: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
 
 class SmallnessError(ValueError):
@@ -83,13 +89,16 @@ def _stencil_rows(u: np.ndarray, grid: Grid2D, rows: np.ndarray) -> np.ndarray:
 
 
 def _residual_into(P: PotentialSeries, u: np.ndarray, grid: Grid2D, rows: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
+                   interior: np.ndarray, out: np.ndarray) -> np.ndarray:
     """-Lap u + V(x,u) on interior nodes into the flat (n-1)^2 array ``out``,
-    with ``rows`` as the stencil's work array; returns ``out``. V goes into
-    ``out`` first and the stencil is added to it (addition commutes)."""
+    with ``rows`` as the stencil's work array; returns ``out``. The interior
+    values of u are copied into the contiguous (n-1, n-1) array ``interior``
+    first, where V's polynomial reads them; V goes into ``out`` first and
+    the stencil is added to it (addition commutes)."""
     m = grid.n - 1
     field = out.reshape(m, m)
-    P.interior_value(u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1], field)
+    np.copyto(interior, u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1])
+    P.interior_value(interior, field)
     field += _stencil_rows(u, grid, rows)
     return out
 
@@ -162,10 +171,11 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
     so the first correction is already quadratically small). Each step
     solves the Jacobian system in scaled sine coordinates, so its CG stops
     when the (-Lap_h)^-1-norm of the step residual falls to LINEAR_TOL times
-    that of the Newton residual. Newton stops at residual DEFAULT_NEWTON_TOL;
-    diverging residuals (3 consecutive increases) or DEFAULT_MAX_NEWTON steps
-    raise NewtonError, and data whose max-norm exceeds
-    DEFAULT_SMALLNESS_RADIUS raises SmallnessError. The three constants are
+    that of the Newton residual, and returns the step in node values.
+    Newton stops at residual DEFAULT_NEWTON_TOL; diverging residuals (3
+    consecutive increases) or DEFAULT_MAX_NEWTON steps raise NewtonError,
+    and data whose max-norm exceeds DEFAULT_SMALLNESS_RADIUS raises
+    SmallnessError. The three constants are
     read at call time.
     """
     f = check_trace(f, grid)
@@ -178,19 +188,21 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
     inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]  # a view: steps update u
     m = grid.n - 1
     free = _newton_work.setdefault(grid.n, [])
-    work = rows, res, new_res, slope = (
+    work = rows, res, new_res, interior, slope = (
         free.pop() if free else
-        (np.empty(m * (grid.n + 1)), np.empty(m * m), np.empty(m * m), np.empty((m, m))))
+        (np.empty(m * (grid.n + 1)), np.empty(m * m), np.empty(m * m), np.empty((m, m)),
+         np.empty((m, m))))
     try:
-        res_norm = _l2(_residual_into(P, u, grid, rows, res), grid)
+        res_norm = _l2(_residual_into(P, u, grid, rows, interior, res), grid)
         history = [res_norm]
         increases = 0
         for it in range(DEFAULT_MAX_NEWTON):
             if res_norm <= DEFAULT_NEWTON_TOL:
                 return u, SolveReport(it, res_norm, fnorm, True, tuple(history))
-            A = assemble(P.interior_slope(inner, slope), grid)
-            inner -= from_sine(solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL), grid)
-            new_norm = _l2(_residual_into(P, u, grid, rows, new_res), grid)
+            # ``interior`` holds u's interior values since ``res`` was formed
+            A = assemble(P.interior_slope(interior, slope), grid)
+            inner -= solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL).reshape(m, m)
+            new_norm = _l2(_residual_into(P, u, grid, rows, interior, new_res), grid)
             history.append(new_norm)
             increases = increases + 1 if new_norm > res_norm else 0
             if increases >= 3:

@@ -11,13 +11,17 @@ Poisson-preconditioned CG of Concus & Golub (1973) at one transform round
 trip and no stencil per iteration. Only S, the eigenvalues and one
 transform kernel per grid size are stored, never the operator.
 
+The Jacobian returns the node values it computes for its input beside J y,
+and CG sums them with its step lengths, so a Newton step gets its
+correction in node values with no closing inverse transform.
+
 The Newton step's kernel makes the two dense products with S below
 FOLD_MIN_N and folds them by mode parity from there up: sine mode k is even
 about the grid's midpoint for odd k and odd for even k, so each product with
 S splits into two quarter-size products on the folded sums and differences
 of node rows (the even/odd reduction of Buzbee, Golub & Nielsen). Its sine
 coordinates are then in odd-then-even mode order, a private order that only
-``to_sine``, ``assemble`` and ``from_sine`` read.
+``to_sine`` and ``assemble`` read.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import numpy as np
 
 from .geometry import Grid2D
 
-Operator = Callable[[np.ndarray], np.ndarray]
+# A p, or the pair (A p, T p) of solve_spd's pair mode
+Operator = Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, np.ndarray]"]
 
 
 class SolverError(Exception):
@@ -178,23 +183,19 @@ def to_sine(r: np.ndarray, grid: Grid2D) -> np.ndarray:
     return out.ravel()
 
 
-def from_sine(y: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """S (Lam^(-1/2) o y) S: the interior values, (n-1, n-1), of scaled sine
-    coordinates y; the inverse of ``to_sine``."""
-    m = grid.n - 1
-    kernel = _kernel(grid.n)
-    return kernel.inverse(kernel.scale * y.reshape(m, m), np.empty((m, m)))
-
-
 def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
-    """The Jacobian -Lap_h + diag(c) in scaled sine coordinates:
+    """The Jacobian J = -Lap_h + diag(c) in scaled sine coordinates:
     y -> y + Lam^(-1/2) o S (c o S (Lam^(-1/2) o y) S) S on flat vectors.
 
     ``c`` holds the reaction coefficient on the (n-1)^2 interior nodes. It
     may be negative, as a Newton step's slope can be, as long as the
     five-point diagonal 4/h^2 + c stays positive; otherwise SolverError.
-    Each application returns a new array. The products with S run through
-    the grid's transform kernel, so the operator reads and returns modes in
+    Each application returns the pair (J y, T y) of ``solve_spd``'s pair
+    mode: J y is a new flat array, and T y = S (Lam^(-1/2) o y) S, the node
+    values that J takes y back to on its way, flat, in the operator's own
+    buffer, which its next application overwrites. So CG on J hands back
+    the node values of its solution. The products with S run through the
+    grid's transform kernel, so the operator reads and returns modes in
     ``to_sine``'s order; it keeps two (n-1)^2 intermediates of its own and
     shares the kernel's work arrays, so it runs in one thread at a time.
     """
@@ -209,22 +210,25 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
     # rounded addition is monotone, so the smallest c has the smallest diagonal
     if 4.0 / (grid.h * grid.h) + lo <= 0.0:
         raise SolverError("reaction term too negative: stencil diagonal not positive")
-    # the operator's own intermediates, overwritten by every application;
-    # positional outputs and methods bound once cost less per call than the
-    # out= keyword and attribute lookups on the small grids
-    front, back = np.empty((m, m)), np.empty((m, m))
+    # the operator's own intermediates, overwritten by every application:
+    # the node values, returned flat, and the scaled modes, which then take
+    # c times the node values; positional outputs and methods bound once
+    # cost less per call than the out= keyword and attribute lookups on the
+    # small grids
+    front, nodes = np.empty((m, m)), np.empty((m, m))
+    image = nodes.ravel()
     kernel = _kernel(grid.n)
     scale, forward, inverse = kernel.scale, kernel.forward, kernel.inverse
 
-    def apply(y: np.ndarray) -> np.ndarray:
+    def apply(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = y.reshape(m, m)
         np.multiply(scale, y, front)
-        inverse(front, back)
-        np.multiply(back, c, back)
-        w = forward(back, np.empty((m, m)))
+        inverse(front, nodes)
+        np.multiply(nodes, c, front)
+        w = forward(front, np.empty((m, m)))
         w *= scale
         w += y
-        return w.ravel()
+        return w.ravel(), image
 
     return apply
 
@@ -232,26 +236,32 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
 def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> np.ndarray:
     """Conjugate gradient for a symmetric positive definite A and flat b.
 
-    ``A(x)`` applies the operator. Returns x with relative residual
-    ||Ax - b|| / ||b|| <= tol, within 10 * len(b) iterations, or raises
-    SolverError at the first curvature p.Ap that is not positive and finite
-    (an overflowing or NaN operator); b = 0 short circuits to x = 0; b
-    itself is left unchanged. Deterministic for fixed
-    inputs (fixed reduction order). The iterate and residual are updated in
-    place, so ``callback(x_k)``, invoked once per accepted iterate when
-    given, sees the live iterate: copy it to keep it. The returned x is a
-    new array; the residual, search direction and step vector are work
-    arrays held for this solve only, and a nested solve gets its own.
+    ``A(p)`` returns A p, or in pair mode the pair (A p, T p) for a linear
+    map T onto vectors of b's length, read before the next application; CG
+    then sums T p where it would sum p and returns T x, never forming x.
+    Stops when the recursive residual r_k = b - A x_k, updated in place,
+    has ||r_k|| / ||b|| <= tol; raises SolverError, carrying that relative
+    residual, after 10 * len(b) iterations (pair mode has no x to form
+    A x - b from, and one rule for both modes keeps one loop), or at the
+    first curvature p.Ap that is not positive and finite (an overflowing or
+    NaN operator). An x = 0 that meets tol (b = 0, or tol >= 1) returns at
+    once; b is left unchanged. Deterministic for fixed inputs (fixed
+    reduction order). ``callback(x_k)``, invoked once per iterate when
+    given, sees the live iterate, T x_k in pair mode: copy it to keep it.
+    The returned array is new; the residual, search direction and step
+    vector are work arrays held for this solve only, and a nested solve
+    gets its own.
     """
     if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float)
     # each norm is the root of a dot product, which is np.linalg.norm exactly
     norm_b = math.sqrt(b @ b)
-    if norm_b == 0.0:
-        return np.zeros(b.size)
-
+    stop = tol * norm_b
     x = np.zeros(b.size)
+    if norm_b <= stop:
+        return x
+
     free = _cg_work.setdefault(b.size, [])
     work = r, p, step = free.pop() if free else tuple(np.empty(b.size) for _ in range(3))
     try:
@@ -264,27 +274,29 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
         # print that error's cause ahead of it
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
-                if math.sqrt(rr) <= tol * norm_b:
-                    return x
                 Ap = A(p)
+                image = p
+                if isinstance(Ap, tuple):
+                    Ap, image = Ap
                 pAp = p @ Ap
                 if not 0.0 < pAp < math.inf:  # NaN too
                     raise SolverError(f"CG breakdown: curvature p.Ap = {pAp:.3e} is not positive "
                                       "and finite", residual=math.sqrt(rr) / norm_b)
                 alpha = rr / pAp
-                x += np.multiply(alpha, p, out=step)
+                x += np.multiply(alpha, image, out=step)
                 r -= np.multiply(alpha, Ap, out=step)
                 rr_new = r @ r
+                if callback is not None:
+                    callback(x)
+                # tested before the search direction is updated, which a
+                # converged solve no longer needs
+                if math.sqrt(rr_new) <= stop:
+                    return x
                 p *= rr_new / rr
                 p += r
                 rr = rr_new
-                if callback is not None:
-                    callback(x)
     finally:
         free.append(work)
-    d = A(x) - b
-    res = math.sqrt(d @ d) / norm_b
-    if res <= tol:
-        return x
+    res = math.sqrt(rr) / norm_b
     raise SolverError(f"CG did not reach tol={tol} in {max_iter} iterations "
                       f"(relative residual {res:.3e})", residual=res)

@@ -4,7 +4,8 @@ neighbour sum, and Newton with Poisson-preconditioned CG on the stencil.
 Also exact references for the in-place kernels: CG with a new array at
 every update, the stencil and the semilinear residual by 2-D slices, the
 rank-4 lift from edge strips cut by 2-D slices, the linear solve that always
-transforms its lift, and Newton with a new array at every step. And the
+transforms its lift, Newton with a new array at every step, and the node
+values of scaled sine coordinates (``from_sine``). And the
 Jacobian certificate: the analytic Jacobian against finite differences of
 that residual."""
 
@@ -24,6 +25,14 @@ def sine_basis(g):
     sine = np.sqrt(2.0 / g.n) * np.sin(np.pi * np.outer(k, k) / g.n)
     eig = (2.0 * np.sin(0.5 * np.pi * k / g.n) / g.h) ** 2
     return sine, eig[:, None] + eig[None, :]
+
+
+def from_sine(y, g):
+    """S (Lam^(-1/2) o y) S: the interior values, (n-1, n-1), of flat scaled
+    sine coordinates y in the grid's kernel's mode order, by the kernel's
+    own inverse transform; from_sine(to_sine(r)) = (-Lap_h)^-1 r."""
+    kernel, m = _kernel(g.n), g.n - 1
+    return kernel.inverse(kernel.scale * y.reshape(m, m), np.empty((m, m)))
 
 
 def five_point_operator(c_int, g):
@@ -78,36 +87,37 @@ def allocating_cg(A, b, precondition=None, tol=1e-10, callback=None):
     """``solve_spd``'s conjugate gradient with every update making a new
     array and the stop test taking norm(r): without ``precondition``, the
     same operations in the same order as the in-place loop, which must match
-    it bit for bit. ``precondition(r)`` applies M^-1 for a symmetric positive
-    definite M, as the physical-space Newton reference needs."""
+    it bit for bit, also in pair mode, where ``A(p)`` returns (A p, T p) and
+    the solve returns T x. ``precondition(r)`` applies M^-1 for a symmetric
+    positive definite M, as the physical-space Newton reference needs."""
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros(b.size)
     x = np.zeros(b.size)
+    if norm_b <= tol * norm_b:
+        return x
     r = b
     z = r if precondition is None else precondition(r)
     p = z
     rz = r @ z
-    max_iter = 10 * b.size
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * norm_b:
-            return x
+    for _ in range(10 * b.size):
         Ap = A(p)
+        image = p
+        if isinstance(Ap, tuple):
+            Ap, image = Ap
         pAp = p @ Ap
         if pAp <= 0.0:
             raise SolverError("CG breakdown: operator not positive definite")
         alpha = rz / pAp
-        x = x + alpha * p
+        x = x + alpha * image
         r = r - alpha * Ap
+        if callback is not None:
+            callback(x)
+        if np.linalg.norm(r) <= tol * norm_b:
+            return x
         z = r if precondition is None else precondition(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-        if callback is not None:
-            callback(x)
-    if np.linalg.norm(A(x) - b) <= tol * norm_b:
-        return x
     raise SolverError("CG did not converge")
 
 
@@ -192,9 +202,12 @@ def allocating_newton(P, f, g, kernel=None):
     side, step and Jacobian by transforms that each make a new array (dense
     products of its own with a dense kernel's S, a folded kernel's own
     methods, as they read folded coordinates), and ``allocating_cg``.
-    ``kernel`` is the grid's (``_kernel``) unless given. With the grid's
-    kernel, the same operations in the same order as the loop with work
-    arrays, which must match it bit for bit; returns u and its SolveReport.
+    The Jacobian returns each input's node values beside its product, so
+    ``allocating_cg`` returns the step in node values: seven transforms per
+    step with three CG iterations. ``kernel`` is the grid's (``_kernel``)
+    unless given. With the grid's kernel, the same operations in the same
+    order as the loop with work arrays, which must match it bit for bit;
+    returns u and its SolveReport.
     Only for data that converge: it has no divergence test."""
     f = check_trace(f, g)
     kernel = _kernel(g.n) if kernel is None else kernel
@@ -221,9 +234,8 @@ def allocating_newton(P, f, g, kernel=None):
         c = c.reshape(m, m)
 
         def apply(y):
-            w = inverse(scale * y.reshape(m, m))
-            w *= c
-            return to_sine(w) + y
+            nodes = inverse(scale * y.reshape(m, m))
+            return to_sine(nodes * c) + y, nodes.ravel()
 
         return apply
 
@@ -236,8 +248,7 @@ def allocating_newton(P, f, g, kernel=None):
             return u, SolveReport(it, history[-1], float(np.max(np.abs(f))), True,
                                   tuple(history))
         A = jacobian(P.interior_slope(inner))
-        step = allocating_cg(A, to_sine(res), tol=LINEAR_TOL)
-        inner -= inverse(scale * step.reshape(m, m))
+        inner -= allocating_cg(A, to_sine(res), tol=LINEAR_TOL).reshape(m, m)
         res = residual(P, u, g)
         history.append(float(g.h * np.linalg.norm(res)))
     raise AssertionError("reference Newton did not converge")

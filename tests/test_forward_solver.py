@@ -13,7 +13,7 @@ from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, har
                                     solve_linear, solve_semilinear)
 from semidtn.geometry import arc_mask, make_grid, trace_to_field
 from semidtn.potential import PotentialSeries, sample_expression
-from semidtn.sparse_linalg import assemble, from_sine, solve_spd, to_sine
+from semidtn.sparse_linalg import assemble, solve_spd, to_sine
 
 
 def const_series(grid, **fields):
@@ -74,12 +74,14 @@ def test_quadratic_harmonic_is_stencil_exact():
 def test_constant_solution_with_reaction():
     # -Lap v + v = 1 with v = 1 on the boundary is solved by v = 1; the
     # boundary values enter the right-hand side through the stencil, and the
-    # system is solved in scaled sine coordinates
+    # system is solved in scaled sine coordinates, with CG handing back the
+    # node values of its solution
     g = make_grid(8)
     lift = trace_to_field(np.ones(g.num_boundary), g)
     b = 1.0 - slice_stencil(lift, g)
-    y = solve_spd(assemble(np.ones(g.num_interior), g), to_sine(b, g), tol=LINEAR_TOL)
-    assert np.max(np.abs(from_sine(y, g) - 1.0)) <= 1e-9
+    v = solve_spd(assemble(np.ones(g.num_interior), g), to_sine(b, g), tol=LINEAR_TOL)
+    assert v.shape == (g.num_interior,)
+    assert np.max(np.abs(v - 1.0)) <= 1e-9
 
 
 def test_zero_data_zero_solution():
@@ -437,3 +439,35 @@ def test_newton_converging_on_its_last_allowed_step_returns(monkeypatch):
     monkeypatch.setattr(forward_solver, "DEFAULT_MAX_NEWTON", report.iterations - 1)
     with pytest.raises(NewtonError, match="did not reach"):
         solve_semilinear(P, f, g)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_newton_step_transforms_once_plus_a_round_trip_per_cg_iteration(n, monkeypatch):
+    # CG returns the step in node values, summed from the node values the
+    # Jacobian computes for each search direction, so a Newton step makes
+    # one forward transform of its right-hand side and one round trip per
+    # CG iteration, with no closing inverse: seven at three iterations. The
+    # harmonic start runs dense products of its own, not the kernel's
+    kind = type(sparse_linalg._kernel(n))
+    calls = []
+
+    def counted(name):
+        method = getattr(kind, name)
+
+        def transform(self, x, out):
+            calls.append(name)
+            return method(self, x, out)
+
+        return transform
+
+    for name in ("forward", "inverse"):
+        monkeypatch.setattr(kind, name, counted(name))
+    counts = []
+    monkeypatch.setattr(forward_solver, "solve_spd", counting(solve_spd, counts))
+    g = make_grid(n)
+    a, b = bump_trace(g, 0.5, 0.5), bump_trace(g, 1.25, 0.25)
+    _, report = solve_semilinear(half_arc_series(g), 0.01 * (a - b), g)
+    assert report.converged and report.iterations == len(counts) >= 1
+    assert calls.count("forward") == sum(counts) + report.iterations
+    assert calls.count("inverse") == sum(counts)
+    assert counts[0] == 3 and len(calls) == 7 * report.iterations

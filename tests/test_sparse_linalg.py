@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from five_point import allocating_cg, five_point_operator, sine_basis
+from five_point import allocating_cg, five_point_operator, from_sine, sine_basis
 from semidtn.geometry import make_grid
-from semidtn.sparse_linalg import (FOLD_MIN_N, SolverError, _Dense, _Fold, assemble, from_sine,
+from semidtn.sparse_linalg import (FOLD_MIN_N, SolverError, _Dense, _Fold, _kernel, assemble,
                                    solve_spd, to_sine)
 
 
 def materialize(A, dim):
     """Dense matrix of an operator, one column per unit vector."""
     return np.column_stack([A(e) for e in np.eye(dim)])
+
+
+def product(A):
+    """The plain operator y -> J y of an assembled Jacobian, whose
+    application returns the pair (J y, node values of y)."""
+    return lambda y: A(y)[0]
 
 
 def poisson(g):
@@ -37,7 +43,7 @@ def test_assemble_poisson_diagonal():
     # with no reaction term the Jacobian is -Lap_h, the identity in scaled
     # sine coordinates; taken back to the nodes, its diagonal is 4/h^2
     g = make_grid(4)
-    M = materialize(assemble(np.zeros(g.num_interior), g), 9)
+    M = materialize(product(assemble(np.zeros(g.num_interior), g)), 9)
     assert M.shape == (9, 9)
     assert np.allclose(M, np.eye(9))
     assert np.allclose(np.diag(physical(M, g)), 64.0)
@@ -47,7 +53,7 @@ def test_assemble_reaction_shift():
     # a unit reaction term adds Lam^-1 in sine coordinates, and 1 to the
     # nodal diagonal
     g = make_grid(4)
-    M = materialize(assemble(np.ones(g.num_interior), g), 9)
+    M = materialize(product(assemble(np.ones(g.num_interior), g)), 9)
     assert np.allclose(M, np.eye(9) + np.diag(1.0 / sine_basis(g)[1].ravel()))
     assert np.allclose(np.diag(physical(M, g)), 65.0)
 
@@ -66,30 +72,37 @@ def test_assemble_matches_sparse_reference():
         A2 = assemble(c2, g)
         for A, c in ((A1, c1), (A2, c2)):
             ref = conjugated_reference(c, g)
-            M = materialize(A, g.num_interior)
+            M = materialize(product(A), g.num_interior)
             assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_assembled_operators_applied_in_turn():
     # each operator keeps its own reaction term and intermediates, and every
-    # application returns a new array: two operators applied in turn give
-    # what each gives alone, and no kept result changes afterwards
+    # application returns a new J y: two operators applied in turn give what
+    # each gives alone, and no kept product changes afterwards. The node
+    # values returned beside it sit in each operator's own buffer, which only
+    # that operator's next application overwrites
     g = make_grid(16)
     rng = np.random.default_rng(6)
     c1, c2 = rng.uniform(-1.0, 2.0, (2, g.num_interior))
     ys = rng.normal(size=(3, g.num_interior))
-    alone = [[assemble(c, g)(y) for y in ys] for c in (c1, c2)]
+    alone = [[tuple(a.copy() for a in assemble(c, g)(y)) for y in ys] for c in (c1, c2)]
     A1, A2 = assemble(c1, g), assemble(c2, g)
-    in_turn = [(A1(y), A2(y)) for y in ys]
-    for (out1, out2), ref1, ref2 in zip(in_turn, *alone):
-        assert np.array_equal(out1, ref1)
-        assert np.array_equal(out2, ref2)
+    in_turn = []
+    for y in ys:
+        (out1, nodes1), (out2, nodes2) = A1(y), A2(y)
+        assert nodes1 is not nodes2 and np.array_equal(nodes1, nodes2)
+        in_turn.append((out1, out2, nodes1.copy()))
+    for (out1, out2, nodes), ref1, ref2 in zip(in_turn, *alone):
+        assert np.array_equal(out1, ref1[0])
+        assert np.array_equal(out2, ref2[0])
+        assert np.array_equal(nodes, ref1[1]) and np.array_equal(nodes, ref2[1])
 
 
 def test_assemble_symmetry():
     g = make_grid(8)
     rng = np.random.default_rng(1)
-    M = materialize(assemble(rng.uniform(0.0, 2.0, g.num_interior), g), g.num_interior)
+    M = materialize(product(assemble(rng.uniform(0.0, 2.0, g.num_interior), g)), g.num_interior)
     assert np.max(np.abs(M - M.T)) <= 1e-15 * np.max(np.abs(M))
 
 
@@ -99,7 +112,7 @@ def test_assemble_rejects_negative_reaction():
     g = make_grid(4)
     c = np.zeros(g.num_interior)
     c[4] = -1.0  # the middle interior node
-    M = physical(materialize(assemble(c, g), 9), g)
+    M = physical(materialize(product(assemble(c, g)), 9), g)
     assert M[4, 4] == pytest.approx(63.0)
     c[4] = -64.0  # diagonal 4/h^2 + c = 0
     with pytest.raises(SolverError):
@@ -120,7 +133,7 @@ def test_assemble_rejects_nonfinite():
 
 def test_weak_diagonal_dominance():
     g = make_grid(8)
-    M = physical(materialize(assemble(np.zeros(g.num_interior), g), g.num_interior), g)
+    M = physical(materialize(product(assemble(np.zeros(g.num_interior), g)), g.num_interior), g)
     off = np.sum(np.abs(M), axis=1) - np.abs(np.diag(M))
     assert np.all(off <= np.diag(M) + 1e-9)
 
@@ -131,7 +144,7 @@ def test_discrete_eigenvalue_oracle():
     # at n=64. The coordinates of v are y = to_sine(-Lap_h v), and
     # v.(-Lap_h v) = y.y
     g = make_grid(64)
-    A = assemble(np.zeros(g.num_interior), g)
+    A = product(assemble(np.zeros(g.num_interior), g))
     x, y = g.node_coords()
     v = (np.sin(np.pi * x) * np.sin(np.pi * y)).reshape(65, 65)[1:-1, 1:-1].ravel()
     coords = to_sine(poisson(g)(v), g)
@@ -198,12 +211,13 @@ def test_folded_kernel_matches_dense_products(n, kind):
 
 @pytest.mark.parametrize("n", [128, 129, 32])
 def test_folded_newton_transforms_match_dense_products(n):
-    # to_sine, from_sine and the Jacobian run the grid's kernel, folded in
-    # odd-then-even mode order from FOLD_MIN_N up and dense below: in
-    # natural mode order they match the dense products, and the Jacobian
-    # matches the five-point operator conjugated by them. Every result is
-    # kept until all are made, so none may be a work array of the kernel or
-    # of the operator
+    # to_sine, the kernel's inverse and the Jacobian run the grid's kernel,
+    # folded in odd-then-even mode order from FOLD_MIN_N up and dense below:
+    # in natural mode order they match the dense products, the Jacobian
+    # matches the five-point operator conjugated by them, and the node values
+    # it returns beside its product are the inverse transform's. Every
+    # product is kept until all are made, so none may be a work array of the
+    # kernel or of the operator
     folded = n >= FOLD_MIN_N
     g = make_grid(n)
     m = n - 1
@@ -215,7 +229,12 @@ def test_folded_newton_transforms_match_dense_products(n):
     ys = rng.normal(size=(3, m * m))
     A = assemble(c, g)
     coords, nodes = to_sine(r, g), from_sine(y, g)
-    applied = [A(v) for v in ys]
+    applied = []
+    for v in ys:
+        w, image = A(v)
+        assert image.shape == (m * m,)
+        assert np.array_equal(image, from_sine(v, g).ravel())
+        applied.append(w)
     assert coords.shape == (m * m,) and nodes.shape == (m, m)
     assert_close(unfolded(coords, g, folded), scale * (sine @ r.reshape(m, m) @ sine))
     assert_close(nodes, sine @ (scale * unfolded(y, g, folded)) @ sine)
@@ -317,7 +336,7 @@ def test_nested_solve_of_same_size_is_exact():
     inner = []
 
     def nesting(y):
-        return A(y) + solve_spd(lambda v: 2.0 * v, y)
+        return A(y)[0] + solve_spd(lambda v: 2.0 * v, y)
 
     def solving_callback(xk):
         inner.append(solve_spd(lambda v: 2.0 * v, xk))
@@ -382,3 +401,67 @@ def test_iteration_cap_error_carries_residual():
         solve_spd(lambda x: M @ x, rng.normal(size=n), tol=1e-15)
     assert np.isfinite(info.value.residual)
 
+
+def test_pair_operator_returns_image_of_solution():
+    # an operator that returns (A p, T p) for a linear map T makes CG sum
+    # T p where it would sum p: the solve returns T x, and its callback sees
+    # T x_k, after the same iterations as the plain solve; the in-place loop
+    # matches the allocating reference bit for bit in pair mode too
+    rng = np.random.default_rng(12)
+    n = 40
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    M = Q @ np.diag(np.linspace(1.0, 20.0, n)) @ Q.T
+    M = 0.5 * (M + M.T)
+    T = rng.normal(size=(n, n))
+    b = rng.normal(size=n)
+
+    def pair(p):
+        return M @ p, T @ p
+
+    plain_steps, iterates = [], []
+    x = solve_spd(lambda p: M @ p, b, tol=1e-12, callback=plain_steps.append)
+    image = solve_spd(pair, b, tol=1e-12, callback=lambda xk: iterates.append(xk.copy()))
+    again, ref, steps, ref_steps = cg_runs(pair, b, 1e-12)
+    assert np.array_equal(again, image) and np.array_equal(ref, image)
+    assert len(iterates) == len(plain_steps) == steps == ref_steps >= 2
+    assert np.array_equal(iterates[-1], image)
+    assert np.max(np.abs(image - T @ x)) <= 1e-12 * np.max(np.abs(T @ x))
+    assert np.array_equal(solve_spd(pair, np.zeros(n)), np.zeros(n))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_newton_operator_pair_path_matches_plain_path(n, sign):
+    # the Jacobian's node values summed by CG (pair mode) give the step that
+    # the plain solve's sine coordinates give through the inverse transform,
+    # to rounding of the step, after the same CG iterations; n=128 runs the
+    # folded kernel
+    assert isinstance(_kernel(n), _Fold) == (n >= FOLD_MIN_N)
+    g = make_grid(n)
+    rng = np.random.default_rng(n)
+    A = assemble(sign * rng.uniform(0.0, 2.0, g.num_interior), g)
+    b = to_sine(rng.normal(size=g.num_interior), g)
+    plain_steps, steps = [], []
+    y = solve_spd(product(A), b, tol=1e-12, callback=plain_steps.append)
+    delta = from_sine(y, g).ravel()
+    step = solve_spd(A, b, tol=1e-12, callback=steps.append)
+    assert len(steps) == len(plain_steps) >= 2
+    assert step.shape == (g.num_interior,)
+    assert np.max(np.abs(step - delta)) <= 1e-14 * np.max(np.abs(delta))
+
+
+def test_pair_mode_cap_and_breakdown_raise():
+    # pair mode never forms x, so the cap reports the recursive residual; a
+    # curvature that is not positive stops it as it stops the plain solve
+    rng = np.random.default_rng(0)
+    n = 60
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    M = Q @ np.diag(np.logspace(-15, 0, n)) @ Q.T
+    M = 0.5 * (M + M.T)
+    T = rng.normal(size=(n, n))
+    with pytest.raises(SolverError, match="did not reach") as info:
+        solve_spd(lambda p: (M @ p, T @ p), rng.normal(size=n), tol=1e-15)
+    assert np.isfinite(info.value.residual) and info.value.residual > 1e-15
+    D = np.diag([1.0, -1.0])
+    with pytest.raises(SolverError, match="breakdown"):
+        solve_spd(lambda p: (D @ p, 2.0 * p), np.array([1.0, 1.0]))
