@@ -10,11 +10,11 @@ Newton step solves with the Jacobian -Lap + dV/dz(x, u) in scaled sine
 coordinates (sparse_linalg.assemble) by unpreconditioned CG, which is the
 Poisson-preconditioned CG of Concus & Golub (1973) at one transform round
 trip per iteration; under the smallness gate the reaction term is a small
-perturbation of -Lap and CG converges in a few iterations. CG returns the
-step in node values, summed from the node values the Jacobian computes for
-each search direction, so a step makes one forward transform and one round
-trip per CG iteration. The residual's and the slope's Horner polynomials
-read a contiguous copy of the interior values.
+perturbation of -Lap, whose bound lets CG stop after two iterations with a
+certified Richardson finish. A step makes one forward transform, one round
+trip per CG iteration and one closing inverse transform to node values: six
+at two iterations. The residual's and the slope's Horner polynomials read a
+contiguous copy of the interior values.
 
 The nonlinear solve enforces a smallness gate on the boundary data
 (max-norm radius 0.1) under which Newton, started from the harmonic
@@ -32,12 +32,13 @@ import numpy as np
 
 from .geometry import Grid2D, check_field, check_trace, trace_to_field
 from .potential import PotentialSeries
-from .sparse_linalg import SolverError, _sine_modes, assemble, solve_spd, to_sine
+from .sparse_linalg import SolverError, _kernel, _sine_modes, assemble, solve_spd, to_sine
 
 DEFAULT_SMALLNESS_RADIUS = 0.1
 DEFAULT_NEWTON_TOL = 1e-11
 DEFAULT_MAX_NEWTON = 25
-# Relative residual tolerance of the Newton step's CG, in sine coordinates.
+# Relative residual tolerance of the Newton step's CG, in sine coordinates;
+# on the certified finish it bounds the true residual, not the recursive one.
 # Polarized divided differences need a direction's four measurements solved
 # alike, so it stays tight: at 1e-9 they stop after different CG counts (2
 # against 3), and on the n=32 full-arc K=4 heads the worst polarized-flux gap
@@ -47,8 +48,8 @@ LINEAR_TOL = 1e-12
 # Free sets of Newton work arrays by grid size (the stencil's rows, two
 # residuals, each evaluating its Horner polynomial in place, a contiguous
 # copy of the interior values that the residual's and the slope's
-# polynomials read, and the Jacobian's slope field), taken for one solve as
-# sparse_linalg takes CG's.
+# polynomials read, and the Jacobian's slope field, which then takes the
+# step's node values), taken for one solve as sparse_linalg takes CG's.
 _newton_work: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
 
@@ -171,11 +172,11 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
     so the first correction is already quadratically small). Each step
     solves the Jacobian system in scaled sine coordinates, so its CG stops
     when the (-Lap_h)^-1-norm of the step residual falls to LINEAR_TOL times
-    that of the Newton residual, and returns the step in node values.
-    Newton stops at residual DEFAULT_NEWTON_TOL; diverging residuals (3
-    consecutive increases) or DEFAULT_MAX_NEWTON steps raise NewtonError,
-    and data whose max-norm exceeds DEFAULT_SMALLNESS_RADIUS raises
-    SmallnessError. The three constants are
+    that of the Newton residual (certified on the finish), and takes the
+    step back to node values. Newton stops at residual DEFAULT_NEWTON_TOL;
+    diverging residuals (3 consecutive increases) or DEFAULT_MAX_NEWTON
+    steps raise NewtonError, and data whose max-norm exceeds
+    DEFAULT_SMALLNESS_RADIUS raises SmallnessError. The three constants are
     read at call time.
     """
     f = check_trace(f, grid)
@@ -186,7 +187,7 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
 
     u = harmonic_extension(f, grid)
     inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]  # a view: steps update u
-    m = grid.n - 1
+    m, kernel = grid.n - 1, _kernel(grid.n)
     free = _newton_work.setdefault(grid.n, [])
     work = rows, res, new_res, interior, slope = (
         free.pop() if free else
@@ -200,8 +201,10 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
             if res_norm <= DEFAULT_NEWTON_TOL:
                 return u, SolveReport(it, res_norm, fnorm, True, tuple(history))
             # ``interior`` holds u's interior values since ``res`` was formed
-            A = assemble(P.interior_slope(interior, slope), grid)
-            inner -= solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL).reshape(m, m)
+            A, bound = assemble(P.interior_slope(interior, slope), grid)
+            step = solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL, bound=bound).reshape(m, m)
+            step *= kernel.scale
+            inner -= kernel.inverse(step, slope)  # the slope is spent with A
             new_norm = _l2(_residual_into(P, u, grid, rows, interior, new_res), grid)
             history.append(new_norm)
             increases = increases + 1 if new_norm > res_norm else 0

@@ -11,9 +11,9 @@ Poisson-preconditioned CG of Concus & Golub (1973) at one transform round
 trip and no stencil per iteration. Only S, the eigenvalues and one
 transform kernel per grid size are stored, never the operator.
 
-The Jacobian returns the node values it computes for its input beside J y,
-and CG sums them with its step lengths, so a Newton step gets its
-correction in node values with no closing inverse transform.
+``assemble`` also bounds ||J - I|| by max|c| / lam_min. Told that bound, CG
+stops as soon as the Richardson step x + r certifiably meets its tolerance
+(Simoncini & Szyld 2003): after two iterations on a Newton step's system.
 
 The Newton step's kernel makes the two dense products with S below
 FOLD_MIN_N and folds them by mode parity from there up: sine mode k is even
@@ -21,7 +21,7 @@ about the grid's midpoint for odd k and odd for even k, so each product with
 S splits into two quarter-size products on the folded sums and differences
 of node rows (the even/odd reduction of Buzbee, Golub & Nielsen). Its sine
 coordinates are then in odd-then-even mode order, a private order that only
-``to_sine`` and ``assemble`` read.
+``to_sine``, ``assemble`` and the Newton step's closing transform read.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 
 from .geometry import Grid2D
 
-# A p, or the pair (A p, T p) of solve_spd's pair mode
-Operator = Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, np.ndarray]"]
+Operator = Callable[[np.ndarray], np.ndarray]
 
 
 class SolverError(Exception):
@@ -183,19 +182,16 @@ def to_sine(r: np.ndarray, grid: Grid2D) -> np.ndarray:
     return out.ravel()
 
 
-def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
-    """The Jacobian J = -Lap_h + diag(c) in scaled sine coordinates:
-    y -> y + Lam^(-1/2) o S (c o S (Lam^(-1/2) o y) S) S on flat vectors.
+def assemble(c: np.ndarray, grid: Grid2D) -> tuple[Operator, float]:
+    """The pair (J, beta) of the Jacobian J = -Lap_h + diag(c) in scaled
+    sine coordinates, y -> y + Lam^(-1/2) o S (c o S (Lam^(-1/2) o y) S) S on
+    flat vectors, and beta = max|c| max(Lam^(-1/2))^2 >= ||J - I||_2.
 
     ``c`` holds the reaction coefficient on the (n-1)^2 interior nodes. It
     may be negative, as a Newton step's slope can be, as long as the
     five-point diagonal 4/h^2 + c stays positive; otherwise SolverError.
-    Each application returns the pair (J y, T y) of ``solve_spd``'s pair
-    mode: J y is a new flat array, and T y = S (Lam^(-1/2) o y) S, the node
-    values that J takes y back to on its way, flat, in the operator's own
-    buffer, which its next application overwrites. So CG on J hands back
-    the node values of its solution. The products with S run through the
-    grid's transform kernel, so the operator reads and returns modes in
+    Each application of J returns a new flat array. The products with S run
+    through the grid's transform kernel, so J reads and returns modes in
     ``to_sine``'s order; it keeps two (n-1)^2 intermediates of its own and
     shares the kernel's work arrays, so it runs in one thread at a time.
     """
@@ -211,16 +207,14 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
     if 4.0 / (grid.h * grid.h) + lo <= 0.0:
         raise SolverError("reaction term too negative: stencil diagonal not positive")
     # the operator's own intermediates, overwritten by every application:
-    # the node values, returned flat, and the scaled modes, which then take
-    # c times the node values; positional outputs and methods bound once
-    # cost less per call than the out= keyword and attribute lookups on the
-    # small grids
+    # the scaled modes, which then take c times the node values; positional
+    # outputs and methods bound once cost less per call than the out=
+    # keyword and attribute lookups on the small grids
     front, nodes = np.empty((m, m)), np.empty((m, m))
-    image = nodes.ravel()
     kernel = _kernel(grid.n)
     scale, forward, inverse = kernel.scale, kernel.forward, kernel.inverse
 
-    def apply(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def apply(y: np.ndarray) -> np.ndarray:
         y = y.reshape(m, m)
         np.multiply(scale, y, front)
         inverse(front, nodes)
@@ -228,36 +222,39 @@ def assemble(c: np.ndarray, grid: Grid2D) -> Operator:
         w = forward(front, np.empty((m, m)))
         w *= scale
         w += y
-        return w.ravel(), image
+        return w.ravel()
 
-    return apply
+    # Lam^(-1/2) peaks at mode (1, 1), first in either kernel's order
+    return apply, float(max(-lo, hi) * scale[0, 0] ** 2)
 
 
-def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> np.ndarray:
+def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None, *,
+              bound: float | None = None) -> np.ndarray:
     """Conjugate gradient for a symmetric positive definite A and flat b.
 
-    ``A(p)`` returns A p, or in pair mode the pair (A p, T p) for a linear
-    map T onto vectors of b's length, read before the next application; CG
-    then sums T p where it would sum p and returns T x, never forming x.
     Stops when the recursive residual r_k = b - A x_k, updated in place,
-    has ||r_k|| / ||b|| <= tol; raises SolverError, carrying that relative
-    residual, after 10 * len(b) iterations (pair mode has no x to form
-    A x - b from, and one rule for both modes keeps one loop), or at the
+    has ||r_k|| <= tol ||b||, or, given ``bound`` beta >= ||A - I||_2, once
+    beta ||r_k|| <= tol ||b||: it then returns x_k + r_k, whose residual
+    -(A - I) r_k meets tol up to the recursive residual's drift (a bound of
+    1 or more never gets there first). Raises SolverError, carrying the
+    recursive relative residual, after 10 * len(b) iterations, or at the
     first curvature p.Ap that is not positive and finite (an overflowing or
     NaN operator). An x = 0 that meets tol (b = 0, or tol >= 1) returns at
     once; b is left unchanged. Deterministic for fixed inputs (fixed
-    reduction order). ``callback(x_k)``, invoked once per iterate when
-    given, sees the live iterate, T x_k in pair mode: copy it to keep it.
-    The returned array is new; the residual, search direction and step
-    vector are work arrays held for this solve only, and a nested solve
-    gets its own.
+    reduction order). ``callback(x_k)``, invoked once per application of A
+    when given, sees the live iterate: copy it to keep it. The returned
+    array is new; the residual, search direction and step vector are work
+    arrays held for this solve only, and a nested solve gets its own.
     """
     if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
+    if bound is not None and not bound >= 0.0:
+        raise ValueError("bound must be non-negative")
     b = np.asarray(b, dtype=float)
     # each norm is the root of a dot product, which is np.linalg.norm exactly
     norm_b = math.sqrt(b @ b)
     stop = tol * norm_b
+    reach = math.inf if bound is None else bound
     x = np.zeros(b.size)
     if norm_b <= stop:
         return x
@@ -275,23 +272,23 @@ def solve_spd(A: Operator, b: np.ndarray, tol: float = 1e-10, callback=None) -> 
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
                 Ap = A(p)
-                image = p
-                if isinstance(Ap, tuple):
-                    Ap, image = Ap
                 pAp = p @ Ap
                 if not 0.0 < pAp < math.inf:  # NaN too
                     raise SolverError(f"CG breakdown: curvature p.Ap = {pAp:.3e} is not positive "
                                       "and finite", residual=math.sqrt(rr) / norm_b)
                 alpha = rr / pAp
-                x += np.multiply(alpha, image, out=step)
+                x += np.multiply(alpha, p, out=step)
                 r -= np.multiply(alpha, Ap, out=step)
                 rr_new = r @ r
                 if callback is not None:
                     callback(x)
                 # tested before the search direction is updated, which a
                 # converged solve no longer needs
-                if math.sqrt(rr_new) <= stop:
+                norm_r = math.sqrt(rr_new)
+                if norm_r <= stop:
                     return x
+                if reach * norm_r <= stop:
+                    return np.add(x, r, out=x)
                 p *= rr_new / rr
                 p += r
                 rr = rr_new

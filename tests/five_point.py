@@ -83,13 +83,14 @@ def pcg_newton(P, f, g, newton_tol=1e-11, max_newton=25):
     raise AssertionError("reference Newton did not converge")
 
 
-def allocating_cg(A, b, precondition=None, tol=1e-10, callback=None):
+def allocating_cg(A, b, precondition=None, tol=1e-10, callback=None, bound=None):
     """``solve_spd``'s conjugate gradient with every update making a new
     array and the stop test taking norm(r): without ``precondition``, the
     same operations in the same order as the in-place loop, which must match
-    it bit for bit, also in pair mode, where ``A(p)`` returns (A p, T p) and
-    the solve returns T x. ``precondition(r)`` applies M^-1 for a symmetric
-    positive definite M, as the physical-space Newton reference needs."""
+    it bit for bit, with or without ``bound``: given beta >= ||A - I||, it
+    also stops once beta norm(r) <= tol norm(b) and returns x + r.
+    ``precondition(r)`` applies M^-1 for a symmetric positive definite M,
+    as the physical-space Newton reference needs."""
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
     x = np.zeros(b.size)
@@ -101,19 +102,18 @@ def allocating_cg(A, b, precondition=None, tol=1e-10, callback=None):
     rz = r @ z
     for _ in range(10 * b.size):
         Ap = A(p)
-        image = p
-        if isinstance(Ap, tuple):
-            Ap, image = Ap
         pAp = p @ Ap
         if pAp <= 0.0:
             raise SolverError("CG breakdown: operator not positive definite")
         alpha = rz / pAp
-        x = x + alpha * image
+        x = x + alpha * p
         r = r - alpha * Ap
         if callback is not None:
             callback(x)
         if np.linalg.norm(r) <= tol * norm_b:
             return x
+        if bound is not None and bound * np.linalg.norm(r) <= tol * norm_b:
+            return x + r
         z = r if precondition is None else precondition(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
@@ -201,13 +201,13 @@ def allocating_newton(P, f, g, kernel=None):
     the residual from the 2-D-slice stencil, the sine-coordinate right-hand
     side, step and Jacobian by transforms that each make a new array (dense
     products of its own with a dense kernel's S, a folded kernel's own
-    methods, as they read folded coordinates), and ``allocating_cg``.
-    The Jacobian returns each input's node values beside its product, so
-    ``allocating_cg`` returns the step in node values: seven transforms per
-    step with three CG iterations. ``kernel`` is the grid's (``_kernel``)
-    unless given. With the grid's kernel, the same operations in the same
-    order as the loop with work arrays, which must match it bit for bit;
-    returns u and its SolveReport.
+    methods, as they read folded coordinates), and ``allocating_cg`` told
+    the Jacobian's bound max|c| max(scale)^2, whose step in sine
+    coordinates one closing inverse transform takes to node values: six
+    transforms per step with two CG iterations. ``kernel`` is the grid's
+    (``_kernel``) unless given. With the grid's kernel, the same operations
+    in the same order as the loop with work arrays, which must match it bit
+    for bit; returns u and its SolveReport.
     Only for data that converge: it has no divergence test."""
     f = check_trace(f, g)
     kernel = _kernel(g.n) if kernel is None else kernel
@@ -234,10 +234,9 @@ def allocating_newton(P, f, g, kernel=None):
         c = c.reshape(m, m)
 
         def apply(y):
-            nodes = inverse(scale * y.reshape(m, m))
-            return to_sine(nodes * c) + y, nodes.ravel()
+            return to_sine(inverse(scale * y.reshape(m, m)) * c) + y
 
-        return apply
+        return apply, max(abs(c.min()), abs(c.max())) * np.max(scale) ** 2
 
     u = harmonic_extension(f, g)
     inner = u.reshape(g.n + 1, g.n + 1)[1:-1, 1:-1]
@@ -247,8 +246,9 @@ def allocating_newton(P, f, g, kernel=None):
         if history[-1] <= forward_solver.DEFAULT_NEWTON_TOL:
             return u, SolveReport(it, history[-1], float(np.max(np.abs(f))), True,
                                   tuple(history))
-        A = jacobian(P.interior_slope(inner))
-        inner -= allocating_cg(A, to_sine(res), tol=LINEAR_TOL).reshape(m, m)
+        A, bound = jacobian(P.interior_slope(inner))
+        step = allocating_cg(A, to_sine(res), tol=LINEAR_TOL, bound=bound)
+        inner -= inverse(scale * step.reshape(m, m))
         res = residual(P, u, g)
         history.append(float(g.h * np.linalg.norm(res)))
     raise AssertionError("reference Newton did not converge")

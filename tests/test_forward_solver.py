@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import five_point
-from five_point import (allocating_cg, allocating_newton, five_point_operator, harmonic_reference,
-                        jacobian_check, lift_rhs, lifted_solve, residual, sine_basis, slice_lift,
-                        slice_stencil)
+from five_point import (allocating_cg, allocating_newton, five_point_operator, from_sine,
+                        harmonic_reference, jacobian_check, lift_rhs, lifted_solve, poisson_solve,
+                        residual, sine_basis, slice_lift, slice_stencil)
 from semidtn.dtn import bump_trace, dtn_apply, normal_derivative
 from semidtn import forward_solver, sparse_linalg
 from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
@@ -38,9 +38,9 @@ def full_k4_series(grid):
 
 def counting(solve, counts):
     """``solve`` that appends each call's CG iteration count to ``counts``."""
-    def counted(A, b, tol=1e-10, callback=None):
+    def counted(A, b, tol=1e-10, callback=None, bound=None):
         steps = []
-        x = solve(A, b, tol=tol, callback=steps.append)
+        x = solve(A, b, tol=tol, callback=steps.append, bound=bound)
         counts.append(len(steps))
         return x
 
@@ -74,12 +74,13 @@ def test_quadratic_harmonic_is_stencil_exact():
 def test_constant_solution_with_reaction():
     # -Lap v + v = 1 with v = 1 on the boundary is solved by v = 1; the
     # boundary values enter the right-hand side through the stencil, and the
-    # system is solved in scaled sine coordinates, with CG handing back the
-    # node values of its solution
+    # system is solved in scaled sine coordinates, through the certified
+    # finish, and taken back to node values
     g = make_grid(8)
     lift = trace_to_field(np.ones(g.num_boundary), g)
     b = 1.0 - slice_stencil(lift, g)
-    v = solve_spd(assemble(np.ones(g.num_interior), g), to_sine(b, g), tol=LINEAR_TOL)
+    A, bound = assemble(np.ones(g.num_interior), g)
+    v = from_sine(solve_spd(A, to_sine(b, g), tol=LINEAR_TOL, bound=bound), g).ravel()
     assert v.shape == (g.num_interior,)
     assert np.max(np.abs(v - 1.0)) <= 1e-9
 
@@ -197,8 +198,9 @@ def test_folded_newton_step_matches_dense_products(n, monkeypatch):
     # from FOLD_MIN_N up the Newton step transforms through the folded
     # kernel; the reference Newton given a dense kernel of the same size runs
     # the dense products. On divided-difference inputs with the half-arc V2
-    # and V3 both make the same Newton steps, 3 CG iterations each, and the
-    # same measurement to rounding of its largest value
+    # and V3 both make the same Newton steps, 2 CG iterations each with the
+    # certified finish, and the same measurement to rounding of its largest
+    # value
     assert isinstance(sparse_linalg._kernel(n), sparse_linalg._Fold)
     g = make_grid(n)
     mask = arc_mask(g, 0.0, 2.0)
@@ -211,7 +213,7 @@ def test_folded_newton_step_matches_dense_products(n, monkeypatch):
     monkeypatch.setattr(five_point, "allocating_cg", counting(allocating_cg, counts))
     dense = [allocating_newton(P, f, g, sparse_linalg._Dense(n)) for f in traces]
     assert counts == folded_counts
-    assert len(counts) >= 2 and set(counts) == {3}
+    assert len(counts) >= 2 and set(counts) == {2}
     for fs, (u, report) in zip(folded, dense):
         assert fs.report.iterations == report.iterations
         out = normal_derivative(u, g)
@@ -337,8 +339,8 @@ def test_newton_divergence_detected(monkeypatch):
     g = make_grid(8)
     P = const_series(g, k2=1.0)
 
-    def overshooting_solve(A, b, tol=1e-10, callback=None):
-        return 3.0 * solve_spd(A, b, tol=tol, callback=callback)
+    def overshooting_solve(A, b, tol=1e-10, callback=None, bound=None):
+        return 3.0 * solve_spd(A, b, tol=tol, callback=callback, bound=bound)
 
     monkeypatch.setattr(forward_solver, "solve_spd", overshooting_solve)
     with pytest.raises(NewtonError, match="diverging") as info:
@@ -441,13 +443,14 @@ def test_newton_converging_on_its_last_allowed_step_returns(monkeypatch):
         solve_semilinear(P, f, g)
 
 
-@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("n", [32, 64, 128])
 def test_newton_step_transforms_once_plus_a_round_trip_per_cg_iteration(n, monkeypatch):
-    # CG returns the step in node values, summed from the node values the
-    # Jacobian computes for each search direction, so a Newton step makes
-    # one forward transform of its right-hand side and one round trip per
-    # CG iteration, with no closing inverse: seven at three iterations. The
-    # harmonic start runs dense products of its own, not the kernel's
+    # a Newton step makes one forward transform of its right-hand side, one
+    # round trip per CG iteration and one closing inverse transform of the
+    # step to node values, which is the one the certified finish needs:
+    # 1 + 2k + 1 transforms, six on recon-style data, where CG stops after
+    # two operator applications. The harmonic start runs dense products of
+    # its own, not the kernel's
     kind = type(sparse_linalg._kernel(n))
     calls = []
 
@@ -469,5 +472,31 @@ def test_newton_step_transforms_once_plus_a_round_trip_per_cg_iteration(n, monke
     _, report = solve_semilinear(half_arc_series(g), 0.01 * (a - b), g)
     assert report.converged and report.iterations == len(counts) >= 1
     assert calls.count("forward") == sum(counts) + report.iterations
-    assert calls.count("inverse") == sum(counts)
-    assert counts[0] == 3 and len(calls) == 7 * report.iterations
+    assert calls.count("inverse") == sum(counts) + report.iterations
+    assert set(counts) == {2} and len(calls) == 6 * report.iterations
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_newton_step_meets_tolerance_on_true_residual(n, sign):
+    # the step CG returns, taken back to node values, meets LINEAR_TOL on
+    # its true residual r - (-Lap_h + c) delta, checked with the five-point
+    # stencil plus c and measured, as CG's is, in the (-Lap_h)^-1 norm: on
+    # a unit-size reaction term of either sign with a rough right-hand side,
+    # and on the first Newton system of recon-style data (the slope and
+    # residual at the harmonic start of an m=2 divided-difference input,
+    # the slope's sign flipped for the negative case), where the finish is
+    # taken after two iterations; n=128 runs the folded kernel
+    g = make_grid(n)
+    rng = np.random.default_rng(n)
+    P = half_arc_series(g)
+    u = harmonic_extension(0.01 * (bump_trace(g, 0.5, 0.5) - bump_trace(g, 1.25, 0.25)), g)
+    slope = P.interior_slope(u.reshape(n + 1, n + 1)[1:-1, 1:-1]).ravel()
+    for c, r in ((sign * rng.uniform(0.0, 2.0, g.num_interior), rng.normal(size=g.num_interior)),
+                 (sign * slope, residual(P, u, g))):
+        A, bound = assemble(c, g)
+        steps = []
+        x = solve_spd(A, to_sine(r, g), tol=LINEAR_TOL, callback=steps.append, bound=bound)
+        gap = r - five_point_operator(c, g) @ from_sine(x, g).ravel()
+        assert np.sqrt(gap @ poisson_solve(gap, g)) <= LINEAR_TOL * np.sqrt(r @ poisson_solve(r, g))
+    assert len(steps) == 2

@@ -12,10 +12,9 @@ def materialize(A, dim):
     return np.column_stack([A(e) for e in np.eye(dim)])
 
 
-def product(A):
-    """The plain operator y -> J y of an assembled Jacobian, whose
-    application returns the pair (J y, node values of y)."""
-    return lambda y: A(y)[0]
+def jacobian(c, g):
+    """The operator y -> J y that ``assemble`` returns beside its bound."""
+    return assemble(c, g)[0]
 
 
 def poisson(g):
@@ -43,7 +42,7 @@ def test_assemble_poisson_diagonal():
     # with no reaction term the Jacobian is -Lap_h, the identity in scaled
     # sine coordinates; taken back to the nodes, its diagonal is 4/h^2
     g = make_grid(4)
-    M = materialize(product(assemble(np.zeros(g.num_interior), g)), 9)
+    M = materialize(jacobian(np.zeros(g.num_interior), g), 9)
     assert M.shape == (9, 9)
     assert np.allclose(M, np.eye(9))
     assert np.allclose(np.diag(physical(M, g)), 64.0)
@@ -53,7 +52,7 @@ def test_assemble_reaction_shift():
     # a unit reaction term adds Lam^-1 in sine coordinates, and 1 to the
     # nodal diagonal
     g = make_grid(4)
-    M = materialize(product(assemble(np.ones(g.num_interior), g)), 9)
+    M = materialize(jacobian(np.ones(g.num_interior), g), 9)
     assert np.allclose(M, np.eye(9) + np.diag(1.0 / sine_basis(g)[1].ravel()))
     assert np.allclose(np.diag(physical(M, g)), 65.0)
 
@@ -68,41 +67,52 @@ def test_assemble_matches_sparse_reference():
         gate = 4.0 / g.h ** 2
         c1, c2 = rng.uniform(-0.99 * gate, 2.0, (2, g.num_interior))
         c1[rng.integers(0, g.num_interior, 5)] = -gate * (1.0 - 1e-12)
-        A1 = assemble(c1, g)
-        A2 = assemble(c2, g)
+        A1 = jacobian(c1, g)
+        A2 = jacobian(c2, g)
         for A, c in ((A1, c1), (A2, c2)):
             ref = conjugated_reference(c, g)
-            M = materialize(product(A), g.num_interior)
+            M = materialize(A, g.num_interior)
             assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_assembled_operators_applied_in_turn():
     # each operator keeps its own reaction term and intermediates, and every
     # application returns a new J y: two operators applied in turn give what
-    # each gives alone, and no kept product changes afterwards. The node
-    # values returned beside it sit in each operator's own buffer, which only
-    # that operator's next application overwrites
+    # each gives alone, and no kept product changes afterwards
     g = make_grid(16)
     rng = np.random.default_rng(6)
     c1, c2 = rng.uniform(-1.0, 2.0, (2, g.num_interior))
     ys = rng.normal(size=(3, g.num_interior))
-    alone = [[tuple(a.copy() for a in assemble(c, g)(y)) for y in ys] for c in (c1, c2)]
-    A1, A2 = assemble(c1, g), assemble(c2, g)
-    in_turn = []
-    for y in ys:
-        (out1, nodes1), (out2, nodes2) = A1(y), A2(y)
-        assert nodes1 is not nodes2 and np.array_equal(nodes1, nodes2)
-        in_turn.append((out1, out2, nodes1.copy()))
-    for (out1, out2, nodes), ref1, ref2 in zip(in_turn, *alone):
-        assert np.array_equal(out1, ref1[0])
-        assert np.array_equal(out2, ref2[0])
-        assert np.array_equal(nodes, ref1[1]) and np.array_equal(nodes, ref2[1])
+    alone = [[jacobian(c, g)(y).copy() for y in ys] for c in (c1, c2)]
+    A1, A2 = jacobian(c1, g), jacobian(c2, g)
+    in_turn = [(A1(y), A2(y)) for y in ys]
+    for (out1, out2), ref1, ref2 in zip(in_turn, *alone):
+        assert out1 is not out2
+        assert np.array_equal(out1, ref1)
+        assert np.array_equal(out2, ref2)
+
+
+@pytest.mark.parametrize("n", [8, 16, 128])
+def test_assembled_bound_is_reaction_norm_over_lowest_eigenvalue(n):
+    # the bound beside J is max|c| / lam_min, lam_min the eigenvalue of mode
+    # (1, 1), in either kernel's mode order; where J is small enough to
+    # materialize it bounds ||J - I||_2, for reaction terms of either sign
+    g = make_grid(n)
+    lam_min = sine_basis(g)[1].min()
+    rng = np.random.default_rng(n)
+    for c in (rng.uniform(0.0, 2.0, g.num_interior), rng.uniform(-3.0, 1.0, g.num_interior),
+              np.zeros(g.num_interior)):
+        A, bound = assemble(c, g)
+        assert bound == pytest.approx(np.max(np.abs(c)) / lam_min, rel=1e-14, abs=0.0)
+        if n <= 16:
+            gap = np.linalg.norm(materialize(A, g.num_interior) - np.eye(g.num_interior), 2)
+            assert gap <= bound * (1.0 + 1e-12)
 
 
 def test_assemble_symmetry():
     g = make_grid(8)
     rng = np.random.default_rng(1)
-    M = materialize(product(assemble(rng.uniform(0.0, 2.0, g.num_interior), g)), g.num_interior)
+    M = materialize(jacobian(rng.uniform(0.0, 2.0, g.num_interior), g), g.num_interior)
     assert np.max(np.abs(M - M.T)) <= 1e-15 * np.max(np.abs(M))
 
 
@@ -112,7 +122,7 @@ def test_assemble_rejects_negative_reaction():
     g = make_grid(4)
     c = np.zeros(g.num_interior)
     c[4] = -1.0  # the middle interior node
-    M = physical(materialize(product(assemble(c, g)), 9), g)
+    M = physical(materialize(jacobian(c, g), 9), g)
     assert M[4, 4] == pytest.approx(63.0)
     c[4] = -64.0  # diagonal 4/h^2 + c = 0
     with pytest.raises(SolverError):
@@ -133,7 +143,7 @@ def test_assemble_rejects_nonfinite():
 
 def test_weak_diagonal_dominance():
     g = make_grid(8)
-    M = physical(materialize(product(assemble(np.zeros(g.num_interior), g)), g.num_interior), g)
+    M = physical(materialize(jacobian(np.zeros(g.num_interior), g), g.num_interior), g)
     off = np.sum(np.abs(M), axis=1) - np.abs(np.diag(M))
     assert np.all(off <= np.diag(M) + 1e-9)
 
@@ -144,7 +154,7 @@ def test_discrete_eigenvalue_oracle():
     # at n=64. The coordinates of v are y = to_sine(-Lap_h v), and
     # v.(-Lap_h v) = y.y
     g = make_grid(64)
-    A = product(assemble(np.zeros(g.num_interior), g))
+    A = jacobian(np.zeros(g.num_interior), g)
     x, y = g.node_coords()
     v = (np.sin(np.pi * x) * np.sin(np.pi * y)).reshape(65, 65)[1:-1, 1:-1].ravel()
     coords = to_sine(poisson(g)(v), g)
@@ -213,11 +223,10 @@ def test_folded_kernel_matches_dense_products(n, kind):
 def test_folded_newton_transforms_match_dense_products(n):
     # to_sine, the kernel's inverse and the Jacobian run the grid's kernel,
     # folded in odd-then-even mode order from FOLD_MIN_N up and dense below:
-    # in natural mode order they match the dense products, the Jacobian
-    # matches the five-point operator conjugated by them, and the node values
-    # it returns beside its product are the inverse transform's. Every
-    # product is kept until all are made, so none may be a work array of the
-    # kernel or of the operator
+    # in natural mode order they match the dense products, and the Jacobian
+    # matches the five-point operator conjugated by them. Every product is
+    # kept until all are made, so none may be a work array of the kernel or
+    # of the operator
     folded = n >= FOLD_MIN_N
     g = make_grid(n)
     m = n - 1
@@ -227,14 +236,9 @@ def test_folded_newton_transforms_match_dense_products(n):
     r, y = rng.normal(size=(2, m * m))
     c = rng.uniform(-1.0, 2.0, m * m)
     ys = rng.normal(size=(3, m * m))
-    A = assemble(c, g)
+    A, _ = assemble(c, g)
     coords, nodes = to_sine(r, g), from_sine(y, g)
-    applied = []
-    for v in ys:
-        w, image = A(v)
-        assert image.shape == (m * m,)
-        assert np.array_equal(image, from_sine(v, g).ravel())
-        applied.append(w)
+    applied = [A(v) for v in ys]
     assert coords.shape == (m * m,) and nodes.shape == (m, m)
     assert_close(unfolded(coords, g, folded), scale * (sine @ r.reshape(m, m) @ sine))
     assert_close(nodes, sine @ (scale * unfolded(y, g, folded)) @ sine)
@@ -299,28 +303,78 @@ def test_energy_error_monotone_along_iterates():
     assert np.all(energies[1:] <= energies[:-1] * (1.0 + 1e-9) + 1e-14)
 
 
-def cg_runs(A, b, tol):
+def cg_runs(A, b, tol, bound=None):
     """solve_spd and the allocating reference on one system: both results
     and both callback counts; asserts that solve_spd left b unchanged."""
     kept = b.copy()
     steps, ref_steps = [], []
-    x = solve_spd(A, b, tol=tol, callback=lambda xk: steps.append(None))
+    x = solve_spd(A, b, tol=tol, callback=lambda xk: steps.append(None), bound=bound)
     assert np.array_equal(b, kept)
-    ref = allocating_cg(A, b, tol=tol, callback=lambda xk: ref_steps.append(None))
+    ref = allocating_cg(A, b, tol=tol, callback=lambda xk: ref_steps.append(None), bound=bound)
     return x, ref, len(steps), len(ref_steps)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_in_place_cg_is_exact_on_newton_operator(n):
-    # the in-place loop and its stop test sqrt(r @ r) make the same
-    # operations in the same order as new arrays and norm(r) would
+    # the in-place loop and its stop tests sqrt(r @ r) make the same
+    # operations in the same order as new arrays and norm(r) would, with
+    # and without the Jacobian's bound: on a unit-size reaction term, where
+    # the plain test stops first, and on one of a Newton step's size, where
+    # the certified finish saves an iteration
     g = make_grid(n)
     rng = np.random.default_rng(n)
-    A = assemble(rng.uniform(-1.0, 2.0, g.num_interior), g)
     b = to_sine(rng.normal(size=g.num_interior), g)
-    x, ref, steps, ref_steps = cg_runs(A, b, 1e-12)
-    assert np.array_equal(x, ref)
-    assert steps == ref_steps >= 2
+    for c, saved in ((rng.uniform(-1.0, 2.0, g.num_interior), 0),
+                     (rng.uniform(-5e-3, 5e-3, g.num_interior), 1)):
+        A, bound = assemble(c, g)
+        counts = []
+        for stated in (None, bound):
+            x, ref, steps, ref_steps = cg_runs(A, b, 1e-12, stated)
+            assert np.array_equal(x, ref)
+            assert steps == ref_steps >= 2
+            counts.append(steps)
+        assert counts[0] - counts[1] == saved
+
+
+def spd_near_identity(n, spread, seed):
+    """I + K for a random symmetric K with eigenvalues spread evenly over
+    [-spread, spread], and ||K||_2 = spread."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    M = Q @ np.diag(1.0 + np.linspace(-spread, spread, n)) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+def test_unbounded_cg_on_generic_spd_matrix_is_plain_cg():
+    # with no bound, or a bound of 1 or more (under which beta ||r|| <= tol
+    # ||b|| implies ||r|| <= tol ||b||), CG is the plain loop of the
+    # allocating reference bit for bit, with the same callback count
+    rng = np.random.default_rng(13)
+    n = 50
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    M = Q @ np.diag(np.logspace(0.0, 3.0, n)) @ Q.T
+    M = 0.5 * (M + M.T)
+    b = rng.normal(size=n)
+    x, ref, steps, ref_steps = cg_runs(lambda p: M @ p, b, 1e-12)
+    assert np.array_equal(x, ref) and steps == ref_steps >= 10
+    for bound in (1.0, 5.0, np.inf):
+        again, _, bounded_steps, _ = cg_runs(lambda p: M @ p, b, 1e-12, bound)
+        assert np.array_equal(again, x) and bounded_steps == steps
+
+
+def test_bound_that_never_certifies_never_takes_the_finish():
+    # the largest float below 1 certifies only residuals within one rounding
+    # of the plain test's threshold, which this solve steps over, so it
+    # leaves the plain solve as it was; a negative or NaN bound is refused
+    M = spd_near_identity(40, 0.9, 14)
+    b = np.random.default_rng(14).normal(size=40)
+    plain, _, steps, _ = cg_runs(lambda p: M @ p, b, 1e-12)
+    x, ref, bounded_steps, ref_steps = cg_runs(lambda p: M @ p, b, 1e-12, np.nextafter(1.0, 0.0))
+    assert np.array_equal(x, plain) and np.array_equal(ref, plain)
+    assert bounded_steps == ref_steps == steps
+    for bound in (-1e-3, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="bound"):
+            solve_spd(lambda p: M @ p, b, bound=bound)
 
 
 def test_nested_solve_of_same_size_is_exact():
@@ -331,12 +385,12 @@ def test_nested_solve_of_same_size_is_exact():
     # of this size behind for the nested run to take
     g = make_grid(16)
     rng = np.random.default_rng(8)
-    A = assemble(rng.uniform(0.0, 2.0, g.num_interior), g)
+    A = jacobian(rng.uniform(0.0, 2.0, g.num_interior), g)
     b = to_sine(rng.normal(size=g.num_interior), g)
     inner = []
 
     def nesting(y):
-        return A(y)[0] + solve_spd(lambda v: 2.0 * v, y)
+        return A(y) + solve_spd(lambda v: 2.0 * v, y)
 
     def solving_callback(xk):
         inner.append(solve_spd(lambda v: 2.0 * v, xk))
@@ -402,66 +456,66 @@ def test_iteration_cap_error_carries_residual():
     assert np.isfinite(info.value.residual)
 
 
-def test_pair_operator_returns_image_of_solution():
-    # an operator that returns (A p, T p) for a linear map T makes CG sum
-    # T p where it would sum p: the solve returns T x, and its callback sees
-    # T x_k, after the same iterations as the plain solve; the in-place loop
-    # matches the allocating reference bit for bit in pair mode too
-    rng = np.random.default_rng(12)
+def test_certified_finish_returns_richardson_step():
+    # given beta >= ||A - I||, CG stops once beta ||r_k|| <= tol ||b||,
+    # before the plain test would, and returns x_k + r_k, whose true
+    # residual -(A - I) r_k meets tol; its callback saw x_k, once per
+    # application of A, and the in-place loop matches the allocating
+    # reference bit for bit
     n = 40
-    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    M = Q @ np.diag(np.linspace(1.0, 20.0, n)) @ Q.T
-    M = 0.5 * (M + M.T)
-    T = rng.normal(size=(n, n))
-    b = rng.normal(size=n)
-
-    def pair(p):
-        return M @ p, T @ p
-
+    M = spd_near_identity(n, 1e-3, 12)
+    b = np.random.default_rng(12).normal(size=n)
     plain_steps, iterates = [], []
-    x = solve_spd(lambda p: M @ p, b, tol=1e-12, callback=plain_steps.append)
-    image = solve_spd(pair, b, tol=1e-12, callback=lambda xk: iterates.append(xk.copy()))
-    again, ref, steps, ref_steps = cg_runs(pair, b, 1e-12)
-    assert np.array_equal(again, image) and np.array_equal(ref, image)
-    assert len(iterates) == len(plain_steps) == steps == ref_steps >= 2
-    assert np.array_equal(iterates[-1], image)
-    assert np.max(np.abs(image - T @ x)) <= 1e-12 * np.max(np.abs(T @ x))
-    assert np.array_equal(solve_spd(pair, np.zeros(n)), np.zeros(n))
+    solve_spd(lambda p: M @ p, b, tol=1e-12, callback=plain_steps.append)
+    x = solve_spd(lambda p: M @ p, b, tol=1e-12, bound=1e-3,
+                  callback=lambda xk: iterates.append(xk.copy()))
+    again, ref, steps, ref_steps = cg_runs(lambda p: M @ p, b, 1e-12, 1e-3)
+    assert np.array_equal(again, x) and np.array_equal(ref, x)
+    assert len(iterates) == steps == ref_steps < len(plain_steps)
+    last = iterates[-1]
+    assert not np.array_equal(x, last)
+    # x - x_k is the recursive residual: b - M x_k up to its drift
+    assert np.max(np.abs(x - last - (b - M @ last))) <= 1e-14 * np.max(np.abs(b))
+    assert np.linalg.norm(b - M @ x) <= 1e-12 * np.linalg.norm(b)
+    assert np.array_equal(solve_spd(lambda p: M @ p, np.zeros(n), bound=1e-3), np.zeros(n))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_newton_operator_pair_path_matches_plain_path(n, sign):
-    # the Jacobian's node values summed by CG (pair mode) give the step that
-    # the plain solve's sine coordinates give through the inverse transform,
-    # to rounding of the step, after the same CG iterations; n=128 runs the
+    # the pair that assemble returns, J with its bound, takes the certified
+    # finish one CG iteration before J alone meets the plain stop test, on
+    # a reaction term of a Newton step's size (beta ~ 2.5e-4); both
+    # solutions meet tol on J's residual, so they differ by at most
+    # ||J^-1|| (tol + tol) ||b|| <= 2 tol ||b|| / (1 - beta); n=128 runs the
     # folded kernel
     assert isinstance(_kernel(n), _Fold) == (n >= FOLD_MIN_N)
     g = make_grid(n)
     rng = np.random.default_rng(n)
-    A = assemble(sign * rng.uniform(0.0, 2.0, g.num_interior), g)
+    A, bound = assemble(sign * rng.uniform(0.0, 5e-3, g.num_interior), g)
     b = to_sine(rng.normal(size=g.num_interior), g)
     plain_steps, steps = [], []
-    y = solve_spd(product(A), b, tol=1e-12, callback=plain_steps.append)
-    delta = from_sine(y, g).ravel()
-    step = solve_spd(A, b, tol=1e-12, callback=steps.append)
-    assert len(steps) == len(plain_steps) >= 2
-    assert step.shape == (g.num_interior,)
-    assert np.max(np.abs(step - delta)) <= 1e-14 * np.max(np.abs(delta))
+    y = solve_spd(A, b, tol=1e-12, callback=plain_steps.append)
+    x = solve_spd(A, b, tol=1e-12, callback=steps.append, bound=bound)
+    assert len(steps) == len(plain_steps) - 1 >= 2
+    assert x.shape == (g.num_interior,)
+    norm_b = np.linalg.norm(b)
+    assert np.linalg.norm(b - A(x)) <= 1e-12 * norm_b
+    assert np.linalg.norm(x - y) <= 2e-12 * norm_b / (1.0 - bound)
 
 
-def test_pair_mode_cap_and_breakdown_raise():
-    # pair mode never forms x, so the cap reports the recursive residual; a
-    # curvature that is not positive stops it as it stops the plain solve
+def test_bounded_solve_cap_and_breakdown_raise():
+    # a stated bound changes neither raise: the cap reports the recursive
+    # residual, and a curvature that is not positive stops the solve
     rng = np.random.default_rng(0)
     n = 60
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     M = Q @ np.diag(np.logspace(-15, 0, n)) @ Q.T
     M = 0.5 * (M + M.T)
-    T = rng.normal(size=(n, n))
     with pytest.raises(SolverError, match="did not reach") as info:
-        solve_spd(lambda p: (M @ p, T @ p), rng.normal(size=n), tol=1e-15)
+        solve_spd(lambda p: M @ p, rng.normal(size=n), tol=1e-15, bound=0.999)
     assert np.isfinite(info.value.residual) and info.value.residual > 1e-15
     D = np.diag([1.0, -1.0])
     with pytest.raises(SolverError, match="breakdown"):
-        solve_spd(lambda p: (D @ p, 2.0 * p), np.array([1.0, 1.0]))
+        solve_spd(lambda p: D @ p, np.array([1.0, 1.0]), bound=0.5)
+
