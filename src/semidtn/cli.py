@@ -265,30 +265,23 @@ def _field_csv(path: Path, grid: Grid2D, value: np.ndarray, truth: np.ndarray) -
 
 
 def _scenario_forward_convergence(cfg: ExperimentConfig, setup: _Setup, out: Path) -> None:
-    sizes = [cfg.n, 2 * cfg.n, 4 * cfg.n]
     center = (cfg.s0 + cfg.s1) / 2.0
-    grids = [setup.grid] + [make_grid(n) for n in sizes[1:]]
-    truths = [setup.truth] + [_truth_series(cfg, grid) for grid in grids[1:]]
-    solutions = {}
-    for n, grid, truth in zip(sizes, grids, truths):
+    coarse, prev, rows = None, None, []
+    for n in (cfg.n, 2 * cfg.n, 4 * cfg.n):
+        grid = setup.grid if n == cfg.n else make_grid(n)
+        truth = setup.truth if n == cfg.n else _truth_series(cfg, grid)
         f = bump_trace(grid, center % 4.0, cfg.bump_width, cfg.bump_amplitude)
-        u, _ = solve_semilinear(truth, f, grid)
-        solutions[n] = u
-    errors = []
-    for coarse, fine in zip(sizes[:-1], sizes[1:]):
-        uc = solutions[coarse].reshape(coarse + 1, coarse + 1)
-        uf = solutions[fine].reshape(fine + 1, fine + 1)
-        ratio = fine // coarse
-        err = float(np.max(np.abs(uc - uf[::ratio, ::ratio])))
-        errors.append((coarse, fine, err))
+        u = solve_semilinear(truth, f, grid)[0].reshape(n + 1, n + 1)
+        if coarse is not None:  # against the previous grid's solution at its nodes
+            err = float(np.max(np.abs(coarse - u[::2, ::2])))
+            order = "" if prev is None else f"{math.log2(prev / err):.6g}"
+            rows.append([n // 2, n, f"{err:.12g}", order])
+            prev = err
+        coarse = u
     with open(out / "forward_convergence.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["coarse_n", "fine_n", "sup_error", "observed_order"])
-        prev = None
-        for coarse, fine, err in errors:
-            order = "" if prev is None else f"{math.log2(prev / err):.6g}"
-            writer.writerow([coarse, fine, f"{err:.12g}", order])
-            prev = err
+        writer.writerows(rows)
 
 
 def _linearization_differences(cfg: ExperimentConfig, family: tuple[HarmonicMember, ...]):

@@ -45,13 +45,6 @@ DEFAULT_MAX_NEWTON = 25
 # to the cascade grew from 2.3e-3 to 8.4e-3 at m=4 and from 4.9e-11 to
 # 1.1e-9 at m=2, past the bounds of 5e-3 and 1e-9 that the tests hold.
 LINEAR_TOL = 1e-12
-# Free sets of Newton work arrays by grid size (the stencil's rows, two
-# residuals, each evaluating its Horner polynomial in place, a contiguous
-# copy of the interior values that the residual's and the slope's
-# polynomials read, and the Jacobian's slope field, which then takes the
-# step's node values), taken for one solve as sparse_linalg takes CG's.
-_newton_work: dict[int, list[tuple[np.ndarray, ...]]] = {}
-
 
 class SmallnessError(ValueError):
     """Boundary data exceeds the well-posedness radius."""
@@ -102,6 +95,22 @@ def _residual_into(P: PotentialSeries, u: np.ndarray, grid: Grid2D, rows: np.nda
     P.interior_value(interior, field)
     field += _stencil_rows(u, grid, rows)
     return out
+
+
+@functools.cache
+def _newton_work(n: int) -> tuple[np.ndarray, ...]:
+    """The Newton work arrays of an n-cell grid: the stencil's rows, the
+    residual, which evaluates its Horner polynomial in place, a contiguous
+    copy of the interior values that the residual's and the slope's
+    polynomials read, and the Jacobian's slope field, which then takes the
+    step's node values; built once per size. One set per size suffices: a
+    Newton solve runs no caller code while it holds the set, so no solve
+    can start inside another (solve_semilinear's callers are dtn.dtn_apply
+    and the CLI's forward_convergence scenario). CG runs its caller's
+    operator and callback, which may solve again, so sparse_linalg keeps
+    free lists."""
+    m = n - 1
+    return np.empty(m * (n + 1)), np.empty(m * m), np.empty((m, m)), np.empty((m, m))
 
 
 def _l2(r: np.ndarray, grid: Grid2D) -> float:
@@ -188,34 +197,24 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
     u = harmonic_extension(f, grid)
     inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]  # a view: steps update u
     m, kernel = grid.n - 1, _kernel(grid.n)
-    free = _newton_work.setdefault(grid.n, [])
-    work = rows, res, new_res, interior, slope = (
-        free.pop() if free else
-        (np.empty(m * (grid.n + 1)), np.empty(m * m), np.empty(m * m), np.empty((m, m)),
-         np.empty((m, m))))
-    try:
-        res_norm = _l2(_residual_into(P, u, grid, rows, interior, res), grid)
-        history = [res_norm]
-        increases = 0
-        for it in range(DEFAULT_MAX_NEWTON):
-            if res_norm <= DEFAULT_NEWTON_TOL:
-                return u, SolveReport(it, res_norm, fnorm, True, tuple(history))
-            # ``interior`` holds u's interior values since ``res`` was formed
-            A, bound = assemble(P.interior_slope(interior, slope), grid)
-            step = solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL, bound=bound).reshape(m, m)
-            step *= kernel.scale
-            inner -= kernel.inverse(step, slope)  # the slope is spent with A
-            new_norm = _l2(_residual_into(P, u, grid, rows, interior, new_res), grid)
-            history.append(new_norm)
-            increases = increases + 1 if new_norm > res_norm else 0
-            if increases >= 3:
-                raise NewtonError(f"Newton diverging: residual rose 3 times, "
-                                  f"now {new_norm:.3e}", residual=new_norm)
-            res, new_res, res_norm = new_res, res, new_norm
-    finally:
-        free.append(work)
-    if res_norm <= DEFAULT_NEWTON_TOL:
-        return u, SolveReport(DEFAULT_MAX_NEWTON, res_norm, fnorm, True, tuple(history))
-    raise NewtonError(f"Newton did not reach {DEFAULT_NEWTON_TOL} in {DEFAULT_MAX_NEWTON} "
-                      f"iterations (residual {res_norm:.3e})", residual=res_norm)
-
+    rows, res, interior, slope = _newton_work(grid.n)
+    history = [_l2(_residual_into(P, u, grid, rows, interior, res), grid)]
+    increases = 0
+    for it in range(DEFAULT_MAX_NEWTON + 1):
+        res_norm = history[-1]
+        if res_norm <= DEFAULT_NEWTON_TOL:
+            return u, SolveReport(it, res_norm, fnorm, True, tuple(history))
+        if it == DEFAULT_MAX_NEWTON:
+            raise NewtonError(f"Newton did not reach {DEFAULT_NEWTON_TOL} in {DEFAULT_MAX_NEWTON} "
+                              f"iterations (residual {res_norm:.3e})", residual=res_norm)
+        # ``interior`` holds u's interior values since ``res`` was formed
+        A, bound = assemble(P.interior_slope(interior, slope), grid)
+        step = solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL, bound=bound).reshape(m, m)
+        step *= kernel.scale
+        inner -= kernel.inverse(step, slope)  # the slope is spent with A
+        # ``to_sine`` has consumed ``res``: the new residual overwrites it
+        history.append(_l2(_residual_into(P, u, grid, rows, interior, res), grid))
+        increases = increases + 1 if history[-1] > res_norm else 0
+        if increases >= 3:
+            raise NewtonError(f"Newton diverging: residual rose 3 times, "
+                              f"now {history[-1]:.3e}", residual=history[-1])

@@ -37,8 +37,8 @@ def arc_supported_family(mask: ArcMask, count: int,
 
     Two half-width scales (arc/4 and arc/8) alternate; centers are
     midpoint-equispaced within the inset interval that keeps each bump's
-    support strictly inside the arc. Deterministic order: wide/narrow
-    interleaved, centers increasing within each scale.
+    support strictly inside the arc. Deterministic order: member i is wide
+    at even i and narrow at odd i, at the (i // 2)-th center of its scale.
     """
     if count < 1:
         raise ValueError("family needs count >= 1")
@@ -49,22 +49,11 @@ def arc_supported_family(mask: ArcMask, count: int,
     if 2.0 * narrow <= 3.0 * grid.h:
         raise ValueError("arc too small to host the narrowest bump (fewer than "
                          "3 nodes under support)")
-    n_wide = (count + 1) // 2
-    n_narrow = count - n_wide
-    specs: list[tuple[float, float]] = []
-    for n_members, width in ((n_wide, length / 4.0), (n_narrow, narrow)):
-        inset0, inset1 = mask.s0 + width, mask.s1 - width
-        for i in range(n_members):
-            center = inset0 + (i + 0.5) * (inset1 - inset0) / n_members
-            specs.append((center % 4.0, width))
-    # interleave wide and narrow
-    order: list[tuple[float, float]] = []
-    for i in range(n_wide):
-        order.append(specs[i])
-        if i < n_narrow:
-            order.append(specs[n_wide + i])
     members = []
-    for center, width in order:
+    for i in range(count):
+        width, n_scale = (narrow, count // 2) if i % 2 else (length / 4.0, (count + 1) // 2)
+        inset0, inset1 = mask.s0 + width, mask.s1 - width
+        center = (inset0 + (i // 2 + 0.5) * (inset1 - inset0) / n_scale) % 4.0
         trace = bump_trace(grid, center, width)
         trace[~mask.flags] = 0.0  # exact arc support even under rounding
         field = harmonic_extension(trace, grid)

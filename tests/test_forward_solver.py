@@ -175,7 +175,7 @@ def test_newton_with_work_arrays_is_exact(n, s1, series, bumps):
 @pytest.mark.parametrize("n", [32, 128])
 def test_returned_arrays_survive_next_measurement(n):
     # no returned u, report or measurement holds a work array, the folded
-    # kernel's and the Newton pool's included: the next solves on the same
+    # kernel's and the Newton work set's included: the next solves on the same
     # grid, with the same series and with another one, leave all as they were
     g = make_grid(n)
     mask = arc_mask(g, 0.0, 2.0)
@@ -427,8 +427,10 @@ def test_interior_forcing_consistency():
 
 def test_newton_converging_on_its_last_allowed_step_returns(monkeypatch):
     # with the cap at the step count an uncapped solve needs, the solve
-    # returns the same field and count from the check after the loop; one
-    # step fewer raises
+    # returns the same field and count from the loop's last pass, which
+    # makes no step; one step fewer raises. At a cap of 0 the loop's one
+    # pass returns zero data's exact solution and raises, with the harmonic
+    # start's residual, on other data
     g = make_grid(16)
     P = const_series(g, k2=1.0)
     f = bump_trace(g, 0.5, 0.25, 0.05)
@@ -441,6 +443,36 @@ def test_newton_converging_on_its_last_allowed_step_returns(monkeypatch):
     monkeypatch.setattr(forward_solver, "DEFAULT_MAX_NEWTON", report.iterations - 1)
     with pytest.raises(NewtonError, match="did not reach"):
         solve_semilinear(P, f, g)
+    monkeypatch.setattr(forward_solver, "DEFAULT_MAX_NEWTON", 0)
+    assert solve_semilinear(P, np.zeros(g.num_boundary), g)[1].iterations == 0
+    with pytest.raises(NewtonError, match="did not reach") as info:
+        solve_semilinear(P, f, g)
+    assert info.value.residual == report.residual_history[0]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_newton_work_is_one_set_per_grid_size(n, monkeypatch):
+    # every solve on a grid takes the same four work arrays, and a solve on
+    # another grid other ones. A solve that raises inside its loop leaves
+    # the set as its last step left it; the next solve on the grid reads none
+    # of that and matches the reference bit for bit. These data take two steps
+    work = forward_solver._newton_work(n)
+    assert len(work) == 4
+    assert all(a is b for a, b in zip(forward_solver._newton_work(n), work))
+    other = forward_solver._newton_work(2 * n)
+    assert not any(np.shares_memory(a, b) for a in other for b in work)
+    g = make_grid(n)
+    P = half_arc_series(g)
+    f = 0.1 * bump_trace(g, 0.5, 0.5)
+    with monkeypatch.context() as capped:
+        capped.setattr(forward_solver, "DEFAULT_MAX_NEWTON", 1)
+        with pytest.raises(NewtonError, match="did not reach"):
+            solve_semilinear(P, f, g)
+    u, report = solve_semilinear(P, f, g)
+    ref_u, ref_report = allocating_newton(P, f, g)
+    assert report.iterations == 2
+    assert np.array_equal(u, ref_u)
+    assert report == ref_report
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])

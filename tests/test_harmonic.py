@@ -46,6 +46,53 @@ def test_requested_count_and_deterministic_order():
         assert np.array_equal(a.field, b.field)
 
 
+# (s0, s1, count) -> provenance of each member at n = 32: wide (arc/4) at
+# even index, narrow (arc/8) at odd, centers increasing within each scale
+PLACEMENT = {
+    (0.0, 2.0, 1): ["bump(center=1,width=0.5)"],
+    (0.0, 2.0, 2): ["bump(center=1,width=0.5)", "bump(center=1,width=0.25)"],
+    (0.0, 2.0, 5): ["bump(center=0.666667,width=0.5)", "bump(center=0.625,width=0.25)",
+                    "bump(center=1,width=0.5)", "bump(center=1.375,width=0.25)",
+                    "bump(center=1.33333,width=0.5)"],
+    (0.0, 2.0, 12): ["bump(center=0.583333,width=0.5)", "bump(center=0.375,width=0.25)",
+                     "bump(center=0.75,width=0.5)", "bump(center=0.625,width=0.25)",
+                     "bump(center=0.916667,width=0.5)", "bump(center=0.875,width=0.25)",
+                     "bump(center=1.08333,width=0.5)", "bump(center=1.125,width=0.25)",
+                     "bump(center=1.25,width=0.5)", "bump(center=1.375,width=0.25)",
+                     "bump(center=1.41667,width=0.5)", "bump(center=1.625,width=0.25)"],
+    (0.0, 4.0, 1): ["bump(center=2,width=1)"],
+    (0.0, 4.0, 2): ["bump(center=2,width=1)", "bump(center=2,width=0.5)"],
+    (0.0, 4.0, 5): ["bump(center=1.33333,width=1)", "bump(center=1.25,width=0.5)",
+                    "bump(center=2,width=1)", "bump(center=2.75,width=0.5)",
+                    "bump(center=2.66667,width=1)"],
+    (0.0, 4.0, 12): ["bump(center=1.16667,width=1)", "bump(center=0.75,width=0.5)",
+                     "bump(center=1.5,width=1)", "bump(center=1.25,width=0.5)",
+                     "bump(center=1.83333,width=1)", "bump(center=1.75,width=0.5)",
+                     "bump(center=2.16667,width=1)", "bump(center=2.25,width=0.5)",
+                     "bump(center=2.5,width=1)", "bump(center=2.75,width=0.5)",
+                     "bump(center=2.83333,width=1)", "bump(center=3.25,width=0.5)"],
+    (3.5, 5.0, 1): ["bump(center=0.25,width=0.375)"],
+    (3.5, 5.0, 2): ["bump(center=0.25,width=0.375)", "bump(center=0.25,width=0.1875)"],
+    (3.5, 5.0, 5): ["bump(center=0,width=0.375)", "bump(center=3.96875,width=0.1875)",
+                    "bump(center=0.25,width=0.375)", "bump(center=0.53125,width=0.1875)",
+                    "bump(center=0.5,width=0.375)"],
+    (3.5, 5.0, 12): ["bump(center=3.9375,width=0.375)", "bump(center=3.78125,width=0.1875)",
+                     "bump(center=0.0625,width=0.375)", "bump(center=3.96875,width=0.1875)",
+                     "bump(center=0.1875,width=0.375)", "bump(center=0.15625,width=0.1875)",
+                     "bump(center=0.3125,width=0.375)", "bump(center=0.34375,width=0.1875)",
+                     "bump(center=0.4375,width=0.375)", "bump(center=0.53125,width=0.1875)",
+                     "bump(center=0.5625,width=0.375)", "bump(center=0.71875,width=0.1875)"],
+}
+
+
+@pytest.mark.parametrize("s0, s1, count", list(PLACEMENT))
+def test_bump_placement_by_index(s0, s1, count):
+    # which bump sits at which index, the wrapping arc [3.5, 5.0) included
+    g = make_grid(32)
+    fam = arc_supported_family(arc_mask(g, s0, s1), count, g)
+    assert [m.provenance for m in fam] == PLACEMENT[s0, s1, count]
+
+
 def test_disjoint_bump_traces_are_orthogonal():
     g = make_grid(32)
     mask = arc_mask(g, 0.0, 2.0)
