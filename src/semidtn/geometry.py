@@ -75,10 +75,6 @@ class Grid2D:
     def num_boundary(self) -> int:
         return 4 * self.n
 
-    @property
-    def num_interior(self) -> int:
-        return (self.n - 1) ** 2
-
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat (x, y) coordinate arrays over all nodes, node order."""
         axis = np.linspace(0.0, 1.0, self.n + 1)

@@ -7,8 +7,10 @@ import five_point
 from five_point import (allocating_cg, allocating_newton, five_point_operator, from_sine,
                         harmonic_reference, jacobian_check, lift_rhs, lifted_solve, poisson_solve,
                         residual, sine_basis, slice_lift, slice_stencil)
-from semidtn.dtn import bump_trace, dtn_apply, normal_derivative
+from semidtn.dtn import bump_trace, dtn_apply, measurement, normal_derivative
 from semidtn import forward_solver, sparse_linalg
+from semidtn.harmonic import arc_supported_family
+from semidtn.linearization import DirectionStore
 from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
                                     solve_linear, solve_semilinear)
 from semidtn.geometry import arc_mask, make_grid, trace_to_field
@@ -79,9 +81,9 @@ def test_constant_solution_with_reaction():
     g = make_grid(8)
     lift = trace_to_field(np.ones(g.num_boundary), g)
     b = 1.0 - slice_stencil(lift, g)
-    A, bound = assemble(np.ones(g.num_interior), g)
+    A, bound = assemble(np.ones((g.n - 1) ** 2), g)
     v = from_sine(solve_spd(A, to_sine(b, g), tol=LINEAR_TOL, bound=bound), g).ravel()
-    assert v.shape == (g.num_interior,)
+    assert v.shape == ((g.n - 1) ** 2,)
     assert np.max(np.abs(v - 1.0)) <= 1e-9
 
 
@@ -111,7 +113,7 @@ def test_poisson_direct_solve_matches_iterative():
     source = np.random.default_rng(2).normal(size=g.num_nodes)
     v = solve_linear(source, np.zeros(g.num_boundary), g)
     assert not v[g.boundary_nodes].any()
-    A = five_point_operator(np.zeros(g.num_interior), g)
+    A = five_point_operator(np.zeros((g.n - 1) ** 2), g)
     interior = source.reshape(17, 17)[1:-1, 1:-1].ravel()
     reference = solve_spd(lambda x: A @ x, interior, tol=LINEAR_TOL)
     v_int = v.reshape(17, 17)[1:-1, 1:-1].ravel()
@@ -524,7 +526,7 @@ def test_newton_step_meets_tolerance_on_true_residual(n, sign):
     P = half_arc_series(g)
     u = harmonic_extension(0.01 * (bump_trace(g, 0.5, 0.5) - bump_trace(g, 1.25, 0.25)), g)
     slope = P.interior_slope(u.reshape(n + 1, n + 1)[1:-1, 1:-1]).ravel()
-    for c, r in ((sign * rng.uniform(0.0, 2.0, g.num_interior), rng.normal(size=g.num_interior)),
+    for c, r in ((sign * rng.uniform(0.0, 2.0, (g.n - 1) ** 2), rng.normal(size=(g.n - 1) ** 2)),
                  (sign * slope, residual(P, u, g))):
         A, bound = assemble(c, g)
         steps = []
@@ -532,3 +534,138 @@ def test_newton_step_meets_tolerance_on_true_residual(n, sign):
         gap = r - five_point_operator(c, g) @ from_sine(x, g).ravel()
         assert np.sqrt(gap @ poisson_solve(gap, g)) <= LINEAR_TOL * np.sqrt(r @ poisson_solve(r, g))
     assert len(steps) == 2
+
+
+def counting_starts(monkeypatch):
+    """The traces of the harmonic starts that solve_semilinear computes, in
+    order, recorded by a wrapper of forward_solver.harmonic_extension; the
+    start memo is emptied first."""
+    starts = []
+
+    def counted(f, grid):
+        starts.append(f.copy())
+        return harmonic_extension(f, grid)
+
+    forward_solver._start_memo.cache_clear()
+    monkeypatch.setattr(forward_solver, "harmonic_extension", counted)
+    return starts
+
+
+def divided_difference_data(g):
+    """One input of an m=3 divided difference of the half-arc bumps."""
+    a, b, c = (bump_trace(g, s, w) for s, w in HALF_ARC_BUMPS)
+    return 0.01 * (a - b + c)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_scaled_data_reuse_the_harmonic_start_bit_for_bit(n, monkeypatch):
+    # right after a solve with data f, a solve with c f for c = 1, -1, 2, -2
+    # starts from c times f's start, computing none, and its field and whole
+    # report match a solve from an empty memo and the reference Newton bit
+    # for bit
+    g = make_grid(n)
+    P = half_arc_series(g)
+    f = divided_difference_data(g)
+    starts = counting_starts(monkeypatch)
+    for c in (1.0, -1.0, 2.0, -2.0):
+        forward_solver._start_memo.cache_clear()
+        fresh_u, fresh_report = solve_semilinear(P, c * f, g)
+        forward_solver._start_memo.cache_clear()
+        solve_semilinear(P, f, g)
+        computed = len(starts)
+        u, report = solve_semilinear(P, c * f, g)
+        assert len(starts) == computed
+        assert u.tobytes() == fresh_u.tobytes() and report == fresh_report
+        ref_u, ref_report = allocating_newton(P, c * f, g)
+        assert np.array_equal(u, ref_u) and report == ref_report
+    assert len(starts) == 8
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_other_data_take_a_fresh_start(n, monkeypatch):
+    # each second solve computes its own start from its own trace and matches
+    # the reference Newton: a factor 3, 0.5 or 0, one node moved by one ulp,
+    # and a factor 2 or -2 of a trace with a nonzero value below the
+    # doubling floor, whose negation, and doubling at the floor, still reuse
+    g = make_grid(n)
+    P = half_arc_series(g)
+    f = divided_difference_data(g)
+    moved, tiny, floor = f.copy(), f.copy(), f.copy()
+    node = int(np.flatnonzero(f)[len(np.flatnonzero(f)) // 3])
+    moved[node] = np.nextafter(f[node], 1.0)
+    off = int(np.flatnonzero(f == 0.0)[-1])
+    tiny[off], floor[off] = 0.5 * forward_solver.DOUBLING_FLOOR, forward_solver.DOUBLING_FLOOR
+    starts = counting_starts(monkeypatch)
+    for first, second, fresh in ((f, 3.0 * f, True), (f, 0.5 * f, True), (f, 0.0 * f, True),
+                                 (f, moved, True), (tiny, 2.0 * tiny, True),
+                                 (tiny, -2.0 * tiny, True), (tiny, -tiny, False),
+                                 (floor, 2.0 * floor, False), (floor, -2.0 * floor, False)):
+        solve_semilinear(P, first, g)
+        computed = len(starts)
+        u, report = solve_semilinear(P, second, g)
+        assert len(starts) == computed + fresh
+        assert np.array_equal(starts[-1], second if fresh else first)
+        ref_u, ref_report = allocating_newton(P, second, g)
+        assert np.array_equal(u, ref_u) and report == ref_report
+
+
+def test_each_grid_size_keeps_its_own_start(monkeypatch):
+    # a solve on another grid size between two on one grid computes its own
+    # start, and the grid's next solve with -f still reuses f's
+    g, other = make_grid(16), make_grid(32)
+    f, f_other = divided_difference_data(g), divided_difference_data(other)
+    starts = counting_starts(monkeypatch)
+    solve_semilinear(half_arc_series(g), f, g)
+    solve_semilinear(half_arc_series(other), f_other, other)
+    u, report = solve_semilinear(half_arc_series(g), -f, g)
+    assert [s.size for s in starts] == [f.size, f_other.size]
+    assert np.array_equal(starts[1], f_other)
+    ref_u, ref_report = allocating_newton(half_arc_series(g), -f, g)
+    assert np.array_equal(u, ref_u) and report == ref_report
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_returned_fields_do_not_alias_the_start_memo(c, monkeypatch):
+    # overwriting the field of a computed start or of a reused one leaves
+    # the memo as it was: the next reuse still matches the reference
+    g = make_grid(32)
+    P = half_arc_series(g)
+    f = divided_difference_data(g)
+    starts = counting_starts(monkeypatch)
+    solve_semilinear(P, f, g)[0][:] = 1.0
+    ref_u, ref_report = allocating_newton(P, c * f, g)
+    for _ in range(3):
+        u, report = solve_semilinear(P, c * f, g)
+        assert np.array_equal(u, ref_u) and report == ref_report
+        u[:] = 1.0
+    assert len(starts) == 1
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-6])
+def test_each_direction_takes_one_harmonic_start(noise_sigma, monkeypatch):
+    # through the measurement map, noisy or not, the four measurements of
+    # each direction a DirectionStore takes compute one harmonic start, and
+    # its Taylor coefficients match, bit for bit, those of a store whose
+    # every measurement starts from an empty memo
+    g = make_grid(32)
+    mask = arc_mask(g, 0.0, 2.0)
+    family = arc_supported_family(mask, 6, g)
+    measure = measurement(half_arc_series(g), mask, g, noise_sigma, seed=5)
+    fresh_measure = measurement(half_arc_series(g), mask, g, noise_sigma, seed=5)
+
+    def forgetful(trace):
+        forward_solver._start_memo.cache_clear()
+        return fresh_measure(trace)
+
+    store = DirectionStore(measure, family, 0.01, mask, g)
+    fresh = DirectionStore(forgetful, family, 0.01, mask, g)
+    starts = counting_starts(monkeypatch)
+    for S, m in (((0, 1), 2), ((0, 1), 3), ((2, 3, 3), 3), ((0,), 2), ((0, 0), 3),
+                 ((5, 4), 2), ((1, 2, 5), 3)):
+        computed, calls = len(starts), store.calls
+        coeff = store.taylor(S, m)
+        assert 4 * (len(starts) - computed) == store.calls - calls
+        computed, calls = len(starts), fresh.calls
+        assert np.array_equal(coeff, fresh.taylor(S, m))
+        assert len(starts) - computed == fresh.calls - calls
+    assert store.calls == fresh.calls == 20

@@ -19,7 +19,7 @@ def jacobian(c, g):
 
 def poisson(g):
     """The five-point -Lap_h on interior nodes."""
-    A = five_point_operator(np.zeros(g.num_interior), g)
+    A = five_point_operator(np.zeros((g.n - 1) ** 2), g)
     return lambda x: A @ x
 
 
@@ -42,7 +42,7 @@ def test_assemble_poisson_diagonal():
     # with no reaction term the Jacobian is -Lap_h, the identity in scaled
     # sine coordinates; taken back to the nodes, its diagonal is 4/h^2
     g = make_grid(4)
-    M = materialize(jacobian(np.zeros(g.num_interior), g), 9)
+    M = materialize(jacobian(np.zeros((g.n - 1) ** 2), g), 9)
     assert M.shape == (9, 9)
     assert np.allclose(M, np.eye(9))
     assert np.allclose(np.diag(physical(M, g)), 64.0)
@@ -52,7 +52,7 @@ def test_assemble_reaction_shift():
     # a unit reaction term adds Lam^-1 in sine coordinates, and 1 to the
     # nodal diagonal
     g = make_grid(4)
-    M = materialize(jacobian(np.ones(g.num_interior), g), 9)
+    M = materialize(jacobian(np.ones((g.n - 1) ** 2), g), 9)
     assert np.allclose(M, np.eye(9) + np.diag(1.0 / sine_basis(g)[1].ravel()))
     assert np.allclose(np.diag(physical(M, g)), 65.0)
 
@@ -65,13 +65,13 @@ def test_assemble_matches_sparse_reference():
     for n in (8, 16):
         g = make_grid(n)
         gate = 4.0 / g.h ** 2
-        c1, c2 = rng.uniform(-0.99 * gate, 2.0, (2, g.num_interior))
-        c1[rng.integers(0, g.num_interior, 5)] = -gate * (1.0 - 1e-12)
+        c1, c2 = rng.uniform(-0.99 * gate, 2.0, (2, (g.n - 1) ** 2))
+        c1[rng.integers(0, (g.n - 1) ** 2, 5)] = -gate * (1.0 - 1e-12)
         A1 = jacobian(c1, g)
         A2 = jacobian(c2, g)
         for A, c in ((A1, c1), (A2, c2)):
             ref = conjugated_reference(c, g)
-            M = materialize(A, g.num_interior)
+            M = materialize(A, (g.n - 1) ** 2)
             assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -81,8 +81,8 @@ def test_assembled_operators_applied_in_turn():
     # each gives alone, and no kept product changes afterwards
     g = make_grid(16)
     rng = np.random.default_rng(6)
-    c1, c2 = rng.uniform(-1.0, 2.0, (2, g.num_interior))
-    ys = rng.normal(size=(3, g.num_interior))
+    c1, c2 = rng.uniform(-1.0, 2.0, (2, (g.n - 1) ** 2))
+    ys = rng.normal(size=(3, (g.n - 1) ** 2))
     alone = [[jacobian(c, g)(y).copy() for y in ys] for c in (c1, c2)]
     A1, A2 = jacobian(c1, g), jacobian(c2, g)
     in_turn = [(A1(y), A2(y)) for y in ys]
@@ -100,19 +100,19 @@ def test_assembled_bound_is_reaction_norm_over_lowest_eigenvalue(n):
     g = make_grid(n)
     lam_min = sine_basis(g)[1].min()
     rng = np.random.default_rng(n)
-    for c in (rng.uniform(0.0, 2.0, g.num_interior), rng.uniform(-3.0, 1.0, g.num_interior),
-              np.zeros(g.num_interior)):
+    for c in (rng.uniform(0.0, 2.0, (g.n - 1) ** 2), rng.uniform(-3.0, 1.0, (g.n - 1) ** 2),
+              np.zeros((g.n - 1) ** 2)):
         A, bound = assemble(c, g)
         assert bound == pytest.approx(np.max(np.abs(c)) / lam_min, rel=1e-14, abs=0.0)
         if n <= 16:
-            gap = np.linalg.norm(materialize(A, g.num_interior) - np.eye(g.num_interior), 2)
+            gap = np.linalg.norm(materialize(A, (g.n - 1) ** 2) - np.eye((g.n - 1) ** 2), 2)
             assert gap <= bound * (1.0 + 1e-12)
 
 
 def test_assemble_symmetry():
     g = make_grid(8)
     rng = np.random.default_rng(1)
-    M = materialize(jacobian(rng.uniform(0.0, 2.0, g.num_interior), g), g.num_interior)
+    M = materialize(jacobian(rng.uniform(0.0, 2.0, (g.n - 1) ** 2), g), (g.n - 1) ** 2)
     assert np.max(np.abs(M - M.T)) <= 1e-15 * np.max(np.abs(M))
 
 
@@ -120,7 +120,7 @@ def test_assemble_rejects_negative_reaction():
     # a negative reaction term is accepted while the stencil diagonal stays
     # positive (a Newton step's slope can be negative); beyond that, rejected
     g = make_grid(4)
-    c = np.zeros(g.num_interior)
+    c = np.zeros((g.n - 1) ** 2)
     c[4] = -1.0  # the middle interior node
     M = physical(materialize(jacobian(c, g), 9), g)
     assert M[4, 4] == pytest.approx(63.0)
@@ -133,7 +133,7 @@ def test_assemble_rejects_nonfinite():
     # -inf would also break the diagonal gate; finiteness is checked first
     g = make_grid(4)
     for bad in (np.nan, np.inf, -np.inf):
-        c = np.zeros(g.num_interior)
+        c = np.zeros((g.n - 1) ** 2)
         c[4] = bad
         with pytest.raises(ValueError, match="non-finite"):
             assemble(c, g)
@@ -143,7 +143,7 @@ def test_assemble_rejects_nonfinite():
 
 def test_weak_diagonal_dominance():
     g = make_grid(8)
-    M = physical(materialize(jacobian(np.zeros(g.num_interior), g), g.num_interior), g)
+    M = physical(materialize(jacobian(np.zeros((g.n - 1) ** 2), g), (g.n - 1) ** 2), g)
     off = np.sum(np.abs(M), axis=1) - np.abs(np.diag(M))
     assert np.all(off <= np.diag(M) + 1e-9)
 
@@ -154,7 +154,7 @@ def test_discrete_eigenvalue_oracle():
     # at n=64. The coordinates of v are y = to_sine(-Lap_h v), and
     # v.(-Lap_h v) = y.y
     g = make_grid(64)
-    A = jacobian(np.zeros(g.num_interior), g)
+    A = jacobian(np.zeros((g.n - 1) ** 2), g)
     x, y = g.node_coords()
     v = (np.sin(np.pi * x) * np.sin(np.pi * y)).reshape(65, 65)[1:-1, 1:-1].ravel()
     coords = to_sine(poisson(g)(v), g)
@@ -169,7 +169,7 @@ def test_sine_coordinates_round_trip():
     # to_sine maps a residual r to Lam^(-1/2) S r S, so from_sine inverts
     # it up to the Poisson solve: from_sine(to_sine(r)) = (-Lap_h)^-1 r
     g = make_grid(16)
-    r = np.random.default_rng(3).normal(size=g.num_interior)
+    r = np.random.default_rng(3).normal(size=(g.n - 1) ** 2)
     A = poisson(g)
     v = from_sine(to_sine(r, g), g).ravel()
     assert np.max(np.abs(A(v) - r)) <= 1e-11 * np.max(np.abs(r))
@@ -253,15 +253,15 @@ def test_folded_newton_transforms_match_dense_products(n):
 def test_solve_zero_rhs():
     g = make_grid(8)
     A = poisson(g)
-    assert np.array_equal(solve_spd(A, np.zeros(g.num_interior)),
-                          np.zeros(g.num_interior))
+    assert np.array_equal(solve_spd(A, np.zeros((g.n - 1) ** 2)),
+                          np.zeros((g.n - 1) ** 2))
 
 
 def test_solve_recovers_constructed_solution():
     g = make_grid(16)
     A = poisson(g)
     rng = np.random.default_rng(7)
-    x_star = rng.normal(size=g.num_interior)
+    x_star = rng.normal(size=(g.n - 1) ** 2)
     b = A(x_star)
     x = solve_spd(A, b, tol=1e-12)
     assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) <= 1e-9
@@ -271,7 +271,7 @@ def test_solve_residual_contract():
     g = make_grid(32)
     A = poisson(g)
     rng = np.random.default_rng(11)
-    b = rng.normal(size=g.num_interior)
+    b = rng.normal(size=(g.n - 1) ** 2)
     x = solve_spd(A, b, tol=1e-10)
     assert np.linalg.norm(A(x) - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -280,7 +280,7 @@ def test_solve_deterministic():
     g = make_grid(16)
     A = poisson(g)
     rng = np.random.default_rng(5)
-    b = rng.normal(size=g.num_interior)
+    b = rng.normal(size=(g.n - 1) ** 2)
     assert np.array_equal(solve_spd(A, b, tol=1e-11),
                           solve_spd(A, b, tol=1e-11))
 
@@ -292,7 +292,7 @@ def test_energy_error_monotone_along_iterates():
     g = make_grid(24)
     A = poisson(g)
     rng = np.random.default_rng(2)
-    b = rng.normal(size=g.num_interior)
+    b = rng.normal(size=(g.n - 1) ** 2)
     iterates = []
     x = solve_spd(A, b, tol=1e-12, callback=lambda xk: iterates.append(xk.copy()))
     energies = []
@@ -323,9 +323,9 @@ def test_in_place_cg_is_exact_on_newton_operator(n):
     # the certified finish saves an iteration
     g = make_grid(n)
     rng = np.random.default_rng(n)
-    b = to_sine(rng.normal(size=g.num_interior), g)
-    for c, saved in ((rng.uniform(-1.0, 2.0, g.num_interior), 0),
-                     (rng.uniform(-5e-3, 5e-3, g.num_interior), 1)):
+    b = to_sine(rng.normal(size=(g.n - 1) ** 2), g)
+    for c, saved in ((rng.uniform(-1.0, 2.0, (g.n - 1) ** 2), 0),
+                     (rng.uniform(-5e-3, 5e-3, (g.n - 1) ** 2), 1)):
         A, bound = assemble(c, g)
         counts = []
         for stated in (None, bound):
@@ -385,8 +385,8 @@ def test_nested_solve_of_same_size_is_exact():
     # of this size behind for the nested run to take
     g = make_grid(16)
     rng = np.random.default_rng(8)
-    A = jacobian(rng.uniform(0.0, 2.0, g.num_interior), g)
-    b = to_sine(rng.normal(size=g.num_interior), g)
+    A = jacobian(rng.uniform(0.0, 2.0, (g.n - 1) ** 2), g)
+    b = to_sine(rng.normal(size=(g.n - 1) ** 2), g)
     inner = []
 
     def nesting(y):
@@ -409,9 +409,9 @@ def test_returned_solution_survives_next_solve():
     g = make_grid(16)
     A = poisson(g)
     rng = np.random.default_rng(9)
-    x = solve_spd(A, rng.normal(size=g.num_interior), tol=1e-12)
+    x = solve_spd(A, rng.normal(size=(g.n - 1) ** 2), tol=1e-12)
     kept = x.copy()
-    solve_spd(A, rng.normal(size=g.num_interior), tol=1e-12)
+    solve_spd(A, rng.normal(size=(g.n - 1) ** 2), tol=1e-12)
     assert np.array_equal(x, kept)
 
 
@@ -422,9 +422,9 @@ def test_solve_rejects_bad_tol_and_shape():
     A = poisson(g)
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError):
-            solve_spd(A, np.zeros(g.num_interior), tol=tol)
+            solve_spd(A, np.zeros((g.n - 1) ** 2), tol=tol)
     with pytest.raises(ValueError):
-        solve_spd(A, np.ones(g.num_interior + 1))
+        solve_spd(A, np.ones((g.n - 1) ** 2 + 1))
 
 
 def test_breakdown_on_indefinite_matrix():
@@ -492,13 +492,13 @@ def test_newton_operator_pair_path_matches_plain_path(n, sign):
     assert isinstance(_kernel(n), _Fold) == (n >= FOLD_MIN_N)
     g = make_grid(n)
     rng = np.random.default_rng(n)
-    A, bound = assemble(sign * rng.uniform(0.0, 5e-3, g.num_interior), g)
-    b = to_sine(rng.normal(size=g.num_interior), g)
+    A, bound = assemble(sign * rng.uniform(0.0, 5e-3, (g.n - 1) ** 2), g)
+    b = to_sine(rng.normal(size=(g.n - 1) ** 2), g)
     plain_steps, steps = [], []
     y = solve_spd(A, b, tol=1e-12, callback=plain_steps.append)
     x = solve_spd(A, b, tol=1e-12, callback=steps.append, bound=bound)
     assert len(steps) == len(plain_steps) - 1 >= 2
-    assert x.shape == (g.num_interior,)
+    assert x.shape == ((g.n - 1) ** 2,)
     norm_b = np.linalg.norm(b)
     assert np.linalg.norm(b - A(x)) <= 1e-12 * norm_b
     assert np.linalg.norm(x - y) <= 2e-12 * norm_b / (1.0 - bound)
