@@ -328,7 +328,12 @@ def lcurve_weight(matrix: np.ndarray, rhs: np.ndarray, penalty: np.ndarray) -> f
     Traces (log residual, log ||L c||) over ``LCURVE_WEIGHTS`` times
     sigma_max(A)^2, cut below sigma_min(A)^2 where the solution no longer
     moves, and returns the weight of largest curvature, taken by finite
-    differences in log(weight) at the interior points. For all-zero data the
+    differences in log(weight) at the interior points. The curve is read in
+    closed form from one generalized SVD of (A, L), computed as Paige and
+    Saunders do (SIAM J. Numer. Anal. 1981): [A; L] = [Q_A; Q_L] R,
+    Q_A = U diag(c) Z^T, s_i = ||Q_L z_i|| and beta = U^T y give, at weight
+    lam, residual^2 = sum (lam s^2 beta / (c^2 + lam s^2))^2 + ||y - U beta||^2
+    and ||L c|| = ||s c beta / (c^2 + lam s^2)||. For all-zero data the
     solution is zero at every weight and the curve is a point, so the weight,
     which then sets only the condition number and the noise ceiling, is the
     grid's top, sigma_max(A)^2, rather than a point rounding would pick.
@@ -339,11 +344,14 @@ def lcurve_weight(matrix: np.ndarray, rhs: np.ndarray, penalty: np.ndarray) -> f
     smallest = sigma[-1] if sigma.size == matrix.shape[1] else 0.0
     weights = sigma[0] ** 2 * LCURVE_WEIGHTS
     weights = weights[min(np.searchsorted(weights, smallest ** 2), weights.size - 3):]
-    res, pen = [], []
-    for lam in weights:
-        c = _tikhonov(matrix, rhs, lam, penalty)
-        res.append(np.linalg.norm(matrix @ c - rhs))
-        pen.append(np.linalg.norm(penalty @ c))
+    q = np.linalg.qr(np.vstack([matrix, penalty]))[0]
+    u, c, zt = np.linalg.svd(q[:len(matrix)], full_matrices=False)
+    s = np.linalg.norm(q[len(matrix):] @ zt.T, axis=0)  # not sqrt(1 - c^2), which cancels
+    beta = u.T @ rhs
+    denom = c * c + weights[:, None] * (s * s)
+    res = np.hypot(np.linalg.norm(weights[:, None] * (s * s * beta) / denom, axis=1),
+                   np.linalg.norm(rhs - u @ beta))
+    pen = np.linalg.norm(s * c * beta / denom, axis=1)
     x, y = (np.log(np.maximum(v, np.finfo(float).tiny)) for v in (res, pen))
     t = np.log(weights)
     dx, dy = np.gradient(x, t), np.gradient(y, t)

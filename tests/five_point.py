@@ -7,7 +7,8 @@ rank-4 lift from edge strips cut by 2-D slices, the linear solve that always
 transforms its lift, Newton with a new array at every step, and the node
 values of scaled sine coordinates (``from_sine``). And the
 Jacobian certificate: the analytic Jacobian against finite differences of
-that residual."""
+that residual. And the L-curve by one Tikhonov solve per weight, against
+which the closed form of ``lcurve_weight`` is checked."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,6 +16,7 @@ import scipy.sparse as sp
 from semidtn import forward_solver
 from semidtn.forward_solver import LINEAR_TOL, SolveReport, harmonic_extension
 from semidtn.geometry import check_field, check_trace, trace_to_field
+from semidtn.reconstruction import LCURVE_WEIGHTS, _tikhonov
 from semidtn.sparse_linalg import SolverError, _Fold, _kernel
 
 
@@ -252,3 +254,27 @@ def allocating_newton(P, f, g, kernel=None):
         res = residual(P, u, g)
         history.append(float(g.h * np.linalg.norm(res)))
     raise AssertionError("reference Newton did not converge")
+
+
+def lcurve_reference(matrix, rhs, penalty):
+    """``lcurve_weight`` with the curve traced by one stacked-QR Tikhonov
+    solve (``_tikhonov``) per grid weight, each point's residual and penalty
+    norms taken from its solution: the same grid, cut and curvature."""
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    if not rhs.any():
+        return float(sigma[0] ** 2)
+    smallest = sigma[-1] if sigma.size == matrix.shape[1] else 0.0
+    weights = sigma[0] ** 2 * LCURVE_WEIGHTS
+    weights = weights[min(np.searchsorted(weights, smallest ** 2), weights.size - 3):]
+    res, pen = [], []
+    for lam in weights:
+        c = _tikhonov(matrix, rhs, lam, penalty)
+        res.append(np.linalg.norm(matrix @ c - rhs))
+        pen.append(np.linalg.norm(penalty @ c))
+    x, y = (np.log(np.maximum(v, np.finfo(float).tiny)) for v in (res, pen))
+    t = np.log(weights)
+    dx, dy = np.gradient(x, t), np.gradient(y, t)
+    ddx, ddy = np.gradient(dx, t), np.gradient(dy, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curvature = (dx * ddy - ddx * dy) / (dx * dx + dy * dy) ** 1.5
+    return float(weights[1 + int(np.argmax(np.nan_to_num(curvature[1:-1], nan=-np.inf)))])

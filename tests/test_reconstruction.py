@@ -4,6 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
+from five_point import lcurve_reference
 from semidtn.dtn import dtn_apply, measurement, normal_derivative
 from semidtn.forward_solver import harmonic_extension, solve_linear
 from semidtn import linearization, reconstruction
@@ -423,6 +424,69 @@ def test_lcurve_weight_on_zero_data_is_the_grid_top():
     top = np.linalg.norm(system.matrix, 2) ** 2
     for matrix in (system.matrix, system.matrix * (1.0 + 1e-12)):
         assert lcurve_weight(matrix, zero, L) == pytest.approx(top, rel=1e-10)
+
+
+def test_lcurve_weight_is_the_per_weight_qr_corner():
+    # the closed-form curve picks the weight that one stacked-QR solve per
+    # grid weight picks (``lcurve_reference``) on every stage of n=16
+    # half-arc K=3 and full-arc K=4 runs at seeds 0-2, noise-free and at
+    # noise 1e-9, on a one-member stage, and on seeded random systems of at
+    # least as many rows as unknowns. Dropping ||y - U beta|| from the
+    # residual moves the pick on stages and random systems alike; computing
+    # s as sqrt(1 - c^2) takes the square root of a negative number where a
+    # rounded c exceeds 1. A system of fewer rows than unknowns fits its data
+    # at every weight, so its residual falls with the weight until it meets
+    # rounding, and both curves put the corner there (at most 1e-14
+    # sigma_max^2), where the two roundings may pick different grid weights
+    g = make_grid(16)
+    truth = PotentialSeries.from_coefficients(g, {
+        2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", g),
+        3: sample_expression("0.5*sin(pi*x)*sin(pi*y)", g),
+        4: sample_expression("1 + x*y", g)})
+    systems = []
+    for s1, K, size, sigmas in ((2.0, 3, 8, (0.0, 1e-9)), (4.0, 4, 8, (0.0, 1e-9)),
+                                (2.0, 2, 1, (0.0,))):
+        mask = arc_mask(g, 0.0, s1)
+        family = arc_supported_family(mask, size, g)
+        for seed in range(3 if size > 1 else 1):
+            for sigma in sigmas:
+                systems += reconstruct_all(
+                    measurement(truth, mask, g, sigma, seed + 10_000), K, family, mask, g,
+                    eps=1e-2, basis_per_side=4, rows_factor=2, lam=None, seed=seed).systems
+    assert len(systems) == 31
+    for system in systems:
+        assert lcurve_weight(system.matrix, system.rhs, system.basis.penalty) \
+            == lcurve_reference(system.matrix, system.rhs, system.basis.penalty)
+    L = gradient_penalty(3)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=((2, 5, 9, 10, 30)[seed % 5], L.shape[1]))
+        y = rng.normal(size=len(A))
+        weight, reference = lcurve_weight(A, y, L), lcurve_reference(A, y, L)
+        if len(A) < L.shape[1]:
+            assert max(weight, reference) <= 1e-14 * np.linalg.norm(A, 2) ** 2, seed
+        else:
+            assert weight == reference, seed
+
+
+def test_lcurve_weight_raises_no_floating_point_error_on_a_rank_deficient_stage():
+    # one member's 30 rows against 36 unknowns: sigma_min(A) is zero to
+    # rounding, so the grid is not cut and reaches 1e-16 sigma_max^2, yet
+    # c^2 + lam s^2 >= min(1, lam) keeps every denominator of the closed form
+    # away from zero
+    g = make_grid(16)
+    mask = arc_mask(g, 0.0, 2.0)
+    truth = PotentialSeries.from_coefficients(
+        g, {2: sample_expression("exp(-4*((x-0.4)**2 + (y-0.6)**2))", g)})
+    directions = DirectionStore(measurement(truth, mask, g), arc_supported_family(mask, 1, g),
+                                1e-2, mask, g)
+    system = assemble_system(2, make_basis(6, g), directions, None, heads=1, seed=0, lam=1.0)
+    assert system.rows < system.basis.size
+    sigma = np.linalg.svd(system.matrix, compute_uv=False)
+    assert sigma[-1] ** 2 < 1e-16 * sigma[0] ** 2
+    with np.errstate(all="raise"):
+        weight = lcurve_weight(system.matrix, system.rhs, system.basis.penalty)
+    assert 0.0 < weight < np.inf
 
 
 def test_solve_scales_linearly():
