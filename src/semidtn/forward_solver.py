@@ -19,10 +19,14 @@ contiguous copy of the interior values.
 The nonlinear solve enforces a smallness gate on the boundary data
 (max-norm radius 0.1) under which Newton, started from the harmonic
 extension of the data, stays in its quadratic basin for unit-size
-coefficient fields. A direction's four measurements take the data t g for
-t = 1, -1, 2, -2, and negating or doubling the linear start's input does the
-same to every value it rounds, so a solve reuses the last start on its grid
-for data +-1 or +-2 times that start's, bit for bit (``_start_memo``).
+coefficient fields. Negating or doubling the linear start's input does the
+same to every value it rounds, so a solve reuses a start on its grid for data
++-1 or +-2 times that start's, bit for bit, and the start's stencil with it
+(``_start_memo``). The memo keeps the last 2^(MAX_ORDER-1) = 8 starts per
+grid size and is read newest first: a direction's four measurements take the
+data t g for t = 1, -1, 2, -2 and hit the newest entry, and a product-order
+divided difference of m <= MAX_ORDER slots computes the starts of its first
+2^(m-1) sign patterns, then meets their negations in reverse order.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ DEFAULT_MAX_NEWTON = 25
 # to the cascade grew from 2.3e-3 to 8.4e-3 at m=4 and from 4.9e-11 to
 # 1.1e-9 at m=2, past the bounds of 5e-3 and 1e-9 that the tests hold.
 LINEAR_TOL = 1e-12
+# Highest order the program differentiates: a direction's four samples in
+# ``linearization.DirectionStore`` resolve the Taylor coefficients F_2..F_4 and no more.
+MAX_ORDER = 4
 
 class SmallnessError(ValueError):
     """Boundary data exceeds the well-posedness radius."""
@@ -82,21 +89,24 @@ def _stencil_rows(u: np.ndarray, grid: Grid2D, rows: np.ndarray) -> np.ndarray:
     rows -= u[row - 1:end - 1]
     rows -= u[row + 1:end + 1]
     rows /= grid.h * grid.h
-    return rows.reshape(grid.n - 1, row)[:, 1:-1]
+    return _interior_rows(rows, grid)
 
 
-def _residual_into(P: PotentialSeries, u: np.ndarray, grid: Grid2D, rows: np.ndarray,
-                   interior: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _interior_rows(rows: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """The (n-1, n-1) interior view of whole stencil rows 1..n-1."""
+    return rows.reshape(grid.n - 1, grid.n + 1)[:, 1:-1]
+
+
+def _residual_into(P: PotentialSeries, interior: np.ndarray, lap: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
     """-Lap u + V(x,u) on interior nodes into the flat (n-1)^2 array ``out``,
-    with ``rows`` as the stencil's work array; returns ``out``. The interior
-    values of u are copied into the contiguous (n-1, n-1) array ``interior``
-    first, where V's polynomial reads them; V goes into ``out`` first and
-    the stencil is added to it (addition commutes)."""
-    m = grid.n - 1
-    field = out.reshape(m, m)
-    np.copyto(interior, u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1])
+    from u's interior values in the contiguous (n-1, n-1) array ``interior``,
+    where V's polynomial reads them, and the interior view ``lap`` of u's
+    stencil rows; returns ``out``. V goes into ``out`` first and the stencil
+    is added to it (addition commutes)."""
+    field = out.reshape(interior.shape)
     P.interior_value(interior, field)
-    field += _stencil_rows(u, grid, rows)
+    field += lap
     return out
 
 
@@ -121,32 +131,86 @@ def _newton_work(n: int) -> tuple[np.ndarray, ...]:
 # inverse eigenvalue (> h^2/8) and five sums, each nonzero one at least 2^-106 times its
 # least product: each nonzero value exceeds t 1e-84 1e-9 2^-530 > 2^-1022 for t >= this.
 DOUBLING_FLOOR = 1e-50
+# The stencil of a start doubles with it where no quotient by h^2 is subnormal. Each double
+# of magnitude >= 2^E is a multiple of 2^(E-52), and so is each of the stencil's rounded
+# sums of such values, so a nonzero sum exceeds 2^-53 times the start's least nonzero
+# |value|, itself above t 1e-93 2^-530 (DOUBLING_FLOOR), and over h^2 <= 1 the quotient
+# exceeds t 1e-93 2^-583 > 2^-1022 for t >= this. Where h^2 is a power of two the division
+# is exact and the stencil doubles at any t.
+STENCIL_FLOOR = 1e-38
+# A product-order divided difference of m <= MAX_ORDER slots computes the starts of its
+# first 2^(m-1) sign patterns, then meets their negations in reverse order; a hit stores
+# nothing, so this many entries catch every one.
+START_ENTRIES = 2 ** (MAX_ORDER - 1)
+
+
+class _Starts:
+    """The last START_ENTRIES harmonic starts computed on one grid size, a
+    ring that replaces its oldest entry: entry j's trace, field and that
+    field's stencil rows are row j of ``traces``, ``fields`` and
+    ``stencils``, and ``least[j]`` is the trace's least nonzero |value|,
+    found when a doubling first asks. The blocks are allocated once, so
+    entries come and go without heap traffic, and an entry's rows are first
+    written, and so first made resident, when it is first filled."""
+
+    __slots__ = ("traces", "fields", "stencils", "least", "count", "next")
+
+    def __init__(self, n: int):
+        self.traces = np.zeros((START_ENTRIES, 4 * n))
+        self.fields = np.empty((START_ENTRIES, (n + 1) ** 2))
+        self.stencils = np.empty((START_ENTRIES, (n - 1) * (n + 1)))
+        self.least: list = [None] * START_ENTRIES
+        self.count = self.next = 0  # entries filled; the one replaced next
 
 
 @functools.cache
-def _start_memo(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trace and field of the last harmonic start computed on an n-cell
-    grid; built once per size, all zero. c times the field is the start of
-    c times the trace for c = +-1, +-2, up to the sign of an exact zero (see
-    the module docstring and DOUBLING_FLOOR). One entry suffices: a
-    direction's measurements run in a row, and a Newton solve runs no caller
-    code (``_newton_work``)."""
-    return np.zeros(4 * n), np.zeros((n + 1) ** 2)
+def _start_memo(n: int) -> _Starts:
+    """The harmonic starts of an n-cell grid, built once per size, empty.
+    For c = +-1, +-2, c times an entry's field is the start of c times its
+    trace, up to the sign of an exact zero, and c times its stencil rows are
+    that start's stencil rows, except at |c| = 2 below DOUBLING_FLOOR and,
+    unless h^2 is a power of two, below STENCIL_FLOOR (see the module
+    docstring and START_ENTRIES). One memo per size suffices: a Newton solve
+    runs no caller code (``_newton_work``)."""
+    return _Starts(n)
 
 
-def _harmonic_start(f: np.ndarray, magnitude: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """f's harmonic extension, given |f|, as a new array: from the memo or into it."""
-    trace, field = _start_memo(grid.n)
-    peak = int(magnitude.argmax())  # where c times the trace peaks, the trace does
-    c = float(f[peak]) / float(trace[peak]) if trace[peak] else 0.0
-    if abs(c) == 2.0 and np.abs(trace[trace != 0.0]).min() < DOUBLING_FLOOR:
-        c = 0.0  # below the floor doubling may round differently: no reuse
-    if abs(c) in (1.0, 2.0) and np.array_equal(f, c * trace):
-        return c * field
-    u = harmonic_extension(f, grid)
-    np.copyto(trace, f)
-    np.copyto(field, u)
-    return u
+def _harmonic_start(f: np.ndarray, magnitude: np.ndarray, grid: Grid2D,
+                    rows: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """f's harmonic extension, given |f|, as (field, c, lap): the start is c
+    times ``field``, which belongs to the memo, and ``lap`` is the interior
+    view of the start's stencil rows, kept in the memo for c = 1 and in
+    ``rows`` otherwise. Entries are read newest first; a miss computes the
+    start and its stencil into the oldest entry."""
+    starts = _start_memo(grid.n)
+    peak = int(magnitude.argmax())  # where c times a trace peaks, the trace does
+    top = float(f[peak])
+    column = starts.traces[:, peak].tolist()  # every entry's value at the peak
+    for age in range(1, starts.count + 1):
+        j = (starts.next - age) % START_ENTRIES
+        c = top / column[j] if column[j] else 0.0
+        if abs(c) not in (1.0, 2.0) or not np.array_equal(f, c * starts.traces[j]):
+            continue
+        if abs(c) == 2.0:
+            if starts.least[j] is None:
+                trace = starts.traces[j]
+                starts.least[j] = float(np.abs(trace[trace != 0.0]).min())
+            if starts.least[j] < DOUBLING_FLOOR:
+                continue  # below the floor doubling may round differently: no reuse
+        field, stencil = starts.fields[j], starts.stencils[j]
+        if c == 1.0:
+            return field, c, _interior_rows(stencil, grid)
+        exact = math.frexp(grid.h * grid.h)[0] == 0.5  # h^2 a power of two: exact division
+        if abs(c) == 1.0 or exact or starts.least[j] >= STENCIL_FLOOR:
+            return field, c, _interior_rows(np.multiply(stencil, c, out=rows), grid)
+        return field, c, _stencil_rows(c * field, grid, rows)
+    j = starts.next
+    field = starts.fields[j]
+    np.copyto(field, harmonic_extension(f, grid))
+    np.copyto(starts.traces[j], f)
+    starts.least[j] = None
+    starts.next, starts.count = (j + 1) % START_ENTRIES, max(starts.count, j + 1)
+    return field, 1.0, _stencil_rows(field, grid, starts.stencils[j])
 
 
 def _l2(r: np.ndarray, grid: Grid2D) -> float:
@@ -231,15 +295,22 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
         raise SmallnessError(f"boundary data max-norm {fnorm:.4g} exceeds smallness "
                              f"radius {DEFAULT_SMALLNESS_RADIUS}")
 
-    u = _harmonic_start(f, magnitude, grid)
-    inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]  # a view: steps update u
-    m, kernel = grid.n - 1, _kernel(grid.n)
     rows, res, interior, slope = _newton_work(grid.n)
-    history = [_l2(_residual_into(P, u, grid, rows, interior, res), grid)]
+    start, c, lap = _harmonic_start(f, magnitude, grid, rows)
+    np.multiply(start.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1], c, out=interior)
+    history = [_l2(_residual_into(P, interior, lap, res), grid)]
+    # the iterate is a new array, written from ``interior`` by each step: the start stays
+    # in the memo and is neither copied nor scaled
+    u = np.empty(grid.num_nodes)
+    u[grid.boundary_nodes] = f
+    inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]
+    m, kernel = grid.n - 1, _kernel(grid.n)
     increases = 0
     for it in range(DEFAULT_MAX_NEWTON + 1):
         res_norm = history[-1]
         if res_norm <= DEFAULT_NEWTON_TOL:
+            if not it:
+                np.copyto(inner, interior)  # the start itself
             return u, SolveReport(it, res_norm, fnorm, True, tuple(history))
         if it == DEFAULT_MAX_NEWTON:
             raise NewtonError(f"Newton did not reach {DEFAULT_NEWTON_TOL} in {DEFAULT_MAX_NEWTON} "
@@ -248,9 +319,10 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
         A, bound = assemble(P.interior_slope(interior, slope), grid)
         step = solve_spd(A, to_sine(res, grid), tol=LINEAR_TOL, bound=bound).reshape(m, m)
         step *= kernel.scale
-        inner -= kernel.inverse(step, slope)  # the slope is spent with A
+        np.subtract(interior, kernel.inverse(step, slope), out=inner)  # the slope is spent with A
+        np.copyto(interior, inner)
         # ``to_sine`` has consumed ``res``: the new residual overwrites it
-        history.append(_l2(_residual_into(P, u, grid, rows, interior, res), grid))
+        history.append(_l2(_residual_into(P, interior, _stencil_rows(u, grid, rows), res), grid))
         increases = increases + 1 if history[-1] > res_norm else 0
         if increases >= 3:
             raise NewtonError(f"Newton diverging: residual rose 3 times, "

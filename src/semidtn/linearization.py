@@ -25,14 +25,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .forward_solver import (DEFAULT_NEWTON_TOL, DEFAULT_SMALLNESS_RADIUS, harmonic_extension,
-                             solve_linear)
+from .forward_solver import (DEFAULT_NEWTON_TOL, DEFAULT_SMALLNESS_RADIUS, MAX_ORDER,
+                             harmonic_extension, solve_linear)
 from .geometry import ArcMask, Grid2D, check_trace
 from .potential import PotentialSeries
-
-# Highest order the program differentiates: a direction's four samples in
-# ``DirectionStore`` resolve the Taylor coefficients F_2..F_4 and no more.
-MAX_ORDER = 4
 
 
 @functools.cache

@@ -10,7 +10,7 @@ from five_point import (allocating_cg, allocating_newton, five_point_operator, f
 from semidtn.dtn import bump_trace, dtn_apply, measurement, normal_derivative
 from semidtn import forward_solver, sparse_linalg
 from semidtn.harmonic import arc_supported_family
-from semidtn.linearization import DirectionStore
+from semidtn.linearization import DirectionStore, measured_linearized_flux
 from semidtn.forward_solver import (LINEAR_TOL, NewtonError, SmallnessError, harmonic_extension,
                                     solve_linear, solve_semilinear)
 from semidtn.geometry import arc_mask, make_grid, trace_to_field
@@ -557,12 +557,12 @@ def divided_difference_data(g):
     return 0.01 * (a - b + c)
 
 
-@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("n", [16, 24, 32, 40, 64, 128])
 def test_scaled_data_reuse_the_harmonic_start_bit_for_bit(n, monkeypatch):
     # right after a solve with data f, a solve with c f for c = 1, -1, 2, -2
     # starts from c times f's start, computing none, and its field and whole
     # report match a solve from an empty memo and the reference Newton bit
-    # for bit
+    # for bit; at n = 24 and 40 h^2 is not a power of two
     g = make_grid(n)
     P = half_arc_series(g)
     f = divided_difference_data(g)
@@ -581,12 +581,13 @@ def test_scaled_data_reuse_the_harmonic_start_bit_for_bit(n, monkeypatch):
     assert len(starts) == 8
 
 
-@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n", [16, 24, 32])
 def test_other_data_take_a_fresh_start(n, monkeypatch):
     # each second solve computes its own start from its own trace and matches
     # the reference Newton: a factor 3, 0.5 or 0, one node moved by one ulp,
     # and a factor 2 or -2 of a trace with a nonzero value below the
-    # doubling floor, whose negation, and doubling at the floor, still reuse
+    # doubling floor, whose negation, and doubling at the floor, still reuse.
+    # Each pair starts from an empty memo, so its first solve computes
     g = make_grid(n)
     P = half_arc_series(g)
     f = divided_difference_data(g)
@@ -600,6 +601,7 @@ def test_other_data_take_a_fresh_start(n, monkeypatch):
                                  (f, moved, True), (tiny, 2.0 * tiny, True),
                                  (tiny, -2.0 * tiny, True), (tiny, -tiny, False),
                                  (floor, 2.0 * floor, False), (floor, -2.0 * floor, False)):
+        forward_solver._start_memo.cache_clear()
         solve_semilinear(P, first, g)
         computed = len(starts)
         u, report = solve_semilinear(P, second, g)
@@ -669,3 +671,79 @@ def test_each_direction_takes_one_harmonic_start(noise_sigma, monkeypatch):
         assert np.array_equal(coeff, fresh.taylor(S, m))
         assert len(starts) - computed == fresh.calls - calls
     assert store.calls == fresh.calls == 20
+
+
+def test_divided_differences_compute_one_start_per_negated_pair(monkeypatch):
+    # in product order an m = 2, 3 or 4 divided difference computes the starts
+    # of its first 2^(m-1) sign patterns and reuses them for their negations,
+    # and each flux matches, bit for bit, that of a run whose every
+    # measurement starts from an empty memo
+    g = make_grid(32)
+    mask = arc_mask(g, 0.0, 2.0)
+    traces = [member.trace for member in arc_supported_family(mask, 6, g)]
+    measure = measurement(half_arc_series(g), mask, g)
+    fresh_measure = measurement(half_arc_series(g), mask, g)
+
+    def forgetful(trace):
+        forward_solver._start_memo.cache_clear()
+        return fresh_measure(trace)
+
+    starts = counting_starts(monkeypatch)
+    for m in (2, 3, 4):
+        forward_solver._start_memo.cache_clear()
+        computed = len(starts)
+        flux = measured_linearized_flux(measure, traces[:m], 0.01, mask, g)
+        assert len(starts) - computed == 2 ** (m - 1)
+        fresh = measured_linearized_flux(forgetful, traces[:m], 0.01, mask, g)
+        assert len(starts) - computed == 2 ** (m - 1) + 2 ** m
+        assert flux.tobytes() == fresh.tobytes()
+
+
+def test_the_ninth_start_evicts_the_oldest(monkeypatch):
+    # the memo keeps the last START_ENTRIES = 8 starts of a grid: after nine
+    # distinct ones, -(the first) computes a fresh start and -(the ninth)
+    # reuses the newest, both matching the reference Newton
+    assert forward_solver.START_ENTRIES == 8
+    g = make_grid(16)
+    P = half_arc_series(g)
+    data = [(0.5 + 0.05 * k) * divided_difference_data(g) for k in range(9)]
+    starts = counting_starts(monkeypatch)
+    for f in data:
+        solve_semilinear(P, f, g)
+    assert len(starts) == 9
+    for f, fresh in ((-data[0], True), (-data[-1], False)):
+        computed = len(starts)
+        u, report = solve_semilinear(P, f, g)
+        assert len(starts) == computed + fresh
+        ref_u, ref_report = allocating_newton(P, f, g)
+        assert np.array_equal(u, ref_u) and report == ref_report
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_a_doubled_start_reuses_its_stencil_where_it_rounds_alike(n, monkeypatch):
+    # a reused start reuses its stencil, which Newton's first residual then
+    # does not run, except at |c| = 2 on a trace with a nonzero value below
+    # STENCIL_FLOOR where h^2 is not a power of two (n = 24): there the
+    # division by h^2 may round differently, and the stencil is run again
+    g = make_grid(n)
+    P = half_arc_series(g)
+    f = divided_difference_data(g)
+    floor = f.copy()
+    floor[int(np.flatnonzero(f == 0.0)[-1])] = forward_solver.DOUBLING_FLOOR
+    stencils = []
+
+    def counted(u, grid, rows):
+        stencils.append(u)
+        return stencil_rows(u, grid, rows)
+
+    stencil_rows = forward_solver._stencil_rows
+    monkeypatch.setattr(forward_solver, "_stencil_rows", counted)
+    for first, c, rerun in ((f, -1.0, False), (f, 2.0, False), (floor, -1.0, False),
+                            (floor, 2.0, n == 24), (floor, -2.0, n == 24)):
+        forward_solver._start_memo.cache_clear()
+        solve_semilinear(P, first, g)
+        ran = len(stencils)
+        u, report = solve_semilinear(P, c * first, g)
+        assert len(stencils) - ran == report.iterations + rerun
+        ref_u, ref_report = allocating_newton(P, c * first, g)
+        assert np.array_equal(u, ref_u) and report == ref_report
