@@ -21,12 +21,17 @@ The nonlinear solve enforces a smallness gate on the boundary data
 extension of the data, stays in its quadratic basin for unit-size
 coefficient fields. Negating or doubling the linear start's input does the
 same to every value it rounds, so a solve reuses a start on its grid for data
-+-1 or +-2 times that start's, bit for bit, and the start's stencil with it
-(``_start_memo``). The memo keeps the last 2^(MAX_ORDER-1) = 8 starts per
-grid size and is read newest first: a direction's four measurements take the
-data t g for t = 1, -1, 2, -2 and hit the newest entry, and a product-order
-divided difference of m <= MAX_ORDER slots computes the starts of its first
-2^(m-1) sign patterns, then meets their negations in reverse order.
+c = +-1 or +-2 times that start's, bit for bit, and c times its stencil with
+it. Doubling rounds alike only outside the subnormal range: at |c| = 2 a trace
+with a nonzero value below DOUBLING_FLOOR is not reused, and the stencil is
+reused only where h^2 is a power of two, so that its division by h^2 is exact,
+and is run again on c times the field elsewhere. One per-size state
+(``_newton_state``) holds the Newton work arrays and a ring of the last
+2^(MAX_ORDER-1) = 8 starts, read newest first: a direction's four
+measurements take the data t g for t = 1, -1, 2, -2 and hit the newest entry,
+and a product-order divided difference of m <= MAX_ORDER slots computes the
+starts of its first 2^(m-1) sign patterns, then meets their negations in
+reverse order.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -110,107 +116,69 @@ def _residual_into(P: PotentialSeries, interior: np.ndarray, lap: np.ndarray,
     return out
 
 
-@functools.cache
-def _newton_work(n: int) -> tuple[np.ndarray, ...]:
-    """The Newton work arrays of an n-cell grid: the stencil's rows, the
-    residual, which evaluates its Horner polynomial in place, a contiguous
-    copy of the interior values that the residual's and the slope's
-    polynomials read, and the Jacobian's slope field, which then takes the
-    step's node values; built once per size. One set per size suffices: a
-    Newton solve runs no caller code while it holds the set, so no solve
-    can start inside another (solve_semilinear's callers are dtn.dtn_apply
-    and the CLI's forward_convergence scenario). CG runs its caller's
-    operator and callback, which may solve again, so sparse_linalg keeps
-    free lists."""
-    m = n - 1
-    return np.empty(m * (n + 1)), np.empty(m * m), np.empty((m, m)), np.empty((m, m))
-
-
 # Doubling commutes with a rounding whose exact value is 0 or above 2^-1022. From a trace
 # value t the start's values pass four sine entries (> 1e-21 up to 10^4 cells a side), an
 # inverse eigenvalue (> h^2/8) and five sums, each nonzero one at least 2^-106 times its
 # least product: each nonzero value exceeds t 1e-84 1e-9 2^-530 > 2^-1022 for t >= this.
 DOUBLING_FLOOR = 1e-50
-# The stencil of a start doubles with it where no quotient by h^2 is subnormal. Each double
-# of magnitude >= 2^E is a multiple of 2^(E-52), and so is each of the stencil's rounded
-# sums of such values, so a nonzero sum exceeds 2^-53 times the start's least nonzero
-# |value|, itself above t 1e-93 2^-530 (DOUBLING_FLOOR), and over h^2 <= 1 the quotient
-# exceeds t 1e-93 2^-583 > 2^-1022 for t >= this. Where h^2 is a power of two the division
-# is exact and the stencil doubles at any t.
-STENCIL_FLOOR = 1e-38
 # A product-order divided difference of m <= MAX_ORDER slots computes the starts of its
 # first 2^(m-1) sign patterns, then meets their negations in reverse order; a hit stores
 # nothing, so this many entries catch every one.
 START_ENTRIES = 2 ** (MAX_ORDER - 1)
 
 
-class _Starts:
-    """The last START_ENTRIES harmonic starts computed on one grid size, a
-    ring that replaces its oldest entry: entry j's trace, field and that
-    field's stencil rows are row j of ``traces``, ``fields`` and
-    ``stencils``, and ``least[j]`` is the trace's least nonzero |value|,
-    found when a doubling first asks. The blocks are allocated once, so
-    entries come and go without heap traffic, and an entry's rows are first
-    written, and so first made resident, when it is first filled."""
-
-    __slots__ = ("traces", "fields", "stencils", "least", "count", "next")
-
-    def __init__(self, n: int):
-        self.traces = np.zeros((START_ENTRIES, 4 * n))
-        self.fields = np.empty((START_ENTRIES, (n + 1) ** 2))
-        self.stencils = np.empty((START_ENTRIES, (n - 1) * (n + 1)))
-        self.least: list = [None] * START_ENTRIES
-        self.count = self.next = 0  # entries filled; the one replaced next
-
-
 @functools.cache
-def _start_memo(n: int) -> _Starts:
-    """The harmonic starts of an n-cell grid, built once per size, empty.
-    For c = +-1, +-2, c times an entry's field is the start of c times its
-    trace, up to the sign of an exact zero, and c times its stencil rows are
-    that start's stencil rows, except at |c| = 2 below DOUBLING_FLOOR and,
-    unless h^2 is a power of two, below STENCIL_FLOOR (see the module
-    docstring and START_ENTRIES). One memo per size suffices: a Newton solve
-    runs no caller code (``_newton_work``)."""
-    return _Starts(n)
+def _newton_state(n: int) -> SimpleNamespace:
+    """The state of Newton solves on an n-cell grid, built once per size.
+    ``work`` holds the four work arrays: the stencil's rows, the residual,
+    which evaluates its Horner polynomial in place, a contiguous copy of the
+    interior values that the residual's and the slope's polynomials read, and
+    the Jacobian's slope field, which then takes the step's node values. The
+    start ring holds the last START_ENTRIES harmonic starts computed on the
+    grid: entry j's trace, field and that field's stencil rows are row j of
+    ``traces``, ``fields`` and ``stencils``, and ``next`` is the entry
+    replaced next. An entry never filled has a zero trace, which no data
+    match. The blocks are allocated once, so entries come and go without heap
+    traffic. One state per size suffices: a Newton solve runs no caller code
+    while it holds the state, so no solve can start inside another
+    (solve_semilinear's callers are dtn.dtn_apply and the CLI's
+    forward_convergence scenario). CG runs its caller's operator and
+    callback, which may solve again, so sparse_linalg keeps free lists."""
+    m = n - 1
+    return SimpleNamespace(
+        work=(np.empty(m * (n + 1)), np.empty(m * m), np.empty((m, m)), np.empty((m, m))),
+        traces=np.zeros((START_ENTRIES, 4 * n)), fields=np.empty((START_ENTRIES, (n + 1) ** 2)),
+        stencils=np.empty((START_ENTRIES, m * (n + 1))), next=0)
 
 
 def _harmonic_start(f: np.ndarray, magnitude: np.ndarray, grid: Grid2D,
                     rows: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """f's harmonic extension, given |f|, as (field, c, lap): the start is c
-    times ``field``, which belongs to the memo, and ``lap`` is the interior
-    view of the start's stencil rows, kept in the memo for c = 1 and in
-    ``rows`` otherwise. Entries are read newest first; a miss computes the
-    start and its stencil into the oldest entry."""
-    starts = _start_memo(grid.n)
+    """f's harmonic extension, given |f|, as (field, c, lap) under the module
+    docstring's reuse rule: the start is c times ``field``, which belongs to
+    the ring, and ``lap`` is the interior view of the start's stencil rows,
+    in the ring on a miss and in ``rows`` on a hit. A miss computes the start
+    and its stencil into the oldest entry."""
+    state = _newton_state(grid.n)
     peak = int(magnitude.argmax())  # where c times a trace peaks, the trace does
     top = float(f[peak])
-    column = starts.traces[:, peak].tolist()  # every entry's value at the peak
-    for age in range(1, starts.count + 1):
-        j = (starts.next - age) % START_ENTRIES
+    column = state.traces[:, peak].tolist()  # every entry's value at the peak
+    for age in range(1, START_ENTRIES + 1):
+        j = (state.next - age) % START_ENTRIES
         c = top / column[j] if column[j] else 0.0
-        if abs(c) not in (1.0, 2.0) or not np.array_equal(f, c * starts.traces[j]):
+        if abs(c) not in (1.0, 2.0) or not np.array_equal(f, c * state.traces[j]):
             continue
-        if abs(c) == 2.0:
-            if starts.least[j] is None:
-                trace = starts.traces[j]
-                starts.least[j] = float(np.abs(trace[trace != 0.0]).min())
-            if starts.least[j] < DOUBLING_FLOOR:
-                continue  # below the floor doubling may round differently: no reuse
-        field, stencil = starts.fields[j], starts.stencils[j]
-        if c == 1.0:
-            return field, c, _interior_rows(stencil, grid)
-        exact = math.frexp(grid.h * grid.h)[0] == 0.5  # h^2 a power of two: exact division
-        if abs(c) == 1.0 or exact or starts.least[j] >= STENCIL_FLOOR:
-            return field, c, _interior_rows(np.multiply(stencil, c, out=rows), grid)
+        if abs(c) == 2.0 and magnitude[magnitude != 0.0].min() < 2.0 * DOUBLING_FLOOR:
+            continue  # f's least nonzero |value| is twice the trace's: below the floor
+        field = state.fields[j]
+        if abs(c) == 1.0 or math.frexp(grid.h * grid.h)[0] == 0.5:  # h^2 a power of two
+            return field, c, _interior_rows(np.multiply(state.stencils[j], c, out=rows), grid)
         return field, c, _stencil_rows(c * field, grid, rows)
-    j = starts.next
-    field = starts.fields[j]
+    j = state.next
+    field = state.fields[j]
     np.copyto(field, harmonic_extension(f, grid))
-    np.copyto(starts.traces[j], f)
-    starts.least[j] = None
-    starts.next, starts.count = (j + 1) % START_ENTRIES, max(starts.count, j + 1)
-    return field, 1.0, _stencil_rows(field, grid, starts.stencils[j])
+    np.copyto(state.traces[j], f)
+    state.next = (j + 1) % START_ENTRIES
+    return field, 1.0, _stencil_rows(field, grid, state.stencils[j])
 
 
 def _l2(r: np.ndarray, grid: Grid2D) -> float:
@@ -278,29 +246,29 @@ def solve_semilinear(P: PotentialSeries, f: np.ndarray,
     """Newton solve of -Lap u + V(x,u) = 0, u = f on the boundary.
 
     Starts from the harmonic extension of f (the exact first linearization, so
-    the first correction is already quadratically small), which ``_start_memo``
-    reuses. Each step solves the Jacobian system in scaled sine coordinates, so
-    its CG stops when the (-Lap_h)^-1-norm of the step residual falls to
-    LINEAR_TOL times that of the Newton residual (certified on the finish), and
-    takes the step back to node values. Newton stops at residual
-    DEFAULT_NEWTON_TOL; diverging residuals (3 consecutive increases) or
-    DEFAULT_MAX_NEWTON steps raise NewtonError, and data whose max-norm exceeds
-    DEFAULT_SMALLNESS_RADIUS raises SmallnessError. The three constants are read
-    at call time.
+    the first correction is already quadratically small), which the start ring
+    of ``_newton_state`` keeps. Each step solves the Jacobian system in scaled
+    sine coordinates, so its CG stops when the (-Lap_h)^-1-norm of the step
+    residual falls to LINEAR_TOL times that of the Newton residual (certified
+    on the finish), and takes the step back to node values. Newton stops at
+    residual DEFAULT_NEWTON_TOL; diverging residuals (3 consecutive increases)
+    or DEFAULT_MAX_NEWTON steps raise NewtonError, and data whose max-norm
+    exceeds DEFAULT_SMALLNESS_RADIUS raises SmallnessError. The three constants
+    are read at call time.
     """
     f = check_trace(f, grid)
     magnitude = np.abs(f)
-    fnorm = float(magnitude.max()) if f.size else 0.0
+    fnorm = float(magnitude.max())
     if fnorm > DEFAULT_SMALLNESS_RADIUS:
         raise SmallnessError(f"boundary data max-norm {fnorm:.4g} exceeds smallness "
                              f"radius {DEFAULT_SMALLNESS_RADIUS}")
 
-    rows, res, interior, slope = _newton_work(grid.n)
+    rows, res, interior, slope = _newton_state(grid.n).work
     start, c, lap = _harmonic_start(f, magnitude, grid, rows)
     np.multiply(start.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1], c, out=interior)
     history = [_l2(_residual_into(P, interior, lap, res), grid)]
     # the iterate is a new array, written from ``interior`` by each step: the start stays
-    # in the memo and is neither copied nor scaled
+    # in the ring and is neither copied nor scaled
     u = np.empty(grid.num_nodes)
     u[grid.boundary_nodes] = f
     inner = u.reshape(grid.n + 1, grid.n + 1)[1:-1, 1:-1]

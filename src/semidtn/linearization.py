@@ -279,7 +279,7 @@ def check_difference_gate(fs, eps: float) -> None:
     difference of the traces ``fs`` at step ``eps`` passes the solver's
     smallness gate; eps times the sum of the |f_l| bounds them all."""
     worst = eps * sum(np.abs(f) for f in fs)
-    if worst.size and not float(np.max(worst)) <= DEFAULT_SMALLNESS_RADIUS:
+    if not float(np.max(worst)) <= DEFAULT_SMALLNESS_RADIUS:
         raise ValueError(f"step {eps} pushes evaluation points outside the smallness gate "
                          f"(max combined amplitude {float(np.max(worst)):.4g} > "
                          f"{DEFAULT_SMALLNESS_RADIUS})")

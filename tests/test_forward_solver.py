@@ -454,15 +454,21 @@ def test_newton_converging_on_its_last_allowed_step_returns(monkeypatch):
 
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_newton_work_is_one_set_per_grid_size(n, monkeypatch):
-    # every solve on a grid takes the same four work arrays, and a solve on
-    # another grid other ones. A solve that raises inside its loop leaves
-    # the set as its last step left it; the next solve on the grid reads none
-    # of that and matches the reference bit for bit. These data take two steps
-    work = forward_solver._newton_work(n)
+    # every solve on a grid takes the same four work arrays and the same start
+    # ring, both held by one per-size state, and a solve on another grid other
+    # ones. A solve that raises inside its loop leaves the set as its last step
+    # left it; the next solve on the grid reads none of that and matches the
+    # reference bit for bit. These data take two steps
+    forward_solver._newton_state.cache_clear()
+    state = forward_solver._newton_state(n)
+    work = state.work
     assert len(work) == 4
-    assert all(a is b for a, b in zip(forward_solver._newton_work(n), work))
-    other = forward_solver._newton_work(2 * n)
-    assert not any(np.shares_memory(a, b) for a in other for b in work)
+    assert forward_solver._newton_state(n) is state
+    assert all(a is b for a, b in zip(forward_solver._newton_state(n).work, work))
+    other = forward_solver._newton_state(2 * n)
+    arrays = (*work, state.traces, state.fields, state.stencils)
+    assert not any(np.shares_memory(a, b) for a in (*other.work, other.traces, other.fields,
+                                                    other.stencils) for b in arrays)
     g = make_grid(n)
     P = half_arc_series(g)
     f = 0.1 * bump_trace(g, 0.5, 0.5)
@@ -471,6 +477,7 @@ def test_newton_work_is_one_set_per_grid_size(n, monkeypatch):
         with pytest.raises(NewtonError, match="did not reach"):
             solve_semilinear(P, f, g)
     u, report = solve_semilinear(P, f, g)
+    assert np.array_equal(state.traces[0], f) and not state.traces[1:].any()  # one start
     ref_u, ref_report = allocating_newton(P, f, g)
     assert report.iterations == 2
     assert np.array_equal(u, ref_u)
@@ -546,7 +553,7 @@ def counting_starts(monkeypatch):
         starts.append(f.copy())
         return harmonic_extension(f, grid)
 
-    forward_solver._start_memo.cache_clear()
+    forward_solver._newton_state.cache_clear()
     monkeypatch.setattr(forward_solver, "harmonic_extension", counted)
     return starts
 
@@ -568,9 +575,9 @@ def test_scaled_data_reuse_the_harmonic_start_bit_for_bit(n, monkeypatch):
     f = divided_difference_data(g)
     starts = counting_starts(monkeypatch)
     for c in (1.0, -1.0, 2.0, -2.0):
-        forward_solver._start_memo.cache_clear()
+        forward_solver._newton_state.cache_clear()
         fresh_u, fresh_report = solve_semilinear(P, c * f, g)
-        forward_solver._start_memo.cache_clear()
+        forward_solver._newton_state.cache_clear()
         solve_semilinear(P, f, g)
         computed = len(starts)
         u, report = solve_semilinear(P, c * f, g)
@@ -601,7 +608,7 @@ def test_other_data_take_a_fresh_start(n, monkeypatch):
                                  (f, moved, True), (tiny, 2.0 * tiny, True),
                                  (tiny, -2.0 * tiny, True), (tiny, -tiny, False),
                                  (floor, 2.0 * floor, False), (floor, -2.0 * floor, False)):
-        forward_solver._start_memo.cache_clear()
+        forward_solver._newton_state.cache_clear()
         solve_semilinear(P, first, g)
         computed = len(starts)
         u, report = solve_semilinear(P, second, g)
@@ -656,7 +663,7 @@ def test_each_direction_takes_one_harmonic_start(noise_sigma, monkeypatch):
     fresh_measure = measurement(half_arc_series(g), mask, g, noise_sigma, seed=5)
 
     def forgetful(trace):
-        forward_solver._start_memo.cache_clear()
+        forward_solver._newton_state.cache_clear()
         return fresh_measure(trace)
 
     store = DirectionStore(measure, family, 0.01, mask, g)
@@ -685,12 +692,12 @@ def test_divided_differences_compute_one_start_per_negated_pair(monkeypatch):
     fresh_measure = measurement(half_arc_series(g), mask, g)
 
     def forgetful(trace):
-        forward_solver._start_memo.cache_clear()
+        forward_solver._newton_state.cache_clear()
         return fresh_measure(trace)
 
     starts = counting_starts(monkeypatch)
     for m in (2, 3, 4):
-        forward_solver._start_memo.cache_clear()
+        forward_solver._newton_state.cache_clear()
         computed = len(starts)
         flux = measured_linearized_flux(measure, traces[:m], 0.01, mask, g)
         assert len(starts) - computed == 2 ** (m - 1)
@@ -722,9 +729,9 @@ def test_the_ninth_start_evicts_the_oldest(monkeypatch):
 @pytest.mark.parametrize("n", [24, 32])
 def test_a_doubled_start_reuses_its_stencil_where_it_rounds_alike(n, monkeypatch):
     # a reused start reuses its stencil, which Newton's first residual then
-    # does not run, except at |c| = 2 on a trace with a nonzero value below
-    # STENCIL_FLOOR where h^2 is not a power of two (n = 24): there the
-    # division by h^2 may round differently, and the stencil is run again
+    # does not run, except at |c| = 2 where h^2 is not a power of two (n = 24):
+    # there the division by h^2 may round differently, and the stencil is run
+    # again, for a trace with a value at DOUBLING_FLOOR as for any other
     g = make_grid(n)
     P = half_arc_series(g)
     f = divided_difference_data(g)
@@ -738,9 +745,9 @@ def test_a_doubled_start_reuses_its_stencil_where_it_rounds_alike(n, monkeypatch
 
     stencil_rows = forward_solver._stencil_rows
     monkeypatch.setattr(forward_solver, "_stencil_rows", counted)
-    for first, c, rerun in ((f, -1.0, False), (f, 2.0, False), (floor, -1.0, False),
-                            (floor, 2.0, n == 24), (floor, -2.0, n == 24)):
-        forward_solver._start_memo.cache_clear()
+    for first, c, rerun in ((f, -1.0, False), (f, 2.0, n == 24), (f, -2.0, n == 24),
+                            (floor, -1.0, False), (floor, 2.0, n == 24), (floor, -2.0, n == 24)):
+        forward_solver._newton_state.cache_clear()
         solve_semilinear(P, first, g)
         ran = len(stencils)
         u, report = solve_semilinear(P, c * first, g)
